@@ -28,7 +28,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/engine/... ./internal/core ./internal/obs ./internal/service ./internal/shard
+	go test -race ./internal/engine/... ./internal/core ./internal/sim ./internal/analysis ./internal/obs ./internal/service ./internal/shard
 
 fuzz:
 	go test -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine/fastengine

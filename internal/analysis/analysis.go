@@ -15,6 +15,13 @@
 // no per-run analysis allocation — the same amortisation contract the fast
 // engines keep for their arenas.
 //
+// The coverage, termination, and quantiles families observe at frontier
+// level (engine.FrontierObserver): they need only each round's receivers
+// and message count, so a Set made of them lets the bitset engine skip
+// building Send records. The bipartite, spantree, and echo families read
+// each round's Sends, and one of them in a Set puts the whole Set on the
+// Send path.
+//
 // The package deliberately depends only on the engine/graph layers (plus
 // gen for spec recognition, algo for ground truth, stats for summaries, and
 // termdetect for the echo baseline), so the sim façade can own it the way
@@ -79,7 +86,8 @@ type Analyzer interface {
 // stop policy the façade needs: the observed run is allowed to end early
 // only when every member has signalled readiness (and AllowStop is set —
 // the façade clears it when a full trace was requested, since an early
-// stop would truncate it).
+// stop would truncate it). The set is frontier-only (engine.FrontierObserver)
+// exactly when every member is; see the package doc for which families are.
 type Set struct {
 	analyzers []Analyzer
 	// AllowStop gates analysis-driven early stopping of the observed run.
@@ -87,7 +95,7 @@ type Set struct {
 	done      []bool
 }
 
-var _ engine.RoundObserver = (*Set)(nil)
+var _ engine.FrontierObserver = (*Set)(nil)
 
 // NewSet parses and builds one analyzer per spec. Duplicate families are
 // rejected: their metrics would collide in the merged map.
@@ -140,9 +148,32 @@ func (s *Set) Start(origins []graph.NodeID) error {
 // their later-round observations may refine artifacts), and the set
 // requests a stop only when all members are ready.
 func (s *Set) ObserveRound(rec engine.RoundRecord) (bool, error) {
+	return s.observe(func(a Analyzer) (bool, error) { return a.ObserveRound(rec) })
+}
+
+// FrontierOnly implements engine.FrontierObserver: true when every member
+// observes at frontier level.
+func (s *Set) FrontierOnly() bool {
+	for _, a := range s.analyzers {
+		if !engine.FrontierOnly(a) {
+			return false
+		}
+	}
+	return true
+}
+
+// ObserveFrontier implements engine.FrontierObserver with ObserveRound's stop
+// policy.
+func (s *Set) ObserveFrontier(f engine.Frontier) (bool, error) {
+	return s.observe(func(a Analyzer) (bool, error) { return engine.ObserveFrontier(a, f) })
+}
+
+// observe feeds one round to every member through observe and applies the
+// stop policy.
+func (s *Set) observe(observe func(Analyzer) (bool, error)) (bool, error) {
 	allDone := len(s.analyzers) > 0
 	for i, a := range s.analyzers {
-		stop, err := a.ObserveRound(rec)
+		stop, err := observe(a)
 		if err != nil {
 			return false, fmt.Errorf("analysis: %s: %w", a.Family(), err)
 		}

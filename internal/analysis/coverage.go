@@ -21,7 +21,10 @@ type Coverage struct {
 	receipts      int
 }
 
-var _ Analyzer = (*Coverage)(nil)
+var (
+	_ Analyzer                = (*Coverage)(nil)
+	_ engine.FrontierObserver = (*Coverage)(nil)
+)
 
 func init() {
 	Register("coverage", Family{
@@ -60,21 +63,29 @@ func (c *Coverage) Start(origins []graph.NodeID) error {
 	return nil
 }
 
-// ObserveRound implements engine.RoundObserver. It never requests a stop:
-// coverage is a whole-run property.
+// ObserveRound implements engine.RoundObserver.
 func (c *Coverage) ObserveRound(rec engine.RoundRecord) (bool, error) {
-	for _, s := range rec.Sends {
-		v := s.To
+	return c.ObserveFrontier(rec.Frontier())
+}
+
+// FrontierOnly implements engine.FrontierObserver: coverage needs only each
+// round's receivers.
+func (c *Coverage) FrontierOnly() bool { return true }
+
+// ObserveFrontier implements engine.FrontierObserver. It never requests a
+// stop: coverage is a whole-run property.
+func (c *Coverage) ObserveFrontier(f engine.Frontier) (bool, error) {
+	for v := range f.Receivers {
 		// A node receiving from several neighbours in one round counts the
 		// round once, exactly like core.Analyze over RoundRecord.Receivers.
-		if c.lastReceive[v] == rec.Round {
+		if c.lastReceive[v] == f.Round {
 			continue
 		}
 		c.receiveCounts[v]++
 		if c.firstReceive[v] == 0 {
-			c.firstReceive[v] = rec.Round
+			c.firstReceive[v] = f.Round
 		}
-		c.lastReceive[v] = rec.Round
+		c.lastReceive[v] = f.Round
 		c.receipts++
 	}
 	return false, nil

@@ -18,7 +18,10 @@ type Quantiles struct {
 	metric string
 }
 
-var _ Analyzer = (*Quantiles)(nil)
+var (
+	_ Analyzer                = (*Quantiles)(nil)
+	_ engine.FrontierObserver = (*Quantiles)(nil)
+)
 
 // quantileMetrics are the base quantities the family can promote. Wall time
 // is deliberately excluded: metric columns must stay deterministic so
@@ -55,9 +58,18 @@ func (q *Quantiles) Family() string { return "quantiles" }
 // Start implements Analyzer.
 func (q *Quantiles) Start(origins []graph.NodeID) error { return nil }
 
-// ObserveRound implements engine.RoundObserver; the promoted quantity comes
-// from the result, so observation is a no-op that never requests a stop.
+// ObserveRound implements engine.RoundObserver.
 func (q *Quantiles) ObserveRound(rec engine.RoundRecord) (bool, error) {
+	return q.ObserveFrontier(rec.Frontier())
+}
+
+// FrontierOnly implements engine.FrontierObserver.
+func (q *Quantiles) FrontierOnly() bool { return true }
+
+// ObserveFrontier implements engine.FrontierObserver; the promoted quantity
+// comes from the result, so observation is a no-op that never requests a
+// stop.
+func (q *Quantiles) ObserveFrontier(engine.Frontier) (bool, error) {
 	return false, nil
 }
 

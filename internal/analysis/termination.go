@@ -32,7 +32,10 @@ type Termination struct {
 	n      int    // size parameter of the recognised family
 }
 
-var _ Analyzer = (*Termination)(nil)
+var (
+	_ Analyzer                = (*Termination)(nil)
+	_ engine.FrontierObserver = (*Termination)(nil)
+)
 
 func init() {
 	Register("termination", Family{
@@ -142,10 +145,18 @@ func (t *Termination) Start(origins []graph.NodeID) error {
 	return nil
 }
 
-// ObserveRound implements engine.RoundObserver; the metrics derive from the
-// engine result, so observation is a no-op that never requests a stop (the
-// termination round is a whole-run property).
+// ObserveRound implements engine.RoundObserver.
 func (t *Termination) ObserveRound(rec engine.RoundRecord) (bool, error) {
+	return t.ObserveFrontier(rec.Frontier())
+}
+
+// FrontierOnly implements engine.FrontierObserver.
+func (t *Termination) FrontierOnly() bool { return true }
+
+// ObserveFrontier implements engine.FrontierObserver; the metrics derive
+// from the engine result, so observation is a no-op that never requests a
+// stop (the termination round is a whole-run property).
+func (t *Termination) ObserveFrontier(engine.Frontier) (bool, error) {
 	return false, nil
 }
 

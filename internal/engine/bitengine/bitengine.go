@@ -36,7 +36,11 @@
 //
 // Frontiers are double-buffered and every buffer is reused across rounds
 // and runs, so a warmed-up engine allocates nothing per round. Rounds are
-// only materialised into Send records when a trace or observer asks.
+// materialised into sorted Send records only when Options.Trace is set or
+// the observer is not frontier-only (engine.FrontierOnly); a frontier-only
+// observer is handed an engine.Frontier instead — the popcount the round
+// loop already takes, plus the receivers the push kernel marks anyway (the
+// pull kernel marks them only for such an observer).
 //
 // An optional sharded mode partitions the dirty *words* (not nodes) of a
 // round across worker goroutines. All writes are idempotent bitwise ORs
@@ -119,7 +123,7 @@ type Engine struct {
 	rowBuf    []uint64
 	denseScan bool
 
-	sends []engine.Send // round materialisation buffer (trace/observer only)
+	sends []engine.Send // round materialisation buffer (trace/Send-level observer only)
 
 	shardDirty [][]int32  // per-worker dirty-list arenas (sharded mode)
 	shardBuf   [][]uint64 // per-worker row gather buffers (sharded pull)
@@ -257,7 +261,13 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 	if err := e.bootstrap(proto, rule); err != nil {
 		return res, fmt.Errorf("bitengine: %s on %s: %w", proto.Name(), e.orig, err)
 	}
-	materialise := opts.Trace || opts.Observer != nil
+	// Send records are built only for a trace or a Send-level observer. A
+	// frontier-only observer gets the round's Frontier instead: the popcount
+	// below plus the receivers in mark, which push rounds fill anyway and
+	// pull rounds fill only when report is set. Without an observer neither
+	// happens.
+	materialise := opts.Trace || !engine.FrontierOnly(opts.Observer)
+	report := opts.Observer != nil && !materialise
 	for round := 1; ; round++ {
 		frontier := 0
 		if e.denseScan {
@@ -265,7 +275,6 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 			// skip dirty-list bookkeeping; one full sweep rebuilds the
 			// (sorted) list. Pull only fires on saturated frontiers, so the
 			// sweep is proportional to the work just done.
-			e.denseScan = false
 			e.dirtyCur = e.dirtyCur[:0]
 			for wi, w := range e.cur {
 				if w != 0 {
@@ -289,47 +298,56 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 		}
 		res.Rounds = round
 		res.TotalMessages += frontier
+
+		// Saturated rounds run the pull kernel, which gathers rows directly
+		// and touches none of the recv/mark state unless it must report
+		// receivers (see package doc).
+		pull := 2*frontier >= len(e.csr.Targets)
+		sharded := e.workers > 1 && len(e.dirtyCur) >= minWords
+		switch {
+		case pull && sharded:
+			e.pullSharded(rule, report)
+		case pull:
+			e.pull(rule, report)
+		case sharded:
+			e.scatterSharded()
+			e.respondSharded(rule)
+		default:
+			e.scatter()
+			e.respond(rule)
+		}
+		e.denseScan = pull
+		if pull && report {
+			for wi, w := range e.mark {
+				if w != 0 {
+					e.dirtyMark = append(e.dirtyMark, int32(wi))
+				}
+			}
+		}
+
+		// The round is observed after its kernel step, while cur still
+		// holds its frontier and mark its receivers.
+		var stop bool
+		var err error
 		if materialise {
 			e.materialise()
 			if opts.Trace {
 				res.Trace = append(res.Trace, engine.RoundRecord{Round: round, Sends: append([]engine.Send(nil), e.sends...)})
 			}
-			stop, err := opts.Observe(engine.RoundRecord{Round: round, Sends: e.sends})
-			if err != nil {
-				return res, fmt.Errorf("bitengine: %s on %s: observer at round %d: %w", proto.Name(), e.orig, round, err)
-			}
-			if stop {
-				res.Stopped = true
-				return res, nil
-			}
+			stop, err = opts.Observe(engine.RoundRecord{Round: round, Sends: e.sends})
+		} else if report {
+			stop, err = engine.ObserveFrontier(opts.Observer, engine.Frontier{Round: round, Messages: frontier, Receivers: e.eachReceiver})
+		}
+		if err != nil {
+			return res, fmt.Errorf("bitengine: %s on %s: observer at round %d: %w", proto.Name(), e.orig, round, err)
+		}
+		if stop {
+			res.Stopped = true
+			return res, nil
 		}
 
-		if 2*frontier >= len(e.csr.Targets) {
-			// Saturated round: the pull kernel gathers rows directly and
-			// touches none of the recv/mark state (see package doc).
-			if e.workers > 1 && len(e.dirtyCur) >= minWords {
-				e.pullSharded(rule)
-			} else {
-				e.pull(rule)
-			}
-			for _, wi := range e.dirtyCur {
-				e.cur[wi] = 0
-			}
-			e.dirtyCur = e.dirtyCur[:0]
-			e.cur, e.nxt = e.nxt, e.cur
-			e.denseScan = true
-			continue
-		}
-
-		if e.workers > 1 && len(e.dirtyCur) >= minWords {
-			e.scatterSharded()
-			e.respondSharded(rule)
-		} else {
-			e.scatter()
-			e.respond(rule)
-		}
-
-		// Sparse clears: only words that went nonzero this round.
+		// Sparse clears: only words that went nonzero this round (a pull
+		// round leaves recv and nxt's dirty list empty).
 		for _, wi := range e.dirtyRecv {
 			e.recv[wi] = 0
 		}
@@ -451,23 +469,28 @@ func (e *Engine) respondNode(v graph.NodeID) {
 // scatter/respond this is pure loads instead of scattered read-modify-writes,
 // no branchy dirty-list maintenance, and sequential stores — a smaller
 // constant over O(m) work, which wins once the frontier covers most slots.
-// recv, mark, and all dirty lists stay untouched; the caller sets denseScan
-// so the next round rebuilds dirtyCur with a full sweep.
-func (e *Engine) pull(rule engine.BitsetRule) {
-	e.pullRows(rule, 0, e.csr.N(), e.rowBuf, false)
+// recv and all dirty lists stay untouched; the caller sets denseScan so the
+// next round rebuilds dirtyCur with a full sweep. mark stays untouched too
+// unless report is set, in which case every receiving row — under the once
+// rule, already-seen rows included — sets its mark bit for the round's
+// Frontier.
+func (e *Engine) pull(rule engine.BitsetRule, report bool) {
+	e.pullRows(rule, 0, e.csr.N(), e.rowBuf, false, report)
 }
 
 // pullRows gathers and responds for rows [vlo, vhi). When shared is true the
 // nxt ORs are atomic: row ranges of different workers can straddle a slot
 // word. buf must hold the widest row span in the range.
-func (e *Engine) pullRows(rule engine.BitsetRule, vlo, vhi int, buf []uint64, shared bool) {
+func (e *Engine) pullRows(rule engine.BitsetRule, vlo, vhi int, buf []uint64, shared, report bool) {
 	cur, mirror, nxt := e.cur, e.mirror, e.nxt
 	for v := vlo; v < vhi; v++ {
 		lo, hi := int32(e.csr.Offsets[v]), int32(e.csr.Offsets[v+1])
 		if lo >= hi {
 			continue
 		}
-		if rule == engine.RuleComplementOnce && e.seen[v>>6]&(1<<(uint(v)&63)) != 0 {
+		bit := uint64(1) << (uint(v) & 63)
+		done := rule == engine.RuleComplementOnce && e.seen[v>>6]&bit != 0
+		if done && !report {
 			continue
 		}
 		w0 := lo >> 6
@@ -490,8 +513,14 @@ func (e *Engine) pullRows(rule engine.BitsetRule, vlo, vhi int, buf []uint64, sh
 		if received == 0 {
 			continue
 		}
+		if report {
+			e.mark[v>>6] |= bit
+		}
+		if done {
+			continue
+		}
 		if rule == engine.RuleComplementOnce {
-			e.seen[v>>6] |= 1 << (uint(v) & 63)
+			e.seen[v>>6] |= bit
 		}
 		for k := int32(0); k < words; k++ {
 			wi := w0 + k
@@ -514,19 +543,19 @@ func (e *Engine) pullRows(rule engine.BitsetRule, vlo, vhi int, buf []uint64, sh
 }
 
 // pullSharded partitions rows across workers in contiguous ranges balanced
-// by slot count and snapped to 64-row boundaries, so every seen word belongs
-// to exactly one worker and stays plain; nxt words straddling a range
+// by slot count and snapped to 64-row boundaries, so every seen and mark word
+// belongs to exactly one worker and stays plain; nxt words straddling a range
 // boundary can be shared, so sharded pull ORs nxt atomically. OR commutes,
 // so the resulting bitset — and every trace — is byte-identical to the
 // sequential pull.
-func (e *Engine) pullSharded(rule engine.BitsetRule) {
+func (e *Engine) pullSharded(rule engine.BitsetRule, report bool) {
 	n := e.csr.N()
 	workers := e.workers
 	if maxShards := (n + 63) / 64; workers > maxShards {
 		workers = maxShards
 	}
 	if workers <= 1 {
-		e.pull(rule)
+		e.pull(rule, report)
 		return
 	}
 	e.growBufs(workers)
@@ -547,7 +576,7 @@ func (e *Engine) pullSharded(rule engine.BitsetRule) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			e.pullRows(rule, lo, hi, e.shardBuf[w], true)
+			e.pullRows(rule, lo, hi, e.shardBuf[w], true, report)
 		}(w, prev, end)
 		prev = end
 	}
@@ -558,6 +587,25 @@ func (e *Engine) pullSharded(rule engine.BitsetRule) {
 func (e *Engine) growBufs(k int) {
 	for len(e.shardBuf) < k {
 		e.shardBuf = append(e.shardBuf, make([]uint64, len(e.rowBuf)))
+	}
+}
+
+// eachReceiver yields the round's receivers — the set bits of mark, which
+// the kernels fill — in original labels, in no particular order.
+func (e *Engine) eachReceiver(yield func(graph.NodeID) bool) {
+	for _, wi := range e.dirtyMark {
+		m := e.mark[wi]
+		base := graph.NodeID(wi) << 6
+		for m != 0 {
+			v := base + graph.NodeID(bits.TrailingZeros64(m))
+			m &= m - 1
+			if e.inv != nil {
+				v = e.inv[v]
+			}
+			if !yield(v) {
+				return
+			}
+		}
 	}
 }
 

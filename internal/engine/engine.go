@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 	"time"
 
@@ -326,6 +327,91 @@ type ObserverFunc func(rec RoundRecord) (stop bool, err error)
 // ObserveRound implements RoundObserver.
 func (f ObserverFunc) ObserveRound(rec RoundRecord) (bool, error) { return f(rec) }
 
+// Frontier is the set-level view of one round: how many messages are in
+// flight and which nodes receive them, without the per-message Send
+// records. In amnesiac flooding a round is fully described by the directed
+// edges carrying M, so engines that keep that set natively (bitengine) can
+// report it without materialising and sorting one Send per message.
+type Frontier struct {
+	// Round is the round number, as in RoundRecord.
+	Round int
+	// Messages counts the messages in flight this round (len(Sends)).
+	Messages int
+	// Receivers yields every node receiving at least one message this
+	// round, in original labels and in no particular order. A frontier
+	// derived from Sends (RoundRecord.Frontier) yields a node once per
+	// message it receives; consumers needing distinct receivers dedup. Like
+	// RoundRecord.Sends, it reads engine-internal state and must not be
+	// called after ObserveFrontier returns.
+	Receivers iter.Seq[graph.NodeID]
+}
+
+// Frontier returns the set-level view of the record. Its Receivers yields
+// the To of every send, so a node receiving several copies repeats.
+func (r RoundRecord) Frontier() Frontier {
+	return Frontier{Round: r.Round, Messages: len(r.Sends), Receivers: func(yield func(graph.NodeID) bool) {
+		for _, s := range r.Sends {
+			if !yield(s.To) {
+				return
+			}
+		}
+	}}
+}
+
+// FrontierObserver is an optional extension of RoundObserver for observers
+// that need only each round's Frontier. When FrontierOnly reports true at the
+// start of a run, an engine that keeps the frontier natively may call
+// ObserveFrontier instead of ObserveRound for every round of that run (unless
+// Options.Trace makes it materialise Sends anyway), with the same stop/err
+// contract. Engines that materialise Sends regardless keep calling
+// ObserveRound, so ObserveRound must compute the same thing — typically by
+// delegating to ObserveFrontier(rec.Frontier()).
+type FrontierObserver interface {
+	RoundObserver
+	// FrontierOnly reports whether the frontier alone is enough for the
+	// coming run. Engines ask once per run, before round 1; composites
+	// answer from their members.
+	FrontierOnly() bool
+	ObserveFrontier(f Frontier) (stop bool, err error)
+}
+
+// FrontierOnly reports whether obs can be driven by ObserveFrontier alone
+// for the coming run: true for nil (nothing to feed) and for a
+// FrontierObserver that says so, false for every Send-level observer.
+func FrontierOnly(obs RoundObserver) bool {
+	if obs == nil {
+		return true
+	}
+	f, ok := obs.(FrontierObserver)
+	return ok && f.FrontierOnly()
+}
+
+// ObserveFrontier feeds f to obs, which must satisfy FrontierOnly(obs) — the
+// forwarding step of composite frontier observers. A nil obs is a no-op.
+func ObserveFrontier(obs RoundObserver, f Frontier) (stop bool, err error) {
+	if obs == nil {
+		return false, nil
+	}
+	fo, ok := obs.(FrontierObserver)
+	if !ok {
+		return false, fmt.Errorf("engine: %T is not a FrontierObserver", obs)
+	}
+	return fo.ObserveFrontier(f)
+}
+
+// FrontierFunc adapts a plain function to a frontier-only FrontierObserver;
+// on the Send path it sees RoundRecord.Frontier.
+type FrontierFunc func(f Frontier) (stop bool, err error)
+
+// ObserveRound implements RoundObserver.
+func (fn FrontierFunc) ObserveRound(rec RoundRecord) (bool, error) { return fn(rec.Frontier()) }
+
+// FrontierOnly implements FrontierObserver.
+func (fn FrontierFunc) FrontierOnly() bool { return true }
+
+// ObserveFrontier implements FrontierObserver.
+func (fn FrontierFunc) ObserveFrontier(f Frontier) (bool, error) { return fn(f) }
+
 // Options configures a run; the zero value means "no trace, default round
 // limit".
 type Options struct {
@@ -335,7 +421,8 @@ type Options struct {
 	MaxRounds int
 	// Observer, when non-nil, is invoked after every round with the
 	// round's record (regardless of Trace) and may stop or abort the run;
-	// see RoundObserver.
+	// see RoundObserver. A frontier-only FrontierObserver may be given the
+	// round's Frontier instead.
 	Observer RoundObserver
 	// ParallelThreshold tunes when parallel-capable engines (fastengine's
 	// sharded delivery, bitengine's word-sharded sweep) split a round across

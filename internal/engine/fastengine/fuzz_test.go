@@ -2,7 +2,9 @@ package fastengine_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"amnesiacflood/internal/core"
@@ -15,8 +17,9 @@ import (
 )
 
 // FuzzEngineEquivalence drives random G(n, p) graphs through the
-// sequential, channel, and fast (sequential + parallel) engines and demands
-// identical traces and Result fields. Every input triple deterministically
+// sequential, channel, fast (sequential + parallel), and bitset engines and
+// demands identical traces and Result fields, plus per-round message counts
+// and receiver sets from an untraced, frontier-observed bitset run. Every input triple deterministically
 // derives a graph, so failures reproduce exactly.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(30))
@@ -71,6 +74,34 @@ func FuzzEngineEquivalence(f *testing.F) {
 				got.Terminated != want.Terminated || got.Protocol != want.Protocol {
 				t.Errorf("%s on %s from %d: result %+v, want %+v", e.name, g, src, got, want)
 			}
+		}
+
+		// Untraced with a frontier-only observer, the bitset engine never
+		// materialises Sends: its per-round message counts and receiver
+		// sets must still be the sequential trace's.
+		round := 0
+		got, err := bitengine.Run(context.Background(), g, flood, engine.Options{Observer: engine.FrontierFunc(func(f engine.Frontier) (bool, error) {
+			if round >= len(want.Trace) {
+				return false, fmt.Errorf("round %d beyond the sequential trace", f.Round)
+			}
+			rec := want.Trace[round]
+			round++
+			var recv []graph.NodeID
+			for v := range f.Receivers {
+				recv = append(recv, v)
+			}
+			slices.Sort(recv)
+			if f.Round != rec.Round || f.Messages != len(rec.Sends) || !slices.Equal(slices.Compact(recv), rec.Receivers()) {
+				return false, fmt.Errorf("round %d: frontier %d msgs to %v, sequential round %d: %d msgs to %v",
+					f.Round, f.Messages, recv, rec.Round, len(rec.Sends), rec.Receivers())
+			}
+			return false, nil
+		})})
+		if err != nil {
+			t.Fatalf("bitsetFrontier on %s from %d: %v", g, src, err)
+		}
+		if round != len(want.Trace) || got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages || got.Terminated != want.Terminated {
+			t.Errorf("bitsetFrontier on %s from %d: %d rounds observed, result %+v, want %+v", g, src, round, got, want)
 		}
 	})
 }

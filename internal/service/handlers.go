@@ -144,12 +144,13 @@ func (s *Server) runUnary(w http.ResponseWriter, r *http.Request, nr *runSpec) {
 func (s *Server) runStreaming(w http.ResponseWriter, r *http.Request, nr *runSpec) {
 	ew := newEventWriter(w, streamFormat(r))
 	ew.start()
-	obs := engine.ObserverFunc(func(rec engine.RoundRecord) (bool, error) {
-		if rec.Round%nr.roundEvery != 0 {
+	// Round events need only the round's message count, so the observer is
+	// frontier-level: it never makes the bitset engine build Send records.
+	obs := engine.FrontierFunc(func(f engine.Frontier) (bool, error) {
+		if f.Round%nr.roundEvery != 0 {
 			return false, nil
 		}
-		messages := len(rec.Sends)
-		if err := ew.write(&RunEvent{Event: "round", Round: rec.Round, Messages: messages}); err != nil {
+		if err := ew.write(&RunEvent{Event: "round", Round: f.Round, Messages: f.Messages}); err != nil {
 			return false, fmt.Errorf("client disconnected: %w", err)
 		}
 		return false, nil

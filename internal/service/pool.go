@@ -23,10 +23,14 @@ import (
 // the Session is built once with the relay as its observer, and each
 // request points the relay at its own per-request observer for the duration
 // of its run. A Session runs one request at a time (exclusive ownership),
-// so target needs no locking.
+// so target needs no locking. The relay is frontier-only whenever its
+// current target is (or it has none), so it never forces the bitset engine
+// to build Send records on its own account.
 type relayObserver struct {
 	target engine.RoundObserver
 }
+
+var _ engine.FrontierObserver = (*relayObserver)(nil)
 
 // ObserveRound implements engine.RoundObserver.
 func (r *relayObserver) ObserveRound(rec engine.RoundRecord) (bool, error) {
@@ -34,6 +38,14 @@ func (r *relayObserver) ObserveRound(rec engine.RoundRecord) (bool, error) {
 		return false, nil
 	}
 	return r.target.ObserveRound(rec)
+}
+
+// FrontierOnly implements engine.FrontierObserver from the current target.
+func (r *relayObserver) FrontierOnly() bool { return engine.FrontierOnly(r.target) }
+
+// ObserveFrontier implements engine.FrontierObserver.
+func (r *relayObserver) ObserveFrontier(f engine.Frontier) (bool, error) {
+	return engine.ObserveFrontier(r.target, f)
 }
 
 // pooledSession is one reusable run context: the built graph, the Session

@@ -15,6 +15,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -174,7 +175,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// directRun executes the reference run the service must match.
+// directRun executes the reference run the service must match: a traced
+// fast-engine run, so callers can compare per-round message counts too
+// (the analyses used here never stop early, so tracing changes no metric).
 func directRun(t *testing.T, graphSpec string, seed int64, analyses []string) engine.Result {
 	t.Helper()
 	g, err := gen.Build(graphSpec, seed)
@@ -185,7 +188,8 @@ func directRun(t *testing.T, graphSpec string, seed int64, analyses []string) en
 		sim.WithProtocol("amnesiac"),
 		sim.WithEngine(sim.Fast),
 		sim.WithSeed(seed),
-		sim.WithAnalysis(analyses...))
+		sim.WithAnalysis(analyses...),
+		sim.WithTrace(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,84 +200,112 @@ func directRun(t *testing.T, graphSpec string, seed int64, analyses []string) en
 	return res
 }
 
+// pullGraph is the parity tests' instance: a dense, non-bipartite gnp whose
+// flood reaches a saturated round (at least half of the directed edges
+// carry M), so the bitset engine runs its pull kernel as well as push.
+const pullGraph = "gnp:n=256,p=0.1"
+
 // TestStreamedRunMatchesDirectRun is the service's core contract: the
 // final metric values of a streamed run are byte-equal (as canonical JSON)
-// to a direct sim.New(...).Run of the same specs, and the outcome fields
-// agree.
+// to a direct sim.New(...).Run of the same specs, the outcome fields agree,
+// and the streamed round events carry the direct run's per-round message
+// counts — on the fast engine and on the bitset engine, which serves the
+// pooled session's observers from frontiers without building Sends.
 func TestStreamedRunMatchesDirectRun(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
-	const graphSpec = "grid:rows=8,cols=8"
 	analyses := []string{"coverage", "termination"}
-
-	resp := postRun(t, ts, "", service.RunRequest{
-		Graph: graphSpec, Engine: "fast", Seed: 7, Analyses: analyses,
-	})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+	want := directRun(t, pullGraph, 7, analyses)
+	m := gen.MustBuild(pullGraph, 7).M()
+	var wantMessages []int
+	pulled := false
+	for _, rec := range want.Trace {
+		wantMessages = append(wantMessages, len(rec.Sends))
+		pulled = pulled || len(rec.Sends) >= m // half of the 2m directed edges
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("Content-Type = %q, want application/x-ndjson", ct)
-	}
-	events := readEvents(t, resp.Body)
-	last := terminal(t, events)
-	if last.Event != "result" {
-		t.Fatalf("terminal event = %+v, want result", last)
-	}
-	got := last.Result
-
-	want := directRun(t, graphSpec, 7, analyses)
-	if got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages ||
-		got.Terminated != want.Terminated || got.Outcome != want.Outcome.String() {
-		t.Fatalf("streamed result %+v != direct %+v", got, want)
-	}
-	gotMetrics, _ := json.Marshal(got.Metrics)
-	wantMetrics, _ := json.Marshal(want.Metrics)
-	if string(gotMetrics) != string(wantMetrics) {
-		t.Fatalf("metrics differ:\n service %s\n direct  %s", gotMetrics, wantMetrics)
+	if !pulled {
+		t.Fatalf("%s never reaches a pull round", pullGraph)
 	}
 
-	// The stream carried per-round progress, not just the result.
-	rounds := 0
-	for _, ev := range events {
-		if ev.Event == "round" {
-			rounds++
-		}
-	}
-	if rounds == 0 {
-		t.Fatal("no round events streamed")
+	for _, eng := range []string{"fast", "bitset"} {
+		t.Run(eng, func(t *testing.T) {
+			resp := postRun(t, ts, "", service.RunRequest{
+				Graph: pullGraph, Engine: eng, Seed: 7, Analyses: analyses,
+			})
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				body, _ := io.ReadAll(resp.Body)
+				t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+				t.Fatalf("Content-Type = %q, want application/x-ndjson", ct)
+			}
+			events := readEvents(t, resp.Body)
+			last := terminal(t, events)
+			if last.Event != "result" {
+				t.Fatalf("terminal event = %+v, want result", last)
+			}
+			got := last.Result
+			if got.Engine != eng {
+				t.Fatalf("engine = %q, want %q", got.Engine, eng)
+			}
+			if got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages ||
+				got.Terminated != want.Terminated || got.Outcome != want.Outcome.String() {
+				t.Fatalf("streamed result %+v != direct %+v", got, want)
+			}
+			gotMetrics, _ := json.Marshal(got.Metrics)
+			wantMetrics, _ := json.Marshal(want.Metrics)
+			if string(gotMetrics) != string(wantMetrics) {
+				t.Fatalf("metrics differ:\n service %s\n direct  %s", gotMetrics, wantMetrics)
+			}
+
+			// The stream carried per-round progress, one event per round with
+			// the direct run's message count.
+			var messages []int
+			for _, ev := range events {
+				if ev.Event == "round" {
+					messages = append(messages, ev.Messages)
+				}
+			}
+			if !slices.Equal(messages, wantMessages) {
+				t.Fatalf("round event messages %v, want the direct run's %v", messages, wantMessages)
+			}
+		})
 	}
 }
 
 // TestUnaryRunMatchesDirectRun checks the "stream":false shape against the
-// same reference.
+// same reference, on both engines.
 func TestUnaryRunMatchesDirectRun(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
-	resp := postRun(t, ts, "", service.RunRequest{
-		Graph: "cycle:n=65", Engine: "fast", Seed: 3,
-		Analyses: []string{"termination"}, Stream: boolp(false),
-	})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
-	}
-	var got service.RunResult
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	want := directRun(t, "cycle:n=65", 3, []string{"termination"})
-	if got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages {
-		t.Fatalf("unary result %+v != direct %+v", got, want)
-	}
-	gm, _ := json.Marshal(got.Metrics)
-	wm, _ := json.Marshal(want.Metrics)
-	if string(gm) != string(wm) {
-		t.Fatalf("metrics differ: %s vs %s", gm, wm)
-	}
-	if got.N != 65 {
-		t.Fatalf("graph N = %d, want 65", got.N)
+	analyses := []string{"coverage", "termination"}
+	want := directRun(t, pullGraph, 3, analyses)
+	for _, eng := range []string{"fast", "bitset"} {
+		t.Run(eng, func(t *testing.T) {
+			resp := postRun(t, ts, "", service.RunRequest{
+				Graph: pullGraph, Engine: eng, Seed: 3,
+				Analyses: analyses, Stream: boolp(false),
+			})
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				body, _ := io.ReadAll(resp.Body)
+				t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+			}
+			var got service.RunResult
+			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages || got.Terminated != want.Terminated {
+				t.Fatalf("unary result %+v != direct %+v", got, want)
+			}
+			gm, _ := json.Marshal(got.Metrics)
+			wm, _ := json.Marshal(want.Metrics)
+			if string(gm) != string(wm) {
+				t.Fatalf("metrics differ: %s vs %s", gm, wm)
+			}
+			if got.N != 256 {
+				t.Fatalf("graph N = %d, want 256", got.N)
+			}
+		})
 	}
 }
 

@@ -10,35 +10,46 @@ import (
 )
 
 // TestAnalysisOnEveryEngine: the engines are trace-equivalent, so the
-// streamed analysis metrics must be identical on all four synchronous
-// substrates.
+// streamed analysis metrics must be identical on every synchronous
+// substrate — on a traced run with Send-level analyses attached, and on an
+// untraced coverage+termination run, which the bitset engine serves from
+// frontiers alone.
 func TestAnalysisOnEveryEngine(t *testing.T) {
 	g := gen.MustBuild("randnonbipartite:n=48,p=0.07", 3)
-	var want map[string]float64
-	for _, kind := range allEngines {
-		sess, err := sim.New(g,
-			sim.WithProtocol("amnesiac"),
-			sim.WithEngine(kind),
-			sim.WithOrigins(0),
-			sim.WithAnalysis("coverage", "termination", "bipartite", "spantree"),
-			sim.WithTrace(true), // full run: metrics must cover every round on every engine
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sess.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Metrics) == 0 {
-			t.Fatalf("%v: no metrics", kind)
-		}
-		if want == nil {
-			want = res.Metrics
-			continue
-		}
-		if !reflect.DeepEqual(res.Metrics, want) {
-			t.Fatalf("%v: metrics diverge:\n%v\nvs sequential\n%v", kind, res.Metrics, want)
+	for _, tc := range []struct {
+		analyses []string
+		trace    bool
+	}{
+		// Traced: a full run, so metrics cover every round on every engine.
+		{[]string{"coverage", "termination", "bipartite", "spantree"}, true},
+		{[]string{"coverage", "termination"}, false},
+	} {
+		var want map[string]float64
+		for _, kind := range allEngines {
+			sess, err := sim.New(g,
+				sim.WithProtocol("amnesiac"),
+				sim.WithEngine(kind),
+				sim.WithOrigins(0),
+				sim.WithAnalysis(tc.analyses...),
+				sim.WithTrace(tc.trace),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sess.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Metrics) == 0 {
+				t.Fatalf("%v %v: no metrics", kind, tc.analyses)
+			}
+			if want == nil {
+				want = res.Metrics
+				continue
+			}
+			if !reflect.DeepEqual(res.Metrics, want) {
+				t.Fatalf("%v %v: metrics diverge:\n%v\nvs sequential\n%v", kind, tc.analyses, res.Metrics, want)
+			}
 		}
 	}
 }

@@ -8,19 +8,41 @@ import (
 // are invoked in slice order; the first error aborts immediately, and the
 // round's remaining observers still see the round before a stop request
 // takes effect — so every observer of a stopped run has observed the same
-// prefix.
+// prefix. It is frontier-only exactly when every member is, so a bitset run
+// observed by frontier-level members alone never builds Send records.
 type MultiObserver []engine.RoundObserver
 
-var _ engine.RoundObserver = MultiObserver(nil)
+var _ engine.FrontierObserver = MultiObserver(nil)
 
 // ObserveRound implements engine.RoundObserver.
 func (m MultiObserver) ObserveRound(rec engine.RoundRecord) (bool, error) {
+	return m.each(func(obs engine.RoundObserver) (bool, error) { return obs.ObserveRound(rec) })
+}
+
+// FrontierOnly implements engine.FrontierObserver.
+func (m MultiObserver) FrontierOnly() bool {
+	for _, obs := range m {
+		if !engine.FrontierOnly(obs) {
+			return false
+		}
+	}
+	return true
+}
+
+// ObserveFrontier implements engine.FrontierObserver.
+func (m MultiObserver) ObserveFrontier(f engine.Frontier) (bool, error) {
+	return m.each(func(obs engine.RoundObserver) (bool, error) { return engine.ObserveFrontier(obs, f) })
+}
+
+// each invokes observe on every non-nil member in order, returning the first
+// error or the OR of the stop requests.
+func (m MultiObserver) each(observe func(engine.RoundObserver) (bool, error)) (bool, error) {
 	stop := false
 	for _, obs := range m {
 		if obs == nil {
 			continue
 		}
-		s, err := obs.ObserveRound(rec)
+		s, err := observe(obs)
 		if err != nil {
 			return false, err
 		}
@@ -56,15 +78,24 @@ func (t *TraceRecorder) Reset() { t.Trace = t.Trace[:0] }
 // serving in observer form: the result covers exactly the first Budget
 // rounds (fewer if the run ends first). It is stateless (the decision
 // reads the record's round number), so one RoundBudget serves every run of
-// a reused Session or RunBatch without resetting.
+// a reused Session or RunBatch without resetting. It needs only the round
+// number, so it observes at frontier level.
 type RoundBudget struct {
 	// Budget is how many rounds to allow; <= 0 stops after the first.
 	Budget int
 }
 
-var _ engine.RoundObserver = (*RoundBudget)(nil)
+var _ engine.FrontierObserver = (*RoundBudget)(nil)
 
 // ObserveRound implements engine.RoundObserver.
 func (b *RoundBudget) ObserveRound(rec engine.RoundRecord) (bool, error) {
-	return rec.Round >= b.Budget, nil
+	return b.ObserveFrontier(rec.Frontier())
+}
+
+// FrontierOnly implements engine.FrontierObserver.
+func (b *RoundBudget) FrontierOnly() bool { return true }
+
+// ObserveFrontier implements engine.FrontierObserver.
+func (b *RoundBudget) ObserveFrontier(f engine.Frontier) (bool, error) {
+	return f.Round >= b.Budget, nil
 }

@@ -23,7 +23,10 @@ import (
 	_ "amnesiacflood/internal/spantree"
 )
 
-var allEngines = []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Parallel}
+// allEngines lists every synchronous engine. Bitset runs only bitset-rule
+// protocols, which covers every test below that uses the default amnesiac
+// protocol.
+var allEngines = []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Parallel, sim.Bitset}
 
 func TestProtocolsRegistered(t *testing.T) {
 	got := sim.Protocols()
@@ -80,8 +83,8 @@ func TestUnknownProtocolAndEngineErrors(t *testing.T) {
 }
 
 // TestEveryProtocolOnEveryEngine is the registry acceptance matrix: each
-// registered protocol must run on each of the four engines and produce
-// byte-identical traces across them.
+// registered protocol must run on every engine that supports it (all but
+// bitset run everything) and produce byte-identical traces across them.
 func TestEveryProtocolOnEveryEngine(t *testing.T) {
 	g := gen.Petersen()
 	for _, name := range sim.Protocols() {
@@ -95,6 +98,9 @@ func TestEveryProtocolOnEveryEngine(t *testing.T) {
 					sim.WithSeed(7),
 					sim.WithTrace(true),
 				)
+				if kind == sim.Bitset && errors.Is(err, bitengine.ErrUnsupportedProtocol) {
+					continue // covered by TestBitsetEngineSupport
+				}
 				if err != nil {
 					t.Fatalf("New(%s, %s): %v", name, kind, err)
 				}
@@ -249,15 +255,16 @@ func (silentProto) NewNode(graph.NodeID) engine.NodeAutomaton {
 	return func(int, []graph.NodeID) []graph.NodeID { return nil }
 }
 
-// runOn builds a session for the given engine on a cycle long enough that
-// every run lasts many rounds.
-func stopSession(t *testing.T, kind sim.EngineKind, obs engine.RoundObserver) (engine.Result, error) {
+// stopSession runs obs on the given engine over a cycle long enough that
+// every run lasts many rounds. Untraced runs give frontier-only observers
+// the bitset engine's frontier path.
+func stopSession(t *testing.T, kind sim.EngineKind, obs engine.RoundObserver, trace bool) (engine.Result, error) {
 	t.Helper()
 	g := gen.Cycle(64)
 	sess, err := sim.New(g,
 		sim.WithEngine(kind),
 		sim.WithOrigins(0),
-		sim.WithTrace(true),
+		sim.WithTrace(trace),
 		sim.WithObserver(obs),
 	)
 	if err != nil {
@@ -267,43 +274,59 @@ func stopSession(t *testing.T, kind sim.EngineKind, obs engine.RoundObserver) (e
 }
 
 // TestObserverStopOnAllEngines: a stop after round 3 must end every engine
-// cleanly with Stopped set and exactly three rounds observed.
+// cleanly with Stopped set and exactly three rounds observed, traced or not
+// (untraced, the bitset engine feeds the budget frontiers).
 func TestObserverStopOnAllEngines(t *testing.T) {
 	for _, kind := range allEngines {
 		t.Run(kind.String(), func(t *testing.T) {
-			res, err := stopSession(t, kind, &sim.RoundBudget{Budget: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Stopped || res.Terminated {
-				t.Fatalf("stopped=%t terminated=%t, want true/false", res.Stopped, res.Terminated)
-			}
-			if res.Rounds != 3 || len(res.Trace) != 3 {
-				t.Fatalf("rounds=%d trace=%d, want 3/3", res.Rounds, len(res.Trace))
+			for _, trace := range []bool{true, false} {
+				res, err := stopSession(t, kind, &sim.RoundBudget{Budget: 3}, trace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Stopped || res.Terminated {
+					t.Fatalf("trace=%t: stopped=%t terminated=%t, want true/false", trace, res.Stopped, res.Terminated)
+				}
+				wantTrace := 0
+				if trace {
+					wantTrace = 3
+				}
+				if res.Rounds != 3 || len(res.Trace) != wantTrace {
+					t.Fatalf("trace=%t: rounds=%d trace=%d, want 3/%d", trace, res.Rounds, len(res.Trace), wantTrace)
+				}
 			}
 		})
 	}
 }
 
 // TestObserverErrorOnAllEngines: an observer error must abort every engine
-// with the error wrapped.
+// with the error wrapped — a Send-level observer on a traced run, and a
+// frontier observer on an untraced one.
 func TestObserverErrorOnAllEngines(t *testing.T) {
 	sentinel := errors.New("observer boom")
 	for _, kind := range allEngines {
 		t.Run(kind.String(), func(t *testing.T) {
 			calls := 0
-			_, err := stopSession(t, kind, engine.ObserverFunc(func(engine.RoundRecord) (bool, error) {
+			failSecond := func() (bool, error) {
 				calls++
 				if calls == 2 {
 					return false, sentinel
 				}
 				return false, nil
-			}))
-			if !errors.Is(err, sentinel) {
-				t.Fatalf("err = %v, want wrapped sentinel", err)
 			}
-			if calls != 2 {
-				t.Fatalf("observer called %d times after erroring at call 2", calls)
+			for _, frontier := range []bool{false, true} {
+				calls = 0
+				var obs engine.RoundObserver = engine.ObserverFunc(func(engine.RoundRecord) (bool, error) { return failSecond() })
+				if frontier {
+					obs = engine.FrontierFunc(func(engine.Frontier) (bool, error) { return failSecond() })
+				}
+				_, err := stopSession(t, kind, obs, !frontier)
+				if !errors.Is(err, sentinel) {
+					t.Fatalf("frontier=%t: err = %v, want wrapped sentinel", frontier, err)
+				}
+				if calls != 2 {
+					t.Fatalf("frontier=%t: observer called %d times after erroring at call 2", frontier, calls)
+				}
 			}
 		})
 	}
@@ -350,35 +373,38 @@ func TestEarlyStopTracesArePrefixes(t *testing.T) {
 }
 
 // TestCancellationMidRunOnAllEngines: cancelling the context from inside an
-// observer must abort every engine at the next round boundary with the
-// context's error.
+// observer — Send-level or frontier-level — must abort every engine at the
+// next round boundary with the context's error.
 func TestCancellationMidRunOnAllEngines(t *testing.T) {
 	for _, kind := range allEngines {
 		t.Run(kind.String(), func(t *testing.T) {
-			g := gen.Cycle(64)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			rounds := 0
-			sess, err := sim.New(g,
-				sim.WithEngine(kind),
-				sim.WithOrigins(0),
-				sim.WithObserver(engine.ObserverFunc(func(engine.RoundRecord) (bool, error) {
+			for _, frontier := range []bool{false, true} {
+				g := gen.Cycle(64)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				rounds := 0
+				cancelSecond := func() (bool, error) {
 					rounds++
 					if rounds == 2 {
 						cancel()
 					}
 					return false, nil
-				})),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = sess.Run(ctx)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if rounds != 2 {
-				t.Fatalf("observer saw %d rounds after cancel at round 2", rounds)
+				}
+				var obs engine.RoundObserver = engine.ObserverFunc(func(engine.RoundRecord) (bool, error) { return cancelSecond() })
+				if frontier {
+					obs = engine.FrontierFunc(func(engine.Frontier) (bool, error) { return cancelSecond() })
+				}
+				sess, err := sim.New(g, sim.WithEngine(kind), sim.WithOrigins(0), sim.WithObserver(obs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = sess.Run(ctx)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("frontier=%t: err = %v, want context.Canceled", frontier, err)
+				}
+				if rounds != 2 {
+					t.Fatalf("frontier=%t: observer saw %d rounds after cancel at round 2", frontier, rounds)
+				}
 			}
 		})
 	}
@@ -439,7 +465,7 @@ func TestRoundBudgetSurvivesSessionReuse(t *testing.T) {
 func TestMultiObserverFansOutAndAggregatesStop(t *testing.T) {
 	recorder := &sim.TraceRecorder{}
 	budget := &sim.RoundBudget{Budget: 2}
-	res, err := stopSession(t, sim.Sequential, sim.MultiObserver{recorder, budget, nil})
+	res, err := stopSession(t, sim.Sequential, sim.MultiObserver{recorder, budget, nil}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +491,7 @@ func TestMultiObserverPropagatesFirstError(t *testing.T) {
 		engine.ObserverFunc(func(engine.RoundRecord) (bool, error) { return false, sentinel }),
 		engine.ObserverFunc(func(engine.RoundRecord) (bool, error) { called = true; return false, nil }),
 	}
-	_, err := stopSession(t, sim.Sequential, obs)
+	_, err := stopSession(t, sim.Sequential, obs, true)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
