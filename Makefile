@@ -21,8 +21,11 @@ all: vet build test
 build:
 	go build ./...
 
+# vet also fails when a non-test package imports a frozen test oracle
+# (internal/model/modeltest, internal/analysis/analysistest).
 vet:
 	go vet ./...
+	! go list -f '{{$$p := .ImportPath}}{{range .Imports}}{{$$p}} -> {{.}}{{"\n"}}{{end}}' ./... | grep -E -- '-> .*/(modeltest|analysistest)$$'
 
 test:
 	go test ./...

@@ -12,10 +12,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"amnesiacflood/internal/analysis/analysistest"
 	"amnesiacflood/internal/async"
 	"amnesiacflood/internal/classic"
 	"amnesiacflood/internal/core"
-	"amnesiacflood/internal/detect"
 	"amnesiacflood/internal/doublecover"
 	"amnesiacflood/internal/dynamic"
 	"amnesiacflood/internal/engine"
@@ -320,9 +320,9 @@ func BenchmarkModels(b *testing.B) {
 // frozen post-hoc path it replaces: coverage and bipartiteness computed
 // round by round inside the run (sim.WithAnalysis, reusable buffers, no
 // trace) versus materialising the full trace and re-walking it through
-// core.Analyze / detect.FromReport. allocs/op is the headline number — the
-// post-hoc path pays one slice per round for the trace plus the re-walk,
-// the streaming path reuses one session-owned buffer set.
+// core.Analyze / analysistest.DetectFromReport. allocs/op is the headline
+// number — the post-hoc path pays one slice per round for the trace plus
+// the re-walk, the streaming path reuses one session-owned buffer set.
 func BenchmarkAnalyses(b *testing.B) {
 	g := gen.MustBuild("randnonbipartite:n=1024,p=0.005", 2)
 	stream := func(b *testing.B, analyses ...string) *sim.Session {
@@ -387,13 +387,13 @@ func BenchmarkAnalyses(b *testing.B) {
 	})
 	b.Run("bipartite/posthoc", func(b *testing.B) {
 		sess := newBenchSession(b, g, sim.Fast, 0)
-		var verdict detect.Verdict
+		var verdict analysistest.Verdict
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rep := benchReport(b, sess, g, 0)
 			var err error
-			verdict, err = detect.FromReport(g, rep)
+			verdict, err = analysistest.DetectFromReport(g, 0, rep)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -447,9 +447,18 @@ func BenchmarkBipartitenessDetection(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g := gen.RandomConnected(1024, 0.004, rng)
 	b.Run("flood", func(b *testing.B) {
+		sess, err := sim.New(g,
+			sim.WithProtocol("amnesiac"),
+			sim.WithOrigins(0),
+			sim.WithAnalysis("bipartite"),
+			sim.WithAnalysisStop(false),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := detect.Bipartiteness(g, 0); err != nil {
+			if _, err := sess.Run(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -57,14 +57,7 @@ import (
 	// matrix (the experiment suite pulls these in transitively; the
 	// matrix addresses them by name and needs the registrations
 	// regardless).
-	_ "amnesiacflood/internal/async"
-	_ "amnesiacflood/internal/classic"
-	_ "amnesiacflood/internal/core"
-	_ "amnesiacflood/internal/detect"
-	_ "amnesiacflood/internal/dynamic"
-	_ "amnesiacflood/internal/faults"
-	_ "amnesiacflood/internal/multiflood"
-	_ "amnesiacflood/internal/spantree"
+	_ "amnesiacflood/internal/registry/all"
 )
 
 func main() {

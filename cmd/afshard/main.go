@@ -52,14 +52,7 @@ import (
 	// Self-registering protocols and model families: the coordinator
 	// validates matrix axes against the registries, and workers execute
 	// them by name.
-	_ "amnesiacflood/internal/async"
-	_ "amnesiacflood/internal/classic"
-	_ "amnesiacflood/internal/core"
-	_ "amnesiacflood/internal/detect"
-	_ "amnesiacflood/internal/dynamic"
-	_ "amnesiacflood/internal/faults"
-	_ "amnesiacflood/internal/multiflood"
-	_ "amnesiacflood/internal/spantree"
+	_ "amnesiacflood/internal/registry/all"
 )
 
 func main() {

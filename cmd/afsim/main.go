@@ -12,7 +12,7 @@
 // Examples:
 //
 //	afsim -list
-//	afsim -graph grid:rows=4,cols=5 -protocol detect -engine parallel
+//	afsim -graph grid:rows=4,cols=5 -analyze bipartite -engine parallel
 //	afsim -graph gnp:n=200,p=0.05,connect=true -seed 7 -source 0
 //	afsim -graph cycle:n=65 -analyze coverage,termination,bipartite
 //	afsim -topo cycle -n 6 -source 0 -render
@@ -48,16 +48,10 @@ import (
 
 	"amnesiacflood/internal/cli"
 
-	// Self-registering protocols: importing a protocol package adds it to
-	// the sim registry, which is all the wiring -protocol needs. The async
-	// and dynamic packages likewise register the -model families.
-	_ "amnesiacflood/internal/async"
-	_ "amnesiacflood/internal/classic"
-	_ "amnesiacflood/internal/detect"
-	_ "amnesiacflood/internal/dynamic"
-	_ "amnesiacflood/internal/faults"
-	_ "amnesiacflood/internal/multiflood"
-	_ "amnesiacflood/internal/spantree"
+	// Self-registering protocols and -model families: importing them adds
+	// them to the sim registry, which is all the wiring -protocol and
+	// -model need.
+	_ "amnesiacflood/internal/registry/all"
 )
 
 func main() {

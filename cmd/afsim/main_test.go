@@ -56,10 +56,10 @@ func TestRunHappyPaths(t *testing.T) {
 		{"-topo", "cycle", "-n", "9", "-source", "2", "-predict", "-model", "sync"}, // explicit sync ok
 		{"-topo", "path", "-n", "4", "-source", "1", "-timeline", "-model", "sync"},
 		{"-topo", "grid", "-n", "4", "-source", "5", "-predict"},
-		{"-graph", "grid:rows=4,cols=5", "-protocol", "detect", "-engine", "parallel"},
+		{"-graph", "grid:rows=4,cols=5", "-protocol", "amnesiac", "-analyze", "bipartite", "-engine", "parallel"},
 		{"-graph", "petersen", "-source", "3", "-render"},
 		{"-graph", "gnp:n=30,p=0.2,connect=true", "-seed", "7"},
-		{"-graph", "prefattach:n=40,m=2", "-protocol", "spantree", "-engine", "fast"},
+		{"-graph", "prefattach:n=40,m=2", "-protocol", "amnesiac", "-analyze", "spantree", "-engine", "fast"},
 		{"-graph", "cycle:n=9", "-analyze", "coverage,termination,bipartite,spantree,echo"},
 		{"-graph", "grid:rows=3,cols=4", "-analyze", "quantiles:metric=messages,coverage", "-json"},
 		{"-graph", "grid:rows=3,cols=4", "-analyze", "quantiles:metric=messages;coverage"},

@@ -29,8 +29,9 @@
 // determinism contract and the performance numbers).
 //
 // The public face of the simulator is the internal/sim façade: protocols
-// self-register by name (amnesiac, classic, multiflood, detect, spantree,
-// faulty), engines are one EngineKind enum, and a Session composed from
+// self-register by name (amnesiac, classic, multiflood, faulty; importing
+// internal/registry/all links every one of them and the model families),
+// engines are one EngineKind enum, and a Session composed from
 // functional options runs any protocol × engine pair under a cancellable
 // context.Context with stop-capable streaming RoundObservers:
 //
@@ -138,6 +139,7 @@
 //	internal/specgrammar      shared typed-parameter spec-grammar kernel of every registry
 //	internal/model            execution-model registry, packed async/dynamic engines, certificates
 //	internal/analysis         streaming-analysis registry: coverage, termination, bipartite, spantree, echo, quantiles
+//	internal/analysis/analysistest frozen post-hoc bipartite/spantree walks, test-only differential oracles
 //	internal/scenario         declarative suites: spec matrix, pooled runner, sinks, metric columns
 //	internal/shard            distributed suite sharding: lease protocol, work stealing, resumable merge
 //	internal/obs              metrics kernel: atomic counters/gauges/histograms, Prometheus text exposition
@@ -155,14 +157,12 @@
 //	internal/theory           the paper's lemmas/theorems as executable checks
 //	internal/faults           message-loss and crash injection (+ engine-hosted protocol)
 //	internal/dynamic          edge-churn schedules of the dynamic model
-//	internal/detect           bipartiteness detection, streaming early-stop probe
-//	internal/spantree         BFS spanning trees, streaming tree recorder
 //	internal/multiflood       concurrent broadcasts, union replay protocol
 //	internal/termdetect       Dijkstra-Scholten termination detection baseline
-//	internal/workload         shared instance catalog (integration matrix)
 //	internal/stats            summary statistics for aggregate sweeps
 //	internal/trace            figure-style trace rendering and export
 //	internal/experiments      one registered experiment per paper artifact
+//	internal/registry/all     blank imports linking every self-registering protocol and model family
 //
 // Binaries: cmd/afsim (single runs, any registered protocol on any engine
 // on any graph spec under any -model, with -analyze attaching streaming

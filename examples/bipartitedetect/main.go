@@ -4,9 +4,9 @@
 // e(source) rounds and nobody hears the message twice; any odd cycle makes
 // some node hear it twice and the flood outlive e(source).
 //
-// The demo uses detect.Probe, which attaches a streaming observer to the
-// flood through the sim façade and stops the run at the first odd-cycle
-// witness — non-bipartite verdicts arrive without flooding to completion.
+// The demo attaches the streaming "bipartite" analysis to the flood through
+// the sim façade; it stops the run at the first odd-cycle witness, so
+// non-bipartite verdicts arrive without flooding to completion.
 //
 //	go run ./examples/bipartitedetect [-seed 7]
 package main
@@ -18,11 +18,13 @@ import (
 	"log"
 	"math/rand"
 
-	"amnesiacflood/internal/detect"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
 	"amnesiacflood/internal/sim"
+
+	// Registers the amnesiac protocol the sessions run.
+	_ "amnesiacflood/internal/core"
 )
 
 func main() {
@@ -53,20 +55,29 @@ func run(seed int64) error {
 	ctx := context.Background()
 	for _, p := range probes {
 		source := graph.NodeID(rng.Intn(p.g.N()))
-		verdict, err := detect.Probe(ctx, p.g, source, sim.Fast)
+		sess, err := sim.New(p.g,
+			sim.WithEngine(sim.Fast),
+			sim.WithOrigins(source),
+			sim.WithAnalysis("bipartite"),
+		)
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.label, err)
 		}
+		res, err := sess.Run(ctx)
+		if err != nil {
+			return fmt.Errorf("%s: %w", p.label, err)
+		}
+		bipartite := res.Metrics["bipartite.bipartite"] == 1
 		truth := algo.IsBipartite(p.g)
 		status := "agrees with ground truth"
-		if verdict.Bipartite != truth {
+		if bipartite != truth {
 			status = "DISAGREES with ground truth"
 		}
 		saved := ""
-		if !verdict.Bipartite {
-			saved = fmt.Sprintf(" (stopped at round %d of a >%d-round flood)", verdict.Rounds, verdict.Eccentricity)
+		if !bipartite {
+			saved = fmt.Sprintf(" (stopped at round %d of a >%d-round flood)", res.Rounds, int(res.Metrics["bipartite.eccentricity"]))
 		}
-		fmt.Printf("%-16s bipartite=%t%s\n", p.label+":", verdict.Bipartite, saved)
+		fmt.Printf("%-16s bipartite=%t%s\n", p.label+":", bipartite, saved)
 		fmt.Printf("%-16s two-colouring says bipartite=%t — flood verdict %s\n\n", "", truth, status)
 	}
 	return nil

@@ -2,23 +2,30 @@
 // you both a broadcast mechanism and a way to build rooted spanning trees".
 // This example shows the amnesiac variant keeps that byproduct: reading
 // each node's first sender off the flood yields a BFS tree rooted at the
-// origin, even though the protocol itself remembers nothing.
+// origin, even though the protocol itself remembers nothing. The tree comes
+// from the streaming "spantree" analysis, which stops the flood once the
+// tree spans the graph.
 //
 //	go run ./examples/spanningtree [-seed 5]
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"strings"
 
+	"amnesiacflood/internal/analysis"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
-	"amnesiacflood/internal/spantree"
+	"amnesiacflood/internal/sim"
 	"amnesiacflood/internal/trace"
+
+	// Registers the amnesiac protocol the sessions run.
+	_ "amnesiacflood/internal/core"
 )
 
 func main() {
@@ -34,7 +41,7 @@ func run(seed int64) error {
 
 	// Small graph: print the whole tree.
 	g := gen.Petersen()
-	tree, err := spantree.Build(g, 0)
+	tree, err := spanTree(g, 0)
 	if err != nil {
 		return err
 	}
@@ -67,7 +74,7 @@ func run(seed int64) error {
 	// Larger random graph: just the invariants.
 	big := gen.RandomConnected(500, 0.01, rng)
 	root := graph.NodeID(rng.Intn(big.N()))
-	bigTree, err := spantree.Build(big, root)
+	bigTree, err := spanTree(big, root)
 	if err != nil {
 		return err
 	}
@@ -92,4 +99,18 @@ func run(seed int64) error {
 	}
 	fmt.Printf("longest root path (%d hops): %v\n", bigTree.Depth[deepest], bigTree.PathToRoot(graph.NodeID(deepest)))
 	return nil
+}
+
+// spanTree floods g from root with the spantree analysis attached and
+// returns the tree it read off the flood.
+func spanTree(g *graph.Graph, root graph.NodeID) (*analysis.Tree, error) {
+	sess, err := sim.New(g, sim.WithOrigins(root), sim.WithAnalysis("spantree"))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sess.Run(context.Background()); err != nil {
+		return nil, err
+	}
+	tree, _ := sess.SpanTree()
+	return tree, nil
 }

@@ -15,19 +15,21 @@
 // no per-run analysis allocation — the same amortisation contract the fast
 // engines keep for their arenas.
 //
-// The coverage, termination, and quantiles families observe at frontier
-// level (engine.FrontierObserver): they need only each round's receivers
-// and message count, so a Set made of them lets the bitset engine skip
-// building Send records. The bipartite, spantree, and echo families read
-// each round's Sends, and one of them in a Set puts the whole Set on the
-// Send path.
+// The coverage, termination, quantiles, and echo families observe at
+// frontier level (engine.FrontierObserver): they need only each round's
+// receivers and message count (echo needs nothing from the stream at all),
+// so a Set made of them lets the bitset engine skip building Send records.
+// The bipartite and spantree families read each round's senders, and one of
+// them in a Set puts the whole Set on the Send path.
 //
 // The package deliberately depends only on the engine/graph layers (plus
 // gen for spec recognition, algo for ground truth, stats for summaries, and
 // termdetect for the echo baseline), so the sim façade can own it the way
-// it owns internal/model. The legacy post-hoc entry points (core.Analyze,
-// detect.FromReport, spantree.FromReport, termdetect.Run) remain as
-// compatibility adapters and differential-test oracles.
+// it owns internal/model. This registry is the repository's one measurement
+// path: core.Analyze replays a trace through the coverage analysis for the
+// theory checks, and the frozen post-hoc bipartiteness and spanning-tree
+// walks live on only as differential-test oracles in the test-only
+// analysistest subpackage.
 package analysis
 
 import (

@@ -7,15 +7,14 @@ import (
 	"amnesiacflood/internal/graph"
 )
 
-// Bipartite is the streaming odd-cycle detector, the analysis form of
-// detect.Monitor + detect.FromReport: watching a single-source flood round
-// by round, a node hearing M in two distinct rounds — or the source hearing
-// M at all — witnesses an odd cycle (on a bipartite graph neither can
-// happen, Lemma 2.1). The analyzer signals readiness at the first witness,
-// so a run carrying only this analysis stops early exactly like
-// detect.Probe; left to run out, it collects every witness and cross-checks
-// the receipt signal against the late-termination signal the way
-// detect.Bipartiteness does.
+// Bipartite is the streaming odd-cycle detector of the paper's §1.1
+// application: watching a single-source flood round by round, a node
+// hearing M in two distinct rounds — or the source hearing M at all —
+// witnesses an odd cycle (on a bipartite graph neither can happen, Lemma
+// 2.1). The analyzer signals readiness at the first witness, so a run
+// carrying only this analysis stops at that round; left to run out
+// (sim.WithAnalysisStop(false)), it collects every witness and cross-checks
+// the receipt signal against the late-termination signal.
 type Bipartite struct {
 	g      *graph.Graph
 	source graph.NodeID
@@ -85,8 +84,8 @@ func (b *Bipartite) ObserveRound(rec engine.RoundRecord) (bool, error) {
 
 // Finish implements Analyzer. On runs that flooded to completion the two
 // witness signals (double receipts, termination after e(source)) are
-// cross-checked exactly like detect.Bipartiteness — a disagreement means a
-// simulator bug and is returned as an error. Both signals presuppose the
+// cross-checked — a disagreement means a simulator bug and is returned as
+// an error. Both signals presuppose the
 // synchronous model (a delay adversary manufactures double receipts on
 // bipartite graphs and stretches rounds past e(source)), so like the
 // termination analysis, the verdict metrics are emitted only for sync

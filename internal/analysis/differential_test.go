@@ -1,26 +1,28 @@
 package analysis_test
 
 // The differential gate of the analysis registry: on seeded instance
-// corpora (≥20 per family), the streaming analyses must reproduce the
-// legacy post-hoc entry points they subsume — core.Analyze for coverage,
-// detect.FromReport for bipartite, spantree.FromReport for spantree,
-// termdetect.Run for echo — field for field, plus closed-form agreement of
-// the termination analysis on the families whose exact constants the
-// double-cover law pins (path, cycle, complete, star, hypercube).
+// corpora (≥20 per family), the streaming analyses must reproduce
+// independent post-hoc implementations — core.Analyze for coverage, the
+// frozen walks in analysistest for bipartite (verdict, witnesses, and the
+// early-stop round) and spantree, termdetect.Run for echo — field for
+// field, plus closed-form agreement of the termination analysis on the
+// families whose exact constants the double-cover law pins (path, cycle,
+// complete, star, hypercube).
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"amnesiacflood/internal/analysis/analysistest"
 	"amnesiacflood/internal/core"
-	"amnesiacflood/internal/detect"
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
+	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
 	"amnesiacflood/internal/sim"
-	"amnesiacflood/internal/spantree"
 	"amnesiacflood/internal/termdetect"
 )
 
@@ -46,6 +48,20 @@ func corpus(t *testing.T) []*graph.Graph {
 	}
 	if len(out) < 20 {
 		t.Fatalf("corpus has %d instances, want >= 20", len(out))
+	}
+	return out
+}
+
+// randomGraphs returns seeded random connected graphs of 2–51 nodes and
+// varied density: extra differential inputs, and the property inputs on
+// which the bipartite verdict must equal two-colouring and the spanning
+// tree must be a BFS tree.
+func randomGraphs(t *testing.T) []*graph.Graph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+	out := make([]*graph.Graph, 60)
+	for i := range out {
+		out[i] = gen.RandomConnected(2+rng.Intn(50), 0.03+0.1*rng.Float64(), rng)
 	}
 	return out
 }
@@ -105,11 +121,14 @@ func TestCoverageMatchesCoreAnalyze(t *testing.T) {
 	}
 }
 
+// TestBipartiteMatchesDetectFromReport: on the corpus plus the seeded
+// random graphs, the full-flood verdict, eccentricity, and witness set
+// equal the frozen post-hoc walk's.
 func TestBipartiteMatchesDetectFromReport(t *testing.T) {
-	for _, g := range corpus(t) {
+	for _, g := range append(corpus(t), randomGraphs(t)...) {
 		src := graph.NodeID(0)
 		sess, res, rep := runBoth(t, g, src, "bipartite")
-		legacy, err := detect.FromReport(g, rep)
+		legacy, err := analysistest.DetectFromReport(g, src, rep)
 		if err != nil {
 			t.Fatalf("%s: legacy verdict: %v", g, err)
 		}
@@ -135,39 +154,50 @@ func TestBipartiteMatchesDetectFromReport(t *testing.T) {
 }
 
 // TestBipartiteEarlyStopMatchesProbe: without a trace, a bipartite-only
-// session stops at the first witness, exactly like detect.Probe.
+// session on every engine stops at the round analysistest.ProbeStopRound
+// reads off a full report — the first in which some node hears M in a
+// second distinct round, or the source hears it at all — and floods
+// bipartite graphs to completion.
 func TestBipartiteEarlyStopMatchesProbe(t *testing.T) {
-	for _, spec := range []string{"cycle:n=9", "petersen", "complete:n=8", "wheel:n=11", "grid:rows=4,cols=5"} {
-		g := gen.MustBuild(spec, 1)
-		probe, err := detect.Probe(context.Background(), g, 0, sim.Sequential)
+	engines := []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Parallel, sim.Bitset}
+	for _, g := range corpus(t) {
+		rep, err := core.Run(g, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithOrigins(0), sim.WithAnalysis("bipartite"))
-		if err != nil {
-			t.Fatal(err)
+		stop := analysistest.ProbeStopRound(0, rep)
+		wantRounds := stop
+		if stop == 0 {
+			wantRounds = rep.Rounds()
 		}
-		res, err := sess.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Metrics["bipartite.bipartite"] == 1; got != probe.Bipartite {
-			t.Fatalf("%s: verdict %t, probe %t", g, got, probe.Bipartite)
-		}
-		if res.Rounds != probe.Rounds {
-			t.Fatalf("%s: stopped at round %d, probe at %d", g, res.Rounds, probe.Rounds)
-		}
-		if res.Stopped != !probe.Bipartite {
-			t.Fatalf("%s: stopped=%t for bipartite=%t", g, res.Stopped, probe.Bipartite)
+		for _, kind := range engines {
+			sess, err := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithEngine(kind),
+				sim.WithOrigins(0), sim.WithAnalysis("bipartite"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sess.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Metrics["bipartite.bipartite"] == 1; got != (stop == 0) {
+				t.Fatalf("%s on %s: verdict %t, probe oracle stops at round %d", g, kind, got, stop)
+			}
+			if res.Rounds != wantRounds || res.Stopped != (stop != 0) {
+				t.Fatalf("%s on %s: rounds=%d stopped=%t, want rounds=%d stopped=%t",
+					g, kind, res.Rounds, res.Stopped, wantRounds, stop != 0)
+			}
 		}
 	}
 }
 
+// TestSpanTreeMatchesFromReport: on the corpus plus the seeded random
+// graphs, the streamed tree equals the frozen post-hoc walk's and is valid.
 func TestSpanTreeMatchesFromReport(t *testing.T) {
-	for _, g := range corpus(t) {
+	for _, g := range append(corpus(t), randomGraphs(t)...) {
 		src := graph.NodeID(g.N() - 1)
 		sess, res, rep := runBoth(t, g, src, "spantree")
-		legacy, err := spantree.FromReport(g, rep)
+		legacy, err := analysistest.SpanTreeFromReport(g, rep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,22 +206,52 @@ func TestSpanTreeMatchesFromReport(t *testing.T) {
 			t.Fatal("no spantree analyzer on session")
 		}
 		if tree.Root != legacy.Root || !slices.Equal(tree.Parent, legacy.Parent) || !slices.Equal(tree.Depth, legacy.Depth) {
-			t.Fatalf("%s from %d: streamed tree diverges from FromReport", g, src)
+			t.Fatalf("%s from %d: streamed tree diverges from the post-hoc walk", g, src)
 		}
 		if err := tree.Validate(g); err != nil {
 			t.Fatalf("%s from %d: %v", g, src, err)
 		}
-		maxDepth := 0
-		for _, d := range legacy.Depth {
-			if d > maxDepth {
-				maxDepth = d
-			}
-		}
+		maxDepth := slices.Max(legacy.Depth)
 		if got := int(res.Metrics["spantree.depth"]); got != maxDepth {
 			t.Fatalf("%s from %d: depth metric %d, legacy %d", g, src, got, maxDepth)
 		}
 		if got := int(res.Metrics["spantree.reached"]); got != g.N() {
 			t.Fatalf("%s from %d: reached %d of %d", g, src, got, g.N())
+		}
+	}
+}
+
+// TestSpanTreeEarlyStopMatchesFromReport: a spantree-only session stops the
+// flood in the round its last node is adopted — the post-hoc tree's depth —
+// with the same tree; on non-bipartite graphs that is before the flood
+// would die.
+func TestSpanTreeEarlyStopMatchesFromReport(t *testing.T) {
+	for _, g := range corpus(t) {
+		rep, err := core.Run(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy, err := analysistest.SpanTreeFromReport(g, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithOrigins(0), sim.WithAnalysis("spantree"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := slices.Max(legacy.Depth); !res.Stopped || res.Rounds != want {
+			t.Fatalf("%s: rounds=%d stopped=%t, want a stop at round %d", g, res.Rounds, res.Stopped, want)
+		}
+		if !algo.IsBipartite(g) && res.Rounds >= rep.Rounds() {
+			t.Fatalf("%s: stopped at round %d, the full flood runs %d", g, res.Rounds, rep.Rounds())
+		}
+		tree, _ := sess.SpanTree()
+		if !slices.Equal(tree.Parent, legacy.Parent) || !slices.Equal(tree.Depth, legacy.Depth) {
+			t.Fatalf("%s: early-stopped tree diverges from the post-hoc walk", g)
 		}
 	}
 }

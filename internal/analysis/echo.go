@@ -21,7 +21,10 @@ type Echo struct {
 	source graph.NodeID
 }
 
-var _ Analyzer = (*Echo)(nil)
+var (
+	_ Analyzer                = (*Echo)(nil)
+	_ engine.FrontierObserver = (*Echo)(nil)
+)
 
 func init() {
 	Register("echo", Family{
@@ -49,6 +52,16 @@ func (e *Echo) Start(origins []graph.NodeID) error {
 // ObserveRound implements engine.RoundObserver; the baseline does not
 // consume the observed stream and never requests a stop.
 func (e *Echo) ObserveRound(rec engine.RoundRecord) (bool, error) {
+	return false, nil
+}
+
+// FrontierOnly implements engine.FrontierObserver: the baseline reads
+// nothing from the stream, so it never makes an engine build Send records.
+func (e *Echo) FrontierOnly() bool { return true }
+
+// ObserveFrontier implements engine.FrontierObserver, as a no-op like
+// ObserveRound.
+func (e *Echo) ObserveFrontier(f engine.Frontier) (bool, error) {
 	return false, nil
 }
 

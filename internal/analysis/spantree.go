@@ -8,8 +8,8 @@ import (
 // SpanTree extracts the rooted BFS spanning tree from a single-source
 // flood, streaming: node v is adopted on its first receipt round by the
 // smallest-ID sender of that round (sends arrive sorted by (From, To), so
-// the first sender seen is the smallest) — the spantree.Recorder rule, with
-// parent/depth buffers reused across runs. The analyzer signals readiness
+// the first sender seen is the smallest), with parent/depth buffers reused
+// across runs. The analyzer signals readiness
 // once every node is adopted, which on non-bipartite graphs is strictly
 // before the flood dies.
 type SpanTree struct {

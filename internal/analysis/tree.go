@@ -8,8 +8,7 @@ import (
 
 // Tree is a rooted spanning tree (or forest restricted to the root's
 // component) extracted from a flood. It is the artifact of the spantree
-// analysis; internal/spantree aliases it, so the historical
-// spantree.Tree API is this type.
+// analysis, returned by sim.Session.SpanTree.
 type Tree struct {
 	Root graph.NodeID
 	// Parent[v] is v's tree parent; the root and unreached nodes are

@@ -24,11 +24,7 @@ type Flood struct {
 	origins []graph.NodeID
 }
 
-var (
-	_ engine.Protocol       = (*Flood)(nil)
-	_ engine.DenseProtocol  = (*Flood)(nil)
-	_ engine.BitsetProtocol = (*Flood)(nil)
-)
+var _ engine.BitsetProtocol = (*Flood)(nil)
 
 // NewFlood returns classic flooding on g from the given origins. Origin
 // validation matches core.NewFlood.
@@ -117,37 +113,10 @@ func (f *Flood) NewNode(v graph.NodeID) engine.NodeAutomaton {
 	}
 }
 
-// NewRun implements engine.DenseProtocol. The run state is the per-node
-// "seen" bit as one flat []bool — indexed by node, so the parallel engine's
-// concurrent calls for distinct nodes touch distinct elements.
-func (f *Flood) NewRun() engine.RoundAppender {
-	seen := make([]bool, f.g.N())
-	for _, o := range f.origins {
-		seen[o] = true // origins never re-forward
-	}
-	return &classicRun{csr: f.g.CSR(), seen: seen}
-}
-
-// classicRun is the appender fast path of classic flooding: first delivery
-// forwards to the complement of the senders, every later delivery is
-// dropped.
-type classicRun struct {
-	csr  graph.CSR
-	seen []bool
-}
-
-func (r *classicRun) AppendSends(_ int, v graph.NodeID, senders []graph.NodeID, out []engine.Send) []engine.Send {
-	if r.seen[v] {
-		return out
-	}
-	r.seen[v] = true
-	return engine.AppendComplement(out, v, r.csr.Row(v), senders)
-}
-
 // BitsetRule implements engine.BitsetProtocol: classic flooding is the
 // complement rule gated by the per-node seen bit — forward once, then stay
-// silent — which the bitset engine executes as RuleComplementOnce with the
-// origins pre-marked seen (Origins feeds that pre-marking).
+// silent — which the bitset and fast engines execute as RuleComplementOnce
+// with the bootstrap senders (the connected origins) pre-marked seen.
 func (f *Flood) BitsetRule() engine.BitsetRule {
 	return engine.RuleComplementOnce
 }

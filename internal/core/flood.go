@@ -30,11 +30,7 @@ type Flood struct {
 	origins []graph.NodeID
 }
 
-var (
-	_ engine.Protocol       = (*Flood)(nil)
-	_ engine.DenseProtocol  = (*Flood)(nil)
-	_ engine.BitsetProtocol = (*Flood)(nil)
-)
+var _ engine.BitsetProtocol = (*Flood)(nil)
 
 // Errors reported by NewFlood, matchable with errors.Is.
 var (
@@ -108,28 +104,10 @@ func (f *Flood) NewNode(v graph.NodeID) engine.NodeAutomaton {
 	}
 }
 
-// NewRun implements engine.DenseProtocol, the allocation-free fast path of
-// the fastengine package. Amnesiac flooding is memoryless, so the appender
-// carries no per-run state — only the CSR adjacency view — and is trivially
-// safe for the parallel engine's concurrent per-node calls.
-func (f *Flood) NewRun() engine.RoundAppender {
-	return floodRun{csr: f.g.CSR()}
-}
-
-// floodRun appends the complement of the senders within v's neighbourhood
-// directly onto the engine's send arena: the same merge as complementSorted,
-// with zero allocation and the flat CSR row as the neighbour source.
-type floodRun struct {
-	csr graph.CSR
-}
-
-func (r floodRun) AppendSends(_ int, v graph.NodeID, senders []graph.NodeID, out []engine.Send) []engine.Send {
-	return engine.AppendComplement(out, v, r.csr.Row(v), senders)
-}
-
 // BitsetRule implements engine.BitsetProtocol: amnesiac flooding's whole
 // round is "forward to the complement of the sender set", every round, which
-// is exactly the bitset engine's RuleComplement sweep.
+// is exactly RuleComplement — the bitset engine's sweep and the fast
+// engine's allocation-free per-receiver merge.
 func (f *Flood) BitsetRule() engine.BitsetRule {
 	return engine.RuleComplement
 }

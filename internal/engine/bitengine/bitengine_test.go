@@ -179,7 +179,7 @@ func TestEngineReuse(t *testing.T) {
 	}
 }
 
-// unsupported implements DenseProtocol but not BitsetProtocol.
+// unsupported hides a protocol's BitsetRule, leaving a plain Protocol.
 type unsupported struct {
 	engine.Protocol
 }

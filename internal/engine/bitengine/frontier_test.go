@@ -167,7 +167,8 @@ func (r *relay) ObserveFrontier(f engine.Frontier) (bool, error) {
 // TestFrontierObserversNeverMaterialise is the materialisation guard: a
 // dense gnp flood observed through a composite shaped like a served run —
 // relay → sim.MultiObserver → analysis.Set{coverage} — never builds a Send
-// record. A Send-level member (bipartite, a TraceRecorder) or Options.Trace
+// record, nor does adding echo, which reads nothing from the stream. A
+// Send-level member (bipartite, a TraceRecorder) or Options.Trace
 // turns materialisation back on, with traces byte-identical to the
 // sequential engine's and identical coverage metrics throughout.
 func TestFrontierObserversNeverMaterialise(t *testing.T) {
@@ -204,6 +205,7 @@ func TestFrontierObserversNeverMaterialise(t *testing.T) {
 	}{
 		{name: "streamed", specs: []string{"coverage"}},
 		{name: "unary", specs: []string{"coverage"}, unary: true},
+		{name: "echoMember", specs: []string{"coverage", "echo"}},
 		{name: "bipartiteMember", specs: []string{"coverage", "bipartite"}, materialise: true},
 		{name: "traceRecorder", specs: []string{"coverage"}, recorder: true, materialise: true},
 		{name: "optsTrace", specs: []string{"coverage"}, trace: true, materialise: true},

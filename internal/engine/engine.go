@@ -66,43 +66,17 @@ type Protocol interface {
 	NewNode(v graph.NodeID) NodeAutomaton
 }
 
-// RoundAppender is the allocation-free fast path used by the fastengine
-// subpackage: instead of one automaton closure per node returning a fresh
-// destination slice, a single per-run object appends the sends of node v
-// directly onto the engine's reusable arena.
-//
-// AppendSends must emit the sends of v in ascending destination order (the
-// engines normalise otherwise, at a cost) and must not retain senders or
-// out. The parallel engine calls AppendSends concurrently for distinct v
-// (never twice for the same v in a round), so any per-node run state must be
-// independently addressable — a slice indexed by node works, a shared map
-// does not.
-type RoundAppender interface {
-	AppendSends(round int, v graph.NodeID, senders []graph.NodeID, out []Send) []Send
-}
-
-// DenseProtocol is an optional extension of Protocol for engines that
-// exploit dense node identifiers. NewRun returns a fresh appender per run,
-// playing the role NewNode's closures play in the generic path; per-run
-// protocol state lives in the returned value. Protocols implementing it run
-// allocation-free on fastengine; others fall back to NewNode transparently.
-type DenseProtocol interface {
-	Protocol
-	NewRun() RoundAppender
-}
-
 // BitsetRule identifies the per-round forwarding rule of a protocol whose
 // whole round is a set operation over received-from directions, which is
 // what lets the bitengine subpackage run it as a word-parallel bitset sweep
-// instead of materialising per-message Send records.
+// instead of materialising per-message Send records, and the fastengine
+// subpackage run it as one allocation-free merge per receiver.
 type BitsetRule int
 
-// The forwarding rules the bitset engine can execute.
+// The forwarding rules the bitset and fast engines can execute.
 const (
 	// RuleComplement: every receiver forwards to the complement of its
-	// sender set, every round — amnesiac flooding (and its observation-only
-	// derivatives such as detect/spantree probes, whose extra state lives in
-	// analyses, not in the dynamics).
+	// sender set, every round — amnesiac flooding.
 	RuleComplement BitsetRule = iota + 1
 	// RuleComplementOnce: a receiver forwards the complement of its sender
 	// set on its *first* receipt and stays silent afterwards — classic
@@ -110,14 +84,17 @@ const (
 	RuleComplementOnce
 )
 
-// BitsetProtocol is an optional extension of DenseProtocol for protocols
-// whose dynamics are fully captured by a BitsetRule. The bitset engine
-// refuses protocols without it (see bitengine.ErrUnsupportedProtocol):
-// unlike the other engines it never calls NewNode or AppendSends, so a
-// protocol with bespoke per-node behaviour (faulty nodes, multi-message
-// payloads) cannot be expressed there.
+// BitsetProtocol is an optional extension of Protocol for protocols whose
+// dynamics are fully captured by a BitsetRule. Engines that recognise it
+// execute the declared rule instead of calling NewNode: the bitset engine
+// as word-parallel sweeps, the fast engine as a per-receiver merge over CSR
+// rows. NewNode must still agree with the rule, since the sequential and
+// channel engines call it. The bitset engine refuses protocols without a
+// rule (see bitengine.ErrUnsupportedProtocol), so a protocol with bespoke
+// per-node behaviour (faulty nodes, multi-message payloads) cannot be
+// expressed there; the fast engine falls back to NewNode for them.
 type BitsetProtocol interface {
-	DenseProtocol
+	Protocol
 	// BitsetRule declares the forwarding rule the engine should execute.
 	BitsetRule() BitsetRule
 }
@@ -542,25 +519,6 @@ func normalizeSends(sends []Send) []Send {
 		if s != out[len(out)-1] {
 			out = append(out, s)
 		}
-	}
-	return out
-}
-
-// AppendComplement appends Send{from, nbr} for every nbr in nbrs that does
-// not appear in senders, preserving order. Both inputs must be sorted
-// ascending. It is the flooding protocols' shared "forward to everyone who
-// did not just send to me" merge, shaped for RoundAppender implementations:
-// a two-pointer pass with zero allocation beyond out's growth.
-func AppendComplement(out []Send, from graph.NodeID, nbrs, senders []graph.NodeID) []Send {
-	i := 0
-	for _, nbr := range nbrs {
-		for i < len(senders) && senders[i] < nbr {
-			i++
-		}
-		if i < len(senders) && senders[i] == nbr {
-			continue
-		}
-		out = append(out, Send{From: from, To: nbr})
 	}
 	return out
 }

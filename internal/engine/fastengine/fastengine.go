@@ -20,9 +20,11 @@
 //     destinations in ascending order, so the next round is already
 //     normalised; a linear scan verifies this and the O(m log m) sort runs
 //     only if a protocol misbehaves.
-//   - Protocols implementing engine.DenseProtocol append their sends
-//     directly into the arena (no per-node closure, no per-call result
-//     slice); other protocols fall back to engine.Protocol.NewNode
+//   - Protocols declaring an engine.BitsetRule (amnesiac and classic
+//     flooding) have the engine execute that rule itself: each receiver's
+//     sends are one merge of its CSR row against its senders, appended
+//     straight into the arena (no per-node closure, no per-call result
+//     slice). Other protocols fall back to engine.Protocol.NewNode
 //     transparently.
 //
 // An optional parallel mode shards each round's receivers into contiguous
@@ -63,6 +65,7 @@ type Engine struct {
 	count       []int32         // per-receiver sender count; sparsely reset
 	cursor      []int32         // scatter cursor; ends at the receiver's arena end
 	shardOut    [][]engine.Send // per-worker output arenas (parallel mode)
+	seen        []bool          // per-node seen bit of engine.RuleComplementOnce runs
 }
 
 // New returns an engine for g running the delivery stage sequentially.
@@ -79,7 +82,7 @@ func New(g *graph.Graph) *Engine {
 // Parallel sets the number of delivery workers and returns e for chaining.
 // workers <= 0 means GOMAXPROCS. Traces are byte-identical to the sequential
 // mode for every protocol whose per-node state is independently addressable
-// (see engine.RoundAppender); all protocols in this repository qualify.
+// (see appender); all protocols in this repository qualify.
 func (e *Engine) Parallel(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -118,15 +121,9 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 	}
 	res := engine.Result{Protocol: proto.Name()}
 
-	var appender engine.RoundAppender
-	if dp, ok := proto.(engine.DenseProtocol); ok {
-		appender = dp.NewRun()
-	} else {
-		appender = &automataAppender{proto: proto, automata: make([]engine.NodeAutomaton, e.g.N())}
-	}
-
 	e.cur = append(e.cur[:0], proto.Bootstrap()...)
 	e.cur = normalize(e.cur)
+	appender := e.appenderFor(proto)
 	for round := 1; len(e.cur) > 0; round++ {
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("fastengine: %s on %s: %w", proto.Name(), e.g, err)
@@ -200,7 +197,7 @@ func (e *Engine) senders(v graph.NodeID) []graph.NodeID {
 
 // deliverSequential activates receivers in ascending node order, appending
 // their responses into the next-round buffer.
-func (e *Engine) deliverSequential(round int, appender engine.RoundAppender) {
+func (e *Engine) deliverSequential(round int, appender appender) {
 	e.nxt = e.nxt[:0]
 	for _, v := range e.receivers {
 		e.nxt = appender.AppendSends(round, v, e.senders(v), e.nxt)
@@ -210,7 +207,7 @@ func (e *Engine) deliverSequential(round int, appender engine.RoundAppender) {
 // deliverParallel splits the sorted receivers into contiguous shards, one
 // worker and one output arena per shard, then concatenates the arenas in
 // shard order — reproducing the sequential activation order exactly.
-func (e *Engine) deliverParallel(round int, appender engine.RoundAppender) {
+func (e *Engine) deliverParallel(round int, appender appender) {
 	workers := e.workers
 	if workers > len(e.receivers) {
 		workers = len(e.receivers)
@@ -264,12 +261,95 @@ func sendLess(a, b engine.Send) bool {
 	return a.From < b.From || (a.From == b.From && a.To < b.To)
 }
 
+// appender is one run's per-node delivery step: it appends the sends of
+// receiver v, given v's sorted senders, onto out. AppendSends must emit v's
+// sends in ascending destination order (the engine normalises otherwise, at
+// a cost) and must not retain senders or out. The parallel mode calls it
+// concurrently for distinct v (never twice for the same v in a round), so
+// per-node run state must be independently addressable — a slice indexed by
+// node works, a shared map does not.
+type appender interface {
+	AppendSends(round int, v graph.NodeID, senders []graph.NodeID, out []engine.Send) []engine.Send
+}
+
+// appenderFor picks the run's delivery step from the protocol's declared
+// engine.BitsetRule, falling back to its NewNode automata for protocols
+// without a rule (or with one this engine does not know). It runs after the
+// bootstrap sends are in e.cur: the once rule pre-marks their senders as
+// seen, exactly like bitengine's bootstrap (an isolated origin sends
+// nothing, but it never receives either, so its bit is moot).
+func (e *Engine) appenderFor(proto engine.Protocol) appender {
+	if bp, ok := proto.(engine.BitsetProtocol); ok {
+		switch bp.BitsetRule() {
+		case engine.RuleComplement:
+			return complementAppender{csr: e.g.CSR()}
+		case engine.RuleComplementOnce:
+			if e.seen == nil {
+				e.seen = make([]bool, e.g.N())
+			} else {
+				clear(e.seen)
+			}
+			for _, s := range e.cur {
+				e.seen[s.From] = true
+			}
+			return &onceAppender{csr: e.g.CSR(), seen: e.seen}
+		}
+	}
+	return &automataAppender{proto: proto, automata: make([]engine.NodeAutomaton, e.g.N())}
+}
+
+// complementAppender executes engine.RuleComplement: every receiver forwards
+// to the complement of its senders within its neighbourhood. It carries no
+// run state, so concurrent calls are trivially safe.
+type complementAppender struct {
+	csr graph.CSR
+}
+
+func (a complementAppender) AppendSends(_ int, v graph.NodeID, senders []graph.NodeID, out []engine.Send) []engine.Send {
+	return appendComplement(out, v, a.csr.Row(v), senders)
+}
+
+// onceAppender executes engine.RuleComplementOnce: a receiver's first
+// delivery forwards to the complement of its senders, every later one is
+// dropped. seen is the engine-owned per-node bit, indexed by node so the
+// parallel mode's calls for distinct receivers touch distinct elements.
+type onceAppender struct {
+	csr  graph.CSR
+	seen []bool
+}
+
+func (a *onceAppender) AppendSends(_ int, v graph.NodeID, senders []graph.NodeID, out []engine.Send) []engine.Send {
+	if a.seen[v] {
+		return out
+	}
+	a.seen[v] = true
+	return appendComplement(out, v, a.csr.Row(v), senders)
+}
+
+// appendComplement appends Send{from, nbr} for every nbr in nbrs that does
+// not appear in senders, preserving order. Both inputs must be sorted
+// ascending. It is the flooding rules' shared "forward to everyone who did
+// not just send to me" merge: a two-pointer pass with zero allocation beyond
+// out's growth.
+func appendComplement(out []engine.Send, from graph.NodeID, nbrs, senders []graph.NodeID) []engine.Send {
+	i := 0
+	for _, nbr := range nbrs {
+		for i < len(senders) && senders[i] < nbr {
+			i++
+		}
+		if i < len(senders) && senders[i] == nbr {
+			continue
+		}
+		out = append(out, engine.Send{From: from, To: nbr})
+	}
+	return out
+}
+
 // automataAppender adapts the generic per-node-closure protocol contract to
-// the appender fast path, buying protocols that do not implement
-// engine.DenseProtocol the map-free grouping and sort-free normalisation
-// (their automata still allocate their result slices). Automata are created
-// lazily, matching engine.Run. In parallel mode distinct nodes touch
-// distinct slots, so lazy creation is race-free.
+// the appender, buying protocols without a bitset rule the map-free grouping
+// and sort-free normalisation (their automata still allocate their result
+// slices). Automata are created lazily, matching engine.Run. In parallel
+// mode distinct nodes touch distinct slots, so lazy creation is race-free.
 type automataAppender struct {
 	proto    engine.Protocol
 	automata []engine.NodeAutomaton

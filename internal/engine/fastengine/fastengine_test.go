@@ -16,8 +16,8 @@ import (
 	"amnesiacflood/internal/graph/gen"
 )
 
-// opaque hides a protocol's DenseProtocol implementation, forcing the
-// fastengine onto the generic NewNode fallback path.
+// opaque hides a protocol's BitsetRule, forcing the fastengine onto the
+// generic NewNode fallback path.
 type opaque struct {
 	engine.Protocol
 }
@@ -163,7 +163,8 @@ func TestParallelCrossesShardingThreshold(t *testing.T) {
 }
 
 // TestEngineReuse runs the same Engine repeatedly and across protocols: the
-// arenas must carry no state between runs.
+// arenas — including the seen bits of classic runs — must carry no state
+// between runs.
 func TestEngineReuse(t *testing.T) {
 	g := gen.Lollipop(5, 30)
 	e := fastengine.New(g)
@@ -192,6 +193,24 @@ func TestEngineReuse(t *testing.T) {
 	}
 	if !engine.EqualTraces(wantCl.Trace, gotCl.Trace) {
 		t.Fatal("classic after amnesiac on a reused engine: trace differs")
+	}
+	// Classic runs from different origin sets, twice over: each must see
+	// only its own origins pre-marked.
+	for i := 0; i < 2; i++ {
+		for _, origins := range [][]graph.NodeID{{0}, {34}, {0, 1}, {3, 20}, {0, 7, 34}} {
+			cl := classic.MustNewFlood(g, origins...)
+			want, err := engine.Run(context.Background(), g, cl, engine.Options{Trace: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Run(context.Background(), cl, engine.Options{Trace: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !engine.EqualTraces(want.Trace, got.Trace) {
+				t.Fatalf("pass %d: classic from %v on a reused engine: trace differs", i, origins)
+			}
+		}
 	}
 }
 

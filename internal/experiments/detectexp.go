@@ -18,10 +18,9 @@ import (
 // 100% agreement.
 //
 // The probe runs through the sim façade with the streaming "bipartite"
-// analysis attached — the registry form of the old detect.Bipartiteness
-// post-hoc walk: the verdict, witness count, and eccentricity all arrive as
-// metric columns of the run itself, and the analysis cross-checks the two
-// witness signals internally.
+// analysis attached, flooding to completion: the verdict, witness count,
+// and eccentricity all arrive as metric columns of the run itself, and the
+// analysis cross-checks the two witness signals internally.
 func BipartitenessDetection(cfg Config) ([]*Table, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 4))
 	t := &Table{

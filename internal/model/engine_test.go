@@ -3,9 +3,11 @@ package model_test
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"amnesiacflood/internal/analysis"
 	"amnesiacflood/internal/async"
 	"amnesiacflood/internal/core"
 	"amnesiacflood/internal/dynamic"
@@ -24,6 +26,38 @@ func opts(maxRounds int, traced bool) engine.Options {
 }
 
 func origins(os ...graph.NodeID) []graph.NodeID { return os }
+
+// observeCoverage attaches the streaming coverage analysis to o for a run
+// from the given origins.
+func observeCoverage(t *testing.T, g *graph.Graph, o *engine.Options, origins ...graph.NodeID) *analysis.Coverage {
+	t.Helper()
+	a, err := analysis.Build("coverage", analysis.Context{Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Start(origins); err != nil {
+		t.Fatal(err)
+	}
+	o.Observer = a
+	return a.(*analysis.Coverage)
+}
+
+// covered reports whether v holds or has held M: an origin, or a node that
+// received it.
+func covered(cov *analysis.Coverage, v graph.NodeID) bool {
+	return cov.ReceiveCounts()[v] > 0 || slices.Contains(cov.Origins(), v)
+}
+
+// coveredCount counts the nodes that hold or have held M.
+func coveredCount(cov *analysis.Coverage) int {
+	n := 0
+	for v := range cov.ReceiveCounts() {
+		if covered(cov, graph.NodeID(v)) {
+			n++
+		}
+	}
+	return n
+}
 
 // asyncCase is one instance of the async differential corpus.
 type asyncCase struct {
@@ -164,10 +198,9 @@ func TestDynamicEngineMatchesLegacyRunner(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cov := model.NewCoverage(g.N(), tc.origins...)
 			e := model.NewDynamic(g, sched)
 			o := opts(maxRounds, true)
-			o.Observer = cov
+			cov := observeCoverage(t, g, &o, tc.origins...)
 			got, err := e.Run(context.Background(), tc.origins, o)
 			if err != nil {
 				t.Fatal(err)
@@ -188,11 +221,11 @@ func TestDynamicEngineMatchesLegacyRunner(t *testing.T) {
 			if !engine.EqualTraces(got.Trace, want.Trace) {
 				t.Fatal("packed trace differs from the legacy runner's")
 			}
-			if cov.Count() != want.CoverageCount() {
-				t.Fatalf("coverage = %d, legacy %d", cov.Count(), want.CoverageCount())
+			if got := coveredCount(cov); got != want.CoverageCount() {
+				t.Fatalf("coverage = %d, legacy %d", got, want.CoverageCount())
 			}
 			for v := 0; v < g.N(); v++ {
-				if cov.Covered(graph.NodeID(v)) != want.Covered[v] {
+				if covered(cov, graph.NodeID(v)) != want.Covered[v] {
 					t.Fatalf("coverage of node %d diverged", v)
 				}
 			}
@@ -431,9 +464,8 @@ func TestOutageOnEvenCycleBreaksTermination(t *testing.T) {
 // subtree; coverage comes from the observer.
 func TestOutageOnTreeOnlyShrinks(t *testing.T) {
 	g := gen.CompleteBinaryTree(4)
-	cov := model.NewCoverage(g.N(), 0)
 	o := opts(0, false)
-	o.Observer = cov
+	cov := observeCoverage(t, g, &o, 0)
 	res, err := model.NewDynamic(g, dynamic.OutageOnce{Round: 1, Edge: edge(0, 1)}).
 		Run(context.Background(), origins(0), o)
 	if err != nil {
@@ -442,32 +474,31 @@ func TestOutageOnTreeOnlyShrinks(t *testing.T) {
 	if res.Outcome != engine.OutcomeTerminated {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
-	if cov.Count() != 8 {
-		t.Fatalf("coverage = %d, want 8", cov.Count())
+	if got := coveredCount(cov); got != 8 {
+		t.Fatalf("coverage = %d, want 8", got)
 	}
 }
 
 // TestBlinkingEdgePhases ports the phase-alignment finding.
 func TestBlinkingEdgePhases(t *testing.T) {
 	g := gen.Path(4)
-	run := func(phase int) (engine.Result, *model.Coverage) {
-		cov := model.NewCoverage(g.N(), 0)
+	run := func(phase int) (engine.Result, int) {
 		o := opts(0, false)
-		o.Observer = cov
+		cov := observeCoverage(t, g, &o, 0)
 		res, err := model.NewDynamic(g, dynamic.Blinking{Edge: edge(1, 2), K: 2, Phase: phase}).
 			Run(context.Background(), origins(0), o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, cov
+		return res, coveredCount(cov)
 	}
 	res, cov := run(0)
-	if res.Outcome != engine.OutcomeTerminated || cov.Count() != 4 {
-		t.Fatalf("aligned blinking: %+v coverage %d", res, cov.Count())
+	if res.Outcome != engine.OutcomeTerminated || cov != 4 {
+		t.Fatalf("aligned blinking: %+v coverage %d", res, cov)
 	}
 	res2, cov2 := run(1)
-	if res2.Outcome != engine.OutcomeTerminated || cov2.Count() != 2 {
-		t.Fatalf("misaligned blinking: %+v coverage %d", res2, cov2.Count())
+	if res2.Outcome != engine.OutcomeTerminated || cov2 != 2 {
+		t.Fatalf("misaligned blinking: %+v coverage %d", res2, cov2)
 	}
 }
 

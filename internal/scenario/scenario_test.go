@@ -13,12 +13,7 @@ import (
 	"amnesiacflood/internal/scenario"
 
 	// Protocols and model families under test self-register on import.
-	_ "amnesiacflood/internal/async"
-	_ "amnesiacflood/internal/classic"
-	_ "amnesiacflood/internal/core"
-	_ "amnesiacflood/internal/detect"
-	_ "amnesiacflood/internal/dynamic"
-	_ "amnesiacflood/internal/multiflood"
+	_ "amnesiacflood/internal/registry/all"
 )
 
 // acceptanceMatrix is the issue's acceptance shape: >= 3 graph families ×

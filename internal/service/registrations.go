@@ -5,13 +5,4 @@ package service
 // enumerate everything runnable. Pull in every self-registering package
 // here so any embedder of the service (cmd/afsimd, tests) serves the full
 // five-axis registry without its own import litany.
-import (
-	_ "amnesiacflood/internal/async"
-	_ "amnesiacflood/internal/classic"
-	_ "amnesiacflood/internal/core"
-	_ "amnesiacflood/internal/detect"
-	_ "amnesiacflood/internal/dynamic"
-	_ "amnesiacflood/internal/faults"
-	_ "amnesiacflood/internal/multiflood"
-	_ "amnesiacflood/internal/spantree"
-)
+import _ "amnesiacflood/internal/registry/all"

@@ -19,8 +19,7 @@ import (
 	"amnesiacflood/internal/shard"
 
 	// Protocols under test self-register on import.
-	_ "amnesiacflood/internal/classic"
-	_ "amnesiacflood/internal/core"
+	_ "amnesiacflood/internal/registry/all"
 )
 
 // quiet drops lease-lifecycle chatter from test output.

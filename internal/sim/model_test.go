@@ -7,12 +7,7 @@ import (
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
-	"amnesiacflood/internal/model"
 	"amnesiacflood/internal/sim"
-
-	// Model families under test self-register on import.
-	_ "amnesiacflood/internal/async"
-	_ "amnesiacflood/internal/dynamic"
 )
 
 // TestWithModelSyncIsDefault: the default session runs the sync model and
@@ -184,13 +179,18 @@ func TestWithModelSeedThreading(t *testing.T) {
 }
 
 // TestWithModelObserver: observers compose with model runs through the
-// façade (a coverage observer counting dynamic receipt).
+// façade (an observer counting the nodes that hold or held M).
 func TestWithModelObserver(t *testing.T) {
 	g := gen.CompleteBinaryTree(4)
-	cov := model.NewCoverage(g.N(), 0)
+	covered := map[graph.NodeID]bool{0: true}
 	sess, err := sim.New(g,
 		sim.WithModel("schedule:outage:round=1,u=0,v=1"),
-		sim.WithObserver(cov),
+		sim.WithObserver(engine.ObserverFunc(func(rec engine.RoundRecord) (bool, error) {
+			for _, s := range rec.Sends {
+				covered[s.To] = true
+			}
+			return false, nil
+		})),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestWithModelObserver(t *testing.T) {
 	if _, err := sess.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if cov.Count() != 8 {
-		t.Fatalf("coverage = %d, want 8 (left subtree severed)", cov.Count())
+	if len(covered) != 8 {
+		t.Fatalf("coverage = %d, want 8 (left subtree severed)", len(covered))
 	}
 }

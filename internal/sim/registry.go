@@ -97,39 +97,3 @@ func NewProtocol(name string, spec Spec) (engine.Protocol, error) {
 	}
 	return proto, nil
 }
-
-// Rename wraps a protocol so Name reports the given name, preserving the
-// engine.DenseProtocol fast path — and the engine.BitsetProtocol rule
-// declaration — when the wrapped protocol has them. Used by registered
-// protocols that reuse another protocol's behaviour under their own name
-// (the detect and spantree probes are amnesiac floods).
-func Rename(p engine.Protocol, name string) engine.Protocol {
-	if bp, ok := p.(engine.BitsetProtocol); ok {
-		return renamedBitset{renamedDense{renamed{Protocol: p, name: name}, bp}, bp}
-	}
-	if dp, ok := p.(engine.DenseProtocol); ok {
-		return renamedDense{renamed{Protocol: p, name: name}, dp}
-	}
-	return renamed{Protocol: p, name: name}
-}
-
-type renamed struct {
-	engine.Protocol
-	name string
-}
-
-func (r renamed) Name() string { return r.name }
-
-type renamedDense struct {
-	renamed
-	dense engine.DenseProtocol
-}
-
-func (r renamedDense) NewRun() engine.RoundAppender { return r.dense.NewRun() }
-
-type renamedBitset struct {
-	renamedDense
-	bitset engine.BitsetProtocol
-}
-
-func (r renamedBitset) BitsetRule() engine.BitsetRule { return r.bitset.BitsetRule() }

@@ -33,7 +33,6 @@ type Session struct {
 	maxRounds     int
 	trace         bool
 	observer      engine.RoundObserver
-	parThreshold  int
 	analysisSpecs []string
 	analysisStop  bool
 
@@ -106,13 +105,6 @@ func WithParam(key, value string) Option {
 // WithMaxRounds bounds each run; 0 means engine.DefaultMaxRounds.
 func WithMaxRounds(n int) Option {
 	return func(s *Session) { s.maxRounds = n }
-}
-
-// WithParallelThreshold tunes when the parallel-capable engines (Parallel,
-// Bitset) shard a round across goroutines; 0 means the engine default, 1
-// forces sharding on every round. See engine.Options.ParallelThreshold.
-func WithParallelThreshold(n int) Option {
-	return func(s *Session) { s.parThreshold = n }
 }
 
 // WithTrace enables per-round trace recording into Result.Trace.
@@ -211,7 +203,7 @@ func New(g *graph.Graph, opts ...Option) (*Session, error) {
 	// protocols without one here rather than at the first Run, mirroring the
 	// model/protocol compatibility check above.
 	if s.kind == Bitset && s.mdl.Spec.IsSync() && !bitengine.Supports(s.built) {
-		return nil, fmt.Errorf("sim: engine bitset runs only bitset-rule protocols (amnesiac, classic, and probes built on them; got %q): %w",
+		return nil, fmt.Errorf("sim: engine bitset runs only bitset-rule protocols (amnesiac, classic; got %q): %w",
 			s.built.Name(), bitengine.ErrUnsupportedProtocol)
 	}
 	return s, nil
@@ -224,7 +216,7 @@ func (s *Session) spec(origins []graph.NodeID) Spec {
 
 // options assembles the engine options for one run.
 func (s *Session) options() engine.Options {
-	return engine.Options{Trace: s.trace, MaxRounds: s.maxRounds, Observer: s.observer, ParallelThreshold: s.parThreshold}
+	return engine.Options{Trace: s.trace, MaxRounds: s.maxRounds, Observer: s.observer}
 }
 
 // Protocol returns the protocol instance the session runs.

@@ -5,7 +5,7 @@
 // The paper's central claim (Hussak & Trehan, PODC 2019) is that one
 // memoryless protocol runs identically on any synchronous substrate.  This
 // package makes the code match the claim: protocols self-register by name
-// (amnesiac, classic, multiflood, detect, spantree, faulty, ...), engines
+// (amnesiac, classic, multiflood, faulty), engines
 // are values of one EngineKind enum, and a Session composed with functional
 // options runs any protocol × engine pair:
 //
@@ -53,8 +53,8 @@ type EngineKind int
 // protocol they support (asserted by experiment E10, the fastengine
 // differential tests, and the bitengine differential tests); the first four
 // run every protocol, Bitset only protocols declaring an
-// engine.BitsetProtocol rule (amnesiac, classic, and the probes built on
-// them — validated at Session construction).
+// engine.BitsetProtocol rule (amnesiac and classic — validated at Session
+// construction).
 const (
 	// Sequential is the deterministic single-goroutine reference engine.
 	Sequential EngineKind = iota + 1

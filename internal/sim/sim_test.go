@@ -5,22 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"amnesiacflood/internal/core"
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/engine/bitengine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
 	"amnesiacflood/internal/sim"
 
-	// Self-registering protocols under test.
-	_ "amnesiacflood/internal/classic"
-	_ "amnesiacflood/internal/core"
-	_ "amnesiacflood/internal/detect"
-	_ "amnesiacflood/internal/faults"
-	_ "amnesiacflood/internal/multiflood"
-	_ "amnesiacflood/internal/spantree"
+	// Self-registering protocols and model families under test.
+	_ "amnesiacflood/internal/registry/all"
 )
 
 // allEngines lists every synchronous engine. Bitset runs only bitset-rule
@@ -29,17 +26,9 @@ import (
 var allEngines = []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Parallel, sim.Bitset}
 
 func TestProtocolsRegistered(t *testing.T) {
-	got := sim.Protocols()
-	for _, want := range []string{"amnesiac", "classic", "detect", "faulty", "multiflood", "spantree"} {
-		found := false
-		for _, name := range got {
-			if name == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("protocol %q not registered (have %v)", want, got)
-		}
+	want := []string{"amnesiac", "classic", "faulty", "multiflood"}
+	if got := sim.Protocols(); !slices.Equal(got, want) {
+		t.Errorf("Protocols() = %v, want %v", got, want)
 	}
 }
 
@@ -72,9 +61,9 @@ func TestUnknownProtocolAndEngineErrors(t *testing.T) {
 	if _, err := sim.New(nil); err == nil {
 		t.Error("nil graph accepted")
 	}
-	// Factory validation propagates: the detect probe rejects multi-origin.
-	if _, err := sim.New(g, sim.WithProtocol("detect"), sim.WithOrigins(0, 3)); err == nil {
-		t.Error("multi-origin detect probe accepted")
+	// Factory validation propagates: an origin outside the graph.
+	if _, err := sim.New(g, sim.WithProtocol("classic"), sim.WithOrigins(0, 6)); !errors.Is(err, core.ErrBadOrigin) {
+		t.Errorf("out-of-graph origin err = %v, want core.ErrBadOrigin", err)
 	}
 	// Bad protocol parameters propagate.
 	if _, err := sim.New(g, sim.WithProtocol("faulty"), sim.WithParam("loss", "nope")); err == nil {
@@ -131,13 +120,13 @@ func TestEveryProtocolOnEveryEngine(t *testing.T) {
 }
 
 // TestBitsetEngineSupport covers the fifth engine's narrower contract: the
-// bitset-rule protocols (amnesiac, classic, and the probes renamed from
-// amnesiac floods) run with traces byte-identical to the sequential engine;
+// bitset-rule protocols (amnesiac, classic) run with traces byte-identical
+// to the sequential engine;
 // protocols with bespoke per-node behaviour are rejected at New, with the
 // typed bitengine error.
 func TestBitsetEngineSupport(t *testing.T) {
 	g := gen.Petersen()
-	for _, name := range []string{"amnesiac", "classic", "detect", "spantree"} {
+	for _, name := range []string{"amnesiac", "classic"} {
 		want := runOn(t, g, name, sim.Sequential)
 		got := runOn(t, g, name, sim.Bitset)
 		if got.Engine != "bitset" {
@@ -497,35 +486,6 @@ func TestMultiObserverPropagatesFirstError(t *testing.T) {
 	}
 	if called {
 		t.Fatal("observer after the erroring one was still invoked")
-	}
-}
-
-func TestRenamePreservesDenseFastPath(t *testing.T) {
-	g := gen.Grid(5, 5)
-	sess, err := sim.New(g, sim.WithProtocol("spantree"), sim.WithEngine(sim.Fast), sim.WithOrigins(0), sim.WithTrace(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sess.Protocol().(engine.DenseProtocol); !ok {
-		t.Fatal("renamed probe lost the DenseProtocol fast path")
-	}
-	res, err := sess.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Protocol != "spantree-probe" {
-		t.Fatalf("protocol name = %q, want spantree-probe", res.Protocol)
-	}
-	ref, err := sim.New(g, sim.WithOrigins(0), sim.WithTrace(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !engine.EqualTraces(want.Trace, res.Trace) {
-		t.Fatal("renamed probe trace differs from plain amnesiac flood")
 	}
 }
 
