@@ -22,9 +22,13 @@ build:
 	go build ./...
 
 # vet also fails when a non-test package imports a frozen test oracle
-# (internal/model/modeltest, internal/analysis/analysistest).
+# (internal/model/modeltest, internal/analysis/analysistest), when a
+# tracked Go file is not gofmt-clean, and when the benchmark module (bench/,
+# its own module, so ./... skips it) does not compile against the tree.
 vet:
 	go vet ./...
+	go -C bench vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	! go list -f '{{$$p := .ImportPath}}{{range .Imports}}{{$$p}} -> {{.}}{{"\n"}}{{end}}' ./... | grep -E -- '-> .*/(modeltest|analysistest)$$'
 
 test:

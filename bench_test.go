@@ -732,6 +732,23 @@ func BenchmarkFloodScaling(b *testing.B) {
 	}
 }
 
+// scaleSpecs is the instance ladder at n nodes: a path, the smallest
+// power-of-two square grid with at least n nodes, and a sparse gnp graph.
+func scaleSpecs(n int) []string {
+	side := 1
+	for side*side < n {
+		side *= 2
+	}
+	return []string{
+		fmt.Sprintf("path:n=%d", n),
+		fmt.Sprintf("grid:rows=%d,cols=%d", side, side),
+		// Expected degree 64 — a dense frontier: nearly every node sends
+		// on nearly every round, so message volume scales linearly with n
+		// and the round kernel dominates.
+		fmt.Sprintf("gnp:n=%d,p=%g", n, 64/float64(n)),
+	}
+}
+
 // Engine scaling sweep: the arena-reusing engines (CSR fast, its sharded
 // mode, and the bitset frontier engine) across three shapes and three sizes
 // up to a million nodes. The shapes stress different regimes: the path is
@@ -742,22 +759,8 @@ func BenchmarkFloodScaling(b *testing.B) {
 // Sessions are untraced, so ns/op is the round-kernel cost alone.
 func BenchmarkEngineScale(b *testing.B) {
 	scaleEngines := []sim.EngineKind{sim.Fast, sim.Parallel, sim.Bitset}
-	specs := func(n, side int) []string {
-		return []string{
-			fmt.Sprintf("path:n=%d", n),
-			fmt.Sprintf("grid:rows=%d,cols=%d", side, side),
-			// Expected degree 64 — a dense frontier: nearly every node sends
-			// on nearly every round, so message volume scales linearly with n
-			// and the round kernel dominates.
-			fmt.Sprintf("gnp:n=%d,p=%g", n, 64/float64(n)),
-		}
-	}
 	for _, n := range []int{1 << 12, 1 << 16, 1 << 20} {
-		side := 1
-		for side*side < n {
-			side *= 2
-		}
-		for _, spec := range specs(n, side) {
+		for _, spec := range scaleSpecs(n) {
 			for _, kind := range scaleEngines {
 				// Graphs are built inside the sub-benchmark so filtered runs
 				// (-bench '.../n=1048576') never pay for the instances they
@@ -772,9 +775,10 @@ func BenchmarkEngineScale(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					// One untimed run amortises engine setup (relabeling,
-					// arena growth), so ns/op is the steady-state round
-					// kernel every engine settles into under session reuse.
+					// One untimed run amortises engine setup (mirror
+					// permutation, arena growth), so ns/op is the
+					// steady-state round kernel every engine settles into
+					// under session reuse.
 					if _, err := sess.Run(context.Background()); err != nil {
 						b.Fatal(err)
 					}
@@ -790,6 +794,38 @@ func BenchmarkEngineScale(b *testing.B) {
 					b.StopTimer()
 					b.ReportMetric(float64(res.Rounds), "rounds")
 					b.ReportMetric(float64(res.TotalMessages), "messages")
+				})
+			}
+		}
+	}
+}
+
+// Session set-up: sim.New plus the first untraced Run on a prebuilt graph,
+// which is what a cold flood pays beyond the graph build. The first Run
+// builds the engine's state (the bitset engine's mirror permutation and
+// arenas, the fast engine's arenas) and runs the kernel once;
+// BenchmarkEngineScale times that kernel warm on the same instances.
+func BenchmarkSessionSetup(b *testing.B) {
+	for _, n := range []int{1 << 12, 1 << 16} {
+		for _, spec := range scaleSpecs(n) {
+			for _, kind := range []sim.EngineKind{sim.Fast, sim.Bitset} {
+				b.Run(fmt.Sprintf("%s/%s", spec, kind), func(b *testing.B) {
+					g := gen.MustBuild(spec, 1)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						sess, err := sim.New(g,
+							sim.WithProtocol("amnesiac"),
+							sim.WithEngine(kind),
+							sim.WithOrigins(0),
+						)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if _, err := sess.Run(context.Background()); err != nil {
+							b.Fatal(err)
+						}
+					}
 				})
 			}
 		}

@@ -45,18 +45,18 @@ func TestParseDefaults(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"havoc:rate=0.1",          // wrong name
-		"chaos:rate=2",            // rate out of range
-		"chaos:rate=-0.1",         // negative rate
-		"chaos:rate=x",            // non-numeric rate
-		"chaos:kinds=err|fire",    // unknown kind
-		"chaos:kinds=err|err",     // duplicate kind
-		"chaos:seed=x",            // non-integer seed
-		"chaos:stall=-1s",         // negative stall
-		"chaos:stall=soon",        // non-duration stall
-		"chaos:verbosity=11",      // unknown parameter
-		"chaos:rate",              // not key=value
-		"chaos:rate=",             // empty value
+		"havoc:rate=0.1",       // wrong name
+		"chaos:rate=2",         // rate out of range
+		"chaos:rate=-0.1",      // negative rate
+		"chaos:rate=x",         // non-numeric rate
+		"chaos:kinds=err|fire", // unknown kind
+		"chaos:kinds=err|err",  // duplicate kind
+		"chaos:seed=x",         // non-integer seed
+		"chaos:stall=-1s",      // negative stall
+		"chaos:stall=soon",     // non-duration stall
+		"chaos:verbosity=11",   // unknown parameter
+		"chaos:rate",           // not key=value
+		"chaos:rate=",          // empty value
 	}
 	for _, spec := range cases {
 		if _, err := Parse(spec); err == nil {

@@ -49,10 +49,10 @@
 // byte-identical regardless of worker interleaving; atomic OR's returned
 // old value dedups the dirty-word lists without coordination.
 //
-// A degree-sorted relabeling pass (graph.DegreeSorted, on by default) packs
-// high-degree rows at the front of the arena for cache locality; traces are
-// mapped back through the inverse permutation and re-sorted, so relabeling
-// is invisible in every output.
+// The kernels run directly on the graph's own CSR (graph.CSR); besides it
+// the engine holds only the mirror permutation and the bitset arenas. Rows
+// are sorted, so slots ascend in (From, To) order and a materialised round
+// needs no sort.
 package bitengine
 
 import (
@@ -90,18 +90,14 @@ func Supports(proto engine.Protocol) bool {
 
 // Engine executes bitset-capable protocols on one graph. It owns all
 // frontier state, so a single Engine amortises setup (mirror permutation,
-// relabeling, bitset arenas) across many runs; it is not safe for
-// concurrent use (run several Engines for that).
+// bitset arenas) across many runs; it is not safe for concurrent use (run
+// several Engines for that).
 type Engine struct {
-	orig    *graph.Graph
+	g       *graph.Graph
 	workers int
-	relabel bool
 
 	ready bool
-	run   *graph.Graph   // graph the kernel runs on (== orig unless relabeled)
-	perm  []graph.NodeID // orig → run labels; nil when identity
-	inv   []graph.NodeID // run → orig labels; nil when identity
-	csr   graph.CSR
+	csr   graph.CSR // g's own CSR, shared with the graph
 	// mirror pairs each directed CSR slot e = (u→v) with the reverse slot
 	// (v→u), so scattering a send sets the receiver's direction bit with
 	// one permuted store.
@@ -129,10 +125,9 @@ type Engine struct {
 	shardBuf   [][]uint64 // per-worker row gather buffers (sharded pull)
 }
 
-// New returns a sequential engine for g with degree-sorted relabeling
-// enabled.
+// New returns a sequential engine for g.
 func New(g *graph.Graph) *Engine {
-	return &Engine{orig: g, workers: 1, relabel: true}
+	return &Engine{g: g, workers: 1}
 }
 
 // Parallel sets the number of sweep workers and returns e for chaining.
@@ -147,16 +142,6 @@ func (e *Engine) Parallel(workers int) *Engine {
 	return e
 }
 
-// Relabel toggles the degree-sorted relabeling pass (default on) and
-// returns e for chaining. Must be called before the first Run.
-func (e *Engine) Relabel(enabled bool) *Engine {
-	if e.ready && enabled != e.relabel {
-		panic("bitengine: Relabel after first Run")
-	}
-	e.relabel = enabled
-	return e
-}
-
 // Run is the one-shot convenience wrapper: a fresh sequential engine per
 // call. Reuse an Engine for allocation-free repeated runs.
 func Run(ctx context.Context, g *graph.Graph, proto engine.Protocol, opts engine.Options) (engine.Result, error) {
@@ -168,21 +153,13 @@ func RunParallel(ctx context.Context, g *graph.Graph, proto engine.Protocol, opt
 	return New(g).Parallel(0).Run(ctx, proto, opts)
 }
 
-// init builds the run graph, mirror permutation, and bitset arenas once per
-// Engine.
+// init builds the mirror permutation and bitset arenas once per Engine.
 func (e *Engine) init() {
 	if e.ready {
 		return
 	}
 	e.ready = true
-	e.run = e.orig
-	if e.relabel {
-		rg, perm, inv := graph.DegreeSorted(e.orig)
-		if rg != e.orig { // identity permutations keep the fast paths below
-			e.run, e.perm, e.inv = rg, perm, inv
-		}
-	}
-	e.csr = e.run.CSR()
+	e.csr = e.g.CSR()
 	n, slots := e.csr.N(), len(e.csr.Targets)
 
 	e.mirror = make([]int32, slots)
@@ -240,11 +217,11 @@ func (e *Engine) reset() {
 func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Options) (engine.Result, error) {
 	bp, ok := proto.(engine.BitsetProtocol)
 	if !ok {
-		return engine.Result{Protocol: proto.Name()}, fmt.Errorf("bitengine: %s on %s: %w", proto.Name(), e.orig, ErrUnsupportedProtocol)
+		return engine.Result{Protocol: proto.Name()}, fmt.Errorf("bitengine: %s on %s: %w", proto.Name(), e.g, ErrUnsupportedProtocol)
 	}
 	rule := bp.BitsetRule()
 	if rule != engine.RuleComplement && rule != engine.RuleComplementOnce {
-		return engine.Result{Protocol: proto.Name()}, fmt.Errorf("bitengine: %s on %s: unknown bitset rule %d: %w", proto.Name(), e.orig, rule, ErrUnsupportedProtocol)
+		return engine.Result{Protocol: proto.Name()}, fmt.Errorf("bitengine: %s on %s: unknown bitset rule %d: %w", proto.Name(), e.g, rule, ErrUnsupportedProtocol)
 	}
 	maxRounds := opts.MaxRounds
 	if maxRounds == 0 {
@@ -259,7 +236,7 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 	res := engine.Result{Protocol: proto.Name()}
 
 	if err := e.bootstrap(proto, rule); err != nil {
-		return res, fmt.Errorf("bitengine: %s on %s: %w", proto.Name(), e.orig, err)
+		return res, fmt.Errorf("bitengine: %s on %s: %w", proto.Name(), e.g, err)
 	}
 	// Send records are built only for a trace or a Send-level observer. A
 	// frontier-only observer gets the round's Frontier instead: the popcount
@@ -291,10 +268,10 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 			break
 		}
 		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("bitengine: %s on %s: %w", proto.Name(), e.orig, err)
+			return res, fmt.Errorf("bitengine: %s on %s: %w", proto.Name(), e.g, err)
 		}
 		if round > maxRounds {
-			return res, fmt.Errorf("bitengine: %s on %s: %w (%d)", proto.Name(), e.orig, engine.ErrMaxRounds, maxRounds)
+			return res, fmt.Errorf("bitengine: %s on %s: %w (%d)", proto.Name(), e.g, engine.ErrMaxRounds, maxRounds)
 		}
 		res.Rounds = round
 		res.TotalMessages += frontier
@@ -339,7 +316,7 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 			stop, err = engine.ObserveFrontier(opts.Observer, engine.Frontier{Round: round, Messages: frontier, Receivers: e.eachReceiver})
 		}
 		if err != nil {
-			return res, fmt.Errorf("bitengine: %s on %s: observer at round %d: %w", proto.Name(), e.orig, round, err)
+			return res, fmt.Errorf("bitengine: %s on %s: observer at round %d: %w", proto.Name(), e.g, round, err)
 		}
 		if stop {
 			res.Stopped = true
@@ -367,15 +344,12 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 }
 
 // bootstrap seeds the round-1 frontier from the protocol's spontaneous
-// sends, mapped through the relabeling permutation, and pre-marks the
-// bootstrap senders as seen for the once rule (a connected origin appears
-// among the senders; an isolated one never receives, so its bit is moot).
+// sends and pre-marks the bootstrap senders as seen for the once rule (a
+// connected origin appears among the senders; an isolated one never
+// receives, so its bit is moot).
 func (e *Engine) bootstrap(proto engine.Protocol, rule engine.BitsetRule) error {
 	for _, s := range proto.Bootstrap() {
 		u, v := s.From, s.To
-		if e.perm != nil {
-			u, v = e.perm[u], e.perm[v]
-		}
 		row := e.csr.Row(u)
 		i, found := slices.BinarySearch(row, v)
 		if !found {
@@ -591,7 +565,7 @@ func (e *Engine) growBufs(k int) {
 }
 
 // eachReceiver yields the round's receivers — the set bits of mark, which
-// the kernels fill — in original labels, in no particular order.
+// the kernels fill — in no particular order.
 func (e *Engine) eachReceiver(yield func(graph.NodeID) bool) {
 	for _, wi := range e.dirtyMark {
 		m := e.mark[wi]
@@ -599,9 +573,6 @@ func (e *Engine) eachReceiver(yield func(graph.NodeID) bool) {
 		for m != 0 {
 			v := base + graph.NodeID(bits.TrailingZeros64(m))
 			m &= m - 1
-			if e.inv != nil {
-				v = e.inv[v]
-			}
 			if !yield(v) {
 				return
 			}
@@ -610,9 +581,8 @@ func (e *Engine) eachReceiver(yield func(graph.NodeID) bool) {
 }
 
 // materialise renders the current frontier as (From, To)-sorted Send
-// records into e.sends. Slots ascend row-major, so without relabeling the
-// bits already come out in (From, To) order; with relabeling the sends are
-// mapped back through inv and re-sorted.
+// records into e.sends. Slots ascend row-major over sorted rows, so walking
+// the dirty words in order yields the sends already in (From, To) order.
 func (e *Engine) materialise() {
 	e.sends = e.sends[:0]
 	slices.Sort(e.dirtyCur)
@@ -629,20 +599,8 @@ func (e *Engine) materialise() {
 					return e.csr.Offsets[v+1] > s
 				}))
 			}
-			from, to := owner, e.csr.Targets[s]
-			if e.inv != nil {
-				from, to = e.inv[from], e.inv[to]
-			}
-			e.sends = append(e.sends, engine.Send{From: from, To: to})
+			e.sends = append(e.sends, engine.Send{From: owner, To: e.csr.Targets[s]})
 		}
-	}
-	if e.inv != nil {
-		slices.SortFunc(e.sends, func(a, b engine.Send) int {
-			if a.From != b.From {
-				return int(a.From - b.From)
-			}
-			return int(a.To - b.To)
-		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"amnesiacflood/internal/classic"
@@ -18,7 +19,7 @@ import (
 // instances is the differential corpus, mirroring fastengine's: bipartite
 // and non-bipartite, trees, dense and sparse, random and structured —
 // including degree-skewed instances (star, wheel, lollipop, prefattach)
-// where the degree-sorted relabeling is far from the identity.
+// whose rows range from one slot to many words of the slot bitsets.
 func instances(tb testing.TB) []*graph.Graph {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -63,18 +64,11 @@ type runner struct {
 func allRunners() []runner {
 	return []runner{
 		{"bitset", bitengine.Run},
-		{"bitsetNoRelabel", func(ctx context.Context, g *graph.Graph, p engine.Protocol, o engine.Options) (engine.Result, error) {
-			return bitengine.New(g).Relabel(false).Run(ctx, p, o)
-		}},
 		// Word-sharded sweep on every round (ParallelThreshold 1): the test
 		// graphs never reach the default frontier-word threshold.
 		{"bitsetSharded", func(ctx context.Context, g *graph.Graph, p engine.Protocol, o engine.Options) (engine.Result, error) {
 			o.ParallelThreshold = 1
 			return bitengine.New(g).Parallel(4).Run(ctx, p, o)
-		}},
-		{"bitsetShardedNoRelabel", func(ctx context.Context, g *graph.Graph, p engine.Protocol, o engine.Options) (engine.Result, error) {
-			o.ParallelThreshold = 1
-			return bitengine.New(g).Relabel(false).Parallel(4).Run(ctx, p, o)
 		}},
 	}
 }
@@ -262,42 +256,28 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestDegreeSorted pins the relabeling contract: descending degree, stable
-// ties, inverse consistency, identity on regular graphs, and preserved
-// adjacency.
-func TestDegreeSorted(t *testing.T) {
-	// Path degrees are [1 2 2 ... 2 1]: the endpoints must relabel to the
-	// back, interior nodes shift forward in stable (original-id) order.
-	g := gen.Path(6)
-	rg, perm, inv := graph.DegreeSorted(g)
-	if rg == g {
-		t.Fatal("path must relabel (endpoints have the minimum degree)")
-	}
-	if perm[0] != 4 || perm[5] != 5 || perm[1] != 0 {
-		t.Fatalf("unexpected permutation: %v", perm)
-	}
-	for v := 0; v < g.N(); v++ {
-		if inv[perm[v]] != graph.NodeID(v) {
-			t.Fatalf("inv[perm[%d]] = %d", v, inv[perm[v]])
+// TestFirstRunAllocationPerSlot guards the set-up footprint: the kernels
+// run on the graph's own CSR, so a fresh engine's first untraced run
+// allocates the mirror permutation (4 bytes per directed slot), the slot
+// bitsets and the dirty lists, and no copy of the adjacency. A copy of
+// Targets alone would cost 8 bytes per slot.
+func TestFirstRunAllocationPerSlot(t *testing.T) {
+	for _, spec := range []string{"gnp:n=4096,p=0.015625", "prefattach:n=4096,m=8"} {
+		g := gen.MustBuild(spec, 1)
+		flood := core.MustNewFlood(g, 0)
+		e := bitengine.New(g)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := e.Run(context.Background(), flood, engine.Options{})
+		runtime.ReadMemStats(&after)
+		if err != nil || !res.Terminated {
+			t.Fatalf("%s: %+v, err %v", spec, res, err)
 		}
-		if rg.Degree(perm[graph.NodeID(v)]) != g.Degree(graph.NodeID(v)) {
-			t.Fatalf("degree of %d changed under relabeling", v)
+		slots := len(g.CSR().Targets)
+		perSlot := float64(after.TotalAlloc-before.TotalAlloc) / float64(slots)
+		t.Logf("%s: first run allocated %.1f B per directed slot (%d slots)", spec, perSlot, slots)
+		if perSlot >= 8 {
+			t.Errorf("%s: first run allocated %.1f B per directed slot, want < 8", spec, perSlot)
 		}
-	}
-	for nw := 1; nw < rg.N(); nw++ {
-		if rg.Degree(graph.NodeID(nw-1)) < rg.Degree(graph.NodeID(nw)) {
-			t.Fatalf("degrees not descending at %d", nw)
-		}
-	}
-	for v := 0; v < g.N(); v++ {
-		for _, u := range g.Neighbors(graph.NodeID(v)) {
-			if !rg.HasEdge(perm[v], perm[u]) {
-				t.Fatalf("edge (%d,%d) lost under relabeling", v, u)
-			}
-		}
-	}
-	cyc := gen.Cycle(10)
-	if rg2, _, _ := graph.DegreeSorted(cyc); rg2 != cyc {
-		t.Fatal("regular graph must relabel to the identity (same *Graph)")
 	}
 }

@@ -315,7 +315,7 @@ type Frontier struct {
 	// Messages counts the messages in flight this round (len(Sends)).
 	Messages int
 	// Receivers yields every node receiving at least one message this
-	// round, in original labels and in no particular order. A frontier
+	// round, in no particular order. A frontier
 	// derived from Sends (RoundRecord.Frontier) yields a node once per
 	// message it receives; consumers needing distinct receivers dedup. Like
 	// RoundRecord.Sends, it reads engine-internal state and must not be

@@ -13,14 +13,19 @@ import (
 	"amnesiacflood/internal/engine/chanengine"
 	"amnesiacflood/internal/engine/fastengine"
 	"amnesiacflood/internal/graph"
+	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
+	"amnesiacflood/internal/theory"
 )
 
 // FuzzEngineEquivalence drives random G(n, p) graphs through the
 // sequential, channel, fast (sequential + parallel), and bitset engines and
 // demands identical traces and Result fields, plus per-round message counts
-// and receiver sets from an untraced, frontier-observed bitset run. Every input triple deterministically
-// derives a graph, so failures reproduce exactly.
+// and receiver sets from an untraced, frontier-observed bitset run. On
+// connected graphs the sequential run must also meet the paper's
+// termination bound (theory.PredictTermination), which every engine then
+// matches. Every input triple deterministically derives a graph, so
+// failures reproduce exactly.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(30))
 	f.Add(int64(2), uint8(3), uint8(100)) // triangle-ish, dense
@@ -40,6 +45,15 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("sequential on %s from %d: %v", g, src, err)
 		}
+		// The paper's theorem on connected graphs: the flood terminates, in
+		// exactly e(src) rounds when g is bipartite and in e(src)..2D+1
+		// otherwise.
+		if len(algo.Components(g)) == 1 {
+			if bound := theory.PredictTermination(g, src); !want.Terminated || !bound.Holds(want.Rounds) {
+				t.Fatalf("sequential on %s from %d: terminated=%t after %d rounds, want termination within %+v",
+					g, src, want.Terminated, want.Rounds, bound)
+			}
+		}
 		engines := []struct {
 			name string
 			run  func(context.Context, *graph.Graph, engine.Protocol, engine.Options) (engine.Result, error)
@@ -54,9 +68,6 @@ func FuzzEngineEquivalence(f *testing.F) {
 				return fastengine.RunParallel(ctx, g, p, o)
 			}},
 			{"bitset", bitengine.Run},
-			{"bitsetNoRelabel", func(ctx context.Context, g *graph.Graph, p engine.Protocol, o engine.Options) (engine.Result, error) {
-				return bitengine.New(g).Relabel(false).Run(ctx, p, o)
-			}},
 			{"bitsetSharded", func(ctx context.Context, g *graph.Graph, p engine.Protocol, o engine.Options) (engine.Result, error) {
 				o.ParallelThreshold = 1
 				return bitengine.New(g).Parallel(2).Run(ctx, p, o)

@@ -65,8 +65,8 @@ const (
 	// Parallel is the fast engine with GOMAXPROCS sharded delivery workers.
 	Parallel
 	// Bitset is the word-parallel frontier engine (bitengine package):
-	// rounds are OR/AND-NOT sweeps over edge-slot bitsets with degree-sorted
-	// relabeling, for million-node graphs.
+	// rounds are OR/AND-NOT sweeps over edge-slot bitsets laid over the
+	// graph's own CSR, for million-node graphs.
 	Bitset
 )
 
