@@ -23,13 +23,16 @@ build:
 
 # vet also fails when a non-test package imports a frozen test oracle
 # (internal/model/modeltest, internal/analysis/analysistest), when a
-# tracked Go file is not gofmt-clean, and when the benchmark module (bench/,
-# its own module, so ./... skips it) does not compile against the tree.
+# tracked Go file is not gofmt-clean, when the benchmark module (bench/,
+# its own module, so ./... skips it) does not compile against the tree, and
+# when a non-test file on the run path (analyses, the façade, the service,
+# afsim, afsimd) calls the all-pairs algo.Diameter.
 vet:
 	go vet ./...
 	go -C bench vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	! go list -f '{{$$p := .ImportPath}}{{range .Imports}}{{$$p}} -> {{.}}{{"\n"}}{{end}}' ./... | grep -E -- '-> .*/(modeltest|analysistest)$$'
+	! grep -rnE --include='*.go' --exclude='*_test.go' 'algo\.Diameter\(' internal/analysis internal/sim internal/service cmd/afsim cmd/afsimd
 
 test:
 	go test ./...

@@ -194,8 +194,12 @@ func run(args []string) error {
 		fmt.Printf("non-termination certificate: configuration at round %d recurs at round %d (period %d)\n",
 			res.Certificate.Start, res.Certificate.Start+res.Certificate.Length, res.Certificate.Length)
 	}
-	fmt.Printf("graph: diameter=%d eccentricity(source)=%d bipartite=%t\n",
-		algo.Diameter(g), algo.Eccentricity(g, source), algo.IsBipartite(g))
+	// One parity BFS and a two-sweep bound, O(n+m): the exact diameter
+	// would cost a BFS per node.
+	var cover doublecover.Arena
+	cover.Run(g, source)
+	fmt.Printf("graph: eccentricity(source)=%d bipartite=%t amnesiac-rounds(source)=%d diameter>=%d\n",
+		cover.Eccentricity(), cover.Bipartite(), cover.Rounds(), algo.DiameterLowerBound(g))
 	if len(res.Metrics) > 0 {
 		keys := make([]string, 0, len(res.Metrics))
 		for k := range res.Metrics {
@@ -393,8 +397,7 @@ func runPredict(g *graph.Graph, source graph.NodeID, label trace.Labeler) error 
 	fmt.Printf("  predicted: rounds=%d messages=%d\n", pred.Rounds, pred.TotalMessages)
 	fmt.Printf("  measured:  rounds=%d messages=%d\n", rep.Rounds(), rep.TotalMessages())
 	fmt.Printf("  traces identical: %t\n", same)
-	dist := doublecover.BFS(g, source)
-	if second := dist.SecondReceivers(); len(second) > 0 {
+	if second := pred.SecondReceivers(); len(second) > 0 {
 		fmt.Printf("  nodes predicted to receive twice: %d (odd-cycle parity reachable)\n", len(second))
 	} else {
 		fmt.Println("  every node predicted to receive exactly once (bipartite behaviour)")

@@ -71,8 +71,10 @@
 // Measurement is the fifth registry-driven axis (internal/analysis): every
 // metric the paper reasons about is a self-registered *streaming* analysis
 // under the same spec grammar — "coverage" (per-node receive counts),
-// "termination" (rounds vs. the e(v)/2D+1 window and per-family closed
-// forms), "bipartite" (odd-cycle witnesses, early-stopping), "spantree"
+// "termination" (rounds vs. the e(v)/2D+1 window, certified in O(n+m) by a
+// two-sweep diameter bound, the exact double-cover law checked round by
+// round, and per-family closed forms), "bipartite" (odd-cycle witnesses,
+// early-stopping), "spantree"
 // (BFS tree), "echo" (the Dijkstra–Scholten detection baseline), and
 // "quantiles" (metric promotion for suite-level stats). Analyses observe
 // runs round by round with session-owned reusable buffers — no trace is
@@ -145,7 +147,7 @@
 //	internal/obs              metrics kernel: atomic counters/gauges/histograms, Prometheus text exposition
 //	internal/graph            immutable simple graphs, builder, CSR view, encodings
 //	internal/graph/gen        graph families behind a spec-grammar registry
-//	internal/graph/algo       BFS, diameter, bipartiteness ground truth
+//	internal/graph/algo       BFS, diameter and its two-sweep lower bound, bipartiteness ground truth
 //	internal/engine           synchronous round engine + Protocol/RoundObserver
 //	internal/engine/chanengine concurrent channel-based engine
 //	internal/engine/fastengine zero-allocation CSR engine, parallel mode
@@ -153,7 +155,7 @@
 //	internal/core             Amnesiac Flooding protocol and run reports
 //	internal/classic          flag-based flooding baseline
 //	internal/async            delay adversaries of the asynchronous model
-//	internal/doublecover      exact prediction via the bipartite double cover
+//	internal/doublecover      exact prediction via the bipartite double cover (one reusable parity BFS)
 //	internal/theory           the paper's lemmas/theorems as executable checks
 //	internal/faults           message-loss and crash injection (+ engine-hosted protocol)
 //	internal/dynamic          edge-churn schedules of the dynamic model

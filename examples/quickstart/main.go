@@ -73,8 +73,12 @@ func run() error {
 		res.Trace = recorder.Trace
 		rep := core.Analyze(d.g, []graph.NodeID{d.source}, res)
 		bound := theory.PredictTermination(d.g, d.source)
-		fmt.Printf("\nterminated in %d rounds (paper's window: %d..%d), %d messages, max receives per node %d\n",
-			rep.Rounds(), bound.Lower, bound.Upper, rep.TotalMessages(), rep.MaxReceives())
+		window := fmt.Sprintf("%d..%d", bound.Lower, bound.Upper)
+		if !bound.Certified {
+			window = fmt.Sprintf("%d.., upper end not certified", bound.Lower)
+		}
+		fmt.Printf("\nterminated in %d rounds (paper's window: %s), %d messages, max receives per node %d\n",
+			rep.Rounds(), window, rep.TotalMessages(), rep.MaxReceives())
 		fmt.Printf("graph: diameter %d, e(source) %d, bipartite %t; engine %s in %v\n\n",
 			algo.Diameter(d.g), algo.Eccentricity(d.g, d.source), algo.IsBipartite(d.g),
 			res.Engine, res.WallTime)

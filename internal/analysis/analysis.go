@@ -15,21 +15,27 @@
 // no per-run analysis allocation — the same amortisation contract the fast
 // engines keep for their arenas.
 //
-// The coverage, termination, quantiles, and echo families observe at
-// frontier level (engine.FrontierObserver): they need only each round's
-// receivers and message count (echo needs nothing from the stream at all),
-// so a Set made of them lets the bitset engine skip building Send records.
-// The bipartite and spantree families read each round's senders, and one of
-// them in a Set puts the whole Set on the Send path.
+// The coverage, termination, bipartite, quantiles, and echo families
+// observe at frontier level (engine.FrontierObserver): they need only each
+// round's receivers and message count (echo needs nothing from the stream
+// at all), so a Set made of them lets the bitset engine skip building Send
+// records. The spantree family reads each round's senders, and puts any Set
+// holding it on the Send path.
+//
+// Cost contract: every family's Finish is O(n+m) per run, so a run's
+// analysis costs no more than its flood. termination's is at most one
+// two-sweep diameter bound (two BFS, once per analyzer), and echo's is one
+// termdetect.Run. That is what keeps a served run inside its watchdog
+// without passing Finish a context.
 //
 // The package deliberately depends only on the engine/graph layers (plus
-// gen for spec recognition, algo for ground truth, stats for summaries, and
-// termdetect for the echo baseline), so the sim façade can own it the way
-// it owns internal/model. This registry is the repository's one measurement
-// path: core.Analyze replays a trace through the coverage analysis for the
-// theory checks, and the frozen post-hoc bipartiteness and spanning-tree
-// walks live on only as differential-test oracles in the test-only
-// analysistest subpackage.
+// gen for spec recognition, algo for ground truth, doublecover for the
+// exact termination law, stats for summaries, and termdetect for the echo
+// baseline), so the sim façade can own it the way it owns internal/model.
+// This registry is the repository's one measurement path: core.Analyze
+// replays a trace through the coverage analysis for the theory checks, and
+// the frozen post-hoc bipartiteness and spanning-tree walks live on only as
+// differential-test oracles in the test-only analysistest subpackage.
 package analysis
 
 import (
@@ -80,7 +86,8 @@ type Analyzer interface {
 	engine.RoundObserver
 	// Finish derives the run's metrics from the streamed state and the
 	// engine result (which carries rounds, totals, outcome, and model).
-	// The result's Trace is not consulted — analyses stream.
+	// The result's Trace is not consulted — analyses stream. It costs
+	// O(n+m) per run at most (see the package doc's cost contract).
 	Finish(res engine.Result) (Metrics, error)
 }
 

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
@@ -26,7 +27,10 @@ type Bipartite struct {
 	ecc        eccCache
 }
 
-var _ Analyzer = (*Bipartite)(nil)
+var (
+	_ Analyzer                = (*Bipartite)(nil)
+	_ engine.FrontierObserver = (*Bipartite)(nil)
+)
 
 func init() {
 	Register("bipartite", Family{
@@ -60,12 +64,24 @@ func (b *Bipartite) Start(origins []graph.NodeID) error {
 	return nil
 }
 
-// ObserveRound implements engine.RoundObserver, signalling readiness from
-// the first odd-cycle witness on.
+// ObserveRound implements engine.RoundObserver.
 func (b *Bipartite) ObserveRound(rec engine.RoundRecord) (bool, error) {
-	for _, s := range rec.Sends {
-		v := s.To
-		if v == b.source || (b.firstHeard[v] != 0 && b.firstHeard[v] != rec.Round) {
+	return b.ObserveFrontier(rec.Frontier())
+}
+
+// FrontierOnly implements engine.FrontierObserver: the detector reads only
+// each round's receivers.
+func (b *Bipartite) FrontierOnly() bool { return true }
+
+// ObserveFrontier implements engine.FrontierObserver, signalling readiness
+// from the first odd-cycle witness on. A Send-derived frontier repeats
+// receivers; firstHeard and isWitness make the repeats no-ops. Each
+// round's new witnesses are sorted, so Witnesses() does not depend on the
+// order an engine yields receivers in.
+func (b *Bipartite) ObserveFrontier(f engine.Frontier) (bool, error) {
+	fresh := len(b.witnesses)
+	for v := range f.Receivers {
+		if v == b.source || (b.firstHeard[v] != 0 && b.firstHeard[v] != f.Round) {
 			// The source hearing M back, or any node hearing it in a second
 			// distinct round, certifies an odd cycle.
 			if !b.isWitness[v] {
@@ -76,9 +92,10 @@ func (b *Bipartite) ObserveRound(rec engine.RoundRecord) (bool, error) {
 			continue
 		}
 		if b.firstHeard[v] == 0 {
-			b.firstHeard[v] = rec.Round
+			b.firstHeard[v] = f.Round
 		}
 	}
+	slices.Sort(b.witnesses[fresh:])
 	return b.found, nil
 }
 
@@ -116,8 +133,9 @@ func (b *Bipartite) Finish(res engine.Result) (Metrics, error) {
 	return m, nil
 }
 
-// Witnesses returns the odd-cycle witness nodes in discovery order. The
-// slice is the analyzer's reusable buffer: valid until the next Start.
+// Witnesses returns the odd-cycle witness nodes in discovery order: by
+// round, ascending within a round. The slice is the analyzer's reusable
+// buffer: valid until the next Start.
 func (b *Bipartite) Witnesses() []graph.NodeID { return b.witnesses }
 
 // Found reports whether any odd-cycle witness was observed.

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"testing"
 
+	"amnesiacflood/internal/analysis"
 	"amnesiacflood/internal/analysis/analysistest"
 	"amnesiacflood/internal/core"
 	"amnesiacflood/internal/engine"
@@ -337,25 +338,37 @@ func TestTerminationClosedForms(t *testing.T) {
 
 // TestSessionReuseAcrossBatch: one session's analyzers serve a whole
 // RunBatch sweep — per-source metrics must equal fresh single-run sessions
-// (buffer reuse cannot leak state between runs).
+// (buffer reuse cannot leak state between runs). A second session runs the
+// sources in reverse order: no metric may depend on which origin a session
+// ran first (the termination analysis's two-sweep bound is per graph).
 func TestSessionReuseAcrossBatch(t *testing.T) {
 	g := gen.MustBuild("randnonbipartite:n=36,p=0.09", 7)
+	specs := []string{"coverage", "termination", "bipartite"}
 	sources := make([]graph.NodeID, g.N())
 	for i := range sources {
 		sources[i] = graph.NodeID(i)
 	}
-	shared, err := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithEngine(sim.Fast),
-		sim.WithAnalysis("coverage", "termination", "bipartite"))
-	if err != nil {
-		t.Fatal(err)
+	reversed := slices.Clone(sources)
+	slices.Reverse(reversed)
+	batch := func(sources []graph.NodeID) map[graph.NodeID]analysis.Metrics {
+		shared, err := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithEngine(sim.Fast), sim.WithAnalysis(specs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := shared.RunBatch(context.Background(), sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[graph.NodeID]analysis.Metrics{}
+		for i, src := range sources {
+			out[src] = results[i].Metrics
+		}
+		return out
 	}
-	batch, err := shared.RunBatch(context.Background(), sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, src := range sources {
+	forward, backward := batch(sources), batch(reversed)
+	for _, src := range sources {
 		fresh, err := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithEngine(sim.Fast),
-			sim.WithOrigins(src), sim.WithAnalysis("coverage", "termination", "bipartite"))
+			sim.WithOrigins(src), sim.WithAnalysis(specs...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,12 +376,14 @@ func TestSessionReuseAcrossBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Metrics) != len(batch[i].Metrics) {
-			t.Fatalf("source %d: metric sets differ: %v vs %v", src, batch[i].Metrics, res.Metrics)
-		}
-		for k, v := range res.Metrics {
-			if batch[i].Metrics[k] != v {
-				t.Fatalf("source %d: metric %s = %g reused, %g fresh", src, k, batch[i].Metrics[k], v)
+		for order, reused := range map[string]analysis.Metrics{"forward": forward[src], "reversed": backward[src]} {
+			if len(res.Metrics) != len(reused) {
+				t.Fatalf("source %d (%s): metric sets differ: %v vs %v", src, order, reused, res.Metrics)
+			}
+			for k, v := range res.Metrics {
+				if reused[k] != v {
+					t.Fatalf("source %d (%s): metric %s = %g reused, %g fresh", src, order, k, reused[k], v)
+				}
 			}
 		}
 	}

@@ -3,29 +3,40 @@ package analysis
 import (
 	"strconv"
 
+	"amnesiacflood/internal/doublecover"
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
 )
 
-// Termination measures how a run ended against the paper's predictions:
-// the observed round and message totals, the e(source) .. 2D+1 termination
-// window (exact e(source) on bipartite graphs — Lemma 2.1 / Theorem 3.3),
-// and, when the graph spec names a family with a known closed form (path,
-// cycle, complete, star, hypercube), the exact predicted round count.
-// Graph-level quantities (bipartiteness, diameter) are computed lazily once
-// per analyzer and reused across every run of the session.
+// Termination measures how a run ended against the paper's predictions.
+// It reports the observed round and message totals and the e(source)
+// lower bound. On a bipartite component the window is exactly e(source)
+// (Lemma 2.1); otherwise it is e(source)..2D+1 (Theorem 3.3), certified
+// without computing D (doublecover.Window). For amnesiac floods it adds
+// the exact law: the round and every node's receipt rounds predicted by
+// one parity BFS over the bipartite double cover (internal/doublecover),
+// checked round by round against the observed frontiers. When the graph
+// spec names a family with a known closed form (path, cycle, complete,
+// star, hypercube) it also reports that family's constant. Every metric is
+// a pure function of (graph, origin): the per-run state is one parity BFS
+// from the origin, and the only graph-level quantity, a two-sweep diameter
+// lower bound, is computed once per analyzer from node 0.
 type Termination struct {
 	g      *graph.Graph
 	origin graph.NodeID
 	single bool
 
-	bipartite     bool
-	bipartiteOnce bool
-	diam          int
-	diamOnce      bool
-	ecc           eccCache
+	// lb is the two-sweep lower bound on D, once per analyzer.
+	lb     int
+	lbOnce bool
+
+	// The run's prediction and how the observed frontiers matched it.
+	cover    doublecover.Arena
+	heard    []int32 // heard[v]: the last round v was seen receiving, 0 if none
+	received int     // distinct (node, round) receipts observed
+	stray    bool    // some node received in a round the cover does not predict
 
 	// closed-form recognition, resolved once from the graph spec
 	family string // "" when the spec is absent or has no closed form
@@ -37,11 +48,16 @@ var (
 	_ engine.FrontierObserver = (*Termination)(nil)
 )
 
+// amnesiacProtocol is the protocol name of amnesiac floods, the runs the
+// double-cover law predicts.
+const amnesiacProtocol = "amnesiac-flooding"
+
 func init() {
 	Register("termination", Family{
-		Doc: "termination round and messages vs. the paper's e(src)..2D+1 window and per-family closed forms",
+		Doc: "termination round and messages vs. the paper's e(src)..2D+1 window (certified by a two-sweep bound), " +
+			"the exact double-cover law for amnesiac floods, and per-family closed forms",
 		Metrics: []string{"rounds", "messages", "eccentricity", "boundLower",
-			"boundUpper", "boundExact", "withinBounds", "closedForm", "closedFormOK"},
+			"boundUpper", "boundExact", "withinBounds", "exactRounds", "exactOK", "closedForm", "closedFormOK"},
 		New: func(ctx Context, v Values) (Analyzer, error) {
 			t := &Termination{g: ctx.Graph}
 			t.recognise(ctx.GraphSpec)
@@ -136,12 +152,20 @@ func (t *Termination) closedForm(src graph.NodeID) (int, bool) {
 // Family implements Analyzer.
 func (t *Termination) Family() string { return "termination" }
 
-// Start implements Analyzer.
+// Start implements Analyzer. A single-origin run gets its prediction here:
+// one parity BFS from the origin into the analyzer's reused arenas.
 func (t *Termination) Start(origins []graph.NodeID) error {
 	t.single = len(origins) == 1
-	if t.single {
-		t.origin = origins[0]
+	if !t.single {
+		return nil
 	}
+	t.origin = origins[0]
+	t.cover.Run(t.g, t.origin)
+	if t.heard == nil {
+		t.heard = make([]int32, t.g.N())
+	}
+	clear(t.heard)
+	t.received, t.stray = 0, false
 	return nil
 }
 
@@ -153,17 +177,40 @@ func (t *Termination) ObserveRound(rec engine.RoundRecord) (bool, error) {
 // FrontierOnly implements engine.FrontierObserver.
 func (t *Termination) FrontierOnly() bool { return true }
 
-// ObserveFrontier implements engine.FrontierObserver; the metrics derive
-// from the engine result, so observation is a no-op that never requests a
-// stop (the termination round is a whole-run property).
-func (t *Termination) ObserveFrontier(engine.Frontier) (bool, error) {
+// ObserveFrontier implements engine.FrontierObserver: each distinct
+// receiver of the round is checked against its predicted receipt rounds.
+// It never requests a stop (the termination round is a whole-run
+// property).
+func (t *Termination) ObserveFrontier(f engine.Frontier) (bool, error) {
+	if t.single {
+		for v := range f.Receivers {
+			t.receive(v, f.Round)
+		}
+	}
 	return false, nil
 }
 
-// Finish implements Analyzer. The bound and closed-form metrics apply only
-// to single-source runs under the synchronous model that ran to their
-// natural end; truncated, multi-source, or non-sync runs report the raw
-// rounds/messages alone.
+// receive checks that v's receipt in round is a predicted one. A receiver
+// repeated within the round, as Send-derived rounds repeat them, counts
+// once.
+func (t *Termination) receive(v graph.NodeID, round int) {
+	if t.heard[v] == int32(round) {
+		return
+	}
+	t.heard[v] = int32(round)
+	if t.cover.Receives(v, round) {
+		t.received++
+	} else {
+		t.stray = true
+	}
+}
+
+// Finish implements Analyzer in O(n+m) at most, for the two-sweep bound
+// on the analyzer's first non-bipartite run; otherwise O(1). The bound and
+// closed-form metrics apply only to single-source runs under the
+// synchronous model that ran to their natural end, and the exact law only
+// to amnesiac floods among those; truncated, multi-source, or non-sync runs
+// report the raw rounds/messages alone.
 func (t *Termination) Finish(res engine.Result) (Metrics, error) {
 	m := Metrics{
 		"rounds":   float64(res.Rounds),
@@ -172,24 +219,21 @@ func (t *Termination) Finish(res engine.Result) (Metrics, error) {
 	if !t.single || res.Stopped || !res.Terminated || (res.Model != "" && res.Model != "sync") {
 		return m, nil
 	}
-	ecc := t.ecc.of(t.g, t.origin)
+	ecc, bipartite := t.cover.Eccentricity(), t.cover.Bipartite()
 	m["eccentricity"] = float64(ecc)
-	if !t.bipartiteOnce {
-		t.bipartite = algo.IsBipartite(t.g)
-		t.bipartiteOnce = true
+	m["boundLower"] = float64(ecc)
+	m["boundExact"] = boolMetric(bipartite)
+	if !bipartite && !t.lbOnce {
+		t.lb, t.lbOnce = algo.DiameterLowerBound(t.g), true
 	}
-	lower, upper := ecc, ecc
-	if !t.bipartite {
-		if !t.diamOnce {
-			t.diam = algo.Diameter(t.g)
-			t.diamOnce = true
-		}
-		upper = 2*t.diam + 1
+	if upper, ok := doublecover.Window(res.Rounds, ecc, t.lb, bipartite); ok {
+		m["boundUpper"] = float64(upper)
+		m["withinBounds"] = boolMetric(res.Rounds >= ecc && res.Rounds <= upper)
 	}
-	m["boundLower"] = float64(lower)
-	m["boundUpper"] = float64(upper)
-	m["boundExact"] = boolMetric(t.bipartite)
-	m["withinBounds"] = boolMetric(res.Rounds >= lower && res.Rounds <= upper)
+	if res.Protocol == amnesiacProtocol {
+		m["exactRounds"] = float64(t.cover.Rounds())
+		m["exactOK"] = boolMetric(res.Rounds == t.cover.Rounds() && !t.stray && t.received == t.cover.Receipts())
+	}
 	if cf, ok := t.closedForm(t.origin); ok {
 		m["closedForm"] = float64(cf)
 		m["closedFormOK"] = boolMetric(res.Rounds == cf)

@@ -57,36 +57,17 @@ const (
 type Distances struct {
 	Source graph.NodeID
 	D      [][2]int
+	rounds int
 }
 
-// BFS computes the parity-BFS distances from source over g, i.e. plain BFS
-// on the bipartite double cover without materialising it.
+// BFS computes the parity-BFS distances from source over g (an Arena run,
+// copied out).
 func BFS(g *graph.Graph, source graph.NodeID) Distances {
-	n := g.N()
-	dist := Distances{Source: source, D: make([][2]int, n)}
-	for i := range dist.D {
-		dist.D[i] = [2]int{Infinite, Infinite}
-	}
-	if !g.HasNode(source) {
-		return dist
-	}
-	type state struct {
-		v graph.NodeID
-		p Parity
-	}
-	dist.D[source][Even] = 0
-	queue := make([]state, 0, 2*n)
-	queue = append(queue, state{source, Even})
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		d := dist.D[cur.v][cur.p]
-		next := 1 - cur.p
-		for _, nbr := range g.Neighbors(cur.v) {
-			if dist.D[nbr][next] == Infinite {
-				dist.D[nbr][next] = d + 1
-				queue = append(queue, state{nbr, next})
-			}
-		}
+	var a Arena
+	a.Run(g, source)
+	dist := Distances{Source: source, D: make([][2]int, g.N()), rounds: a.Rounds()}
+	for v := range dist.D {
+		dist.D[v] = [2]int{a.Dist(graph.NodeID(v), Even), a.Dist(graph.NodeID(v), Odd)}
 	}
 	return dist
 }
@@ -100,10 +81,120 @@ func (d Distances) Reached(v graph.NodeID, p Parity) bool {
 // increasing order: the finite, non-zero cover distances. The source's
 // round-0 "possession" is excluded (it is the paper's R_0, not a receipt).
 func (d Distances) ReceiptRounds(v graph.NodeID) []int {
+	return receiptRounds(d.D[v][Even], d.D[v][Odd])
+}
+
+// TerminationRound returns the exact round in which the flood from the
+// source terminates: the maximum finite cover distance, or 0 when nothing
+// is reachable (isolated source).
+func (d Distances) TerminationRound() int { return d.rounds }
+
+// Arena is the parity BFS itself: plain BFS on the bipartite double cover,
+// without materialising it, in flat int32 arenas that one Arena reuses
+// across sources (no allocation once sized for the graph). Besides every
+// node's parity distances, one Run yields the exact termination round, the
+// source's eccentricity and the bipartiteness of its component. BFS and
+// Predict are thin wrappers over it, and the termination analysis keeps one
+// per analyzer. Cover states are packed as 2v+p in an int32, which caps
+// graphs at 2^30 nodes.
+type Arena struct {
+	dist      []int32 // dist[2v+p]: shortest parity-p walk from the source to v, or Infinite
+	queue     []int32 // cover states 2v+p in BFS order
+	rounds    int
+	ecc       int
+	bipartite bool
+}
+
+// Run computes the parity distances from source over g, replacing the
+// previous run's. It costs O(n+m): every cover state is queued at most
+// once, and each node's adjacency is scanned once per reached parity.
+func (a *Arena) Run(g *graph.Graph, source graph.NodeID) {
+	n := g.N()
+	dist := slices.Grow(a.dist[:0], 2*n)[:2*n]
+	queue := slices.Grow(a.queue[:0], 2*n)[:2*n]
+	a.dist, a.queue = dist, queue[:0]
+	for i := range dist {
+		dist[i] = Infinite
+	}
+	a.rounds, a.ecc, a.bipartite = 0, 0, true
+	if !g.HasNode(source) {
+		return
+	}
+	csr := g.CSR()
+	start := int32(source) << 1
+	dist[start] = 0
+	queue[0] = start
+	tail, ecc := 1, int32(0)
+	// Once all 2n states are queued, the remaining scans cannot find one,
+	// so a connected non-bipartite graph stops early.
+	for head := 0; head < tail && tail < len(queue); head++ {
+		s := queue[head]
+		next := dist[s] + 1
+		flip := s&1 ^ 1
+		for _, w := range csr.Row(graph.NodeID(s >> 1)) {
+			t := int32(w)<<1 | flip
+			if dist[t] != Infinite {
+				continue
+			}
+			dist[t] = next
+			queue[tail] = t
+			tail++
+			if dist[t^1] == Infinite {
+				// First arrival at w: its BFS distance. BFS order makes
+				// the last first arrival the eccentricity.
+				ecc = next
+			}
+		}
+	}
+	a.queue = queue[:tail]
+	a.rounds = int(dist[queue[tail-1]])
+	a.ecc = int(ecc)
+	a.bipartite = dist[start|1] == Infinite
+}
+
+// Dist returns the shortest parity-p walk length from the source to v, or
+// Infinite.
+func (a *Arena) Dist(v graph.NodeID, p Parity) int {
+	return int(a.dist[int(v)<<1|int(p)])
+}
+
+// Rounds returns the exact round in which the flood from the source
+// terminates: the maximum finite cover distance, or 0 when nothing is
+// reachable (isolated source).
+func (a *Arena) Rounds() int { return a.rounds }
+
+// Eccentricity returns e(source): the greatest BFS distance from the
+// source to a node of its component.
+func (a *Arena) Eccentricity() int { return a.ecc }
+
+// Bipartite reports whether the source's component is bipartite, i.e. no
+// odd closed walk leaves the source (its odd parity is unreachable). Other
+// components are not visited.
+func (a *Arena) Bipartite() bool { return a.bipartite }
+
+// Receipts returns the number of (node, round) receipts the flood makes:
+// every reached cover state but the source's round-0 possession.
+func (a *Arena) Receipts() int { return max(len(a.queue)-1, 0) }
+
+// Receives reports whether node v receives M in the given round, i.e.
+// whether round is v's cover distance of the round's parity.
+func (a *Arena) Receives(v graph.NodeID, round int) bool {
+	return round > 0 && int(a.dist[int(v)<<1|round&1]) == round
+}
+
+// ReceiptRounds returns the rounds in which node v receives M, in
+// increasing order: the finite, non-zero cover distances. The source's
+// round-0 "possession" is excluded (it is the paper's R_0, not a receipt).
+func (a *Arena) ReceiptRounds(v graph.NodeID) []int {
+	return receiptRounds(a.Dist(v, Even), a.Dist(v, Odd))
+}
+
+// receiptRounds orders a node's positive, finite parity distances.
+func receiptRounds(even, odd int) []int {
 	var out []int
-	for _, p := range []Parity{Even, Odd} {
-		if dv := d.D[v][p]; dv > 0 {
-			out = append(out, dv)
+	for _, d := range []int{even, odd} {
+		if d > 0 {
+			out = append(out, d)
 		}
 	}
 	if len(out) == 2 && out[0] > out[1] {
@@ -112,19 +203,22 @@ func (d Distances) ReceiptRounds(v graph.NodeID) []int {
 	return out
 }
 
-// TerminationRound returns the exact round in which the flood from the
-// source terminates: the maximum finite cover distance, or 0 when nothing
-// is reachable (isolated source).
-func (d Distances) TerminationRound() int {
-	max := 0
-	for _, dv := range d.D {
-		for _, p := range []Parity{Even, Odd} {
-			if dv[p] > max {
-				max = dv[p]
-			}
-		}
+// Window decides the upper end of the paper's termination window for a
+// run of the given rounds from a source of eccentricity ecc, and whether
+// it certifies the run. On a bipartite component the window is exactly ecc
+// (Lemma 2.1) and needs no D. Otherwise it is ecc..2D+1 (Theorem 3.3), and
+// D is not computed: for any lb <= D, upper = 2*max(lb, ecc)+1 is at most
+// 2D+1, so a run within upper is within 2D+1. A run past upper is neither
+// certified nor refuted: Window then returns (0, false), and no upper end
+// is reported.
+func Window(rounds, ecc, lb int, bipartite bool) (upper int, certified bool) {
+	if bipartite {
+		return ecc, true
 	}
-	return max
+	if upper = 2*max(lb, ecc) + 1; rounds > upper {
+		return 0, false
+	}
+	return upper, true
 }
 
 // Cover materialises the bipartite double cover as a concrete graph:
@@ -147,7 +241,7 @@ func CoverNode(g *graph.Graph, v graph.NodeID, p Parity) graph.NodeID {
 }
 
 // Prediction is the complete forecast of a single-source amnesiac flood,
-// derived from two BFS passes and no simulation.
+// derived from one parity BFS and no simulation.
 type Prediction struct {
 	Source graph.NodeID
 	// Rounds is the exact termination round.
@@ -161,16 +255,18 @@ type Prediction struct {
 	Trace []engine.RoundRecord
 }
 
-// Predict forecasts the flood from source on g by applying the cover laws.
+// Predict forecasts the flood from source on g by applying the cover laws
+// to one Arena run.
 func Predict(g *graph.Graph, source graph.NodeID) Prediction {
-	dist := BFS(g, source)
+	var a Arena
+	a.Run(g, source)
 	pred := Prediction{
 		Source:   source,
-		Rounds:   dist.TerminationRound(),
+		Rounds:   a.Rounds(),
 		Receipts: make([][]int, g.N()),
 	}
-	for v := 0; v < g.N(); v++ {
-		pred.Receipts[v] = dist.ReceiptRounds(graph.NodeID(v))
+	for v := range pred.Receipts {
+		pred.Receipts[v] = a.ReceiptRounds(graph.NodeID(v))
 	}
 
 	// Reconstruct the send schedule: u -> v at round D[u][p]+1 for each
@@ -180,12 +276,12 @@ func Predict(g *graph.Graph, source graph.NodeID) Prediction {
 	for u := 0; u < g.N(); u++ {
 		uid := graph.NodeID(u)
 		for _, p := range []Parity{Even, Odd} {
-			du := dist.D[uid][p]
+			du := a.Dist(uid, p)
 			if du == Infinite {
 				continue
 			}
 			for _, v := range g.Neighbors(uid) {
-				dv := dist.D[v][1-p]
+				dv := a.Dist(v, 1-p)
 				if dv != Infinite && dv == du-1 {
 					continue // v was a deliverer of u's parity-p receipt
 				}
@@ -216,10 +312,10 @@ func Predict(g *graph.Graph, source graph.NodeID) Prediction {
 // the nodes with both parities reachable at positive distance. For a
 // connected bipartite graph this is empty; for a connected non-bipartite
 // graph it is every node except possibly the source.
-func (d Distances) SecondReceivers() []graph.NodeID {
+func (p Prediction) SecondReceivers() []graph.NodeID {
 	var out []graph.NodeID
-	for v := range d.D {
-		if len(d.ReceiptRounds(graph.NodeID(v))) == 2 {
+	for v, rounds := range p.Receipts {
+		if len(rounds) == 2 {
 			out = append(out, graph.NodeID(v))
 		}
 	}

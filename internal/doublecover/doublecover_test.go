@@ -3,6 +3,7 @@ package doublecover_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -72,14 +73,13 @@ func TestReachedAndSecondReceivers(t *testing.T) {
 	if !d.Reached(2, doublecover.Even) || !d.Reached(2, doublecover.Odd) {
 		t.Fatal("odd cycle must reach both parities everywhere")
 	}
-	second := d.SecondReceivers()
+	second := doublecover.Predict(g, 0).SecondReceivers()
 	// On C5 every node including the source? Source receipts: D[0][1] =
 	// shortest odd closed walk = 5, D[0][0] = 0 (excluded) -> one receipt.
 	if len(second) != 4 {
 		t.Fatalf("second receivers = %v, want the 4 non-source nodes", second)
 	}
-	bip := doublecover.BFS(gen.Grid(3, 4), 0)
-	if len(bip.SecondReceivers()) != 0 {
+	if len(doublecover.Predict(gen.Grid(3, 4), 0).SecondReceivers()) != 0 {
 		t.Fatal("bipartite graph predicted double receipts")
 	}
 }
@@ -235,5 +235,98 @@ func TestPredictIsolatedSource(t *testing.T) {
 	pred := doublecover.Predict(g, 0)
 	if pred.Rounds != 0 || pred.TotalMessages != 0 || len(pred.Trace) != 0 {
 		t.Fatalf("isolated source prediction = %+v", pred)
+	}
+}
+
+// TestArenaReuseMatchesFreshRuns: one Arena serving many sources, on
+// connected and disconnected graphs, reports what a fresh BFS and the
+// reference algorithms report: the distances, e(source), the bipartiteness
+// of the source's component, the receipt count and the termination round.
+func TestArenaReuseMatchesFreshRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	odd, err := graph.FromEdges("", 7, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []*graph.Graph{odd, gen.Cycle(9), gen.Grid(3, 4), gen.Path(1)}
+	for i := 0; i < 12; i++ {
+		graphs = append(graphs, gen.RandomGNP(2+rng.Intn(40), 0.06, rng))
+	}
+	var a doublecover.Arena
+	for _, g := range graphs {
+		for v := g.N() - 1; v >= 0; v-- {
+			src := graph.NodeID(v)
+			a.Run(g, src)
+			fresh := doublecover.BFS(g, src)
+			// The termination round is the greatest finite cover distance.
+			last := 0
+			for _, d := range fresh.D {
+				last = max(last, d[0], d[1])
+			}
+			receipts := 0
+			for u := 0; u < g.N(); u++ {
+				for _, p := range []doublecover.Parity{doublecover.Even, doublecover.Odd} {
+					if got := a.Dist(graph.NodeID(u), p); got != fresh.D[u][p] {
+						t.Fatalf("%s from %d: Dist(%d, %d) = %d, fresh BFS %d", g, src, u, p, got, fresh.D[u][p])
+					}
+				}
+				rounds := fresh.ReceiptRounds(graph.NodeID(u))
+				receipts += len(rounds)
+				for r := 0; r <= last+1; r++ {
+					if got, want := a.Receives(graph.NodeID(u), r), slices.Contains(rounds, r); got != want {
+						t.Fatalf("%s from %d: Receives(%d, %d) = %t, want %t", g, src, u, r, got, want)
+					}
+				}
+			}
+			// The source's component is bipartite iff no edge in it joins
+			// two nodes at the same BFS distance.
+			bfs, bipartite := algo.BFS(g, src), true
+			for _, e := range g.Edges() {
+				bipartite = bipartite && (bfs[e.U] == algo.Unreachable || bfs[e.U] != bfs[e.V])
+			}
+			if a.Rounds() != last || a.Eccentricity() != algo.Eccentricity(g, src) ||
+				a.Bipartite() != bipartite || a.Receipts() != receipts {
+				t.Fatalf("%s from %d: rounds=%d ecc=%d bipartite=%t receipts=%d, want %d %d %t %d", g, src,
+					a.Rounds(), a.Eccentricity(), a.Bipartite(), a.Receipts(),
+					last, algo.Eccentricity(g, src), bipartite, receipts)
+			}
+		}
+	}
+}
+
+// TestArenaRunDoesNotAllocate: a warmed Arena reruns without allocating.
+func TestArenaRunDoesNotAllocate(t *testing.T) {
+	g := gen.MustBuild("gnp:n=512,p=0.02", 1)
+	var a doublecover.Arena
+	a.Run(g, 0)
+	src := graph.NodeID(0)
+	if allocs := testing.AllocsPerRun(20, func() {
+		src = (src + 7) % graph.NodeID(g.N())
+		a.Run(g, src)
+	}); allocs != 0 {
+		t.Fatalf("warm Arena.Run allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestWindow pins the window decision: exactly e(source) on a bipartite
+// component, 2*max(lb, e)+1 otherwise, and no upper end for a run past it.
+func TestWindow(t *testing.T) {
+	for _, tc := range []struct {
+		rounds, ecc, lb int
+		bipartite       bool
+		upper           int
+		certified       bool
+	}{
+		{rounds: 4, ecc: 4, lb: 9, bipartite: true, upper: 4, certified: true},
+		{rounds: 5, ecc: 4, lb: 0, bipartite: true, upper: 4, certified: true},
+		{rounds: 9, ecc: 4, lb: 3, upper: 9, certified: true},
+		{rounds: 9, ecc: 2, lb: 4, upper: 9, certified: true},
+		{rounds: 6, ecc: 2, lb: 2},
+	} {
+		upper, certified := doublecover.Window(tc.rounds, tc.ecc, tc.lb, tc.bipartite)
+		if upper != tc.upper || certified != tc.certified {
+			t.Errorf("Window(%d, %d, %d, %t) = %d, %t, want %d, %t", tc.rounds, tc.ecc, tc.lb, tc.bipartite,
+				upper, certified, tc.upper, tc.certified)
+		}
 	}
 }

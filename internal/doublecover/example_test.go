@@ -9,7 +9,7 @@ import (
 
 // ExamplePredict forecasts the Figure 2 triangle run without simulating:
 // termination round, message count, and the receipt schedule all come from
-// two BFS passes over the bipartite double cover.
+// one BFS pass over the bipartite double cover.
 func ExamplePredict() {
 	g := gen.Cycle(3)
 	pred := doublecover.Predict(g, 1) // flood from b

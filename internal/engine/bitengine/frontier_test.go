@@ -95,13 +95,47 @@ func coverageOf(t *testing.T, run func(context.Context, *graph.Graph, engine.Pro
 	return coverageState{m, slices.Clone(cov.ReceiveCounts()), slices.Clone(cov.FirstReceive()), slices.Clone(cov.LastReceive())}
 }
 
+// bipartiteState is what the bipartite analysis reports for a run: its
+// metrics, or the error of a witness-signal disagreement (classic floods
+// can make one), and the witnesses in order.
+type bipartiteState struct {
+	metrics   analysis.Metrics
+	err       string
+	witnesses []graph.NodeID
+}
+
+// bipartiteOf runs proto from src with a lone bipartite analyzer attached,
+// fed Send records or frontiers as coverageOf's is.
+func bipartiteOf(t *testing.T, run func(context.Context, *graph.Graph, engine.Protocol, engine.Options) (engine.Result, error),
+	g *graph.Graph, proto engine.Protocol, src graph.NodeID, trace bool) bipartiteState {
+	t.Helper()
+	a, err := analysis.Build("bipartite", analysis.Context{Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bip := a.(*analysis.Bipartite)
+	if err := bip.Start([]graph.NodeID{src}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := run(context.Background(), g, proto, engine.Options{Trace: trace, Observer: bip})
+	if err != nil {
+		t.Fatalf("bipartite run on %s: %v", g, err)
+	}
+	st := bipartiteState{witnesses: slices.Clone(bip.Witnesses())}
+	if st.metrics, err = bip.Finish(res); err != nil {
+		st.err = err.Error()
+	}
+	return st
+}
+
 // TestFrontierMatchesSends is the frontier differential gate: on the whole
 // corpus, for single- and multi-source amnesiac and classic floods, every
 // runner's untraced frontier path reports, every round, exactly the
 // message count and receiver set of the sequential engine's Sends, and
 // coverage computed through frontiers equals coverage computed through
-// Sends. Classic floods check that pull rounds still report receipts at
-// already-seen rows.
+// Sends; so does the bipartite analysis (metrics and witness order) on the
+// single-source floods. Classic floods check that pull rounds still report
+// receipts at already-seen rows.
 func TestFrontierMatchesSends(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, g := range instances(t) {
@@ -123,6 +157,10 @@ func TestFrontierMatchesSends(t *testing.T) {
 			}
 			wantViews := viewsOf(want.Trace)
 			wantCov := coverageOf(t, engine.Run, g, tc.proto, tc.origins, true)
+			var wantBip bipartiteState
+			if len(tc.origins) == 1 {
+				wantBip = bipartiteOf(t, engine.Run, g, tc.proto, src, true)
+			}
 			for _, r := range allRunners() {
 				probe := &frontierProbe{}
 				got, err := r.run(context.Background(), g, tc.proto, engine.Options{Observer: probe})
@@ -138,6 +176,12 @@ func TestFrontierMatchesSends(t *testing.T) {
 				for _, trace := range []bool{false, true} {
 					if cov := coverageOf(t, r.run, g, tc.proto, tc.origins, trace); !reflect.DeepEqual(cov, wantCov) {
 						t.Errorf("%s %s on %s (trace %t): coverage %+v, want %+v", r.name, tc.name, g, trace, cov, wantCov)
+					}
+					if len(tc.origins) != 1 {
+						continue
+					}
+					if bip := bipartiteOf(t, r.run, g, tc.proto, src, trace); !reflect.DeepEqual(bip, wantBip) {
+						t.Errorf("%s %s on %s (trace %t): bipartite %+v, want %+v", r.name, tc.name, g, trace, bip, wantBip)
 					}
 				}
 			}
@@ -167,10 +211,11 @@ func (r *relay) ObserveFrontier(f engine.Frontier) (bool, error) {
 // TestFrontierObserversNeverMaterialise is the materialisation guard: a
 // dense gnp flood observed through a composite shaped like a served run —
 // relay → sim.MultiObserver → analysis.Set{coverage} — never builds a Send
-// record, nor does adding echo, which reads nothing from the stream. A
-// Send-level member (bipartite, a TraceRecorder) or Options.Trace
-// turns materialisation back on, with traces byte-identical to the
-// sequential engine's and identical coverage metrics throughout.
+// record, nor does adding echo, which reads nothing from the stream, or the
+// frontier-level termination and bipartite analyses. A Send-level member
+// (spantree, a TraceRecorder) or Options.Trace turns materialisation back
+// on, with traces byte-identical to the sequential engine's and identical
+// coverage metrics throughout.
 func TestFrontierObserversNeverMaterialise(t *testing.T) {
 	g := gen.MustBuild("gnp:n=2048,p=0.02", 1)
 	origins := []graph.NodeID{0}
@@ -206,7 +251,9 @@ func TestFrontierObserversNeverMaterialise(t *testing.T) {
 		{name: "streamed", specs: []string{"coverage"}},
 		{name: "unary", specs: []string{"coverage"}, unary: true},
 		{name: "echoMember", specs: []string{"coverage", "echo"}},
-		{name: "bipartiteMember", specs: []string{"coverage", "bipartite"}, materialise: true},
+		{name: "terminationMember", specs: []string{"coverage", "termination"}},
+		{name: "bipartiteMember", specs: []string{"coverage", "bipartite"}},
+		{name: "spantreeMember", specs: []string{"coverage", "spantree"}, materialise: true},
 		{name: "traceRecorder", specs: []string{"coverage"}, recorder: true, materialise: true},
 		{name: "optsTrace", specs: []string{"coverage"}, trace: true, materialise: true},
 	}

@@ -8,12 +8,12 @@ import (
 	"testing"
 
 	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/doublecover"
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/engine/bitengine"
 	"amnesiacflood/internal/engine/chanengine"
 	"amnesiacflood/internal/engine/fastengine"
 	"amnesiacflood/internal/graph"
-	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
 	"amnesiacflood/internal/theory"
 )
@@ -21,11 +21,13 @@ import (
 // FuzzEngineEquivalence drives random G(n, p) graphs through the
 // sequential, channel, fast (sequential + parallel), and bitset engines and
 // demands identical traces and Result fields, plus per-round message counts
-// and receiver sets from an untraced, frontier-observed bitset run. On
-// connected graphs the sequential run must also meet the paper's
-// termination bound (theory.PredictTermination), which every engine then
-// matches. Every input triple deterministically derives a graph, so
-// failures reproduce exactly.
+// and receiver sets from an untraced, frontier-observed bitset run. The
+// sequential run must also obey the exact law: doublecover.Predict gives
+// its rounds, message total and trace, and theory.PredictTermination's
+// bound holds: the exact round, at least e(src) (exactly e(src) on a
+// bipartite component), and at most the window's upper end where that is
+// certified. Every engine then matches it. Every input triple
+// deterministically derives a graph, so failures reproduce exactly.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(30))
 	f.Add(int64(2), uint8(3), uint8(100)) // triangle-ish, dense
@@ -45,14 +47,19 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("sequential on %s from %d: %v", g, src, err)
 		}
-		// The paper's theorem on connected graphs: the flood terminates, in
-		// exactly e(src) rounds when g is bipartite and in e(src)..2D+1
-		// otherwise.
-		if len(algo.Components(g)) == 1 {
-			if bound := theory.PredictTermination(g, src); !want.Terminated || !bound.Holds(want.Rounds) {
-				t.Fatalf("sequential on %s from %d: terminated=%t after %d rounds, want termination within %+v",
-					g, src, want.Terminated, want.Rounds, bound)
-			}
+		// The exact law: amnesiac flooding is classic flooding on the
+		// bipartite double cover, so one parity BFS predicts the whole
+		// run. The paper's theorem follows: the flood terminates, in
+		// exactly e(src) rounds on a bipartite component and within
+		// e(src)..2D+1 otherwise.
+		if pred := doublecover.Predict(g, src); pred.Rounds != want.Rounds || pred.TotalMessages != want.TotalMessages ||
+			!engine.EqualTraces(pred.Trace, want.Trace) {
+			t.Fatalf("sequential on %s from %d: %d rounds, %d messages, want the double cover's %d and %d (traces equal: %t)",
+				g, src, want.Rounds, want.TotalMessages, pred.Rounds, pred.TotalMessages, engine.EqualTraces(pred.Trace, want.Trace))
+		}
+		if bound := theory.PredictTermination(g, src); !want.Terminated || !bound.Holds(want.Rounds) {
+			t.Fatalf("sequential on %s from %d: terminated=%t after %d rounds, want termination as %+v",
+				g, src, want.Terminated, want.Rounds, bound)
 		}
 		engines := []struct {
 			name string

@@ -54,12 +54,11 @@ func DoubleCoverPrediction(cfg Config) ([]*Table, error) {
 				return nil, fmt.Errorf("E11: %w", err)
 			}
 			pred := doublecover.Predict(inst.g, src)
-			dist := doublecover.BFS(inst.g, src)
 			t.AddRow(
 				inst.g.Name(), algo.IsBipartite(inst.g), src,
 				pred.Rounds, rep.Rounds(),
 				pred.TotalMessages, rep.TotalMessages(),
-				len(dist.SecondReceivers()), true,
+				len(pred.SecondReceivers()), true,
 			)
 		}
 	}

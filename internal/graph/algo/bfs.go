@@ -93,6 +93,26 @@ func Diameter(g *graph.Graph) int {
 	return diam
 }
 
+// DiameterLowerBound returns the two-sweep lower bound on the diameter
+// (Magnien, Latapy & Habib, ACM JEA 2009): a BFS from node 0 finds a
+// farthest node u, and the bound is e(u). It costs two BFS, O(n+m), where
+// Diameter costs one per node. The bound is exact on trees and on
+// vertex-transitive graphs and never exceeds Diameter; on a disconnected
+// graph it describes node 0's component. The empty graph gets 0.
+func DiameterLowerBound(g *graph.Graph) int {
+	if g.N() == 0 {
+		return 0
+	}
+	dist := BFS(g, 0)
+	far := 0
+	for v, d := range dist {
+		if d > dist[far] {
+			far = v
+		}
+	}
+	return Eccentricity(g, graph.NodeID(far))
+}
+
 // Radius returns the minimum eccentricity over all nodes of a connected
 // graph. For the empty graph it returns 0.
 func Radius(g *graph.Graph) int {

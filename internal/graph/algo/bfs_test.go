@@ -172,3 +172,30 @@ func TestBFSTriangleInequality(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestDiameterLowerBound(t *testing.T) {
+	// Two-sweep is exact on paths, cycles, cliques, stars, hypercubes,
+	// grids and the Petersen graph.
+	for _, g := range []*graph.Graph{
+		gen.Path(5), gen.Cycle(6), gen.Cycle(7), gen.Complete(5), gen.Star(10),
+		gen.Hypercube(4), gen.Grid(3, 4), gen.Petersen(), gen.Path(1),
+	} {
+		if got, want := algo.DiameterLowerBound(g), algo.Diameter(g); got != want {
+			t.Errorf("algo.DiameterLowerBound(%s) = %d, want %d", g, got, want)
+		}
+	}
+	empty, _ := graph.FromEdges("", 0, nil)
+	if got := algo.DiameterLowerBound(empty); got != 0 {
+		t.Errorf("algo.DiameterLowerBound(empty) = %d, want 0", got)
+	}
+	// Property: radius <= LB <= diameter on connected graphs.
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := gen.RandomConnected(2+rng.Intn(40), 0.1, rng)
+		lb := algo.DiameterLowerBound(g)
+		return algo.Radius(g) <= lb && lb <= algo.Diameter(g)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -309,6 +309,38 @@ func TestUnaryRunMatchesDirectRun(t *testing.T) {
 	}
 }
 
+// TestTerminationAtScaleWithinTimeout is the watchdog case for the
+// analyses: every family's Finish is O(n+m) per run, so a served
+// termination run on gnp n=65536 (2.1M edges) checks the paper's theorem
+// and returns within its timeoutMs. An all-pairs diameter there would run
+// for minutes past it while holding a dispatcher slot.
+func TestTerminationAtScaleWithinTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and floods a 2.1M-edge graph")
+	}
+	_, ts := newTestServer(t, service.Config{})
+	start := time.Now()
+	resp := postRun(t, ts, "", service.RunRequest{
+		Graph: "gnp:n=65536,p=0.0009765625", Engine: "bitset",
+		Analyses: []string{"termination"}, TimeoutMs: 20000, Stream: boolp(false),
+	})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status = %d after %v, body %s", resp.StatusCode, time.Since(start), body)
+	}
+	var got service.RunResult
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 20*time.Second {
+		t.Fatalf("returned after %v, past its 20s timeout", elapsed)
+	}
+	if got.Metrics["termination.exactOK"] != 1 || got.Metrics["termination.withinBounds"] != 1 {
+		t.Fatalf("rounds %d, metrics %v: want exactOK 1 and withinBounds 1", got.Rounds, got.Metrics)
+	}
+}
+
 // TestConcurrentTenants hammers the server from several tenants at once —
 // run with -race, this is the data-race gate over pool, dispatcher, and
 // limiter.

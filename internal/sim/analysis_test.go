@@ -11,9 +11,10 @@ import (
 
 // TestAnalysisOnEveryEngine: the engines are trace-equivalent, so the
 // streamed analysis metrics must be identical on every synchronous
-// substrate — on a traced run with Send-level analyses attached, and on an
-// untraced coverage+termination run, which the bitset engine serves from
-// frontiers alone.
+// substrate — on a traced run with a Send-level analysis attached, and on
+// untraced coverage+termination and coverage+termination+bipartite runs
+// (the latter stopping at the first witness), which the bitset engine
+// serves from frontiers alone.
 func TestAnalysisOnEveryEngine(t *testing.T) {
 	g := gen.MustBuild("randnonbipartite:n=48,p=0.07", 3)
 	for _, tc := range []struct {
@@ -23,6 +24,7 @@ func TestAnalysisOnEveryEngine(t *testing.T) {
 		// Traced: a full run, so metrics cover every round on every engine.
 		{[]string{"coverage", "termination", "bipartite", "spantree"}, true},
 		{[]string{"coverage", "termination"}, false},
+		{[]string{"coverage", "termination", "bipartite"}, false},
 	} {
 		var want map[string]float64
 		for _, kind := range allEngines {

@@ -35,10 +35,8 @@ func CheckDoubleCoverExact(g *graph.Graph, rep *core.Report) error {
 	if !engine.EqualTraces(pred.Trace, rep.Result.Trace) {
 		return fmt.Errorf("theory: %s from %d: predicted trace differs from simulated trace", g, source)
 	}
-	dist := doublecover.BFS(g, source)
-	for v := 0; v < g.N(); v++ {
-		want := len(dist.ReceiptRounds(graph.NodeID(v)))
-		if got := rep.ReceiveCounts[v]; got != want {
+	for v, rounds := range pred.Receipts {
+		if got, want := rep.ReceiveCounts[v], len(rounds); got != want {
 			return fmt.Errorf("theory: %s from %d: node %d received %d times, cover predicts %d",
 				g, source, v, got, want)
 		}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/doublecover"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 )
@@ -165,30 +166,51 @@ func CheckOddGapInvariant(rep *core.Report) error {
 	return nil
 }
 
-// Bound is the predicted termination window for a single-source run,
-// derived purely from the graph (no simulation).
+// Bound is the predicted termination of a single-source run, derived
+// purely from the graph (no simulation): the exact round of the
+// double-cover law and the paper's window around it.
 type Bound struct {
-	// Exact is set when the paper predicts the exact round count
-	// (bipartite graphs: e(source)); when true, Lower == Upper.
+	// Exact is set when the paper predicts the exact round count (a
+	// bipartite component: e(source)); when true, Lower == Upper.
 	Exact bool
-	// Lower and Upper bracket the termination round, inclusive.
+	// Lower and Upper bracket the termination round, inclusive. On a
+	// non-bipartite component Upper is 2*max(LB, e(source))+1 for the
+	// two-sweep lower bound LB <= D, so Upper <= 2D+1. Upper is 0 when it
+	// does not certify Rounds.
 	Lower, Upper int
+	// Rounds is the exact termination round by the double-cover law.
+	Rounds int
+	// Certified is set when the window's upper end is known: always on a
+	// bipartite component, otherwise when Rounds <= Upper, which proves
+	// Rounds <= 2D+1 without computing D (doublecover.Window). When
+	// two-sweep undershoots D it may not be.
+	Certified bool
 }
 
-// PredictTermination returns the paper's termination window for a
-// single-source flood on a connected graph: exactly e(source) when g is
-// bipartite, otherwise e(source) .. 2D+1. (The brief announcement's
-// "strictly larger than D" is not a pointwise lower bound — see
-// CheckNonBipartiteStrict — so the general window starts at e(source).)
+// PredictTermination returns the termination of a single-source flood:
+// the exact round from one parity BFS (internal/doublecover) and the
+// paper's window, exactly e(source) when the source's component is
+// bipartite and otherwise e(source) .. 2*max(LB, e(source))+1 with the
+// two-sweep bound LB (algo.DiameterLowerBound), which stands in for 2D+1.
+// It costs O(n+m). (The brief announcement's "strictly larger than D" is
+// not a pointwise lower bound — see CheckNonBipartiteStrict — so the
+// general window starts at e(source).)
 func PredictTermination(g *graph.Graph, source graph.NodeID) Bound {
-	ecc := algo.Eccentricity(g, source)
-	if algo.IsBipartite(g) {
-		return Bound{Exact: true, Lower: ecc, Upper: ecc}
+	var cover doublecover.Arena
+	cover.Run(g, source)
+	b := Bound{Exact: cover.Bipartite(), Lower: cover.Eccentricity(), Rounds: cover.Rounds()}
+	lb := 0
+	if !b.Exact {
+		lb = algo.DiameterLowerBound(g)
 	}
-	return Bound{Lower: ecc, Upper: 2*algo.Diameter(g) + 1}
+	b.Upper, b.Certified = doublecover.Window(b.Rounds, b.Lower, lb, b.Exact)
+	return b
 }
 
-// Holds reports whether a measured round count falls inside the bound.
+// Holds reports whether a measured round count is the predicted one and
+// lies in the paper's window: at least Lower and, when the window is
+// certified, at most Upper. On a bipartite component that is exactly
+// e(source).
 func (b Bound) Holds(rounds int) bool {
-	return rounds >= b.Lower && rounds <= b.Upper
+	return rounds == b.Rounds && rounds >= b.Lower && (!b.Certified || rounds <= b.Upper)
 }

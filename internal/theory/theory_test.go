@@ -207,22 +207,45 @@ func TestCheckOddGapIncludesOriginRound0(t *testing.T) {
 }
 
 func TestPredictTermination(t *testing.T) {
-	// Bipartite: exact window at e(source).
+	// Bipartite: exact window at e(source), the double-cover round.
 	g := gen.Grid(3, 5)
 	b := theory.PredictTermination(g, 0)
-	if !b.Exact || b.Lower != b.Upper || b.Lower != algo.Eccentricity(g, 0) {
+	if ecc := algo.Eccentricity(g, 0); !b.Exact || b.Lower != b.Upper || b.Lower != ecc || b.Rounds != ecc || !b.Certified {
 		t.Fatalf("bipartite bound = %+v", b)
 	}
-	// Non-bipartite: e(source) .. 2D+1.
+	// Non-bipartite: e(source) .. 2*max(LB, e(source))+1, here 2D+1.
 	tri := gen.Cycle(3)
 	b = theory.PredictTermination(tri, 0)
-	if b.Exact || b.Lower != 1 || b.Upper != 3 {
+	if b.Exact || b.Lower != 1 || b.Upper != 3 || b.Rounds != 3 || !b.Certified {
 		t.Fatalf("triangle bound = %+v", b)
+	}
+	// Two-sweep undershoots D: the upper end is not certified and not
+	// returned.
+	b = theory.PredictTermination(pendantC5(t), 1)
+	if b.Exact || b.Lower != 2 || b.Upper != 0 || b.Rounds != 6 || b.Certified {
+		t.Fatalf("pendant C5 bound = %+v", b)
 	}
 }
 
+// pendantC5 is the 5-cycle 0-1-2-5-3 with node 4 hung on node 1, where
+// two-sweep from node 0 undershoots the diameter: LB = 2, D = 3. From node
+// 1 (e = 2) the flood takes 6 rounds, within 2D+1 = 7 but past
+// 2*max(LB, e)+1 = 5.
+func pendantC5(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := graph.FromEdges("pendant-C5", 6, []graph.Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 5}, {U: 5, V: 3}, {U: 3, V: 0}, {U: 1, V: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestPredictedWindowAlwaysHolds(t *testing.T) {
-	// Property: every measured run lands inside its predicted window.
+	// Property: every measured run lands inside its predicted window, and
+	// inside the paper's e(source)..2D+1 (exactly e(source) when
+	// bipartite) with the exact D, whether or not two-sweep certified it.
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomConnected(2+rng.Intn(40), 0.08, rng)
@@ -231,7 +254,11 @@ func TestPredictedWindowAlwaysHolds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return theory.PredictTermination(g, src).Holds(rep.Rounds())
+		ecc, upper := algo.Eccentricity(g, src), 2*algo.Diameter(g)+1
+		if algo.IsBipartite(g) {
+			upper = ecc
+		}
+		return theory.PredictTermination(g, src).Holds(rep.Rounds()) && rep.Rounds() >= ecc && rep.Rounds() <= upper
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -239,10 +266,24 @@ func TestPredictedWindowAlwaysHolds(t *testing.T) {
 }
 
 func TestBoundHolds(t *testing.T) {
-	b := theory.Bound{Lower: 2, Upper: 5}
-	for rounds, want := range map[int]bool{1: false, 2: true, 5: true, 6: false} {
-		if b.Holds(rounds) != want {
-			t.Errorf("Holds(%d) = %t, want %t", rounds, b.Holds(rounds), want)
+	check := func(b theory.Bound, want map[int]bool) {
+		t.Helper()
+		for rounds, ok := range want {
+			if b.Holds(rounds) != ok {
+				t.Errorf("%+v: Holds(%d) = %t, want %t", b, rounds, b.Holds(rounds), ok)
+			}
 		}
 	}
+	// As PredictTermination builds them: only the exact round holds, on a
+	// bipartite component (e = 4), a certified non-bipartite one (the
+	// triangle) and an uncertified one (two-sweep undershot D).
+	check(theory.PredictTermination(gen.Path(5), 0), map[int]bool{3: false, 4: true, 5: false})
+	check(theory.PredictTermination(gen.Cycle(3), 0), map[int]bool{1: false, 2: false, 3: true, 4: false})
+	check(theory.PredictTermination(pendantC5(t), 1), map[int]bool{2: false, 5: false, 6: true, 7: false})
+	// The paper's window is checked as well as the exact round: a round
+	// that is not e(source) on a bipartite component (Lemma 2.1), or below
+	// e(source) in general, fails even where it is the predicted one.
+	check(theory.Bound{Exact: true, Lower: 3, Upper: 3, Rounds: 4, Certified: true}, map[int]bool{3: false, 4: false})
+	check(theory.Bound{Lower: 5, Rounds: 4}, map[int]bool{4: false, 5: false})
+	check(theory.Bound{Lower: 2, Upper: 5, Rounds: 6, Certified: true}, map[int]bool{5: false, 6: false})
 }
