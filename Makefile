@@ -37,8 +37,11 @@ vet:
 test:
 	go test ./...
 
+# race covers every package a CI race step runs.
 race:
-	go test -race ./internal/engine/... ./internal/core ./internal/sim ./internal/analysis ./internal/obs ./internal/service ./internal/shard
+	go test -race ./internal/engine/... ./internal/core ./internal/sim ./internal/analysis \
+	  ./internal/scenario ./internal/model ./internal/obs ./internal/service ./internal/specgrammar \
+	  ./internal/shard ./internal/experiments ./internal/chaos ./cmd/afbench
 
 fuzz:
 	go test -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine/fastengine

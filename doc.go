@@ -19,10 +19,10 @@
 // compressed-sparse-row engine with an optional parallel sharded-delivery
 // mode, and a word-parallel bitset frontier engine that executes set-rule
 // protocols (amnesiac, classic) as OR/AND-NOT sweeps over packed directed
-// edge slots, with push/pull kernels chosen per round by frontier density
-// and an optional word-sharded mode — plus asynchronous and dynamic-network model
-// engines with pluggable adversaries/schedules and configuration-cycle
-// non-termination certificates. The engines are trace-equivalent:
+// edge slots, with push/pull kernels chosen per round by frontier density —
+// plus asynchronous and dynamic-network model engines with pluggable
+// adversaries/schedules and configuration-cycle non-termination
+// certificates. The engines are trace-equivalent:
 // byte-identical traces on every protocol (and, for the model engines,
 // under the zero-delay adversary and the static schedule), asserted by
 // differential and fuzz tests (internal/engine/README.md documents the

@@ -42,12 +42,9 @@
 // loop already takes, plus the receivers the push kernel marks anyway (the
 // pull kernel marks them only for such an observer).
 //
-// An optional sharded mode partitions the dirty *words* (not nodes) of a
-// round across worker goroutines. All writes are idempotent bitwise ORs
-// into word-aligned slots, and OR is commutative and associative, so the
-// final bitset state — and therefore every materialised trace — is
-// byte-identical regardless of worker interleaving; atomic OR's returned
-// old value dedups the dirty-word lists without coordination.
+// Every round runs on the calling goroutine. Callers that want more CPUs run
+// more Engines: a sweep or a server runs one session per worker, and a
+// round split across goroutines would compete with them for the same CPUs.
 //
 // The kernels run directly on the graph's own CSR (graph.CSR); besides it
 // the engine holds only the mirror permutation and the bitset arenas. Rows
@@ -60,11 +57,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
@@ -75,12 +69,6 @@ import (
 // calls NewNode or AppendSends — it executes the declared BitsetRule
 // directly — so protocols with bespoke per-node behaviour cannot fall back.
 var ErrUnsupportedProtocol = errors.New("protocol does not declare a bitset rule (engine.BitsetProtocol)")
-
-// DefaultParallelThreshold is the frontier size, in dirty 64-bit words,
-// below which the sharded mode runs a round sequentially when
-// engine.Options.ParallelThreshold is 0. Sharding a handful of words costs
-// more in goroutine wakeups than the OR sweep itself.
-const DefaultParallelThreshold = 64
 
 // Supports reports whether proto can run on this engine.
 func Supports(proto engine.Protocol) bool {
@@ -93,8 +81,7 @@ func Supports(proto engine.Protocol) bool {
 // bitset arenas) across many runs; it is not safe for concurrent use (run
 // several Engines for that).
 type Engine struct {
-	g       *graph.Graph
-	workers int
+	g *graph.Graph
 
 	ready bool
 	csr   graph.CSR // g's own CSR, shared with the graph
@@ -120,37 +107,17 @@ type Engine struct {
 	denseScan bool
 
 	sends []engine.Send // round materialisation buffer (trace/Send-level observer only)
-
-	shardDirty [][]int32  // per-worker dirty-list arenas (sharded mode)
-	shardBuf   [][]uint64 // per-worker row gather buffers (sharded pull)
 }
 
-// New returns a sequential engine for g.
+// New returns an engine for g.
 func New(g *graph.Graph) *Engine {
-	return &Engine{g: g, workers: 1}
+	return &Engine{g: g}
 }
 
-// Parallel sets the number of sweep workers and returns e for chaining.
-// workers <= 0 means GOMAXPROCS. Traces stay byte-identical: the sharded
-// passes only perform commutative OR writes, so worker interleaving cannot
-// change the resulting bitsets.
-func (e *Engine) Parallel(workers int) *Engine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e.workers = workers
-	return e
-}
-
-// Run is the one-shot convenience wrapper: a fresh sequential engine per
-// call. Reuse an Engine for allocation-free repeated runs.
+// Run is the one-shot convenience wrapper: a fresh engine per call. Reuse an
+// Engine for allocation-free repeated runs.
 func Run(ctx context.Context, g *graph.Graph, proto engine.Protocol, opts engine.Options) (engine.Result, error) {
 	return New(g).Run(ctx, proto, opts)
-}
-
-// RunParallel is Run with GOMAXPROCS sweep workers.
-func RunParallel(ctx context.Context, g *graph.Graph, proto engine.Protocol, opts engine.Options) (engine.Result, error) {
-	return New(g).Parallel(0).Run(ctx, proto, opts)
 }
 
 // init builds the mirror permutation and bitset arenas once per Engine.
@@ -227,10 +194,6 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 	if maxRounds == 0 {
 		maxRounds = engine.DefaultMaxRounds
 	}
-	minWords := opts.ParallelThreshold
-	if minWords == 0 {
-		minWords = DefaultParallelThreshold
-	}
 	e.init()
 	e.reset()
 	res := engine.Result{Protocol: proto.Name()}
@@ -280,16 +243,9 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 		// and touches none of the recv/mark state unless it must report
 		// receivers (see package doc).
 		pull := 2*frontier >= len(e.csr.Targets)
-		sharded := e.workers > 1 && len(e.dirtyCur) >= minWords
-		switch {
-		case pull && sharded:
-			e.pullSharded(rule, report)
-		case pull:
+		if pull {
 			e.pull(rule, report)
-		case sharded:
-			e.scatterSharded()
-			e.respondSharded(rule)
-		default:
+		} else {
 			e.scatter()
 			e.respond(rule)
 		}
@@ -449,15 +405,8 @@ func (e *Engine) respondNode(v graph.NodeID) {
 // rule, already-seen rows included — sets its mark bit for the round's
 // Frontier.
 func (e *Engine) pull(rule engine.BitsetRule, report bool) {
-	e.pullRows(rule, 0, e.csr.N(), e.rowBuf, false, report)
-}
-
-// pullRows gathers and responds for rows [vlo, vhi). When shared is true the
-// nxt ORs are atomic: row ranges of different workers can straddle a slot
-// word. buf must hold the widest row span in the range.
-func (e *Engine) pullRows(rule engine.BitsetRule, vlo, vhi int, buf []uint64, shared, report bool) {
-	cur, mirror, nxt := e.cur, e.mirror, e.nxt
-	for v := vlo; v < vhi; v++ {
+	cur, mirror, nxt, buf := e.cur, e.mirror, e.nxt, e.rowBuf
+	for v := 0; v < e.csr.N(); v++ {
 		lo, hi := int32(e.csr.Offsets[v]), int32(e.csr.Offsets[v+1])
 		if lo >= hi {
 			continue
@@ -506,61 +455,9 @@ func (e *Engine) pullRows(rule engine.BitsetRule, vlo, vhi int, buf []uint64, sh
 				mask &= ^uint64(0) >> (64 - (uint(hi) & 63))
 			}
 			if out := mask &^ buf[k]; out != 0 {
-				if shared {
-					atomic.OrUint64(&nxt[wi], out)
-				} else {
-					nxt[wi] |= out
-				}
+				nxt[wi] |= out
 			}
 		}
-	}
-}
-
-// pullSharded partitions rows across workers in contiguous ranges balanced
-// by slot count and snapped to 64-row boundaries, so every seen and mark word
-// belongs to exactly one worker and stays plain; nxt words straddling a range
-// boundary can be shared, so sharded pull ORs nxt atomically. OR commutes,
-// so the resulting bitset — and every trace — is byte-identical to the
-// sequential pull.
-func (e *Engine) pullSharded(rule engine.BitsetRule, report bool) {
-	n := e.csr.N()
-	workers := e.workers
-	if maxShards := (n + 63) / 64; workers > maxShards {
-		workers = maxShards
-	}
-	if workers <= 1 {
-		e.pull(rule, report)
-		return
-	}
-	e.growBufs(workers)
-	var wg sync.WaitGroup
-	prev := 0
-	for w := 0; w < workers && prev < n; w++ {
-		end := n
-		if w < workers-1 {
-			target := int32(len(e.csr.Targets) * (w + 1) / workers)
-			end = sort.Search(n, func(v int) bool { return e.csr.Offsets[v+1] >= target })
-			if end = (end + 64) &^ 63; end > n {
-				end = n
-			}
-		}
-		if end <= prev {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			e.pullRows(rule, lo, hi, e.shardBuf[w], true, report)
-		}(w, prev, end)
-		prev = end
-	}
-	wg.Wait()
-}
-
-// growBufs ensures k per-worker row gather buffers exist.
-func (e *Engine) growBufs(k int) {
-	for len(e.shardBuf) < k {
-		e.shardBuf = append(e.shardBuf, make([]uint64, len(e.rowBuf)))
 	}
 }
 
@@ -601,116 +498,5 @@ func (e *Engine) materialise() {
 			}
 			e.sends = append(e.sends, engine.Send{From: owner, To: e.csr.Targets[s]})
 		}
-	}
-}
-
-// scatterSharded is scatter with the dirty frontier words partitioned
-// across workers. recv and mark words can be shared between shards (mirror
-// and Targets point anywhere), so those ORs are atomic; the old value
-// returned by atomic.Or elects exactly one worker to dirty-list each word.
-func (e *Engine) scatterSharded() {
-	workers := e.workers
-	if workers > len(e.dirtyCur) {
-		workers = len(e.dirtyCur)
-	}
-	e.growShards(2 * workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := len(e.dirtyCur) * w / workers
-		hi := len(e.dirtyCur) * (w + 1) / workers
-		wg.Add(1)
-		go func(w int, words []int32) {
-			defer wg.Done()
-			dRecv := e.shardDirty[2*w][:0]
-			dMark := e.shardDirty[2*w+1][:0]
-			for _, wi := range words {
-				word := e.cur[wi]
-				base := int32(wi) << 6
-				for word != 0 {
-					s := base + int32(bits.TrailingZeros64(word))
-					word &= word - 1
-					me := e.mirror[s]
-					if atomic.OrUint64(&e.recv[me>>6], 1<<(uint(me)&63)) == 0 {
-						dRecv = append(dRecv, me>>6)
-					}
-					v := e.csr.Targets[s]
-					if atomic.OrUint64(&e.mark[v>>6], 1<<(uint(v)&63)) == 0 {
-						dMark = append(dMark, int32(v>>6))
-					}
-				}
-			}
-			e.shardDirty[2*w] = dRecv
-			e.shardDirty[2*w+1] = dMark
-		}(w, e.dirtyCur[lo:hi])
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		e.dirtyRecv = append(e.dirtyRecv, e.shardDirty[2*w]...)
-		e.dirtyMark = append(e.dirtyMark, e.shardDirty[2*w+1]...)
-	}
-}
-
-// respondSharded is respond with the dirty mark words partitioned across
-// workers. Each mark word (and its aligned seen word) belongs to exactly
-// one shard, so the seen update stays plain; rows of nodes from different
-// shards can overlap in nxt words, so those ORs are atomic.
-func (e *Engine) respondSharded(rule engine.BitsetRule) {
-	workers := e.workers
-	if workers > len(e.dirtyMark) {
-		workers = len(e.dirtyMark)
-	}
-	if workers <= 1 {
-		e.respond(rule)
-		return
-	}
-	e.growShards(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := len(e.dirtyMark) * w / workers
-		hi := len(e.dirtyMark) * (w + 1) / workers
-		wg.Add(1)
-		go func(w int, words []int32) {
-			defer wg.Done()
-			dNxt := e.shardDirty[w][:0]
-			for _, vw := range words {
-				m := e.mark[vw]
-				if rule == engine.RuleComplementOnce {
-					m &^= e.seen[vw]
-					e.seen[vw] |= m
-				}
-				base := graph.NodeID(vw) << 6
-				for m != 0 {
-					v := base + graph.NodeID(bits.TrailingZeros64(m))
-					m &= m - 1
-					lo, hi := int32(e.csr.Offsets[v]), int32(e.csr.Offsets[v+1])
-					for wi := lo >> 6; wi <= (hi-1)>>6 && lo < hi; wi++ {
-						mask := ^uint64(0)
-						if s := wi << 6; s < lo {
-							mask &= ^uint64(0) << (uint(lo) & 63)
-						}
-						if end := (wi + 1) << 6; end > hi {
-							mask &= ^uint64(0) >> (64 - (uint(hi) & 63))
-						}
-						if bitsOut := mask &^ e.recv[wi]; bitsOut != 0 {
-							if atomic.OrUint64(&e.nxt[wi], bitsOut) == 0 {
-								dNxt = append(dNxt, wi)
-							}
-						}
-					}
-				}
-			}
-			e.shardDirty[w] = dNxt
-		}(w, e.dirtyMark[lo:hi])
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		e.dirtyNxt = append(e.dirtyNxt, e.shardDirty[w]...)
-	}
-}
-
-// growShards ensures k per-worker dirty-list arenas exist.
-func (e *Engine) growShards(k int) {
-	for len(e.shardDirty) < k {
-		e.shardDirty = append(e.shardDirty, nil)
 	}
 }

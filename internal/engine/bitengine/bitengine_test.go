@@ -56,24 +56,7 @@ func instances(tb testing.TB) []*graph.Graph {
 	return gs
 }
 
-type runner struct {
-	name string
-	run  func(context.Context, *graph.Graph, engine.Protocol, engine.Options) (engine.Result, error)
-}
-
-func allRunners() []runner {
-	return []runner{
-		{"bitset", bitengine.Run},
-		// Word-sharded sweep on every round (ParallelThreshold 1): the test
-		// graphs never reach the default frontier-word threshold.
-		{"bitsetSharded", func(ctx context.Context, g *graph.Graph, p engine.Protocol, o engine.Options) (engine.Result, error) {
-			o.ParallelThreshold = 1
-			return bitengine.New(g).Parallel(4).Run(ctx, p, o)
-		}},
-	}
-}
-
-// assertSameRun compares every bitset runner against the sequential
+// assertSameRun compares the bitset engine against the sequential
 // reference and the fast engine on one protocol instance.
 func assertSameRun(t *testing.T, g *graph.Graph, proto engine.Protocol) {
 	t.Helper()
@@ -89,18 +72,16 @@ func assertSameRun(t *testing.T, g *graph.Graph, proto engine.Protocol) {
 	if !engine.EqualTraces(want.Trace, fast.Trace) {
 		t.Fatalf("fast on %s: trace differs from sequential", g)
 	}
-	for _, r := range allRunners() {
-		got, err := r.run(context.Background(), g, proto, opts)
-		if err != nil {
-			t.Fatalf("%s on %s: %v", r.name, g, err)
-		}
-		if !engine.EqualTraces(want.Trace, got.Trace) {
-			t.Errorf("%s on %s: trace differs from sequential", r.name, g)
-		}
-		if got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages ||
-			got.Terminated != want.Terminated || got.Protocol != want.Protocol {
-			t.Errorf("%s on %s: result %+v, want %+v", r.name, g, got, want)
-		}
+	got, err := bitengine.Run(context.Background(), g, proto, opts)
+	if err != nil {
+		t.Fatalf("bitset on %s: %v", g, err)
+	}
+	if !engine.EqualTraces(want.Trace, got.Trace) {
+		t.Errorf("bitset on %s: trace differs from sequential", g)
+	}
+	if got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages ||
+		got.Terminated != want.Terminated || got.Protocol != want.Protocol {
+		t.Errorf("bitset on %s: result %+v, want %+v", g, got, want)
 	}
 }
 

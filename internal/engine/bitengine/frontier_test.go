@@ -129,8 +129,8 @@ func bipartiteOf(t *testing.T, run func(context.Context, *graph.Graph, engine.Pr
 }
 
 // TestFrontierMatchesSends is the frontier differential gate: on the whole
-// corpus, for single- and multi-source amnesiac and classic floods, every
-// runner's untraced frontier path reports, every round, exactly the
+// corpus, for single- and multi-source amnesiac and classic floods, the
+// bitset engine's untraced frontier path reports, every round, exactly the
 // message count and receiver set of the sequential engine's Sends, and
 // coverage computed through frontiers equals coverage computed through
 // Sends; so does the bipartite analysis (metrics and witness order) on the
@@ -161,28 +161,26 @@ func TestFrontierMatchesSends(t *testing.T) {
 			if len(tc.origins) == 1 {
 				wantBip = bipartiteOf(t, engine.Run, g, tc.proto, src, true)
 			}
-			for _, r := range allRunners() {
-				probe := &frontierProbe{}
-				got, err := r.run(context.Background(), g, tc.proto, engine.Options{Observer: probe})
-				if err != nil {
-					t.Fatalf("%s %s on %s: %v", r.name, tc.name, g, err)
+			probe := &frontierProbe{}
+			got, err := bitengine.Run(context.Background(), g, tc.proto, engine.Options{Observer: probe})
+			if err != nil {
+				t.Fatalf("bitset %s on %s: %v", tc.name, g, err)
+			}
+			if got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages || got.Terminated != want.Terminated {
+				t.Errorf("bitset %s on %s: result %+v, want %+v", tc.name, g, got, want)
+			}
+			if !sameViews(probe.rounds, wantViews) {
+				t.Errorf("bitset %s on %s: frontiers %v, want Sends-derived %v", tc.name, g, probe.rounds, wantViews)
+			}
+			for _, trace := range []bool{false, true} {
+				if cov := coverageOf(t, bitengine.Run, g, tc.proto, tc.origins, trace); !reflect.DeepEqual(cov, wantCov) {
+					t.Errorf("bitset %s on %s (trace %t): coverage %+v, want %+v", tc.name, g, trace, cov, wantCov)
 				}
-				if got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages || got.Terminated != want.Terminated {
-					t.Errorf("%s %s on %s: result %+v, want %+v", r.name, tc.name, g, got, want)
+				if len(tc.origins) != 1 {
+					continue
 				}
-				if !sameViews(probe.rounds, wantViews) {
-					t.Errorf("%s %s on %s: frontiers %v, want Sends-derived %v", r.name, tc.name, g, probe.rounds, wantViews)
-				}
-				for _, trace := range []bool{false, true} {
-					if cov := coverageOf(t, r.run, g, tc.proto, tc.origins, trace); !reflect.DeepEqual(cov, wantCov) {
-						t.Errorf("%s %s on %s (trace %t): coverage %+v, want %+v", r.name, tc.name, g, trace, cov, wantCov)
-					}
-					if len(tc.origins) != 1 {
-						continue
-					}
-					if bip := bipartiteOf(t, r.run, g, tc.proto, src, trace); !reflect.DeepEqual(bip, wantBip) {
-						t.Errorf("%s %s on %s (trace %t): bipartite %+v, want %+v", r.name, tc.name, g, trace, bip, wantBip)
-					}
+				if bip := bipartiteOf(t, bitengine.Run, g, tc.proto, src, trace); !reflect.DeepEqual(bip, wantBip) {
+					t.Errorf("bitset %s on %s (trace %t): bipartite %+v, want %+v", tc.name, g, trace, bip, wantBip)
 				}
 			}
 		}
@@ -258,56 +256,54 @@ func TestFrontierObserversNeverMaterialise(t *testing.T) {
 		{name: "optsTrace", specs: []string{"coverage"}, trace: true, materialise: true},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 2} {
-			set, err := analysis.NewSet(tc.specs, analysis.Context{Graph: g, GraphSpec: g.Name()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			set.AllowStop = false
-			if err := set.Start(origins); err != nil {
-				t.Fatal(err)
-			}
-			var counts []int
-			r := &relay{}
-			if !tc.unary {
-				r.target = engine.FrontierFunc(func(f engine.Frontier) (bool, error) {
-					counts = append(counts, f.Messages)
-					return false, nil
-				})
-			}
-			obs := sim.MultiObserver{r, set}
-			recorder := &sim.TraceRecorder{}
-			if tc.recorder {
-				obs = append(obs, recorder)
-			}
-			e := bitengine.New(g).Parallel(workers)
-			res, err := e.Run(context.Background(), flood, engine.Options{Trace: tc.trace, Observer: obs, ParallelThreshold: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := bitengine.SendsCap(e) > 0; got != tc.materialise {
-				t.Errorf("%s (workers %d): materialised = %t, want %t", tc.name, workers, got, tc.materialise)
-			}
-			if res.Rounds != want.Rounds || res.TotalMessages != want.TotalMessages || !res.Terminated {
-				t.Errorf("%s (workers %d): result %+v, want %+v", tc.name, workers, res, want)
-			}
-			if !tc.unary && !slices.Equal(counts, wantCounts) {
-				t.Errorf("%s (workers %d): streamed messages %v, want %v", tc.name, workers, counts, wantCounts)
-			}
-			if tc.trace && !sameBytes(res.Trace) {
-				t.Errorf("%s (workers %d): Options.Trace bytes differ from the sequential trace", tc.name, workers)
-			}
-			if tc.recorder && !sameBytes(recorder.Trace) {
-				t.Errorf("%s (workers %d): TraceRecorder bytes differ from the sequential trace", tc.name, workers)
-			}
-			m, err := set.Finish(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, v := range wantCov.metrics {
-				if m["coverage."+k] != v {
-					t.Errorf("%s (workers %d): coverage.%s = %v, want %v", tc.name, workers, k, m["coverage."+k], v)
-				}
+		set, err := analysis.NewSet(tc.specs, analysis.Context{Graph: g, GraphSpec: g.Name()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.AllowStop = false
+		if err := set.Start(origins); err != nil {
+			t.Fatal(err)
+		}
+		var counts []int
+		r := &relay{}
+		if !tc.unary {
+			r.target = engine.FrontierFunc(func(f engine.Frontier) (bool, error) {
+				counts = append(counts, f.Messages)
+				return false, nil
+			})
+		}
+		obs := sim.MultiObserver{r, set}
+		recorder := &sim.TraceRecorder{}
+		if tc.recorder {
+			obs = append(obs, recorder)
+		}
+		e := bitengine.New(g)
+		res, err := e.Run(context.Background(), flood, engine.Options{Trace: tc.trace, Observer: obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bitengine.SendsCap(e) > 0; got != tc.materialise {
+			t.Errorf("%s: materialised = %t, want %t", tc.name, got, tc.materialise)
+		}
+		if res.Rounds != want.Rounds || res.TotalMessages != want.TotalMessages || !res.Terminated {
+			t.Errorf("%s: result %+v, want %+v", tc.name, res, want)
+		}
+		if !tc.unary && !slices.Equal(counts, wantCounts) {
+			t.Errorf("%s: streamed messages %v, want %v", tc.name, counts, wantCounts)
+		}
+		if tc.trace && !sameBytes(res.Trace) {
+			t.Errorf("%s: Options.Trace bytes differ from the sequential trace", tc.name)
+		}
+		if tc.recorder && !sameBytes(recorder.Trace) {
+			t.Errorf("%s: TraceRecorder bytes differ from the sequential trace", tc.name)
+		}
+		m, err := set.Finish(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range wantCov.metrics {
+			if m["coverage."+k] != v {
+				t.Errorf("%s: coverage.%s = %v, want %v", tc.name, k, m["coverage."+k], v)
 			}
 		}
 	}

@@ -401,14 +401,12 @@ type Options struct {
 	// see RoundObserver. A frontier-only FrontierObserver may be given the
 	// round's Frontier instead.
 	Observer RoundObserver
-	// ParallelThreshold tunes when parallel-capable engines (fastengine's
-	// sharded delivery, bitengine's word-sharded sweep) split a round across
-	// goroutines: rounds smaller than the threshold run sequentially so
-	// small-graph suites don't pay goroutine overhead. 0 means the engine's
-	// default; 1 forces sharding on every round (used by the differential
-	// tests); engines that never parallelise ignore it. The unit is the
-	// engine's natural round-size measure (receivers for fastengine,
-	// frontier words for bitengine).
+	// ParallelThreshold tunes when fastengine's parallel mode splits a
+	// round's delivery across goroutines: rounds with fewer receivers than
+	// the threshold run sequentially so small-graph suites don't pay
+	// goroutine overhead. 0 means the engine's default; 1 forces sharding on
+	// every round (used by the differential tests); the other engines never
+	// split a round and ignore it.
 	ParallelThreshold int
 }
 

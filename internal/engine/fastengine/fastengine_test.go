@@ -51,6 +51,11 @@ func instances(tb testing.TB) []*graph.Graph {
 		gen.RandomNonBipartite(80, 0.06, rng), // non-bipartite
 		gen.RandomConnected(120, 0.04, rng),
 		gen.RandomGNP(60, 0.08, rng), // possibly disconnected
+		// Above 64 nodes, rounds fall on both sides of group's n/64
+		// receiver cutover (sort below, node bitmap from it on).
+		gen.Path(130),
+		gen.Star(130),
+		gen.Complete(65),
 	}
 	if len(gs) < 20 {
 		tb.Fatalf("differential corpus has %d instances, want >= 20", len(gs))
@@ -158,6 +163,85 @@ func TestParallelCrossesShardingThreshold(t *testing.T) {
 		}
 		if !engine.EqualTraces(want.Trace, got.Trace) {
 			t.Errorf("workers=%d: trace differs", workers)
+		}
+	}
+}
+
+// TestCorpusReachesBothGroupOrders makes sure the amnesiac differential runs
+// above order receivers both ways: some round has fewer than n/64 distinct
+// receivers (group sorts them) and some has at least that many (group sweeps
+// the node bitmap).
+func TestCorpusReachesBothGroupOrders(t *testing.T) {
+	rng := rand.New(rand.NewSource(7)) // TestEngineEquivalenceAmnesiac's origins
+	var sorted, bitmap int
+	for _, g := range instances(t) {
+		src := graph.NodeID(rng.Intn(g.N()))
+		res, err := engine.Run(context.Background(), g, core.MustNewFlood(g, src), engine.Options{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := fastengine.New(g)
+		for _, rec := range res.Trace {
+			if fastengine.BitmapRound(e, len(rec.Receivers())) {
+				bitmap++
+			} else {
+				sorted++
+			}
+		}
+	}
+	t.Logf("%d sorted rounds, %d bitmap rounds", sorted, bitmap)
+	if sorted == 0 || bitmap == 0 {
+		t.Fatalf("%d sorted and %d bitmap rounds, want both", sorted, bitmap)
+	}
+}
+
+// TestWarmRunAllocationsIndependentOfRounds pins the package doc's zero
+// allocations per round on both of group's receiver orders: a warm Engine
+// allocates as much per run on a long flood as on a short one. The cycle
+// pair differs only in sorted rounds (257 against 4097), the hypercube pair
+// in bitmap rounds (7 on d=8 against 9 on d=12), so neither branch
+// allocates per round. The protocol's Bootstrap, whose slice grows with the
+// origin's degree, is not the engine's and is left out of the count.
+func TestWarmRunAllocationsIndependentOfRounds(t *testing.T) {
+	// warm returns the engine's allocations in a warm run on spec and how
+	// many of the run's rounds group orders through the node bitmap.
+	warm := func(spec string) (allocs float64, bitmapRounds int) {
+		g := gen.MustBuild(spec, 1)
+		e := fastengine.New(g)
+		flood := core.MustNewFlood(g, 0)
+		traced, err := e.Run(context.Background(), flood, engine.Options{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range traced.Trace {
+			if fastengine.BitmapRound(e, len(rec.Receivers())) {
+				bitmapRounds++
+			}
+		}
+		run := func() {
+			if _, err := e.Run(context.Background(), flood, engine.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // grow the arenas
+		bootstrap := testing.AllocsPerRun(10, func() { flood.Bootstrap() })
+		return testing.AllocsPerRun(10, run) - bootstrap, bitmapRounds
+	}
+	for _, pair := range []struct {
+		short, long string
+		bitmap      [2]int // bitmap rounds of the short and the long flood
+	}{
+		{"cycle:n=257", "cycle:n=4097", [2]int{0, 0}},
+		{"hypercube:d=8", "hypercube:d=12", [2]int{7, 9}},
+	} {
+		small, smallBitmap := warm(pair.short)
+		large, largeBitmap := warm(pair.long)
+		if got := [2]int{smallBitmap, largeBitmap}; got != pair.bitmap {
+			t.Fatalf("%s and %s take %v bitmap rounds, want %v", pair.short, pair.long, got, pair.bitmap)
+		}
+		t.Logf("a warm run's engine allocates %.0f times on %s and %.0f on %s", small, pair.short, large, pair.long)
+		if large != small {
+			t.Fatalf("a warm run's engine allocates %.0f times on %s, %.0f on %s; want equal", large, pair.long, small, pair.short)
 		}
 	}
 }

@@ -75,10 +75,6 @@ func FuzzEngineEquivalence(f *testing.F) {
 				return fastengine.RunParallel(ctx, g, p, o)
 			}},
 			{"bitset", bitengine.Run},
-			{"bitsetSharded", func(ctx context.Context, g *graph.Graph, p engine.Protocol, o engine.Options) (engine.Result, error) {
-				o.ParallelThreshold = 1
-				return bitengine.New(g).Parallel(2).Run(ctx, p, o)
-			}},
 		}
 		for _, e := range engines {
 			got, err := e.run(context.Background(), g, flood, opts)

@@ -146,10 +146,11 @@ func (m *Manifest) Close() error {
 	return m.f.Close()
 }
 
-// Resume executes the suite like Run, but against a checkpoint: specs whose
-// rows the manifest already journals are skipped (their prior rows are
-// replayed into r.Sink and merged into the returned results), and every
-// newly completed row is journaled to the manifest as well as r.Sink. A
+// Resume executes the suite like Run, dropping repeated specs (Distinct),
+// but against a checkpoint: specs whose rows the manifest already journals
+// are skipped (their prior rows are replayed into r.Sink and merged into
+// the returned results), and every newly completed row is journaled to the
+// manifest as well as r.Sink. A
 // sweep killed partway and resumed this way replays only the remainder, and
 // — because every row is a deterministic function of its Spec — the merged,
 // order-normalised results are identical to an uninterrupted run's (up to
@@ -160,11 +161,8 @@ func (r *Runner) Resume(ctx context.Context, m *Manifest, specs []Spec) ([]Resul
 	}
 	merged := make([]Result, 0, len(specs))
 	var todo []Spec
-	replayed := map[string]bool{}
-	for _, s := range specs {
-		id := s.ID()
-		if row, ok := m.Row(id); ok && !replayed[id] {
-			replayed[id] = true
+	for _, s := range Distinct(specs) {
+		if row, ok := m.Row(s.ID()); ok {
 			merged = append(merged, row)
 			if r.Sink != nil {
 				if err := r.Sink.Write(row); err != nil {

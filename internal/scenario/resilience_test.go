@@ -591,3 +591,70 @@ func TestResumeDeterministicErrorRows(t *testing.T) {
 		t.Fatal("resumed error rows differ from the original run")
 	}
 }
+
+// TestRepeatedSpecsRunOnce: a spec whose ID repeats an earlier one is
+// dropped (scenario.Distinct, which shard.NewCoordinator applies too), so
+// one row serves both. Run drops it under any worker count, and Resume
+// drops it whether or not the journal already holds its row.
+func TestRepeatedSpecsRunOnce(t *testing.T) {
+	matrix := scenario.Matrix{
+		Graphs:    []string{"cycle:n=9", "grid:rows=3,cols=4"},
+		Protocols: []string{"amnesiac", "classic"},
+		Seeds:     []int64{1, 2},
+	}
+	distinct, err := matrix.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	matrix.Seeds = []int64{1, 2, 1}
+	specs, err := matrix.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) <= len(distinct) {
+		t.Fatalf("%d specs repeat none of the %d distinct ones", len(specs), len(distinct))
+	}
+	if got := scenario.Distinct(specs); len(got) != len(distinct) || got[0].ID() != specs[0].ID() {
+		t.Fatalf("Distinct kept %d of %d specs, want the %d distinct ones in first-seen order", len(got), len(specs), len(distinct))
+	}
+	ctx := context.Background()
+	want, err := (&scenario.Runner{Workers: 1}).Run(ctx, distinct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		sink := scenario.NewAggregate()
+		got, err := (&scenario.Runner{Workers: workers, Sink: sink}).Run(ctx, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(toJSONL(t, got), toJSONL(t, want)) || len(sink.Results()) != len(distinct) {
+			t.Errorf("workers=%d: %d rows returned, %d written, want the %d distinct specs' rows",
+				workers, len(got), len(sink.Results()), len(distinct))
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "checkpoint.jsonl")
+	m, err := scenario.OpenManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&scenario.Runner{Workers: 1}).Resume(ctx, m, specs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := scenario.OpenManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	got, err := (&scenario.Runner{Workers: 4}).Resume(ctx, m2, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(toJSONL(t, got), toJSONL(t, want)) || m2.Len() != len(distinct) {
+		t.Errorf("resume: %d rows returned, %d journaled, want the %d distinct specs' rows", len(got), m2.Len(), len(distinct))
+	}
+}

@@ -156,8 +156,24 @@ func groupKey(s Spec) string {
 // keeps the runner's arena-reuse locality.
 func GroupKey(s Spec) string { return groupKey(s) }
 
-// Run executes every spec and returns the results sorted by Spec ID (the
-// order-normalised form). Individual run failures — including recovered
+// Distinct returns specs in order without any spec whose ID repeats an
+// earlier one, so one row serves every copy of a spec. Run, Resume and
+// shard.NewCoordinator all run a suite through it.
+func Distinct(specs []Spec) []Spec {
+	seen := make(map[string]bool, len(specs))
+	out := make([]Spec, 0, len(specs))
+	for _, s := range specs {
+		if id := s.ID(); !seen[id] {
+			seen[id] = true
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// Run executes every distinct spec and returns the results sorted by Spec ID
+// (the order-normalised form). A spec whose ID repeats an earlier one is
+// dropped (see Distinct). Individual run failures — including recovered
 // panics, expired watchdogs, and exhausted retry budgets — are recorded in
 // Result.Err and do not abort the suite; Run itself fails only on context
 // cancellation or a sink write error — either cancels the remaining work —
@@ -175,11 +191,12 @@ func (r *Runner) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Bucket specs into session-sharing groups, preserving first-seen
-	// order so sequential execution (workers=1) follows the suite order.
+	// Bucket distinct specs into session-sharing groups, preserving
+	// first-seen order so sequential execution (workers=1) follows the
+	// suite order.
 	var groups []*group
 	index := map[string]*group{}
-	for _, s := range specs {
+	for _, s := range Distinct(specs) {
 		key := groupKey(s)
 		grp, ok := index[key]
 		if !ok {

@@ -138,17 +138,13 @@ func NewCoordinator(specs []scenario.Spec, cfg CoordinatorConfig) (*Coordinator,
 		seen:    map[string]bool{},
 		done:    make(chan struct{}),
 	}
-	// Partition in first-seen order (the matrix expansion order), exactly
-	// like the in-process runner, dropping specs the manifest already
-	// journals — their rows merge now, without a worker.
+	// Partition the distinct specs in first-seen order (the matrix
+	// expansion order), exactly like the in-process runner, dropping specs
+	// the manifest already journals — their rows merge now, without a
+	// worker.
 	index := map[string]*shardGroup{}
-	known := map[string]bool{}
-	for _, s := range specs {
+	for _, s := range scenario.Distinct(specs) {
 		id := s.ID()
-		if known[id] {
-			continue // duplicate spec in the suite; one row serves both
-		}
-		known[id] = true
 		if cfg.Manifest != nil {
 			if row, ok := cfg.Manifest.Row(id); ok {
 				c.seen[id] = true

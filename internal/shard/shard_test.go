@@ -132,17 +132,25 @@ func shardedRun(t *testing.T, specs []scenario.Spec, n int, cfg shard.Coordinato
 
 // TestShardWorkerCountInvariance: the same matrix through 1, 2, 4, and 8
 // workers merges byte-identical (order-normalised JSONL) to a single-process
-// run.
+// run. The matrix repeats a spec: both sides keep one row for it.
 func TestShardWorkerCountInvariance(t *testing.T) {
 	specs := testMatrix(t)
+	specs = append(specs, specs[len(specs)/2])
+	ids := map[string]bool{}
+	for _, s := range specs {
+		ids[s.ID()] = true
+	}
 	want := jsonLines(t, baseline(t, specs))
+	if rows := strings.Count(want, "\n"); rows != len(ids) {
+		t.Fatalf("single-process baseline has %d rows, want %d distinct specs", rows, len(ids))
+	}
 	for _, n := range []int{1, 2, 4, 8} {
 		results, st := shardedRun(t, specs, n, shard.CoordinatorConfig{}, nil)
 		if got := jsonLines(t, results); got != want {
 			t.Errorf("%d workers diverged from the single-process baseline:\n%s\nvs\n%s", n, got, want)
 		}
-		if st.Rows != len(specs) || !st.Complete {
-			t.Errorf("%d workers: status %+v, want %d rows complete", n, st, len(specs))
+		if st.Rows != len(ids) || !st.Complete {
+			t.Errorf("%d workers: status %+v, want %d rows complete", n, st, len(ids))
 		}
 	}
 }

@@ -338,7 +338,7 @@ func (s *Session) runProto(ctx context.Context, proto engine.Protocol, origins [
 			res, err = s.fast.Run(ctx, proto, opts)
 		case Bitset:
 			if s.bit == nil {
-				s.bit = bitengine.New(s.g).Parallel(0)
+				s.bit = bitengine.New(s.g)
 			}
 			res, err = s.bit.Run(ctx, proto, opts)
 		case Channels:
