@@ -14,7 +14,7 @@ BENCHFILE := BENCH_$(DATE).json
 BENCHTIME ?= 50ms
 BENCHCOUNT ?= 1
 
-.PHONY: all build test vet race fuzz bench bench-smoke suite suite-shard serve smoke-service
+.PHONY: all build test vet race fuzz examples bench bench-smoke suite suite-shard serve smoke-service
 
 all: vet build test
 
@@ -45,6 +45,16 @@ race:
 
 fuzz:
 	go test -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine/fastengine
+
+# examples runs every program under examples/ and fails on the first
+# non-zero exit. Building them is not enough: a program that looks a
+# protocol up by name fails only at run time if it does not link the
+# package registering it.
+examples:
+	@for dir in examples/*/; do \
+	  echo "go run ./$$dir"; \
+	  go run ./$$dir > /dev/null || exit 1; \
+	done
 
 # bench runs the full benchmark suite and archives it as structured JSON
 # (one {"name", "ns_per_op", "allocs_per_op", metrics...} object per

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"amnesiacflood/internal/analysis/analysistest"
@@ -40,48 +41,49 @@ import (
 // it exists to demonstrate concurrency, not to be fast.
 var benchEngines = []sim.EngineKind{sim.Sequential, sim.Fast, sim.Parallel}
 
-// benchReport runs a traced flood through the sim façade and analyses it,
-// the per-iteration body of the engine-parameterised benchmarks. A session
-// is built once per benchmark, so the fast engines amortise their arenas
-// exactly as a serving deployment would.
-func benchReport(b *testing.B, sess *sim.Session, g *graph.Graph, source graph.NodeID) *core.Report {
+// benchRun runs the session once, the per-iteration body of the
+// engine-parameterised benchmarks. A session is built once per benchmark,
+// so the fast engines amortise their arenas exactly as a serving deployment
+// would.
+func benchRun(b *testing.B, sess *sim.Session) engine.Result {
 	b.Helper()
 	res, err := sess.Run(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
-	return core.Analyze(g, []graph.NodeID{source}, res)
+	return res
 }
 
-// newBenchSession builds the traced amnesiac session for one engine.
-func newBenchSession(b *testing.B, g *graph.Graph, kind sim.EngineKind, source graph.NodeID) *sim.Session {
+// newBenchSession builds the amnesiac session for one engine, with the
+// further options given (the experiments' runs attach the coverage
+// analysis).
+func newBenchSession(b *testing.B, g *graph.Graph, kind sim.EngineKind, source graph.NodeID, opts ...sim.Option) *sim.Session {
 	b.Helper()
-	sess, err := sim.New(g,
+	sess, err := sim.New(g, append([]sim.Option{
 		sim.WithProtocol("amnesiac"),
 		sim.WithEngine(kind),
 		sim.WithOrigins(source),
-		sim.WithTrace(true),
-	)
+	}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return sess
 }
 
-// benchFlood runs AF once per iteration on the given engine and reports
-// rounds/messages metrics.
+// benchFlood runs AF with the coverage analysis once per iteration on the
+// given engine and reports rounds/messages metrics.
 func benchFlood(b *testing.B, g *graph.Graph, kind sim.EngineKind, source graph.NodeID) {
 	b.Helper()
-	sess := newBenchSession(b, g, kind, source)
-	var rep *core.Report
+	sess := newBenchSession(b, g, kind, source, sim.WithAnalysis("coverage"))
+	var res engine.Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep = benchReport(b, sess, g, source)
+		res = benchRun(b, sess)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(rep.Rounds()), "rounds")
-	b.ReportMetric(float64(rep.TotalMessages()), "messages")
+	b.ReportMetric(float64(res.Rounds), "rounds")
+	b.ReportMetric(float64(res.TotalMessages), "messages")
 }
 
 // E1: Figure 1 — the 4-node line from b.
@@ -122,19 +124,19 @@ func BenchmarkBipartiteTermination(b *testing.B) {
 			ecc := algo.Eccentricity(g, 0)
 			for _, kind := range benchEngines {
 				b.Run(fmt.Sprintf("%s/%s", g.Name(), kind), func(b *testing.B) {
-					sess := newBenchSession(b, g, kind, 0)
-					var rep *core.Report
+					sess := newBenchSession(b, g, kind, 0, sim.WithAnalysis("coverage"))
+					var res engine.Result
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						rep = benchReport(b, sess, g, 0)
+						res = benchRun(b, sess)
 					}
 					b.StopTimer()
-					if rep.Rounds() != ecc {
-						b.Fatalf("rounds %d != e(source) %d (Lemma 2.1)", rep.Rounds(), ecc)
+					if res.Rounds != ecc {
+						b.Fatalf("rounds %d != e(source) %d (Lemma 2.1)", res.Rounds, ecc)
 					}
-					b.ReportMetric(float64(rep.Rounds()), "rounds")
-					b.ReportMetric(float64(rep.TotalMessages()), "messages")
+					b.ReportMetric(float64(res.Rounds), "rounds")
+					b.ReportMetric(float64(res.TotalMessages), "messages")
 				})
 			}
 		}
@@ -157,37 +159,37 @@ func BenchmarkNonBipartiteTermination(b *testing.B) {
 		diam := algo.Diameter(g)
 		for _, kind := range benchEngines {
 			b.Run(g.Name()+"/"+kind.String(), func(b *testing.B) {
-				sess := newBenchSession(b, g, kind, 0)
-				var rep *core.Report
+				sess := newBenchSession(b, g, kind, 0, sim.WithAnalysis("coverage"))
+				var res engine.Result
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					rep = benchReport(b, sess, g, 0)
+					res = benchRun(b, sess)
 				}
 				b.StopTimer()
-				if rep.Rounds() > 2*diam+1 {
-					b.Fatalf("rounds %d > 2D+1 = %d (Theorem 3.3)", rep.Rounds(), 2*diam+1)
+				if res.Rounds > 2*diam+1 {
+					b.Fatalf("rounds %d > 2D+1 = %d (Theorem 3.3)", res.Rounds, 2*diam+1)
 				}
-				b.ReportMetric(float64(rep.Rounds()), "rounds")
-				b.ReportMetric(float64(rep.TotalMessages()), "messages")
+				b.ReportMetric(float64(res.Rounds), "rounds")
+				b.ReportMetric(float64(res.TotalMessages), "messages")
 			})
 		}
 	}
 }
 
-// E6: Figure 4 / Lemma 3.2 — cost of reconstructing round-sets and checking
-// the odd-gap invariant on a non-trivial run.
+// E6: Figure 4 / Lemma 3.2 — cost of reading the round-sets off a run's
+// coverage analyzer and checking the odd-gap invariant on a non-trivial
+// run.
 func BenchmarkRoundSetAnalysis(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := gen.RandomNonBipartite(512, 0.01, rng)
-	rep, err := core.Run(g, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sess := newBenchSession(b, g, sim.Sequential, 0, sim.WithAnalysis("coverage"))
+	benchRun(b, sess)
+	cov, _ := sess.Coverage()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := theory.CheckOddGapInvariant(rep); err != nil {
+		if err := theory.CheckOddGapInvariant(cov); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -320,23 +322,14 @@ func BenchmarkModels(b *testing.B) {
 // frozen post-hoc path it replaces: coverage and bipartiteness computed
 // round by round inside the run (sim.WithAnalysis, reusable buffers, no
 // trace) versus materialising the full trace and re-walking it through
-// core.Analyze / analysistest.DetectFromReport. allocs/op is the headline
-// number — the post-hoc path pays one slice per round for the trace plus
-// the re-walk, the streaming path reuses one session-owned buffer set.
+// analysistest.ReceiptsFromTrace / DetectFromReport. allocs/op is the
+// headline number — the post-hoc path pays one slice per round for the
+// trace plus the re-walk, the streaming path reuses one session-owned
+// buffer set.
 func BenchmarkAnalyses(b *testing.B) {
 	g := gen.MustBuild("randnonbipartite:n=1024,p=0.005", 2)
-	stream := func(b *testing.B, analyses ...string) *sim.Session {
-		b.Helper()
-		sess, err := sim.New(g,
-			sim.WithProtocol("amnesiac"),
-			sim.WithEngine(sim.Fast),
-			sim.WithOrigins(0),
-			sim.WithAnalysis(analyses...),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sess
+	stream := func(b *testing.B, analysis string) *sim.Session {
+		return newBenchSession(b, g, sim.Fast, 0, sim.WithAnalysis(analysis))
 	}
 	b.Run("coverage/streaming", func(b *testing.B) {
 		sess := stream(b, "coverage")
@@ -356,15 +349,15 @@ func BenchmarkAnalyses(b *testing.B) {
 		}
 	})
 	b.Run("coverage/posthoc", func(b *testing.B) {
-		sess := newBenchSession(b, g, sim.Fast, 0)
-		var rep *core.Report
+		sess := newBenchSession(b, g, sim.Fast, 0, sim.WithTrace(true))
+		var counts []int
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rep = benchReport(b, sess, g, 0)
+			counts, _, _ = analysistest.ReceiptsFromTrace(g.N(), benchRun(b, sess))
 		}
 		b.StopTimer()
-		if !rep.Covered() {
+		if slices.Contains(counts, 0) {
 			b.Fatal("uncovered")
 		}
 	})
@@ -386,14 +379,13 @@ func BenchmarkAnalyses(b *testing.B) {
 		}
 	})
 	b.Run("bipartite/posthoc", func(b *testing.B) {
-		sess := newBenchSession(b, g, sim.Fast, 0)
+		sess := newBenchSession(b, g, sim.Fast, 0, sim.WithTrace(true))
 		var verdict analysistest.Verdict
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rep := benchReport(b, sess, g, 0)
 			var err error
-			verdict, err = analysistest.DetectFromReport(g, 0, rep)
+			verdict, err = analysistest.DetectFromReport(g, 0, benchRun(b, sess))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -588,17 +580,16 @@ func BenchmarkMultiSource(b *testing.B) {
 			origins[i] = graph.NodeID(rng.Intn(g.N()))
 		}
 		b.Run(fmt.Sprintf("origins=%d", k), func(b *testing.B) {
-			var rep *core.Report
-			var err error
+			sess := newBenchSession(b, g, sim.Sequential, 0, sim.WithOrigins(origins...), sim.WithAnalysis("coverage"))
+			var res engine.Result
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err = core.Run(g, origins...)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = benchRun(b, sess)
 			}
-			b.ReportMetric(float64(rep.Rounds()), "rounds")
-			b.ReportMetric(float64(rep.TotalMessages()), "messages")
+			b.StopTimer()
+			b.ReportMetric(float64(res.Rounds), "rounds")
+			b.ReportMetric(float64(res.TotalMessages), "messages")
 		})
 	}
 }
@@ -693,18 +684,15 @@ func BenchmarkTerminationDetection(b *testing.B) {
 // E18: wavefront profile extraction (trace post-processing cost).
 func BenchmarkWavefrontProfile(b *testing.B) {
 	g := gen.Cycle(4097)
-	rep, err := core.Run(g, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := benchRun(b, newBenchSession(b, g, sim.Sequential, 0, sim.WithTrace(true)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total := 0
-		for _, rec := range rep.Result.Trace {
+		for _, rec := range res.Trace {
 			total += len(rec.Sends)
 		}
-		if total != rep.TotalMessages() {
+		if total != res.TotalMessages {
 			b.Fatal("profile sum mismatch")
 		}
 	}

@@ -162,7 +162,10 @@ func run(args []string) error {
 		sim.WithOrigins(origins...),
 		sim.WithSeed(*seed),
 		sim.WithMaxRounds(*maxRounds),
-		sim.WithTrace(true),
+		// Record a trace only for the outputs that print it, and run every
+		// analysis to the natural end, as a traced run would.
+		sim.WithTrace(*render || *timeline || *asJSON),
+		sim.WithAnalysisStop(false),
 	}
 	if specs := splitAnalyses(*analyze); len(specs) > 0 {
 		sessOpts = append(sessOpts, sim.WithAnalysis(specs...))
@@ -220,8 +223,7 @@ func run(args []string) error {
 		}
 	}
 	if *timeline {
-		rep := core.Analyze(g, origins, res)
-		if err := trace.Timeline(os.Stdout, g, rep, label); err != nil {
+		if err := trace.Timeline(os.Stdout, g, res.Trace, label); err != nil {
 			return err
 		}
 	}
@@ -386,16 +388,16 @@ func labelAll(origins []graph.NodeID, label trace.Labeler) string {
 // fails loudly if they ever disagree (they cannot, per experiment E11).
 func runPredict(g *graph.Graph, source graph.NodeID, label trace.Labeler) error {
 	pred := doublecover.Predict(g, source)
-	rep, err := core.Run(g, source)
+	res, err := engine.Run(context.Background(), g, core.MustNewFlood(g, source), engine.Options{Trace: true})
 	if err != nil {
 		return err
 	}
-	same := pred.Rounds == rep.Rounds() &&
-		pred.TotalMessages == rep.TotalMessages() &&
-		engine.EqualTraces(pred.Trace, rep.Result.Trace)
+	same := pred.Rounds == res.Rounds &&
+		pred.TotalMessages == res.TotalMessages &&
+		engine.EqualTraces(pred.Trace, res.Trace)
 	fmt.Printf("double-cover prediction for %s from %s:\n", g, label(source))
 	fmt.Printf("  predicted: rounds=%d messages=%d\n", pred.Rounds, pred.TotalMessages)
-	fmt.Printf("  measured:  rounds=%d messages=%d\n", rep.Rounds(), rep.TotalMessages())
+	fmt.Printf("  measured:  rounds=%d messages=%d\n", res.Rounds, res.TotalMessages)
 	fmt.Printf("  traces identical: %t\n", same)
 	if second := pred.SecondReceivers(); len(second) > 0 {
 		fmt.Printf("  nodes predicted to receive twice: %d (odd-cycle parity reachable)\n", len(second))

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -142,5 +143,43 @@ func TestRunFromFile(t *testing.T) {
 	}
 	if err := run([]string{"-file", path, "-source", "2", "-render"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// runOutput runs the CLI with args and returns what it printed.
+func runOutput(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan []byte)
+	go func() {
+		out, _ := io.ReadAll(r)
+		printed <- out
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := run(args)
+	os.Stdout = stdout
+	w.Close()
+	out := <-printed
+	if runErr != nil {
+		t.Fatalf("run(%v): %v", args, runErr)
+	}
+	return string(out)
+}
+
+// TestUntracedAnalysisRunsToTheEnd: afsim records a trace only for the
+// outputs that print one, and an untraced run must still flood to the
+// natural end instead of stopping where every analysis is ready: the
+// bipartite analysis has its first witness on C9 well before the flood
+// dies in round 9.
+func TestUntracedAnalysisRunsToTheEnd(t *testing.T) {
+	for _, engineName := range sim.EngineNames() {
+		out := runOutput(t, "-graph", "cycle:n=9", "-analyze", "bipartite", "-engine", engineName)
+		if !strings.Contains(out, " rounds=9 messages=18 ") {
+			t.Errorf("-engine %s: want rounds=9 messages=18, got:\n%s", engineName, out)
+		}
 	}
 }

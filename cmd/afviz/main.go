@@ -27,11 +27,14 @@ import (
 	"strings"
 
 	"amnesiacflood/internal/cli"
-	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
 	"amnesiacflood/internal/sim"
 	"amnesiacflood/internal/trace"
+
+	// Registers the amnesiac protocol, which afviz runs by name.
+	_ "amnesiacflood/internal/core"
 )
 
 func main() {
@@ -85,7 +88,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep := core.Analyze(g, []graph.NodeID{source}, res)
 	label := trace.Numbers
 	if g.N() <= 26 {
 		label = trace.Letters
@@ -94,18 +96,18 @@ func run(args []string) error {
 	switch *format {
 	case "rounds":
 		fmt.Printf("amnesiac flooding on %s from %s: %d rounds, %d messages\n",
-			g, label(source), rep.Rounds(), rep.TotalMessages())
-		return trace.RenderRounds(os.Stdout, rep.Result.Trace, label)
+			g, label(source), res.Rounds, res.TotalMessages)
+		return trace.RenderRounds(os.Stdout, res.Trace, label)
 	case "timeline":
-		return trace.Timeline(os.Stdout, g, rep, label)
+		return trace.Timeline(os.Stdout, g, res.Trace, label)
 	case "csv":
-		return trace.WriteCSV(os.Stdout, rep.Result.Trace)
+		return trace.WriteCSV(os.Stdout, res.Trace)
 	case "json":
-		return trace.WriteJSON(os.Stdout, rep.Result.Trace)
+		return trace.WriteJSON(os.Stdout, res.Trace)
 	case "dot":
-		return writeDOTFrames(*out, g, rep)
+		return writeDOTFrames(*out, g, res.Trace)
 	case "svg":
-		return writeSVGFrames(*out, g, rep, label)
+		return writeSVGFrames(*out, g, res.Trace, label)
 	default:
 		return fmt.Errorf("unknown format %q", *format)
 	}
@@ -141,11 +143,11 @@ func printRegistries(w io.Writer) error {
 
 // writeSVGFrames emits one SVG per round in the paper's figure style:
 // circular layout, message arrows, senders double-circled.
-func writeSVGFrames(dir string, g *graph.Graph, rep *core.Report, label trace.Labeler) error {
+func writeSVGFrames(dir string, g *graph.Graph, records []engine.RoundRecord, label trace.Labeler) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, rec := range rep.Result.Trace {
+	for _, rec := range records {
 		path := filepath.Join(dir, fmt.Sprintf("round%03d.svg", rec.Round))
 		f, err := os.Create(path)
 		if err != nil {
@@ -165,11 +167,11 @@ func writeSVGFrames(dir string, g *graph.Graph, rep *core.Report, label trace.La
 
 // writeDOTFrames emits one DOT file per round with that round's senders
 // highlighted, reproducing the circled nodes of the paper's figures.
-func writeDOTFrames(dir string, g *graph.Graph, rep *core.Report) error {
+func writeDOTFrames(dir string, g *graph.Graph, records []engine.RoundRecord) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, rec := range rep.Result.Trace {
+	for _, rec := range records {
 		highlight := map[graph.NodeID]bool{}
 		for _, s := range rec.Senders() {
 			highlight[s] = true

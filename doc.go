@@ -152,7 +152,7 @@
 //	internal/engine/chanengine concurrent channel-based engine
 //	internal/engine/fastengine zero-allocation CSR engine, parallel mode
 //	internal/engine/bitengine  word-parallel bitset frontier engine, push/pull kernels
-//	internal/core             Amnesiac Flooding protocol and run reports
+//	internal/core             the Amnesiac Flooding protocol
 //	internal/classic          flag-based flooding baseline
 //	internal/async            delay adversaries of the asynchronous model
 //	internal/doublecover      exact prediction via the bipartite double cover (one reusable parity BFS)

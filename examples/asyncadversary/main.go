@@ -21,8 +21,10 @@ import (
 	"amnesiacflood/internal/sim"
 	"amnesiacflood/internal/trace"
 
-	// Registers the adversary model families.
+	// Register the adversary model families and the amnesiac protocol
+	// they run.
 	_ "amnesiacflood/internal/async"
+	_ "amnesiacflood/internal/core"
 )
 
 func main() {

@@ -12,7 +12,6 @@ import (
 	"log"
 	"os"
 
-	"amnesiacflood/internal/core"
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
@@ -20,6 +19,10 @@ import (
 	"amnesiacflood/internal/sim"
 	"amnesiacflood/internal/theory"
 	"amnesiacflood/internal/trace"
+
+	// Registers the amnesiac protocol, the one entry of the printed
+	// protocol list.
+	_ "amnesiacflood/internal/core"
 )
 
 func main() {
@@ -43,13 +46,14 @@ func run() error {
 	for _, d := range demos {
 		fmt.Printf("## %s (engine: %s)\n\n", d.title, d.kind)
 
-		// Stream rounds through an observer while also recording the
-		// trace for the analysis below — the same run serves both.
+		// Stream rounds through an observer and the coverage analysis
+		// while also recording the trace — the same run serves all three.
 		recorder := &sim.TraceRecorder{}
 		sess, err := sim.New(d.g,
 			sim.WithProtocol("amnesiac"),
 			sim.WithEngine(d.kind),
 			sim.WithOrigins(d.source),
+			sim.WithAnalysis("coverage"),
 			sim.WithObserver(sim.MultiObserver{
 				recorder,
 				engine.ObserverFunc(func(rec engine.RoundRecord) (bool, error) {
@@ -70,15 +74,14 @@ func run() error {
 			return err
 		}
 
-		res.Trace = recorder.Trace
-		rep := core.Analyze(d.g, []graph.NodeID{d.source}, res)
+		cov, _ := sess.Coverage()
 		bound := theory.PredictTermination(d.g, d.source)
 		window := fmt.Sprintf("%d..%d", bound.Lower, bound.Upper)
 		if !bound.Certified {
 			window = fmt.Sprintf("%d.., upper end not certified", bound.Lower)
 		}
 		fmt.Printf("\nterminated in %d rounds (paper's window: %s), %d messages, max receives per node %d\n",
-			rep.Rounds(), window, rep.TotalMessages(), rep.MaxReceives())
+			res.Rounds, window, res.TotalMessages, cov.MaxReceives())
 		fmt.Printf("graph: diameter %d, e(source) %d, bipartite %t; engine %s in %v\n\n",
 			algo.Diameter(d.g), algo.Eccentricity(d.g, d.source), algo.IsBipartite(d.g),
 			res.Engine, res.WallTime)

@@ -19,11 +19,14 @@ import (
 	"math/rand"
 
 	"amnesiacflood/internal/classic"
-	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
 	"amnesiacflood/internal/sim"
+
+	// Registers the amnesiac protocol; classic registers itself above.
+	_ "amnesiacflood/internal/core"
 )
 
 func main() {
@@ -45,50 +48,48 @@ func run(n int, seed int64) error {
 		patientZero, algo.Eccentricity(network, patientZero))
 
 	// Both forwarders run through the sim façade: same graph, same patient
-	// zero, protocol selected by registry name.
-	runProtocol := func(name string) (*core.Report, error) {
+	// zero, protocol selected by registry name, receipts counted by the
+	// coverage analysis.
+	runProtocol := func(name string) (engine.Result, *sim.Session, error) {
 		sess, err := sim.New(network,
 			sim.WithProtocol(name),
 			sim.WithEngine(sim.Fast),
 			sim.WithOrigins(patientZero),
-			sim.WithTrace(true),
+			sim.WithAnalysis("coverage"),
 		)
 		if err != nil {
-			return nil, err
+			return engine.Result{}, nil, err
 		}
 		res, err := sess.Run(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		return core.Analyze(network, []graph.NodeID{patientZero}, res), nil
+		return res, sess, err
 	}
 
-	amnesiac, err := runProtocol("amnesiac")
+	amnesiac, sess, err := runProtocol("amnesiac")
 	if err != nil {
 		return err
 	}
+	cov, _ := sess.Coverage()
 	multi := 0
-	for _, c := range amnesiac.ReceiveCounts {
+	for _, c := range cov.ReceiveCounts() {
 		if c >= 2 {
 			multi++
 		}
 	}
 	fmt.Println("amnesiac forwarder (no per-user memory):")
 	fmt.Printf("  quiet after %d rounds, %d forwards, %d/%d users saw the rumour twice\n\n",
-		amnesiac.Rounds(), amnesiac.TotalMessages(), multi, network.N())
+		amnesiac.Rounds, amnesiac.TotalMessages, multi, network.N())
 
-	classicRep, err := runProtocol("classic")
+	classicRes, _, err := runProtocol("classic")
 	if err != nil {
 		return err
 	}
-	classicRes := classicRep.Result
 	fmt.Println("classic forwarder (every user remembers the rumour):")
 	fmt.Printf("  quiet after %d rounds, %d forwards, %d persistent bit(s) per user\n\n",
 		classicRes.Rounds, classicRes.TotalMessages, classic.PersistentBitsPerNode())
 
-	ratio := float64(amnesiac.TotalMessages()) / float64(classicRes.TotalMessages)
+	ratio := float64(amnesiac.TotalMessages) / float64(classicRes.TotalMessages)
 	fmt.Printf("price of amnesia on this network: %.2fx the forwards, %+d rounds\n",
-		ratio, amnesiac.Rounds()-classicRes.Rounds)
+		ratio, amnesiac.Rounds-classicRes.Rounds)
 	fmt.Println("(the paper proves the amnesiac process always goes quiet: Theorem 3.1)")
 	return nil
 }

@@ -13,12 +13,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 
 	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
 	"amnesiacflood/internal/termdetect"
@@ -38,13 +40,13 @@ func run(seed int64) error {
 	source := graph.NodeID(rng.Intn(g.N()))
 	fmt.Printf("network: %s, flood from node %d\n\n", g, source)
 
-	amnesiac, err := core.Run(g, source)
+	amnesiac, err := engine.Run(context.Background(), g, core.MustNewFlood(g, source), engine.Options{})
 	if err != nil {
 		return err
 	}
 	fmt.Println("amnesiac flooding:")
 	fmt.Printf("  quiet after round %d; %d messages; persistent state: none\n",
-		amnesiac.Rounds(), amnesiac.TotalMessages())
+		amnesiac.Rounds, amnesiac.TotalMessages)
 	fmt.Println("  termination knowledge: none — the network just falls silent")
 	fmt.Println()
 
@@ -57,7 +59,7 @@ func run(seed int64) error {
 		detected.FloodRounds, detected.DetectionRound)
 	fmt.Printf("  %d flood messages + %d acknowledgements = %d total (%.2fx the amnesiac run)\n",
 		detected.FloodMessages, detected.AckMessages, detected.TotalMessages(),
-		float64(detected.TotalMessages())/float64(amnesiac.TotalMessages()))
+		float64(detected.TotalMessages())/float64(amnesiac.TotalMessages))
 	fmt.Println("  persistent state: seen flag + parent pointer + deficit counter per node")
 	fmt.Println()
 	fmt.Println("the paper's trade: amnesiac flooding gives up the 'done' signal to run with no memory at all")

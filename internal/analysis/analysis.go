@@ -32,10 +32,11 @@
 // gen for spec recognition, algo for ground truth, doublecover for the
 // exact termination law, stats for summaries, and termdetect for the echo
 // baseline), so the sim façade can own it the way it owns internal/model.
-// This registry is the repository's one measurement path: core.Analyze
-// replays a trace through the coverage analysis for the theory checks, and
-// the frozen post-hoc bipartiteness and spanning-tree walks live on only as
-// differential-test oracles in the test-only analysistest subpackage.
+// This registry is the repository's one measurement path: the theory
+// checks and the experiment harness read a session's live coverage
+// analyzer, and the frozen post-hoc bipartiteness, spanning-tree and
+// receipt walks over a retained trace live on only as differential-test
+// oracles in the test-only analysistest subpackage.
 package analysis
 
 import (

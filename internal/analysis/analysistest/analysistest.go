@@ -1,13 +1,15 @@
-// Package analysistest preserves the post-hoc bipartiteness and
-// spanning-tree walks that the streaming "bipartite" and "spantree"
-// analyses replaced, as frozen reference implementations. They read a
-// finished single-source report (core.Run or core.Analyze over a traced
-// result) instead of observing rounds, so the differential tests in
+// Package analysistest preserves the post-hoc walks that the streaming
+// "coverage", "bipartite" and "spantree" analyses replaced, as frozen
+// reference implementations. They read the report of a finished
+// single-source run, its engine.Result recorded with tracing on, and walk
+// the trace instead of observing rounds, so the differential tests in
 // internal/analysis compare the streaming analyses against an independent
 // implementation:
 //
-//   - DetectFromReport derives the bipartiteness verdict from the receive
-//     counts and cross-checks it against the late-termination signal;
+//   - ReceiptsFromTrace counts each node's distinct receive rounds and
+//     their first and last;
+//   - DetectFromReport derives the bipartiteness verdict from those
+//     receipts and cross-checks it against the late-termination signal;
 //   - ProbeStopRound is the round an early-stopping odd-cycle probe ends
 //     at;
 //   - SpanTreeFromReport reads the BFS spanning tree off the trace.
@@ -17,14 +19,30 @@
 package analysistest
 
 import (
-	"errors"
 	"fmt"
 
 	"amnesiacflood/internal/analysis"
-	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 )
+
+// ReceiptsFromTrace walks res's trace over an n-node graph, one round's
+// distinct receivers at a time, and returns per node how many distinct
+// rounds it received M in and the first and last of them (0 = never).
+func ReceiptsFromTrace(n int, res engine.Result) (counts, first, last []int) {
+	counts, first, last = make([]int, n), make([]int, n), make([]int, n)
+	for _, rec := range res.Trace {
+		for _, v := range rec.Receivers() {
+			counts[v]++
+			if first[v] == 0 {
+				first[v] = rec.Round
+			}
+			last[v] = rec.Round
+		}
+	}
+	return counts, first, last
+}
 
 // Verdict is the outcome of a flooding-based bipartiteness probe.
 type Verdict struct {
@@ -43,17 +61,18 @@ type Verdict struct {
 	DoubleReceivers []graph.NodeID
 }
 
-// DetectFromReport derives the verdict of a full flood from source. The two
-// witness signals (double receipt, late termination) are computed
+// DetectFromReport derives the verdict of a full traced flood from source.
+// The two witness signals (double receipt, late termination) are computed
 // independently and cross-checked; a disagreement would indicate a
 // simulator bug and is returned as an error.
-func DetectFromReport(g *graph.Graph, source graph.NodeID, rep *core.Report) (Verdict, error) {
+func DetectFromReport(g *graph.Graph, source graph.NodeID, res engine.Result) (Verdict, error) {
 	v := Verdict{
 		Source:       source,
-		Rounds:       rep.Rounds(),
+		Rounds:       res.Rounds,
 		Eccentricity: algo.Eccentricity(g, source),
 	}
-	for node, count := range rep.ReceiveCounts {
+	counts, _, _ := ReceiptsFromTrace(g.N(), res)
+	for node, count := range counts {
 		if count >= 2 {
 			v.DoubleReceivers = append(v.DoubleReceivers, graph.NodeID(node))
 		}
@@ -61,7 +80,7 @@ func DetectFromReport(g *graph.Graph, source graph.NodeID, rep *core.Report) (Ve
 	// The origin hearing M back is also an odd-cycle witness: on a
 	// bipartite graph every round's messages travel strictly away from
 	// the source.
-	if rep.ReceiveCounts[source] >= 1 {
+	if counts[source] >= 1 {
 		v.DoubleReceivers = appendUnique(v.DoubleReceivers, source)
 	}
 	byReceipts := len(v.DoubleReceivers) > 0
@@ -85,15 +104,16 @@ func appendUnique(list []graph.NodeID, v graph.NodeID) []graph.NodeID {
 }
 
 // ProbeStopRound returns the round at which an odd-cycle probe watching the
-// flood from source would stop: the first round in which some node hears M
-// in a second distinct round, or the source hears it at all. It returns 0
-// when no such round exists, i.e. on bipartite graphs (Lemma 2.1).
-func ProbeStopRound(source graph.NodeID, rep *core.Report) int {
-	heard := make([]bool, len(rep.ReceiveCounts))
-	for i, set := range rep.RoundSets {
-		for _, v := range set {
+// traced flood from source would stop: the first round in which some node
+// hears M in a second distinct round, or the source hears it at all. It
+// returns 0 when no such round exists, i.e. on bipartite graphs (Lemma
+// 2.1).
+func ProbeStopRound(source graph.NodeID, res engine.Result) int {
+	heard := map[graph.NodeID]bool{}
+	for _, rec := range res.Trace {
+		for _, v := range rec.Receivers() {
 			if v == source || heard[v] {
-				return i + 1
+				return rec.Round
 			}
 			heard[v] = true
 		}
@@ -101,14 +121,10 @@ func ProbeStopRound(source graph.NodeID, rep *core.Report) int {
 	return 0
 }
 
-// SpanTreeFromReport extracts the tree from an analysed single-source run:
-// the parent of node v is the smallest-ID neighbour that delivered M to v
-// in v's first receipt round.
-func SpanTreeFromReport(g *graph.Graph, rep *core.Report) (*analysis.Tree, error) {
-	if len(rep.Origins) != 1 {
-		return nil, errors.New("analysistest: spanning tree extraction needs a single-source run")
-	}
-	root := rep.Origins[0]
+// SpanTreeFromReport extracts the tree from a traced single-source run
+// from root: the parent of node v is the smallest-ID neighbour that
+// delivered M to v in v's first receipt round.
+func SpanTreeFromReport(g *graph.Graph, root graph.NodeID, res engine.Result) *analysis.Tree {
 	tree := &analysis.Tree{
 		Root:   root,
 		Parent: make([]graph.NodeID, g.N()),
@@ -119,14 +135,15 @@ func SpanTreeFromReport(g *graph.Graph, rep *core.Report) (*analysis.Tree, error
 		tree.Depth[v] = -1
 	}
 	tree.Depth[root] = 0
+	_, first, _ := ReceiptsFromTrace(g.N(), res)
 
-	for _, rec := range rep.Result.Trace {
+	for _, rec := range res.Trace {
 		for _, s := range rec.Sends {
 			v := s.To
 			if tree.Depth[v] != -1 {
 				continue // already adopted in an earlier round
 			}
-			if rec.Round != rep.FirstReceive[v] {
+			if rec.Round != first[v] {
 				continue
 			}
 			// Sends are sorted by (From, To), so the first matching
@@ -135,5 +152,5 @@ func SpanTreeFromReport(g *graph.Graph, rep *core.Report) (*analysis.Tree, error
 			tree.Depth[v] = rec.Round
 		}
 	}
-	return tree, nil
+	return tree
 }

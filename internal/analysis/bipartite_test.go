@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"amnesiacflood/internal/analysis/analysistest"
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
@@ -92,7 +93,8 @@ func TestBipartiteWitnessesAreGenuineDoubleReceivers(t *testing.T) {
 	for range 60 {
 		g := gen.RandomNonBipartite(3+rng.Intn(40), 0.05, rng)
 		src := graph.NodeID(rng.Intn(g.N()))
-		sess, res, rep := runBoth(t, g, src, "bipartite")
+		sess, res := runTraced(t, g, src, "bipartite")
+		counts, _, _ := analysistest.ReceiptsFromTrace(g.N(), res)
 		if res.Metrics["bipartite.bipartite"] == 1 {
 			t.Fatalf("%s from %d: non-bipartite graph declared bipartite", g, src)
 		}
@@ -101,8 +103,8 @@ func TestBipartiteWitnessesAreGenuineDoubleReceivers(t *testing.T) {
 			t.Fatalf("%s from %d: no witness reported", g, src)
 		}
 		for _, w := range witnesses {
-			if rep.ReceiveCounts[w] < 2 && (w != src || rep.ReceiveCounts[w] < 1) {
-				t.Fatalf("%s from %d: witness %d received M in %d rounds", g, src, w, rep.ReceiveCounts[w])
+			if counts[w] < 2 && (w != src || counts[w] < 1) {
+				t.Fatalf("%s from %d: witness %d received M in %d rounds", g, src, w, counts[w])
 			}
 		}
 	}

@@ -7,11 +7,13 @@ import (
 	"amnesiacflood/internal/graph"
 )
 
-// Coverage is the streaming port of the core.Analyze receive bookkeeping:
-// per-node receive counts (a round counts once however many neighbours
+// Coverage is the per-node receive bookkeeping the paper's lemmas quantify
+// over: receive counts (a round counts once however many neighbours
 // delivered copies), first/last receive rounds, and the derived covered /
-// max-receives verdicts the paper's lemmas quantify over. All buffers are
-// sized once and reused across runs.
+// max-receives verdicts. In the synchronous model a node receives M in at
+// most two rounds, one per parity of the double cover, so first and last
+// are its complete record of the round-sets R_i the theory checks read. All
+// buffers are sized once and reused across runs.
 type Coverage struct {
 	origins       []graph.NodeID
 	isOrigin      []bool
@@ -28,7 +30,7 @@ var (
 
 func init() {
 	Register("coverage", Family{
-		Doc:     "per-node receive counts, coverage, and max receives (streams what core.Analyze re-walked)",
+		Doc:     "per-node receive counts, first/last receive rounds, coverage, and max receives",
 		Metrics: []string{"covered", "uncovered", "maxReceives", "receipts"},
 		New: func(ctx Context, v Values) (Analyzer, error) {
 			n := ctx.Graph.N()
@@ -77,7 +79,7 @@ func (c *Coverage) FrontierOnly() bool { return true }
 func (c *Coverage) ObserveFrontier(f engine.Frontier) (bool, error) {
 	for v := range f.Receivers {
 		// A node receiving from several neighbours in one round counts the
-		// round once, exactly like core.Analyze over RoundRecord.Receivers.
+		// round once, exactly like RoundRecord.Receivers.
 		if c.lastReceive[v] == f.Round {
 			continue
 		}
@@ -93,21 +95,36 @@ func (c *Coverage) ObserveFrontier(f engine.Frontier) (bool, error) {
 
 // Finish implements Analyzer.
 func (c *Coverage) Finish(res engine.Result) (Metrics, error) {
-	uncovered, maxReceives := 0, 0
+	uncovered := c.Uncovered()
+	return Metrics{
+		"covered":     boolMetric(uncovered == 0),
+		"uncovered":   float64(uncovered),
+		"maxReceives": float64(c.MaxReceives()),
+		"receipts":    float64(c.receipts),
+	}, nil
+}
+
+// Uncovered returns how many nodes other than the origins never received
+// M: 0 exactly when the run covered the graph.
+func (c *Coverage) Uncovered() int {
+	uncovered := 0
 	for v, n := range c.receiveCounts {
 		if n == 0 && !c.isOrigin[v] {
 			uncovered++
 		}
-		if n > maxReceives {
-			maxReceives = n
-		}
 	}
-	return Metrics{
-		"covered":     boolMetric(uncovered == 0),
-		"uncovered":   float64(uncovered),
-		"maxReceives": float64(maxReceives),
-		"receipts":    float64(c.receipts),
-	}, nil
+	return uncovered
+}
+
+// MaxReceives returns the largest number of distinct rounds any one node
+// received M in: at most 1 on a connected bipartite graph from one source
+// (Lemma 2.1), at most 2 in general.
+func (c *Coverage) MaxReceives() int {
+	most := 0
+	for _, n := range c.receiveCounts {
+		most = max(most, n)
+	}
+	return most
 }
 
 // Origins returns the run's sorted, deduplicated origin set.

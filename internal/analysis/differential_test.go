@@ -2,8 +2,8 @@ package analysis_test
 
 // The differential gate of the analysis registry: on seeded instance
 // corpora (≥20 per family), the streaming analyses must reproduce
-// independent post-hoc implementations — core.Analyze for coverage, the
-// frozen walks in analysistest for bipartite (verdict, witnesses, and the
+// independent post-hoc implementations — the frozen trace walks in
+// analysistest for coverage, bipartite (verdict, witnesses, and the
 // early-stop round) and spantree, termdetect.Run for echo — field for
 // field, plus closed-form agreement of the termination analysis on the
 // families whose exact constants the double-cover law pins (path, cycle,
@@ -18,7 +18,7 @@ import (
 
 	"amnesiacflood/internal/analysis"
 	"amnesiacflood/internal/analysis/analysistest"
-	"amnesiacflood/internal/core"
+	_ "amnesiacflood/internal/core" // registers the amnesiac protocol
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
@@ -67,12 +67,14 @@ func randomGraphs(t *testing.T) []*graph.Graph {
 	return out
 }
 
-// runBoth executes one traced single-source amnesiac flood with the given
-// analyses attached, returning the streamed result and the legacy post-hoc
-// report over the same trace. Tracing disables analysis-driven early
-// stopping, so the streamed state covers the full run exactly like the
-// post-hoc walk.
-func runBoth(t *testing.T, g *graph.Graph, src graph.NodeID, analyses ...string) (*sim.Session, engine.Result, *core.Report) {
+// allEngines is every synchronous engine the façade runs.
+var allEngines = []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Parallel, sim.Bitset}
+
+// runTraced executes one traced single-source amnesiac flood on the
+// sequential engine with the given analyses attached. Tracing disables
+// analysis-driven early stopping, so the streamed state covers the full run
+// exactly like a post-hoc walk of the returned trace.
+func runTraced(t *testing.T, g *graph.Graph, src graph.NodeID, analyses ...string) (*sim.Session, engine.Result) {
 	t.Helper()
 	sess, err := sim.New(g,
 		sim.WithProtocol("amnesiac"),
@@ -87,36 +89,61 @@ func runBoth(t *testing.T, g *graph.Graph, src graph.NodeID, analyses ...string)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sess, res, core.Analyze(g, []graph.NodeID{src}, res)
+	return sess, res
 }
 
-func TestCoverageMatchesCoreAnalyze(t *testing.T) {
+// TestCoverageMatchesTraceWalk: on every engine, traced and untraced, the
+// streamed receive bookkeeping and verdicts equal analysistest's walk of a
+// traced sequential run. Untraced bitset runs feed coverage through the
+// frontier path, whose receivers come unordered and may repeat.
+func TestCoverageMatchesTraceWalk(t *testing.T) {
 	for _, g := range corpus(t) {
 		for _, src := range []graph.NodeID{0, graph.NodeID(g.N() / 2)} {
-			sess, res, rep := runBoth(t, g, src, "coverage")
-			cov, ok := sess.Coverage()
-			if !ok {
-				t.Fatal("no coverage analyzer on session")
+			_, ref := runTraced(t, g, src)
+			counts, first, last := analysistest.ReceiptsFromTrace(g.N(), ref)
+			uncovered, most := 0, slices.Max(counts)
+			for v, n := range counts {
+				if n == 0 && graph.NodeID(v) != src {
+					uncovered++
+				}
 			}
-			if !slices.Equal(cov.ReceiveCounts(), rep.ReceiveCounts) {
-				t.Fatalf("%s from %d: receive counts diverge\nstream: %v\nlegacy: %v",
-					g, src, cov.ReceiveCounts(), rep.ReceiveCounts)
-			}
-			if !slices.Equal(cov.FirstReceive(), rep.FirstReceive) {
-				t.Fatalf("%s from %d: first-receive diverges", g, src)
-			}
-			if !slices.Equal(cov.LastReceive(), rep.LastReceive) {
-				t.Fatalf("%s from %d: last-receive diverges", g, src)
-			}
-			m := res.Metrics
-			if got, want := m["coverage.covered"] == 1, rep.Covered(); got != want {
-				t.Fatalf("%s from %d: covered %t, legacy %t", g, src, got, want)
-			}
-			if got, want := int(m["coverage.maxReceives"]), rep.MaxReceives(); got != want {
-				t.Fatalf("%s from %d: maxReceives %d, legacy %d", g, src, got, want)
-			}
-			if _, stray := m["termination.rounds"]; stray {
-				t.Fatalf("%s from %d: unattached analysis leaked metrics", g, src)
+			for _, kind := range allEngines {
+				for _, traced := range []bool{false, true} {
+					sess, err := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithEngine(kind),
+						sim.WithOrigins(src), sim.WithAnalysis("coverage"), sim.WithTrace(traced))
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := sess.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					cov, ok := sess.Coverage()
+					if !ok {
+						t.Fatal("no coverage analyzer on session")
+					}
+					at := fmt.Sprintf("%s from %d on %s (traced %t)", g, src, kind, traced)
+					if !slices.Equal(cov.ReceiveCounts(), counts) {
+						t.Fatalf("%s: receive counts diverge\nstream: %v\nwalk:   %v", at, cov.ReceiveCounts(), counts)
+					}
+					if !slices.Equal(cov.FirstReceive(), first) {
+						t.Fatalf("%s: first-receive diverges", at)
+					}
+					if !slices.Equal(cov.LastReceive(), last) {
+						t.Fatalf("%s: last-receive diverges", at)
+					}
+					if cov.Uncovered() != uncovered || cov.MaxReceives() != most {
+						t.Fatalf("%s: uncovered %d, maxReceives %d; walk %d, %d", at, cov.Uncovered(), cov.MaxReceives(), uncovered, most)
+					}
+					m := res.Metrics
+					if (m["coverage.covered"] == 1) != (uncovered == 0) || int(m["coverage.uncovered"]) != uncovered ||
+						int(m["coverage.maxReceives"]) != most {
+						t.Fatalf("%s: metrics %v disagree with the walk (uncovered %d, maxReceives %d)", at, m, uncovered, most)
+					}
+					if _, stray := m["termination.rounds"]; stray {
+						t.Fatalf("%s: unattached analysis leaked metrics", at)
+					}
+				}
 			}
 		}
 	}
@@ -128,8 +155,8 @@ func TestCoverageMatchesCoreAnalyze(t *testing.T) {
 func TestBipartiteMatchesDetectFromReport(t *testing.T) {
 	for _, g := range append(corpus(t), randomGraphs(t)...) {
 		src := graph.NodeID(0)
-		sess, res, rep := runBoth(t, g, src, "bipartite")
-		legacy, err := analysistest.DetectFromReport(g, src, rep)
+		sess, res := runTraced(t, g, src, "bipartite")
+		legacy, err := analysistest.DetectFromReport(g, src, res)
 		if err != nil {
 			t.Fatalf("%s: legacy verdict: %v", g, err)
 		}
@@ -156,22 +183,18 @@ func TestBipartiteMatchesDetectFromReport(t *testing.T) {
 
 // TestBipartiteEarlyStopMatchesProbe: without a trace, a bipartite-only
 // session on every engine stops at the round analysistest.ProbeStopRound
-// reads off a full report — the first in which some node hears M in a
+// reads off a full trace — the first in which some node hears M in a
 // second distinct round, or the source hears it at all — and floods
 // bipartite graphs to completion.
 func TestBipartiteEarlyStopMatchesProbe(t *testing.T) {
-	engines := []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Parallel, sim.Bitset}
 	for _, g := range corpus(t) {
-		rep, err := core.Run(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stop := analysistest.ProbeStopRound(0, rep)
+		_, full := runTraced(t, g, 0)
+		stop := analysistest.ProbeStopRound(0, full)
 		wantRounds := stop
 		if stop == 0 {
-			wantRounds = rep.Rounds()
+			wantRounds = full.Rounds
 		}
-		for _, kind := range engines {
+		for _, kind := range allEngines {
 			sess, err := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithEngine(kind),
 				sim.WithOrigins(0), sim.WithAnalysis("bipartite"))
 			if err != nil {
@@ -197,11 +220,8 @@ func TestBipartiteEarlyStopMatchesProbe(t *testing.T) {
 func TestSpanTreeMatchesFromReport(t *testing.T) {
 	for _, g := range append(corpus(t), randomGraphs(t)...) {
 		src := graph.NodeID(g.N() - 1)
-		sess, res, rep := runBoth(t, g, src, "spantree")
-		legacy, err := analysistest.SpanTreeFromReport(g, rep)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess, res := runTraced(t, g, src, "spantree")
+		legacy := analysistest.SpanTreeFromReport(g, src, res)
 		tree, ok := sess.SpanTree()
 		if !ok {
 			t.Fatal("no spantree analyzer on session")
@@ -228,14 +248,8 @@ func TestSpanTreeMatchesFromReport(t *testing.T) {
 // would die.
 func TestSpanTreeEarlyStopMatchesFromReport(t *testing.T) {
 	for _, g := range corpus(t) {
-		rep, err := core.Run(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := analysistest.SpanTreeFromReport(g, rep)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, full := runTraced(t, g, 0)
+		legacy := analysistest.SpanTreeFromReport(g, 0, full)
 		sess, err := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithOrigins(0), sim.WithAnalysis("spantree"))
 		if err != nil {
 			t.Fatal(err)
@@ -247,8 +261,8 @@ func TestSpanTreeEarlyStopMatchesFromReport(t *testing.T) {
 		if want := slices.Max(legacy.Depth); !res.Stopped || res.Rounds != want {
 			t.Fatalf("%s: rounds=%d stopped=%t, want a stop at round %d", g, res.Rounds, res.Stopped, want)
 		}
-		if !algo.IsBipartite(g) && res.Rounds >= rep.Rounds() {
-			t.Fatalf("%s: stopped at round %d, the full flood runs %d", g, res.Rounds, rep.Rounds())
+		if !algo.IsBipartite(g) && res.Rounds >= full.Rounds {
+			t.Fatalf("%s: stopped at round %d, the full flood runs %d", g, res.Rounds, full.Rounds)
 		}
 		tree, _ := sess.SpanTree()
 		if !slices.Equal(tree.Parent, legacy.Parent) || !slices.Equal(tree.Depth, legacy.Depth) {
@@ -260,7 +274,7 @@ func TestSpanTreeEarlyStopMatchesFromReport(t *testing.T) {
 func TestEchoMatchesTermdetect(t *testing.T) {
 	for _, g := range corpus(t) {
 		src := graph.NodeID(0)
-		_, res, _ := runBoth(t, g, src, "echo")
+		_, res := runTraced(t, g, src, "echo")
 		legacy, err := termdetect.Run(g, src)
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"amnesiacflood/internal/analysis"
-	"amnesiacflood/internal/core"
 	"amnesiacflood/internal/doublecover"
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
@@ -24,22 +23,19 @@ import (
 // e(src) on a bipartite graph and e(src)..2D+1 otherwise, and boundUpper
 // is at most 2D+1.
 func TestTerminationMatchesDoubleCover(t *testing.T) {
-	engines := []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Parallel, sim.Bitset}
 	for _, g := range corpus(t) {
 		diam, bipartite := algo.Diameter(g), algo.IsBipartite(g)
 		for _, src := range []graph.NodeID{0, graph.NodeID(g.N() / 2), graph.NodeID(g.N() - 1)} {
 			pred := doublecover.Predict(g, src)
-			rep, err := core.Run(g, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lawOK := theory.CheckDoubleCoverExact(g, rep) == nil
+			sess, ref := runTraced(t, g, src, "coverage")
+			cov, _ := sess.Coverage()
+			lawOK := theory.CheckDoubleCoverExact(g, ref, cov) == nil
 			ecc := algo.Eccentricity(g, src)
 			upper := ecc
 			if !bipartite {
 				upper = 2*diam + 1
 			}
-			for _, kind := range engines {
+			for _, kind := range allEngines {
 				sess, err := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithEngine(kind),
 					sim.WithOrigins(src), sim.WithAnalysis("termination"))
 				if err != nil {
@@ -78,7 +74,7 @@ func TestTerminationMatchesDoubleCover(t *testing.T) {
 // TestTerminationExactOKMatchesCheckOnTampering: exactOK is not vacuous.
 // Streams doctored like theory's tampering tests (a receipt withheld, a
 // stray receipt added, the run lengthened) get exactOK 0 exactly where
-// theory.CheckDoubleCoverExact rejects the doctored report. The window
+// theory.CheckDoubleCoverExact rejects the doctored run. The window
 // verdict is not vacuous either: always emitted on a bipartite graph, and
 // wherever emitted equal to the window computed with the exact diameter,
 // so a lengthened bipartite run gets withinBounds 0.
@@ -90,11 +86,7 @@ func TestTerminationExactOKMatchesCheckOnTampering(t *testing.T) {
 		if !bipartite {
 			upper = 2*algo.Diameter(g) + 1
 		}
-		rep, err := core.Run(g, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := rep.Result
+		_, res := runTraced(t, g, src)
 		if len(res.Trace) == 0 {
 			continue
 		}
@@ -113,23 +105,12 @@ func TestTerminationExactOKMatchesCheckOnTampering(t *testing.T) {
 			"lengthened": lengthened,
 		}
 		for name, doctored := range tampered {
-			a, err := analysis.Build("termination", analysis.Context{Graph: g})
+			m, err := replay(t, g, "termination", src, doctored.Trace).Finish(doctored)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := a.Start([]graph.NodeID{src}); err != nil {
-				t.Fatal(err)
-			}
-			for _, rec := range doctored.Trace {
-				if _, err := a.ObserveRound(rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			m, err := a.Finish(doctored)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lawOK := theory.CheckDoubleCoverExact(g, core.Analyze(g, []graph.NodeID{src}, doctored)) == nil
+			cov := replay(t, g, "coverage", src, doctored.Trace).(*analysis.Coverage)
+			lawOK := theory.CheckDoubleCoverExact(g, doctored, cov) == nil
 			if got := m["exactOK"] == 1; got != lawOK || got != (name == "untouched") {
 				t.Fatalf("%s %s: exactOK %t, CheckDoubleCoverExact %t", g, name, got, lawOK)
 			}
@@ -143,6 +124,24 @@ func TestTerminationExactOKMatchesCheckOnTampering(t *testing.T) {
 			}
 		}
 	}
+}
+
+// replay streams a trace from src through a fresh analyzer of the family.
+func replay(t *testing.T, g *graph.Graph, family string, src graph.NodeID, trace []engine.RoundRecord) analysis.Analyzer {
+	t.Helper()
+	a, err := analysis.Build(family, analysis.Context{Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Start([]graph.NodeID{src}); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range trace {
+		if _, err := a.ObserveRound(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a
 }
 
 // withTrace returns res with a deep copy of its trace, edited by edit.

@@ -182,11 +182,11 @@ func TestClassicNeverSendsMoreThanAmnesiac(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		afRep, err := core.Run(g, src)
+		afRes, err := engine.Run(context.Background(), g, core.MustNewFlood(g, src), engine.Options{})
 		if err != nil {
 			return false
 		}
-		return clRes.TotalMessages <= afRep.TotalMessages()
+		return clRes.TotalMessages <= afRes.TotalMessages
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -6,10 +6,11 @@
 // every, and only those, nodes it did not receive the message from in that
 // round. Nodes keep no memory of earlier rounds.
 //
-// The package provides the AF protocol for the synchronous engines, a
-// convenience Run wrapper, and the analysis report (round-sets R_i, receive
-// counts, message totals) used by the theory verifiers and the experiment
-// harness.
+// The package provides only the AF protocol for the synchronous engines,
+// registered with the sim façade as "amnesiac". Runs go through a sim
+// session (or engine.Run on NewFlood), and their measurement through the
+// session's analyses: the "coverage" analysis streams the receive rounds
+// that the theory checks (internal/theory) and the experiment harness read.
 package core
 
 import (

@@ -1,6 +1,7 @@
 package doublecover_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -151,18 +152,25 @@ func TestCoverDistancesMatchInlineBFS(t *testing.T) {
 	}
 }
 
+// floodTraced runs amnesiac flooding on g from src, traced.
+func floodTraced(t *testing.T, g *graph.Graph, src graph.NodeID) engine.Result {
+	t.Helper()
+	res, err := engine.Run(context.Background(), g, core.MustNewFlood(g, src), engine.Options{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestPredictFigure2Exactly(t *testing.T) {
 	g := gen.Cycle(3)
 	pred := doublecover.Predict(g, 1)
 	if pred.Rounds != 3 || pred.TotalMessages != 6 {
 		t.Fatalf("prediction = %d rounds %d messages, want 3/6", pred.Rounds, pred.TotalMessages)
 	}
-	rep, err := core.Run(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !engine.EqualTraces(pred.Trace, rep.Result.Trace) {
-		t.Fatalf("predicted trace %v != simulated %v", pred.Trace, rep.Result.Trace)
+	res := floodTraced(t, g, 1)
+	if !engine.EqualTraces(pred.Trace, res.Trace) {
+		t.Fatalf("predicted trace %v != simulated %v", pred.Trace, res.Trace)
 	}
 }
 
@@ -182,23 +190,18 @@ func TestPredictMatchesSimulationEverywhere(t *testing.T) {
 		}
 		src := graph.NodeID(rng.Intn(g.N()))
 		pred := doublecover.Predict(g, src)
-		rep, err := core.Run(g, src)
-		if err != nil {
+		res := floodTraced(t, g, src)
+		if pred.Rounds != res.Rounds || pred.TotalMessages != res.TotalMessages {
 			return false
 		}
-		if pred.Rounds != rep.Rounds() || pred.TotalMessages != rep.TotalMessages() {
-			return false
-		}
-		if !engine.EqualTraces(pred.Trace, rep.Result.Trace) {
+		if !engine.EqualTraces(pred.Trace, res.Trace) {
 			return false
 		}
 		for v := 0; v < g.N(); v++ {
 			var got []int
-			for i, set := range rep.RoundSets {
-				for _, x := range set {
-					if x == graph.NodeID(v) {
-						got = append(got, i+1)
-					}
+			for _, rec := range res.Trace {
+				if slices.Contains(rec.Receivers(), graph.NodeID(v)) {
+					got = append(got, rec.Round)
 				}
 			}
 			if !reflect.DeepEqual(pred.Receipts[v], got) &&

@@ -46,7 +46,7 @@ func ClassicComparison(cfg Config) ([]*Table, error) {
 		bip := algo.IsBipartite(inst.g)
 		src := graph.NodeID(rng.Intn(inst.g.N()))
 
-		afRep, err := runReport(cfg, inst.g, src)
+		afRes, _, err := flood(cfg, inst.g, false, src)
 		if err != nil {
 			return nil, fmt.Errorf("E8: AF on %s: %w", inst.g, err)
 		}
@@ -62,11 +62,11 @@ func ClassicComparison(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E8: classic on %s: %w", inst.g, err)
 		}
-		ratio := float64(afRep.TotalMessages()) / float64(clRes.TotalMessages)
+		ratio := float64(afRes.TotalMessages) / float64(clRes.TotalMessages)
 		t.AddRow(
 			inst.g.Name(), bip, src,
-			afRep.Rounds(), clRes.Rounds,
-			afRep.TotalMessages(), clRes.TotalMessages, fmt.Sprintf("%.2f", ratio),
+			afRes.Rounds, clRes.Rounds,
+			afRes.TotalMessages, clRes.TotalMessages, fmt.Sprintf("%.2f", ratio),
 			0, classic.PersistentBitsPerNode(),
 		)
 	}

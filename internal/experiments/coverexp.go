@@ -46,18 +46,18 @@ func DoubleCoverPrediction(cfg Config) ([]*Table, error) {
 	}
 	for _, inst := range instances {
 		for _, src := range pickSources(inst.g, rng) {
-			rep, err := runReport(cfg, inst.g, src)
+			res, cov, err := flood(cfg, inst.g, true, src)
 			if err != nil {
 				return nil, fmt.Errorf("E11: %s from %d: %w", inst.g, src, err)
 			}
-			if err := theory.CheckDoubleCoverExact(inst.g, rep); err != nil {
+			if err := theory.CheckDoubleCoverExact(inst.g, res, cov); err != nil {
 				return nil, fmt.Errorf("E11: %w", err)
 			}
 			pred := doublecover.Predict(inst.g, src)
 			t.AddRow(
 				inst.g.Name(), algo.IsBipartite(inst.g), src,
-				pred.Rounds, rep.Rounds(),
-				pred.TotalMessages, rep.TotalMessages(),
+				pred.Rounds, res.Rounds,
+				pred.TotalMessages, res.TotalMessages,
 				len(pred.SecondReceivers()), true,
 			)
 		}

@@ -2,6 +2,7 @@ package experiments_test
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -58,6 +59,13 @@ func TestExperimentIDsUniqueAndOrdered(t *testing.T) {
 	}
 }
 
+// TestRunAllPrintsEveryExperiment pins the reproduction's numbers: the
+// default suite's output must equal testdata/runall.txt byte for byte. A
+// change that moves a number on purpose regenerates the file with
+//
+//	go run ./cmd/afbench > internal/experiments/testdata/runall.txt
+//
+// and the diff shows the reviewer what moved.
 func TestRunAllPrintsEveryExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := experiments.DefaultConfig()
@@ -68,6 +76,34 @@ func TestRunAllPrintsEveryExperiment(t *testing.T) {
 	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18"} {
 		if !strings.Contains(out, "== "+id+":") {
 			t.Errorf("RunAll output missing %s", id)
+		}
+	}
+	golden, err := os.ReadFile("testdata/runall.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := strings.Split(out, "\n"), strings.Split(string(golden), "\n")
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("RunAll output differs from testdata/runall.txt at line %d:\n got: %s\nwant: %s", i+1, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("RunAll output has %d lines, testdata/runall.txt %d", len(got), len(want))
+	}
+}
+
+// TestSweepsRunAtEvenScale: the scaled sweeps build valid instances at an
+// even scale too; E5's odd cycles must stay odd for every scale s.
+func TestSweepsRunAtEvenScale(t *testing.T) {
+	cfg := experiments.DefaultConfig()
+	cfg.Scale = 2
+	for _, exp := range experiments.All() {
+		switch exp.ID {
+		case "E4", "E5", "E13":
+			if _, err := exp.Run(cfg); err != nil {
+				t.Errorf("%s at scale 2: %v", exp.ID, err)
+			}
 		}
 	}
 }
@@ -121,7 +157,9 @@ func TestSuiteEngineInvariance(t *testing.T) {
 	// every experiment must emit identical tables whichever engine runs it.
 	want := map[string][]*experiments.Table{}
 	base := experiments.DefaultConfig()
-	picked := map[string]bool{"E1": true, "E3": true, "E5": true, "E8": true, "E13": true}
+	// E4 and E6 run untraced, so bitset feeds their coverage through the
+	// frontier path: unordered, possibly repeated receivers.
+	picked := map[string]bool{"E1": true, "E3": true, "E4": true, "E5": true, "E6": true, "E8": true, "E13": true}
 	for _, exp := range experiments.All() {
 		if !picked[exp.ID] {
 			continue
@@ -132,7 +170,7 @@ func TestSuiteEngineInvariance(t *testing.T) {
 		}
 		want[exp.ID] = tables
 	}
-	for _, kind := range []sim.EngineKind{sim.Fast, sim.Parallel} {
+	for _, kind := range []sim.EngineKind{sim.Fast, sim.Parallel, sim.Bitset} {
 		cfg := base
 		cfg.Engine = kind
 		for _, exp := range experiments.All() {

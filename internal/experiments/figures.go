@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
@@ -12,20 +12,16 @@ import (
 	"amnesiacflood/internal/trace"
 )
 
-// figureTable renders a single-source run as a per-round table in the style
-// of the paper's figures: the circled (sending) nodes and the message edges
-// of every round.
-func figureTable(id, title string, cfg Config, g *graph.Graph, source graph.NodeID) (*Table, *core.Report, error) {
-	rep, err := runReport(cfg, g, source)
-	if err != nil {
-		return nil, nil, err
-	}
+// figureTable renders a traced single-source run as a per-round table in
+// the style of the paper's figures: the circled (sending) nodes and the
+// message edges of every round.
+func figureTable(id, title string, records []engine.RoundRecord) *Table {
 	t := &Table{
 		ID:      id,
 		Title:   title,
 		Columns: []string{"round", "sending (circled)", "message edges"},
 	}
-	for _, rec := range rep.Result.Trace {
+	for _, rec := range records {
 		senders := rec.Senders()
 		names := make([]string, len(senders))
 		for i, s := range senders {
@@ -37,7 +33,7 @@ func figureTable(id, title string, cfg Config, g *graph.Graph, source graph.Node
 		}
 		t.AddRow(rec.Round, strings.Join(names, ","), strings.Join(edges, " "))
 	}
-	return t, rep, nil
+	return t
 }
 
 // Fig1Line regenerates Figure 1: amnesiac flooding on the 4-node line
@@ -45,19 +41,20 @@ func figureTable(id, title string, cfg Config, g *graph.Graph, source graph.Node
 func Fig1Line(cfg Config) ([]*Table, error) {
 	g := gen.Path(4) // a=0, b=1, c=2, d=3
 	source := graph.NodeID(1)
-	t, rep, err := figureTable("E1", "Figure 1: AF on the line a-b-c-d from b", cfg, g, source)
+	res, cov, err := flood(cfg, g, true, source)
 	if err != nil {
 		return nil, err
 	}
+	t := figureTable("E1", "Figure 1: AF on the line a-b-c-d from b", res.Trace)
 	diam := algo.Diameter(g)
 	ecc := algo.Eccentricity(g, source)
-	t.AddNote("paper: terminates in 2 rounds (< diameter %d); measured: %d rounds", diam, rep.Rounds())
+	t.AddNote("paper: terminates in 2 rounds (< diameter %d); measured: %d rounds", diam, res.Rounds)
 	t.AddNote("eccentricity of b is %d; Lemma 2.1 predicts exactly that", ecc)
-	if err := theory.CheckBipartiteExact(g, rep); err != nil {
+	if err := theory.CheckBipartiteExact(g, res, cov); err != nil {
 		return nil, fmt.Errorf("figure 1 violates Lemma 2.1: %w", err)
 	}
-	if rep.Rounds() != 2 {
-		return nil, fmt.Errorf("figure 1: got %d rounds, paper shows 2", rep.Rounds())
+	if res.Rounds != 2 {
+		return nil, fmt.Errorf("figure 1: got %d rounds, paper shows 2", res.Rounds)
 	}
 	return []*Table{t}, nil
 }
@@ -68,32 +65,24 @@ func Fig1Line(cfg Config) ([]*Table, error) {
 func Fig2Triangle(cfg Config) ([]*Table, error) {
 	g := gen.Cycle(3) // a=0, b=1, c=2
 	source := graph.NodeID(1)
-	t, rep, err := figureTable("E2", "Figure 2: AF on the triangle from b", cfg, g, source)
+	res, cov, err := flood(cfg, g, true, source)
 	if err != nil {
 		return nil, err
 	}
+	t := figureTable("E2", "Figure 2: AF on the triangle from b", res.Trace)
 	diam := algo.Diameter(g)
-	t.AddNote("paper: terminates in 3 = 2D+1 rounds (D=%d); measured: %d rounds", diam, rep.Rounds())
-	if err := theory.CheckNonBipartiteStrict(g, rep); err != nil {
+	t.AddNote("paper: terminates in 3 = 2D+1 rounds (D=%d); measured: %d rounds", diam, res.Rounds)
+	if err := theory.CheckNonBipartiteStrict(g, res, cov); err != nil {
 		return nil, fmt.Errorf("figure 2 violates Theorem 3.3: %w", err)
 	}
-	if rep.Rounds() != 2*diam+1 {
-		return nil, fmt.Errorf("figure 2: got %d rounds, paper shows %d", rep.Rounds(), 2*diam+1)
+	if res.Rounds != 2*diam+1 {
+		return nil, fmt.Errorf("figure 2: got %d rounds, paper shows %d", res.Rounds, 2*diam+1)
 	}
 	// The figure's specific exchanges: a and c send to each other in
 	// round 2, then both send to b in round 3.
-	want := [][]string{
-		{"b->a b->c"},
-		{"a->c c->a"},
-		{"a->b c->b"},
-	}
-	for i, rec := range rep.Result.Trace {
-		edges := make([]string, len(rec.Sends))
-		for j, s := range rec.Sends {
-			edges[j] = trace.Letters(s.From) + "->" + trace.Letters(s.To)
-		}
-		if got := strings.Join(edges, " "); got != want[i][0] {
-			return nil, fmt.Errorf("figure 2 round %d: got %q, paper shows %q", i+1, got, want[i][0])
+	for i, want := range []string{"b->a b->c", "a->c c->a", "a->b c->b"} {
+		if got := t.Rows[i][2]; got != want {
+			return nil, fmt.Errorf("figure 2 round %d: got %q, paper shows %q", i+1, got, want)
 		}
 	}
 	return []*Table{t}, nil
@@ -104,13 +93,14 @@ func Fig2Triangle(cfg Config) ([]*Table, error) {
 // each node exactly once.
 func Fig3EvenCycle(cfg Config) ([]*Table, error) {
 	g := gen.Cycle(6)
-	t, rep, err := figureTable("E3", "Figure 3: AF on the even cycle C6 from a", cfg, g, 0)
+	res, cov, err := flood(cfg, g, true, 0)
 	if err != nil {
 		return nil, err
 	}
+	t := figureTable("E3", "Figure 3: AF on the even cycle C6 from a", res.Trace)
 	diam := algo.Diameter(g)
-	t.AddNote("paper: terminates in D = %d rounds; measured: %d rounds", diam, rep.Rounds())
-	if err := theory.CheckBipartiteExact(g, rep); err != nil {
+	t.AddNote("paper: terminates in D = %d rounds; measured: %d rounds", diam, res.Rounds)
+	if err := theory.CheckBipartiteExact(g, res, cov); err != nil {
 		return nil, fmt.Errorf("figure 3 violates Lemma 2.1: %w", err)
 	}
 
@@ -122,14 +112,14 @@ func Fig3EvenCycle(cfg Config) ([]*Table, error) {
 		Columns: []string{"source", "rounds", "diameter", "each node visited once"},
 	}
 	for s := 0; s < g.N(); s++ {
-		repS, err := runReport(cfg, g, graph.NodeID(s))
+		resS, covS, err := flood(cfg, g, false, graph.NodeID(s))
 		if err != nil {
 			return nil, err
 		}
-		if err := theory.CheckBipartiteExact(g, repS); err != nil {
+		if err := theory.CheckBipartiteExact(g, resS, covS); err != nil {
 			return nil, fmt.Errorf("figure 3 source %d: %w", s, err)
 		}
-		all.AddRow(trace.Letters(graph.NodeID(s)), repS.Rounds(), diam, repS.MaxReceives() == 1)
+		all.AddRow(trace.Letters(graph.NodeID(s)), resS.Rounds, diam, covS.MaxReceives() == 1)
 	}
 	all.AddNote("paper: AF from any originating node terminates in diameter rounds")
 	return []*Table{t, all}, nil

@@ -60,32 +60,33 @@ func MultiSource(cfg Config) ([]*Table, error) {
 	}
 
 	for _, tc := range cases {
-		rep, err := runReport(cfg, tc.g, tc.origins...)
+		res, cov, err := flood(cfg, tc.g, false, tc.origins...)
 		if err != nil {
 			return nil, fmt.Errorf("E13: %s from %v: %w", tc.g, tc.origins, err)
 		}
-		if !rep.Result.Terminated {
+		if !res.Terminated {
 			return nil, fmt.Errorf("E13: %s from %v did not terminate", tc.g, tc.origins)
 		}
-		if !rep.Covered() {
+		if cov.Uncovered() > 0 {
 			return nil, fmt.Errorf("E13: %s from %v: coverage gap", tc.g, tc.origins)
 		}
-		if err := theory.CheckOddGapInvariant(rep); err != nil {
+		if err := theory.CheckOddGapInvariant(cov); err != nil {
 			return nil, fmt.Errorf("E13: %w", err)
 		}
-		sameClass := sameColourClass(tc.g, rep.Origins)
-		depth := maxFinite(algo.BFSMulti(tc.g, rep.Origins))
+		origins := cov.Origins()
+		sameClass := sameColourClass(tc.g, origins)
+		depth := maxFinite(algo.BFSMulti(tc.g, origins))
 		// Same-class bipartite origin sets must behave as a multi-source
 		// parallel BFS: depth rounds, single receipts.
 		if algo.IsBipartite(tc.g) && sameClass {
-			if rep.Rounds() != depth || rep.MaxReceives() > 1 {
+			if res.Rounds != depth || cov.MaxReceives() > 1 {
 				return nil, fmt.Errorf(
 					"E13: bipartite same-class %s from %v: rounds=%d depth=%d maxReceives=%d, want multi-BFS",
-					tc.g, rep.Origins, rep.Rounds(), depth, rep.MaxReceives())
+					tc.g, origins, res.Rounds, depth, cov.MaxReceives())
 			}
 		}
-		t.AddRow(tc.g.Name(), fmt.Sprint(rep.Origins), sameClass, rep.Rounds(),
-			depth, rep.MaxReceives(), rep.Result.Terminated)
+		t.AddRow(tc.g.Name(), fmt.Sprint(origins), sameClass, res.Rounds,
+			depth, cov.MaxReceives(), res.Terminated)
 	}
 	t.AddNote("every origin set terminated, covered the graph, and respected the odd-gap invariant")
 	t.AddNote("same-colour-class origins on bipartite graphs give a clean multi-source BFS; mixed classes create parity conflicts and double receipts without any odd cycle")

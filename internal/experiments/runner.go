@@ -2,44 +2,34 @@ package experiments
 
 import (
 	"context"
-	"slices"
 
-	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/analysis"
+	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/sim"
 )
 
-// runReport executes amnesiac flooding from the origins on the configured
-// engine through the sim façade and returns the analysed report. It is the
-// single run path of the whole experiment suite, so every table's numbers
-// are attributable to cfg.Engine.
-func runReport(cfg Config, g *graph.Graph, origins ...graph.NodeID) (*core.Report, error) {
+// flood executes amnesiac flooding from the origins on the configured engine
+// through the sim façade, with the coverage analysis attached, and returns
+// the result and that run's coverage analyzer. It is the single amnesiac run
+// path of the whole experiment suite, so every table's numbers are
+// attributable to cfg.Engine. Only the tables that print or compare edges
+// (E1–E3, E11, E18) ask for a trace.
+func flood(cfg Config, g *graph.Graph, traced bool, origins ...graph.NodeID) (engine.Result, *analysis.Coverage, error) {
 	sess, err := sim.New(g,
 		sim.WithProtocol("amnesiac"),
 		sim.WithEngine(cfg.EngineKind()),
 		sim.WithOrigins(origins...),
-		sim.WithTrace(true),
+		sim.WithTrace(traced),
+		sim.WithAnalysis("coverage"),
 	)
 	if err != nil {
-		return nil, err
+		return engine.Result{}, nil, err
 	}
 	res, err := sess.Run(context.Background())
 	if err != nil {
-		return nil, err
+		return engine.Result{}, nil, err
 	}
-	return core.Analyze(g, uniqueSorted(origins), res), nil
-}
-
-// uniqueSorted returns the origin set deduplicated and ascending, matching
-// core.NewFlood's canonicalisation.
-func uniqueSorted(origins []graph.NodeID) []graph.NodeID {
-	out := append([]graph.NodeID(nil), origins...)
-	slices.Sort(out)
-	uniq := out[:0]
-	for i, o := range out {
-		if i == 0 || o != uniq[len(uniq)-1] {
-			uniq = append(uniq, o)
-		}
-	}
-	return uniq
+	cov, _ := sess.Coverage()
+	return res, cov, nil
 }

@@ -81,8 +81,8 @@ func nonBipartiteFamilies(cfg Config) ([]nonBipartiteInstance, error) {
 		"wheel": true, "petersen": true, "oddTorus": true}
 	instances, err := buildAll(cfg, 200, []specInstance{
 		{"triangle", "cycle:n=3"},
-		{"oddCycle", fmt.Sprintf("cycle:n=%d", 15*n+2)}, // odd for every scale
-		{"oddCycle", fmt.Sprintf("cycle:n=%d", 255*n+2)},
+		{"oddCycle", fmt.Sprintf("cycle:n=%d", 16*n+1)}, // odd for every scale
+		{"oddCycle", fmt.Sprintf("cycle:n=%d", 256*n+1)},
 		{"clique", fmt.Sprintf("complete:n=%d", 8*n)},
 		{"clique", fmt.Sprintf("complete:n=%d", 32*n)},
 		{"wheel", fmt.Sprintf("wheel:n=%d", 32*n+1)},
@@ -149,16 +149,16 @@ func BipartiteTermination(cfg Config) ([]*Table, error) {
 		}
 		diam := algo.Diameter(inst.g)
 		for _, src := range pickSources(inst.g, rng) {
-			rep, err := runReport(cfg, inst.g, src)
+			res, cov, err := flood(cfg, inst.g, false, src)
 			if err != nil {
 				return nil, fmt.Errorf("E4: %s from %d: %w", inst.g, src, err)
 			}
-			if err := theory.CheckBipartiteExact(inst.g, rep); err != nil {
+			if err := theory.CheckBipartiteExact(inst.g, res, cov); err != nil {
 				return nil, fmt.Errorf("E4: %w", err)
 			}
 			ecc := algo.Eccentricity(inst.g, src)
 			t.AddRow(inst.family, inst.g.Name(), inst.g.N(), inst.g.M(), diam, src,
-				ecc, rep.Rounds(), rep.Rounds() == ecc, rep.MaxReceives())
+				ecc, res.Rounds, res.Rounds == ecc, cov.MaxReceives())
 			checked++
 		}
 	}
@@ -192,24 +192,24 @@ func NonBipartiteTermination(cfg Config) ([]*Table, error) {
 		}
 		diam := algo.Diameter(inst.g)
 		for _, src := range pickSources(inst.g, rng) {
-			rep, err := runReport(cfg, inst.g, src)
+			res, cov, err := flood(cfg, inst.g, false, src)
 			if err != nil {
 				return nil, fmt.Errorf("E5: %s from %d: %w", inst.g, src, err)
 			}
-			if err := theory.CheckGeneralBounds(inst.g, rep); err != nil {
+			if err := theory.CheckGeneralBounds(inst.g, res, cov); err != nil {
 				return nil, fmt.Errorf("E5: %w", err)
 			}
 			if inst.strictAboveDiameter {
-				if err := theory.CheckNonBipartiteStrict(inst.g, rep); err != nil {
+				if err := theory.CheckNonBipartiteStrict(inst.g, res, cov); err != nil {
 					return nil, fmt.Errorf("E5: %w", err)
 				}
 			}
-			aboveD := rep.Rounds() > diam
+			aboveD := res.Rounds > diam
 			if aboveD {
 				strictHolds++
 			}
 			t.AddRow(inst.family, inst.g.Name(), inst.g.N(), inst.g.M(), diam, src,
-				rep.Rounds(), rep.Rounds() <= 2*diam+1, aboveD, rep.MaxReceives())
+				res.Rounds, res.Rounds <= 2*diam+1, aboveD, cov.MaxReceives())
 			checked++
 		}
 	}
@@ -247,16 +247,19 @@ func RoundSetAnalysis(cfg Config) ([]*Table, error) {
 	}
 	for _, inst := range instances {
 		for _, src := range pickSources(inst.g, rng) {
-			rep, err := runReport(cfg, inst.g, src)
+			res, cov, err := flood(cfg, inst.g, false, src)
 			if err != nil {
 				return nil, fmt.Errorf("E6: %s from %d: %w", inst.g, src, err)
 			}
-			if err := theory.CheckSequenceMachinery(rep); err != nil {
+			if err := theory.CheckSequenceMachinery(cov); err != nil {
 				return nil, fmt.Errorf("E6: %w", err)
 			}
-			analysis := theory.AnalyzeSequences(rep)
-			t.AddRow(inst.g.Name(), src, rep.Rounds(), len(analysis.Sequences),
-				analysis.EvenCount, analysis.MinDuration, analysis.MaxDuration)
+			seqs, err := theory.AnalyzeSequences(cov)
+			if err != nil {
+				return nil, fmt.Errorf("E6: %w", err)
+			}
+			t.AddRow(inst.g.Name(), src, res.Rounds, len(seqs.Sequences),
+				seqs.EvenCount, seqs.MinDuration, seqs.MaxDuration)
 		}
 	}
 	t.AddNote("|R| is the paper's set of node-repeat sequences (eq. 1); |Re| its even-duration subset, which Figure 4's two contradiction cases force to be empty — never observed non-empty")

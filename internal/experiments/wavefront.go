@@ -5,7 +5,7 @@ import (
 	"strconv"
 	"strings"
 
-	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
@@ -48,23 +48,23 @@ func WavefrontProfile(cfg Config) ([]*Table, error) {
 		{gen.Lollipop(4, 6), 9},
 	}
 	for _, tc := range cases {
-		rep, err := runReport(cfg, tc.g, tc.source)
+		res, _, err := flood(cfg, tc.g, true, tc.source)
 		if err != nil {
 			return nil, fmt.Errorf("E18: %s: %w", tc.g, err)
 		}
-		profile := messagesPerRound(rep)
+		profile := messagesPerRound(res)
 		sum := 0
 		for _, m := range profile {
 			sum += m
 		}
-		if sum != rep.TotalMessages() {
-			return nil, fmt.Errorf("E18: %s: profile sums to %d, want %d", tc.g, sum, rep.TotalMessages())
+		if sum != res.TotalMessages {
+			return nil, fmt.Errorf("E18: %s: profile sums to %d, want %d", tc.g, sum, res.TotalMessages)
 		}
-		t.AddRow(tc.g.Name(), tc.source, rep.Rounds(), renderProfile(profile))
+		t.AddRow(tc.g.Name(), tc.source, res.Rounds, renderProfile(profile))
 	}
 
 	// Assertions on the characteristic shapes.
-	odd, err := runReport(cfg, gen.Cycle(11), 0)
+	odd, _, err := flood(cfg, gen.Cycle(11), true, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +73,7 @@ func WavefrontProfile(cfg Config) ([]*Table, error) {
 			return nil, fmt.Errorf("E18: odd cycle round %d carries %d messages, want constant 2", i+1, m)
 		}
 	}
-	clique, err := runReport(cfg, gen.Complete(8), 0)
+	clique, _, err := flood(cfg, gen.Complete(8), true, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -84,15 +84,15 @@ func WavefrontProfile(cfg Config) ([]*Table, error) {
 	}
 	// Bipartite: the profile equals the BFS layer cuts.
 	bip := gen.Grid(4, 5)
-	bipRep, err := runReport(cfg, bip, 0)
+	bipRes, bipCov, err := flood(cfg, bip, true, 0)
 	if err != nil {
 		return nil, err
 	}
-	if err := theory.CheckBipartiteExact(bip, bipRep); err != nil {
+	if err := theory.CheckBipartiteExact(bip, bipRes, bipCov); err != nil {
 		return nil, fmt.Errorf("E18: %w", err)
 	}
 	dist := algo.BFS(bip, 0)
-	for i, m := range messagesPerRound(bipRep) {
+	for i, m := range messagesPerRound(bipRes) {
 		round := i + 1
 		cut := 0
 		for _, e := range bip.Edges() {
@@ -112,9 +112,9 @@ func WavefrontProfile(cfg Config) ([]*Table, error) {
 }
 
 // messagesPerRound extracts the per-round send counts from a traced run.
-func messagesPerRound(rep *core.Report) []int {
-	out := make([]int, len(rep.Result.Trace))
-	for i, rec := range rep.Result.Trace {
+func messagesPerRound(res engine.Result) []int {
+	out := make([]int, len(res.Trace))
+	for i, rec := range res.Trace {
 		out[i] = len(rec.Sends)
 	}
 	return out

@@ -1,11 +1,13 @@
 package faults_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/faults"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
@@ -32,12 +34,12 @@ func TestNoFaultsMatchesEngine(t *testing.T) {
 		if err != nil || fr.Outcome != faults.Terminated {
 			return false
 		}
-		rep, err := core.Run(g, src)
+		res, err := engine.Run(context.Background(), g, core.MustNewFlood(g, src), engine.Options{})
 		if err != nil {
 			return false
 		}
-		return fr.Rounds == rep.Rounds() &&
-			fr.Delivered == rep.TotalMessages() &&
+		return fr.Rounds == res.Rounds &&
+			fr.Delivered == res.TotalMessages &&
 			fr.Dropped == 0 && fr.Absorbed == 0 &&
 			fr.CoverageCount() == g.N()
 	}

@@ -127,32 +127,37 @@ func TestInvariantMatrix(t *testing.T) {
 			t.Parallel()
 			g := gen.MustBuild(inst.spec, catalogSeed)
 			for _, src := range sourcesFor(inst, g) {
-				rep, err := core.Run(g, src)
+				ref, err := sim.New(g, sim.WithOrigins(src), sim.WithTrace(true), sim.WithAnalysis("coverage"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := ref.Run(context.Background())
 				if err != nil {
 					t.Fatalf("source %d: %v", src, err)
 				}
+				cov, _ := ref.Coverage()
 
 				// Theorem 3.1 + 3.3 bounds, coverage, receipt caps.
-				if err := theory.CheckGeneralBounds(g, rep); err != nil {
+				if err := theory.CheckGeneralBounds(g, res, cov); err != nil {
 					t.Errorf("general bounds: %v", err)
 				}
 				// Lemma 2.1 exactness on bipartite instances.
 				if inst.bipartite {
-					if err := theory.CheckBipartiteExact(g, rep); err != nil {
+					if err := theory.CheckBipartiteExact(g, res, cov); err != nil {
 						t.Errorf("bipartite exactness: %v", err)
 					}
 				}
 				// The Figure 4 / Lemma 3.2 machinery.
-				if err := theory.CheckSequenceMachinery(rep); err != nil {
+				if err := theory.CheckSequenceMachinery(cov); err != nil {
 					t.Errorf("sequence machinery: %v", err)
 				}
 				// The double-cover law: exact prediction.
-				if err := theory.CheckDoubleCoverExact(g, rep); err != nil {
+				if err := theory.CheckDoubleCoverExact(g, res, cov); err != nil {
 					t.Errorf("double cover: %v", err)
 				}
 				// Paper's predicted termination window.
-				if !theory.PredictTermination(g, src).Holds(rep.Rounds()) {
-					t.Errorf("termination window violated: %d rounds", rep.Rounds())
+				if !theory.PredictTermination(g, src).Holds(res.Rounds) {
+					t.Errorf("termination window violated: %d rounds", res.Rounds)
 				}
 
 				// Engine equivalence on the same protocol instance.
@@ -164,7 +169,7 @@ func TestInvariantMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("channel engine: %v", err)
 				}
-				if !engine.EqualTraces(rep.Result.Trace, chn.Trace) {
+				if !engine.EqualTraces(res.Trace, chn.Trace) {
 					t.Error("channel engine trace differs from sequential")
 				}
 
@@ -180,8 +185,8 @@ func TestInvariantMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("analysed flood: %v", err)
 				}
-				if ares.Rounds != rep.Rounds() {
-					t.Errorf("analysed flood ran %d rounds, plain flood %d", ares.Rounds, rep.Rounds())
+				if ares.Rounds != res.Rounds {
+					t.Errorf("analysed flood ran %d rounds, plain flood %d", ares.Rounds, res.Rounds)
 				}
 				if verdict := ares.Metrics["bipartite.bipartite"] == 1; verdict != algo.IsBipartite(g) {
 					t.Errorf("detection verdict %t disagrees with ground truth", verdict)
@@ -202,7 +207,7 @@ func TestInvariantMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("model control %s: %v", mdl, err)
 					}
-					if mres.Outcome != engine.OutcomeTerminated || mres.Rounds != rep.Rounds() {
+					if mres.Outcome != engine.OutcomeTerminated || mres.Rounds != res.Rounds {
 						t.Errorf("%s control diverged: %v after %d rounds", mdl, mres.Outcome, mres.Rounds)
 					}
 				}
@@ -210,7 +215,7 @@ func TestInvariantMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("faults control: %v", err)
 				}
-				if fres.Outcome != faults.Terminated || fres.Rounds != rep.Rounds() {
+				if fres.Outcome != faults.Terminated || fres.Rounds != res.Rounds {
 					t.Errorf("faults control diverged: %v after %d rounds", fres.Outcome, fres.Rounds)
 				}
 			}
@@ -234,12 +239,13 @@ func TestFigureInstancesExactRounds(t *testing.T) {
 		if !ok {
 			t.Fatalf("unexpected figure instance %q", inst.name)
 		}
-		rep, err := core.Run(gen.MustBuild(inst.spec, catalogSeed), expect.source)
+		g := gen.MustBuild(inst.spec, catalogSeed)
+		res, err := engine.Run(context.Background(), g, core.MustNewFlood(g, expect.source), engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Rounds() != expect.rounds {
-			t.Errorf("%s: %d rounds, want %d", inst.name, rep.Rounds(), expect.rounds)
+		if res.Rounds != expect.rounds {
+			t.Errorf("%s: %d rounds, want %d", inst.name, res.Rounds, expect.rounds)
 		}
 	}
 }

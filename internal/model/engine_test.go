@@ -310,15 +310,15 @@ func TestUniformDelayerPreservesTermination(t *testing.T) {
 		if res.Outcome != engine.OutcomeTerminated {
 			t.Fatalf("seed %d: outcome = %v", seed, res.Outcome)
 		}
-		rep, err := core.Run(g, src)
+		sync, err := engine.Run(context.Background(), g, core.MustNewFlood(g, src), engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.TotalMessages != rep.TotalMessages() {
-			t.Fatalf("seed %d: messages %d != synchronous %d", seed, res.TotalMessages, rep.TotalMessages())
+		if res.TotalMessages != sync.TotalMessages {
+			t.Fatalf("seed %d: messages %d != synchronous %d", seed, res.TotalMessages, sync.TotalMessages)
 		}
-		if res.Rounds != rep.Rounds()*(extra+1) {
-			t.Fatalf("seed %d: rounds %d != stretched %d", seed, res.Rounds, rep.Rounds()*(extra+1))
+		if res.Rounds != sync.Rounds*(extra+1) {
+			t.Fatalf("seed %d: rounds %d != stretched %d", seed, res.Rounds, sync.Rounds*(extra+1))
 		}
 	}
 }

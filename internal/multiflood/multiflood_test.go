@@ -1,11 +1,13 @@
 package multiflood_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
 	"amnesiacflood/internal/multiflood"
@@ -30,13 +32,13 @@ func TestSingleBroadcastEqualsSoloRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := core.Run(g, 4)
+	solo, err := engine.Run(context.Background(), g, core.MustNewFlood(g, 4), engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != solo.Rounds() || res.TotalMessages != solo.TotalMessages() {
+	if res.Rounds != solo.Rounds || res.TotalMessages != solo.TotalMessages {
 		t.Fatalf("single broadcast diverged from solo run: %+v vs %d/%d",
-			res, solo.Rounds(), solo.TotalMessages())
+			res, solo.Rounds, solo.TotalMessages)
 	}
 	if res.MaxEdgeLoad != 1 {
 		t.Fatalf("single flood edge load = %d, want 1", res.MaxEdgeLoad)
@@ -59,12 +61,12 @@ func TestFloodsAreIndependent(t *testing.T) {
 			return false
 		}
 		for i, o := range origins {
-			solo, err := core.Run(g, o)
+			solo, err := engine.Run(context.Background(), g, core.MustNewFlood(g, o), engine.Options{})
 			if err != nil {
 				return false
 			}
-			if res.PerBroadcast[i].Rounds != solo.Rounds() ||
-				res.PerBroadcast[i].TotalMessages != solo.TotalMessages() {
+			if res.PerBroadcast[i].Rounds != solo.Rounds ||
+				res.PerBroadcast[i].TotalMessages != solo.TotalMessages {
 				return false
 			}
 		}

@@ -3,7 +3,6 @@ package theory_test
 import (
 	"testing"
 
-	"amnesiacflood/internal/core"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
 )
@@ -14,11 +13,8 @@ import (
 
 func runRounds(t *testing.T, g *graph.Graph, src graph.NodeID) int {
 	t.Helper()
-	rep, err := core.Run(g, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep.Rounds()
+	res, _ := run(t, g, src)
+	return res.Rounds
 }
 
 func TestClosedFormPath(t *testing.T) {

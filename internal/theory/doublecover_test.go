@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"amnesiacflood/internal/core"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
@@ -17,8 +16,8 @@ func TestCheckDoubleCoverExactAcceptsRealRuns(t *testing.T) {
 		gen.Path(7), gen.Cycle(6), gen.Cycle(7), gen.Complete(8),
 		gen.Petersen(), gen.Grid(4, 5), gen.Lollipop(4, 6),
 	} {
-		rep := mustRun(t, g, 0)
-		if err := theory.CheckDoubleCoverExact(g, rep); err != nil {
+		res, cov := run(t, g, 0)
+		if err := theory.CheckDoubleCoverExact(g, res, cov); err != nil {
 			t.Errorf("%s: %v", g, err)
 		}
 	}
@@ -26,36 +25,38 @@ func TestCheckDoubleCoverExactAcceptsRealRuns(t *testing.T) {
 
 func TestCheckDoubleCoverExactCatchesTampering(t *testing.T) {
 	g := gen.Cycle(5)
-	rep := mustRun(t, g, 0)
+	res, cov := run(t, g, 0)
 
-	wrongRounds := *rep
-	wrongRounds.Result.Rounds++
-	if err := theory.CheckDoubleCoverExact(g, &wrongRounds); err == nil {
+	wrongRounds := res
+	wrongRounds.Rounds++
+	if err := theory.CheckDoubleCoverExact(g, wrongRounds, cov); err == nil {
 		t.Error("tampered rounds accepted")
 	}
 
-	wrongMsgs := *rep
-	wrongMsgs.Result.TotalMessages++
-	if err := theory.CheckDoubleCoverExact(g, &wrongMsgs); err == nil {
+	wrongMsgs := res
+	wrongMsgs.TotalMessages++
+	if err := theory.CheckDoubleCoverExact(g, wrongMsgs, cov); err == nil {
 		t.Error("tampered message count accepted")
 	}
 
-	wrongCounts := *rep
-	wrongCounts.ReceiveCounts = append([]int(nil), rep.ReceiveCounts...)
-	wrongCounts.ReceiveCounts[2]++
-	if err := theory.CheckDoubleCoverExact(g, &wrongCounts); err == nil {
+	rounds := make([][]graph.NodeID, len(res.Trace))
+	for i, rec := range res.Trace {
+		rounds[i] = rec.Receivers()
+	}
+	if err := theory.CheckDoubleCoverExact(g, res, doctored(t, g, []graph.NodeID{0}, rounds...)); err != nil {
+		t.Fatalf("the run's own rounds, replayed: %v", err)
+	}
+	rounds[0] = append(rounds[0], 2) // node 2 also receives in round 1
+	if err := theory.CheckDoubleCoverExact(g, res, doctored(t, g, []graph.NodeID{0}, rounds...)); err == nil {
 		t.Error("tampered receive counts accepted")
 	}
 }
 
 func TestCheckDoubleCoverExactRejectsMultiSource(t *testing.T) {
 	g := gen.Path(5)
-	rep, err := core.Run(g, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := theory.CheckDoubleCoverExact(g, rep); err == nil {
-		t.Fatal("multi-source report accepted")
+	res, cov := run(t, g, 0, 4)
+	if err := theory.CheckDoubleCoverExact(g, res, cov); err == nil {
+		t.Fatal("multi-source run accepted")
 	}
 }
 
@@ -65,11 +66,8 @@ func TestCheckNonBipartiteExactlyTwice(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomNonBipartite(3+rng.Intn(40), 0.08, rng)
 		src := graph.NodeID(rng.Intn(g.N()))
-		rep, err := core.Run(g, src)
-		if err != nil {
-			return false
-		}
-		return theory.CheckNonBipartiteExactlyTwice(g, rep) == nil
+		_, cov := run(t, g, src)
+		return theory.CheckNonBipartiteExactlyTwice(g, cov) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -83,8 +81,8 @@ func TestCheckNonBipartiteExactlyTwiceRejectsBipartiteRuns(t *testing.T) {
 	if !algo.IsBipartite(g) {
 		t.Fatal("C8 should be bipartite")
 	}
-	rep := mustRun(t, g, 0)
-	if err := theory.CheckNonBipartiteExactlyTwice(g, rep); err == nil {
+	_, cov := run(t, g, 0)
+	if err := theory.CheckNonBipartiteExactlyTwice(g, cov); err == nil {
 		t.Fatal("bipartite run passed the exactly-twice check")
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"slices"
 
-	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/analysis"
 	"amnesiacflood/internal/graph"
 )
 
@@ -50,43 +50,68 @@ type SequenceAnalysis struct {
 	DurationHistogram map[int]int
 }
 
-// AnalyzeSequences reconstructs the paper's sequence set R from a run
-// report, including R_0 (the origin set).
-func AnalyzeSequences(rep *core.Report) SequenceAnalysis {
-	n := len(rep.ReceiveCounts)
-	occurrences := make([][]int, n)
-	for _, o := range rep.Origins {
-		occurrences[o] = append(occurrences[o], 0)
+// eachRoundSets calls visit for every node with the ascending indices i of
+// the round-sets R_i the node belongs to: 0 for an origin (R_0 is the origin
+// set), then its first and last receive round. Coverage keeps no round in
+// between, so a node in a third round-set (a third receipt, or a second one
+// at an origin) is reported as an error instead: two of any three
+// round-sets share a parity, which puts the node in two of them an even
+// duration apart. Every verdict therefore equals that of walking all of
+// R_0, R_1, ... pair by pair.
+func eachRoundSets(cov *analysis.Coverage, visit func(v graph.NodeID, rounds []int) error) error {
+	counts, first, last := cov.ReceiveCounts(), cov.FirstReceive(), cov.LastReceive()
+	origin := make([]bool, len(counts))
+	for _, o := range cov.Origins() {
+		origin[o] = true
 	}
-	for i, set := range rep.RoundSets {
-		for _, v := range set {
-			occurrences[v] = append(occurrences[v], i+1)
+	var buf [2]int
+	for v, count := range counts {
+		rounds := buf[:0]
+		if origin[v] {
+			rounds = append(rounds, 0)
+		}
+		if count > 0 {
+			rounds = append(rounds, first[v])
+		}
+		if sets := len(rounds) + max(count-1, 0); sets > 2 {
+			return fmt.Errorf("theory: node %d is in %d round-sets, R_%d to R_%d: two of any three are an even duration apart (Lemma 3.2 machinery violated)",
+				v, sets, rounds[0], last[v])
+		}
+		if count > 1 {
+			rounds = append(rounds, last[v])
+		}
+		if err := visit(graph.NodeID(v), rounds); err != nil {
+			return err
 		}
 	}
-	analysis := SequenceAnalysis{DurationHistogram: map[int]int{}}
-	for v, rounds := range occurrences {
-		for i := 0; i < len(rounds); i++ {
-			for j := i + 1; j < len(rounds); j++ {
-				seq := Sequence{
-					Node:     graph.NodeID(v),
-					Start:    rounds[i],
-					Duration: rounds[j] - rounds[i],
-				}
-				analysis.Sequences = append(analysis.Sequences, seq)
-				analysis.DurationHistogram[seq.Duration]++
-				if seq.Duration%2 == 0 {
-					analysis.EvenCount++
-				}
-				if analysis.MinDuration == 0 || seq.Duration < analysis.MinDuration {
-					analysis.MinDuration = seq.Duration
-				}
-				if seq.Duration > analysis.MaxDuration {
-					analysis.MaxDuration = seq.Duration
-				}
-			}
+	return nil
+}
+
+// AnalyzeSequences reconstructs the paper's sequence set R of a run,
+// including R_0 (the origin set). It fails on a node in three round-sets,
+// which already makes Re non-empty (see eachRoundSets).
+func AnalyzeSequences(cov *analysis.Coverage) (SequenceAnalysis, error) {
+	out := SequenceAnalysis{DurationHistogram: map[int]int{}}
+	err := eachRoundSets(cov, func(v graph.NodeID, rounds []int) error {
+		if len(rounds) < 2 {
+			return nil
 		}
+		seq := Sequence{Node: v, Start: rounds[0], Duration: rounds[1] - rounds[0]}
+		out.Sequences = append(out.Sequences, seq)
+		out.DurationHistogram[seq.Duration]++
+		if seq.Duration%2 == 0 {
+			out.EvenCount++
+		}
+		if out.MinDuration == 0 || seq.Duration < out.MinDuration {
+			out.MinDuration = seq.Duration
+		}
+		out.MaxDuration = max(out.MaxDuration, seq.Duration)
+		return nil
+	})
+	if err != nil {
+		return SequenceAnalysis{}, err
 	}
-	slices.SortFunc(analysis.Sequences, func(a, b Sequence) int {
+	slices.SortFunc(out.Sequences, func(a, b Sequence) int {
 		if a.Start != b.Start {
 			return a.Start - b.Start
 		}
@@ -95,14 +120,14 @@ func AnalyzeSequences(rep *core.Report) SequenceAnalysis {
 		}
 		return int(a.Node) - int(b.Node)
 	})
-	return analysis
+	return out, nil
 }
 
 // MinimalEvenSequence returns the paper's R*: among even-duration
 // sequences, one with minimum duration and, among those, earliest start —
 // the object both Figure 4 contradiction cases are built on. ok is false
 // when Re is empty (which Theorem 3.1 proves always holds for real
-// executions; doctored reports exercise the true branch in tests).
+// executions; doctored rounds exercise the true branch in tests).
 func (a SequenceAnalysis) MinimalEvenSequence() (Sequence, bool) {
 	best := Sequence{}
 	found := false
@@ -123,11 +148,14 @@ func (a SequenceAnalysis) MinimalEvenSequence() (Sequence, bool) {
 // CheckSequenceMachinery re-verifies the odd-gap invariant through the
 // explicit sequence set and cross-checks AnalyzeSequences against
 // CheckOddGapInvariant: the two must agree that Re is empty.
-func CheckSequenceMachinery(rep *core.Report) error {
-	analysis := AnalyzeSequences(rep)
-	gapErr := CheckOddGapInvariant(rep)
-	if analysis.EvenCount > 0 {
-		seq, _ := analysis.MinimalEvenSequence()
+func CheckSequenceMachinery(cov *analysis.Coverage) error {
+	seqs, err := AnalyzeSequences(cov)
+	if err != nil {
+		return err
+	}
+	gapErr := CheckOddGapInvariant(cov)
+	if seqs.EvenCount > 0 {
+		seq, _ := seqs.MinimalEvenSequence()
 		if gapErr == nil {
 			return fmt.Errorf("theory: sequence analysis found %s but the gap check passed (internal inconsistency)", seq)
 		}

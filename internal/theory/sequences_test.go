@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"amnesiacflood/internal/core"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
 	"amnesiacflood/internal/theory"
@@ -14,8 +13,11 @@ import (
 
 func TestAnalyzeSequencesTriangle(t *testing.T) {
 	// Figure 2 run: R_0={b}, R_1={a,c}, R_2={a,c}, R_3={b}.
-	rep := mustRun(t, gen.Cycle(3), 1)
-	analysis := theory.AnalyzeSequences(rep)
+	_, cov := run(t, gen.Cycle(3), 1)
+	analysis, err := theory.AnalyzeSequences(cov)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Sequences: a in (1,2), c in (1,2), b in (0,3) -> durations 1,1,3.
 	if len(analysis.Sequences) != 3 {
 		t.Fatalf("sequences = %v, want 3", analysis.Sequences)
@@ -36,8 +38,11 @@ func TestAnalyzeSequencesTriangle(t *testing.T) {
 
 func TestAnalyzeSequencesBipartiteEmpty(t *testing.T) {
 	// On bipartite graphs every node occurs once, so R itself is empty.
-	rep := mustRun(t, gen.Grid(4, 5), 3)
-	analysis := theory.AnalyzeSequences(rep)
+	_, cov := run(t, gen.Grid(4, 5), 3)
+	analysis, err := theory.AnalyzeSequences(cov)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(analysis.Sequences) != 0 {
 		t.Fatalf("bipartite run has sequences: %v", analysis.Sequences)
 	}
@@ -57,21 +62,20 @@ func TestSequenceStringAndEnd(t *testing.T) {
 }
 
 func TestMinimalEvenSequencePicksPaperMinimum(t *testing.T) {
-	// Doctored report: node 1 at rounds 1 and 5 (d=4), node 2 at rounds
-	// 2 and 4 (d=2), node 3 at rounds 1 and 3 (d=2). R* must be node 3's:
+	// Doctored run: node 1 at rounds 1 and 5 (d=4), node 2 at rounds 2
+	// and 4 (d=2), node 3 at rounds 1 and 3 (d=2). R* must be node 3's:
 	// duration 2 (minimal), start 1 (earliest among duration-2).
-	rep := &core.Report{
-		Origins:       []graph.NodeID{0},
-		ReceiveCounts: make([]int, 4),
-		RoundSets: [][]graph.NodeID{
-			{1, 3}, // round 1
-			{2},    // round 2
-			{3},    // round 3
-			{2},    // round 4
-			{1},    // round 5
-		},
+	cov := doctored(t, gen.Path(4), []graph.NodeID{0},
+		[]graph.NodeID{1, 3}, // round 1
+		[]graph.NodeID{2},    // round 2
+		[]graph.NodeID{3},    // round 3
+		[]graph.NodeID{2},    // round 4
+		[]graph.NodeID{1},    // round 5
+	)
+	analysis, err := theory.AnalyzeSequences(cov)
+	if err != nil {
+		t.Fatal(err)
 	}
-	analysis := theory.AnalyzeSequences(rep)
 	seq, ok := analysis.MinimalEvenSequence()
 	if !ok {
 		t.Fatal("no even sequence found")
@@ -89,11 +93,8 @@ func TestCheckSequenceMachineryAgreesWithGapCheck(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomConnected(2+rng.Intn(40), 0.08, rng)
 		src := graph.NodeID(rng.Intn(g.N()))
-		rep, err := core.Run(g, src)
-		if err != nil {
-			return false
-		}
-		return theory.CheckSequenceMachinery(rep) == nil
+		_, cov := run(t, g, src)
+		return theory.CheckSequenceMachinery(cov) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -101,12 +102,9 @@ func TestCheckSequenceMachineryAgreesWithGapCheck(t *testing.T) {
 }
 
 func TestCheckSequenceMachineryFlagsDoctoredRun(t *testing.T) {
-	rep := &core.Report{
-		Origins:       []graph.NodeID{0},
-		ReceiveCounts: make([]int, 2),
-		RoundSets:     [][]graph.NodeID{{1}, {0}}, // origin back at round 2: d=2
-	}
-	err := theory.CheckSequenceMachinery(rep)
+	// Origin back at round 2: d=2.
+	cov := doctored(t, gen.Path(2), []graph.NodeID{0}, []graph.NodeID{1}, []graph.NodeID{0})
+	err := theory.CheckSequenceMachinery(cov)
 	if err == nil || !strings.Contains(err.Error(), "Re is non-empty") {
 		t.Fatalf("err = %v, want Re non-empty", err)
 	}

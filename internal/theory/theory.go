@@ -1,7 +1,10 @@
 // Package theory turns the paper's lemmas and theorems into executable
-// checks. Each check takes a graph and an analysed amnesiac-flooding report
-// and returns nil when the run is consistent with the paper's claims, or a
-// descriptive error pinpointing the violated claim.
+// checks. A check reads the engine result of an amnesiac-flooding run and
+// the run's coverage analyzer (internal/analysis: per-node receive counts
+// and first/last receive rounds, streamed live by a sim session with the
+// "coverage" analysis attached), and returns nil when the run is consistent
+// with the paper's claims, or a descriptive error pinpointing the violated
+// claim. Only CheckDoubleCoverExact reads the result's trace.
 //
 // The checks are used three ways: as unit/property-test oracles, as the
 // acceptance criteria of the experiment harness (EXPERIMENTS.md), and as a
@@ -11,64 +14,64 @@ package theory
 import (
 	"fmt"
 
-	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/analysis"
 	"amnesiacflood/internal/doublecover"
+	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 )
 
 // CheckTerminated verifies Theorem 3.1's conclusion on a concrete run:
 // the flood reached a round with no messages.
-func CheckTerminated(rep *core.Report) error {
-	if !rep.Result.Terminated {
-		return fmt.Errorf("theory: run did not terminate within %d rounds (Theorem 3.1 violated)", rep.Rounds())
+func CheckTerminated(res engine.Result) error {
+	if !res.Terminated {
+		return fmt.Errorf("theory: run did not terminate within %d rounds (Theorem 3.1 violated)", res.Rounds)
 	}
 	return nil
 }
 
-// CheckBipartiteExact verifies Lemma 2.1 and Corollary 2.2 on a single-
-// source run over a connected bipartite graph:
+// CheckBipartiteExact verifies Lemma 2.1 on a single-source run over a
+// connected bipartite graph:
 //
 //   - the flood terminates in exactly e(source) rounds,
-//   - hence within the diameter D,
 //   - every node receives M exactly once, in the round equal to its
 //     BFS distance from the source (the parallel-BFS behaviour).
-func CheckBipartiteExact(g *graph.Graph, rep *core.Report) error {
-	if err := CheckTerminated(rep); err != nil {
+//
+// Corollary 2.2, termination within the diameter D, follows from the first
+// point, since e(source) <= D.
+func CheckBipartiteExact(g *graph.Graph, res engine.Result, cov *analysis.Coverage) error {
+	if err := CheckTerminated(res); err != nil {
 		return err
 	}
-	if len(rep.Origins) != 1 {
-		return fmt.Errorf("theory: bipartite check needs a single origin, got %d", len(rep.Origins))
+	if len(cov.Origins()) != 1 {
+		return fmt.Errorf("theory: bipartite check needs a single origin, got %d", len(cov.Origins()))
 	}
-	source := rep.Origins[0]
+	source := cov.Origins()[0]
 	ecc := algo.Eccentricity(g, source)
-	if rep.Rounds() != ecc {
+	if res.Rounds != ecc {
 		return fmt.Errorf("theory: bipartite %s from %d: terminated in %d rounds, want eccentricity %d (Lemma 2.1)",
-			g, source, rep.Rounds(), ecc)
-	}
-	if diam := algo.Diameter(g); rep.Rounds() > diam {
-		return fmt.Errorf("theory: bipartite %s from %d: %d rounds exceeds diameter %d (Corollary 2.2)",
-			g, source, rep.Rounds(), diam)
+			g, source, res.Rounds, ecc)
 	}
 	dist := algo.BFS(g, source)
+	counts, first := cov.ReceiveCounts(), cov.FirstReceive()
 	for v := 0; v < g.N(); v++ {
 		node := graph.NodeID(v)
 		if node == source {
-			if rep.ReceiveCounts[v] != 0 {
+			if counts[v] != 0 {
 				// On a bipartite graph the origin never hears the
 				// message back.
 				return fmt.Errorf("theory: bipartite %s: origin %d received M %d times, want 0",
-					g, source, rep.ReceiveCounts[v])
+					g, source, counts[v])
 			}
 			continue
 		}
-		if rep.ReceiveCounts[v] != 1 {
+		if counts[v] != 1 {
 			return fmt.Errorf("theory: bipartite %s from %d: node %d received M %d times, want exactly once (Lemma 2.1)",
-				g, source, node, rep.ReceiveCounts[v])
+				g, source, node, counts[v])
 		}
-		if rep.FirstReceive[v] != dist[v] {
+		if first[v] != dist[v] {
 			return fmt.Errorf("theory: bipartite %s from %d: node %d first received in round %d, want BFS distance %d",
-				g, source, node, rep.FirstReceive[v], dist[v])
+				g, source, node, first[v], dist[v])
 		}
 	}
 	return nil
@@ -84,30 +87,30 @@ func CheckBipartiteExact(g *graph.Graph, rep *core.Report) error {
 //     farthest node),
 //   - no node receives M in more than two distinct rounds (full-paper
 //     refinement of Theorem 3.3).
-func CheckGeneralBounds(g *graph.Graph, rep *core.Report) error {
-	if err := CheckTerminated(rep); err != nil {
+func CheckGeneralBounds(g *graph.Graph, res engine.Result, cov *analysis.Coverage) error {
+	if err := CheckTerminated(res); err != nil {
 		return err
 	}
-	if len(rep.Origins) != 1 {
-		return fmt.Errorf("theory: general check needs a single origin, got %d", len(rep.Origins))
+	if len(cov.Origins()) != 1 {
+		return fmt.Errorf("theory: general check needs a single origin, got %d", len(cov.Origins()))
 	}
-	source := rep.Origins[0]
-	if !rep.Covered() {
+	source := cov.Origins()[0]
+	if cov.Uncovered() > 0 {
 		return fmt.Errorf("theory: %s from %d: some node never received M on a connected graph", g, source)
 	}
 	ecc := algo.Eccentricity(g, source)
 	diam := algo.Diameter(g)
-	if rep.Rounds() < ecc {
+	if res.Rounds < ecc {
 		return fmt.Errorf("theory: %s from %d: %d rounds < eccentricity %d (message cannot have covered the graph)",
-			g, source, rep.Rounds(), ecc)
+			g, source, res.Rounds, ecc)
 	}
-	if rep.Rounds() > 2*diam+1 {
+	if res.Rounds > 2*diam+1 {
 		return fmt.Errorf("theory: %s from %d: %d rounds > 2D+1 = %d (Theorem 3.3)",
-			g, source, rep.Rounds(), 2*diam+1)
+			g, source, res.Rounds, 2*diam+1)
 	}
-	if max := rep.MaxReceives(); max > 2 {
+	if most := cov.MaxReceives(); most > 2 {
 		return fmt.Errorf("theory: %s from %d: a node received M in %d distinct rounds, want <= 2",
-			g, source, max)
+			g, source, most)
 	}
 	return nil
 }
@@ -122,13 +125,13 @@ func CheckGeneralBounds(g *graph.Graph, rep *core.Report) error {
 // echo can die out before the primary wave reaches the last node, giving
 // rounds == e(source) <= D. Apply this check only where the strict bound is
 // expected; use CheckGeneralBounds otherwise.
-func CheckNonBipartiteStrict(g *graph.Graph, rep *core.Report) error {
-	if err := CheckGeneralBounds(g, rep); err != nil {
+func CheckNonBipartiteStrict(g *graph.Graph, res engine.Result, cov *analysis.Coverage) error {
+	if err := CheckGeneralBounds(g, res, cov); err != nil {
 		return err
 	}
-	if diam := algo.Diameter(g); rep.Rounds() <= diam {
+	if diam := algo.Diameter(g); res.Rounds <= diam {
 		return fmt.Errorf("theory: non-bipartite %s from %v: %d rounds <= diameter %d, want strictly more",
-			g, rep.Origins, rep.Rounds(), diam)
+			g, cov.Origins(), res.Rounds, diam)
 	}
 	return nil
 }
@@ -138,32 +141,15 @@ func CheckNonBipartiteStrict(g *graph.Graph, rep *core.Report) error {
 // execution, whenever a node belongs to two round-sets R_i and R_j
 // (with R_0 = the origin set), the duration j-i is odd. An even duration
 // would make the set Re of the proof non-empty, which the paper shows is
-// impossible.
-func CheckOddGapInvariant(rep *core.Report) error {
-	// receiveRounds[v] lists every round v held M, with round 0 for the
-	// origins (the paper's R_0).
-	n := len(rep.ReceiveCounts)
-	receiveRounds := make([][]int, n)
-	for _, o := range rep.Origins {
-		receiveRounds[o] = append(receiveRounds[o], 0)
-	}
-	for i, set := range rep.RoundSets {
-		round := i + 1
-		for _, v := range set {
-			receiveRounds[v] = append(receiveRounds[v], round)
+// impossible. A node in three round-sets fails too (see eachRoundSets).
+func CheckOddGapInvariant(cov *analysis.Coverage) error {
+	return eachRoundSets(cov, func(v graph.NodeID, rounds []int) error {
+		if len(rounds) == 2 && (rounds[1]-rounds[0])%2 == 0 {
+			return fmt.Errorf("theory: node %d is in round-sets R_%d and R_%d: even duration %d (Lemma 3.2 machinery violated)",
+				v, rounds[0], rounds[1], rounds[1]-rounds[0])
 		}
-	}
-	for v, rounds := range receiveRounds {
-		for i := 0; i < len(rounds); i++ {
-			for j := i + 1; j < len(rounds); j++ {
-				if (rounds[j]-rounds[i])%2 == 0 {
-					return fmt.Errorf("theory: node %d is in round-sets R_%d and R_%d: even duration %d (Lemma 3.2 machinery violated)",
-						v, rounds[i], rounds[j], rounds[j]-rounds[i])
-				}
-			}
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Bound is the predicted termination of a single-source run, derived

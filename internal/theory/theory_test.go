@@ -1,36 +1,68 @@
 package theory_test
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"amnesiacflood/internal/core"
+	"amnesiacflood/internal/analysis"
+	_ "amnesiacflood/internal/core" // registers the amnesiac protocol
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
+	"amnesiacflood/internal/sim"
 	"amnesiacflood/internal/theory"
 )
 
-func mustRun(t *testing.T, g *graph.Graph, src graph.NodeID) *core.Report {
+// run floods g from the origins on the sequential engine, traced, with the
+// coverage analysis attached, and returns the result and the analyzer.
+func run(t *testing.T, g *graph.Graph, origins ...graph.NodeID) (engine.Result, *analysis.Coverage) {
 	t.Helper()
-	rep, err := core.Run(g, src)
+	sess, err := sim.New(g, sim.WithOrigins(origins...), sim.WithTrace(true), sim.WithAnalysis("coverage"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	res, err := sess.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov, _ := sess.Coverage()
+	return res, cov
+}
+
+// doctored returns a coverage analyzer on g fed the origins and, as round
+// i+1, the receivers rounds[i]: the bookkeeping of a run no engine
+// produces, for the checks to reject.
+func doctored(t *testing.T, g *graph.Graph, origins []graph.NodeID, rounds ...[]graph.NodeID) *analysis.Coverage {
+	t.Helper()
+	a, err := analysis.Build("coverage", analysis.Context{Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov := a.(*analysis.Coverage)
+	if err := cov.Start(origins); err != nil {
+		t.Fatal(err)
+	}
+	for i, receivers := range rounds {
+		f := engine.Frontier{Round: i + 1, Messages: len(receivers), Receivers: slices.Values(receivers)}
+		if _, err := cov.ObserveFrontier(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cov
 }
 
 func TestCheckTerminated(t *testing.T) {
-	rep := mustRun(t, gen.Path(5), 0)
-	if err := theory.CheckTerminated(rep); err != nil {
+	res, _ := run(t, gen.Path(5), 0)
+	if err := theory.CheckTerminated(res); err != nil {
 		t.Fatal(err)
 	}
-	bad := &core.Report{Result: engine.Result{Terminated: false}}
-	if err := theory.CheckTerminated(bad); err == nil {
-		t.Fatal("non-terminated report accepted")
+	if err := theory.CheckTerminated(engine.Result{Terminated: false}); err == nil {
+		t.Fatal("non-terminated run accepted")
 	}
 }
 
@@ -50,8 +82,8 @@ func TestCheckBipartiteExactAcceptsFamilies(t *testing.T) {
 		{gen.Star(15), 3},
 	}
 	for _, tc := range cases {
-		rep := mustRun(t, tc.g, tc.src)
-		if err := theory.CheckBipartiteExact(tc.g, rep); err != nil {
+		res, cov := run(t, tc.g, tc.src)
+		if err := theory.CheckBipartiteExact(tc.g, res, cov); err != nil {
 			t.Errorf("%s from %d: %v", tc.g, tc.src, err)
 		}
 	}
@@ -59,48 +91,43 @@ func TestCheckBipartiteExactAcceptsFamilies(t *testing.T) {
 
 func TestCheckBipartiteExactRejectsMultiSource(t *testing.T) {
 	g := gen.Path(6)
-	rep, err := core.Run(g, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := theory.CheckBipartiteExact(g, rep); err == nil {
-		t.Fatal("multi-source report accepted by bipartite check")
+	res, cov := run(t, g, 0, 5)
+	if err := theory.CheckBipartiteExact(g, res, cov); err == nil {
+		t.Fatal("multi-source run accepted by bipartite check")
 	}
 }
 
 func TestCheckBipartiteExactCatchesDoctoredReports(t *testing.T) {
 	g := gen.Path(5)
-	rep := mustRun(t, g, 0)
+	res, cov := run(t, g, 0)
+	origin := []graph.NodeID{0}
+	if err := theory.CheckBipartiteExact(g, res, doctored(t, g, origin, []graph.NodeID{1}, []graph.NodeID{2}, []graph.NodeID{3}, []graph.NodeID{4})); err != nil {
+		t.Fatalf("the run's own rounds, replayed: %v", err)
+	}
 
-	tamperRounds := *rep
-	tamperRounds.Result.Rounds++
-	if err := theory.CheckBipartiteExact(g, &tamperRounds); err == nil ||
+	tamperRounds := res
+	tamperRounds.Rounds++
+	if err := theory.CheckBipartiteExact(g, tamperRounds, cov); err == nil ||
 		!strings.Contains(err.Error(), "eccentricity") {
-		t.Errorf("wrong-rounds report: err = %v, want eccentricity violation", err)
+		t.Errorf("wrong-rounds run: err = %v, want eccentricity violation", err)
 	}
 
-	tamperCounts := *rep
-	tamperCounts.ReceiveCounts = append([]int(nil), rep.ReceiveCounts...)
-	tamperCounts.ReceiveCounts[2] = 2
-	if err := theory.CheckBipartiteExact(g, &tamperCounts); err == nil ||
+	twice := doctored(t, g, origin, []graph.NodeID{1}, []graph.NodeID{2}, []graph.NodeID{3}, []graph.NodeID{4, 2})
+	if err := theory.CheckBipartiteExact(g, res, twice); err == nil ||
 		!strings.Contains(err.Error(), "exactly once") {
-		t.Errorf("double-receipt report: err = %v, want exactly-once violation", err)
+		t.Errorf("double-receipt run: err = %v, want exactly-once violation", err)
 	}
 
-	tamperOrigin := *rep
-	tamperOrigin.ReceiveCounts = append([]int(nil), rep.ReceiveCounts...)
-	tamperOrigin.ReceiveCounts[0] = 1
-	if err := theory.CheckBipartiteExact(g, &tamperOrigin); err == nil ||
+	echo := doctored(t, g, origin, []graph.NodeID{1, 0}, []graph.NodeID{2}, []graph.NodeID{3}, []graph.NodeID{4})
+	if err := theory.CheckBipartiteExact(g, res, echo); err == nil ||
 		!strings.Contains(err.Error(), "origin") {
-		t.Errorf("origin-receipt report: err = %v, want origin violation", err)
+		t.Errorf("origin-receipt run: err = %v, want origin violation", err)
 	}
 
-	tamperFirst := *rep
-	tamperFirst.FirstReceive = append([]int(nil), rep.FirstReceive...)
-	tamperFirst.FirstReceive[3] = 1
-	if err := theory.CheckBipartiteExact(g, &tamperFirst); err == nil ||
+	early := doctored(t, g, origin, []graph.NodeID{1, 3}, []graph.NodeID{2}, nil, []graph.NodeID{4})
+	if err := theory.CheckBipartiteExact(g, res, early); err == nil ||
 		!strings.Contains(err.Error(), "BFS distance") {
-		t.Errorf("wrong-distance report: err = %v, want BFS distance violation", err)
+		t.Errorf("wrong-distance run: err = %v, want BFS distance violation", err)
 	}
 }
 
@@ -116,8 +143,8 @@ func TestCheckGeneralBoundsAcceptsNonBipartite(t *testing.T) {
 		{gen.Petersen(), 5},
 		{gen.Lollipop(4, 5), 8},
 	} {
-		rep := mustRun(t, tc.g, tc.src)
-		if err := theory.CheckGeneralBounds(tc.g, rep); err != nil {
+		res, cov := run(t, tc.g, tc.src)
+		if err := theory.CheckGeneralBounds(tc.g, res, cov); err != nil {
 			t.Errorf("%s from %d: %v", tc.g, tc.src, err)
 		}
 	}
@@ -125,40 +152,39 @@ func TestCheckGeneralBoundsAcceptsNonBipartite(t *testing.T) {
 
 func TestCheckGeneralBoundsCatchesViolations(t *testing.T) {
 	g := gen.Cycle(3)
-	rep := mustRun(t, g, 0)
+	res, cov := run(t, g, 0)
+	origin := []graph.NodeID{0}
 
-	tooMany := *rep
-	tooMany.Result.Rounds = 2*algo.Diameter(g) + 2
-	if err := theory.CheckGeneralBounds(g, &tooMany); err == nil ||
+	tooMany := res
+	tooMany.Rounds = 2*algo.Diameter(g) + 2
+	if err := theory.CheckGeneralBounds(g, tooMany, cov); err == nil ||
 		!strings.Contains(err.Error(), "2D+1") {
-		t.Errorf("rounds-beyond-bound report: err = %v", err)
+		t.Errorf("rounds-beyond-bound run: err = %v", err)
 	}
 
-	tooFew := *rep
-	tooFew.Result.Rounds = 0
-	if err := theory.CheckGeneralBounds(g, &tooFew); err == nil {
-		t.Error("zero-round covered report accepted")
+	tooFew := res
+	tooFew.Rounds = 0
+	if err := theory.CheckGeneralBounds(g, tooFew, cov); err == nil {
+		t.Error("zero-round covered run accepted")
 	}
 
-	triple := *rep
-	triple.ReceiveCounts = []int{3, 1, 1}
-	if err := theory.CheckGeneralBounds(g, &triple); err == nil ||
+	triple := doctored(t, g, origin, []graph.NodeID{0, 1, 2}, []graph.NodeID{0}, []graph.NodeID{0})
+	if err := theory.CheckGeneralBounds(g, res, triple); err == nil ||
 		!strings.Contains(err.Error(), "distinct rounds") {
-		t.Errorf("triple-receipt report: err = %v", err)
+		t.Errorf("triple-receipt run: err = %v", err)
 	}
 
-	uncovered := *rep
-	uncovered.ReceiveCounts = []int{0, 1, 0} // node 2 never got M
-	if err := theory.CheckGeneralBounds(g, &uncovered); err == nil ||
+	uncovered := doctored(t, g, origin, []graph.NodeID{1}) // node 2 never got M
+	if err := theory.CheckGeneralBounds(g, res, uncovered); err == nil ||
 		!strings.Contains(err.Error(), "never received") {
-		t.Errorf("uncovered report: err = %v", err)
+		t.Errorf("uncovered run: err = %v", err)
 	}
 }
 
 func TestCheckNonBipartiteStrictOnSymmetricFamilies(t *testing.T) {
 	for _, g := range []*graph.Graph{gen.Cycle(3), gen.Cycle(11), gen.Complete(9), gen.Wheel(8), gen.Petersen()} {
-		rep := mustRun(t, g, 0)
-		if err := theory.CheckNonBipartiteStrict(g, rep); err != nil {
+		res, cov := run(t, g, 0)
+		if err := theory.CheckNonBipartiteStrict(g, res, cov); err != nil {
 			t.Errorf("%s: %v", g, err)
 		}
 	}
@@ -171,38 +197,48 @@ func TestCheckOddGapInvariantAcceptsRealRuns(t *testing.T) {
 		gen.Grid(4, 5), gen.RandomNonBipartite(50, 0.06, rng),
 	}
 	for _, g := range graphs {
-		rep := mustRun(t, g, 0)
-		if err := theory.CheckOddGapInvariant(rep); err != nil {
+		_, cov := run(t, g, 0)
+		if err := theory.CheckOddGapInvariant(cov); err != nil {
 			t.Errorf("%s: %v", g, err)
 		}
 	}
 }
 
 func TestCheckOddGapInvariantCatchesEvenGap(t *testing.T) {
-	// Doctor a report whose round-sets contain node 7 at rounds 2 and 4.
-	rep := &core.Report{
-		Origins:       []graph.NodeID{0},
-		ReceiveCounts: make([]int, 8),
-		RoundSets: [][]graph.NodeID{
-			1: {7}, // index 1 -> round 2
-		},
-	}
-	rep.RoundSets = [][]graph.NodeID{{1}, {7}, {3}, {7}} // rounds 1..4
-	if err := theory.CheckOddGapInvariant(rep); err == nil ||
+	// Node 7 in round-sets R_2 and R_4.
+	cov := doctored(t, gen.Path(8), []graph.NodeID{0}, []graph.NodeID{1}, []graph.NodeID{7}, []graph.NodeID{3}, []graph.NodeID{7})
+	if err := theory.CheckOddGapInvariant(cov); err == nil ||
 		!strings.Contains(err.Error(), "even duration") {
-		t.Fatalf("even-gap report: err = %v", err)
+		t.Fatalf("even-gap run: err = %v", err)
 	}
 }
 
 func TestCheckOddGapIncludesOriginRound0(t *testing.T) {
 	// Origin in R_0 and again in R_2 is an even gap.
-	rep := &core.Report{
-		Origins:       []graph.NodeID{4},
-		ReceiveCounts: make([]int, 5),
-		RoundSets:     [][]graph.NodeID{{1}, {4}}, // round 2 contains origin
-	}
-	if err := theory.CheckOddGapInvariant(rep); err == nil {
+	cov := doctored(t, gen.Path(5), []graph.NodeID{4}, []graph.NodeID{1}, []graph.NodeID{4})
+	if err := theory.CheckOddGapInvariant(cov); err == nil {
 		t.Fatal("origin even-gap accepted")
+	}
+}
+
+// TestOddGapChecksRejectThirdRoundSet: coverage keeps a node's first and
+// last receive round only, so a node in three round-sets must fail both
+// checks even where first and last are an odd duration apart: two of the
+// three share a parity.
+func TestOddGapChecksRejectThirdRoundSet(t *testing.T) {
+	g := gen.Path(8)
+	for name, cov := range map[string]*analysis.Coverage{
+		// Node 7 in R_1, R_2 and R_4: first to last is 3, R_2 to R_4 is 2.
+		"three receipts": doctored(t, g, []graph.NodeID{0}, []graph.NodeID{7}, []graph.NodeID{7}, nil, []graph.NodeID{7}),
+		// Origin 0 in R_0, R_1 and R_2: R_0 to R_2 is 2.
+		"origin receives twice": doctored(t, g, []graph.NodeID{0}, []graph.NodeID{0, 1}, []graph.NodeID{0, 2}),
+	} {
+		if err := theory.CheckOddGapInvariant(cov); err == nil || !strings.Contains(err.Error(), "3 round-sets") {
+			t.Errorf("%s: gap check err = %v, want a third round-set", name, err)
+		}
+		if err := theory.CheckSequenceMachinery(cov); err == nil || !strings.Contains(err.Error(), "3 round-sets") {
+			t.Errorf("%s: sequence check err = %v, want a third round-set", name, err)
+		}
 	}
 }
 
@@ -250,15 +286,12 @@ func TestPredictedWindowAlwaysHolds(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomConnected(2+rng.Intn(40), 0.08, rng)
 		src := graph.NodeID(rng.Intn(g.N()))
-		rep, err := core.Run(g, src)
-		if err != nil {
-			return false
-		}
+		res, _ := run(t, g, src)
 		ecc, upper := algo.Eccentricity(g, src), 2*algo.Diameter(g)+1
 		if algo.IsBipartite(g) {
 			upper = ecc
 		}
-		return theory.PredictTermination(g, src).Holds(rep.Rounds()) && rep.Rounds() >= ecc && rep.Rounds() <= upper
+		return theory.PredictTermination(g, src).Holds(res.Rounds) && res.Rounds >= ecc && res.Rounds <= upper
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

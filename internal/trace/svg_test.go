@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"amnesiacflood/internal/core"
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
@@ -14,11 +13,7 @@ import (
 )
 
 func TestWriteSVGIsWellFormedXML(t *testing.T) {
-	rep, err := core.Run(gen.Cycle(6), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range rep.Result.Trace {
+	for _, rec := range floodTrace(t, gen.Cycle(6), 0) {
 		var buf bytes.Buffer
 		if err := trace.WriteSVG(&buf, gen.Cycle(6), rec, trace.SVGOptions{}); err != nil {
 			t.Fatal(err)
@@ -38,12 +33,8 @@ func TestWriteSVGIsWellFormedXML(t *testing.T) {
 func TestWriteSVGMarksSenders(t *testing.T) {
 	// Figure 2 round 2: a and c send. Their nodes carry the double
 	// outline (radius-20 circle); b does not.
-	rep, err := core.Run(gen.Cycle(3), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := trace.WriteSVG(&buf, gen.Cycle(3), rep.Result.Trace[1], trace.SVGOptions{}); err != nil {
+	if err := trace.WriteSVG(&buf, gen.Cycle(3), floodTrace(t, gen.Cycle(3), 1)[1], trace.SVGOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -62,13 +53,9 @@ func TestWriteSVGMarksSenders(t *testing.T) {
 }
 
 func TestWriteSVGOptions(t *testing.T) {
-	rep, err := core.Run(gen.Path(3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	opts := trace.SVGOptions{Size: 200, Label: trace.Numbers}
-	if err := trace.WriteSVG(&buf, gen.Path(3), rep.Result.Trace[0], opts); err != nil {
+	if err := trace.WriteSVG(&buf, gen.Path(3), floodTrace(t, gen.Path(3), 0)[0], opts); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

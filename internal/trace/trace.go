@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 
-	"amnesiacflood/internal/core"
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 )
@@ -76,18 +75,18 @@ func RenderRounds(w io.Writer, records []engine.RoundRecord, label Labeler) erro
 // per round, with "S" where the node sends, "R" where it receives, "B"
 // where it does both, and "." when idle. The origin's spontaneous round-1
 // send appears as S.
-func Timeline(w io.Writer, g *graph.Graph, rep *core.Report, label Labeler) error {
+func Timeline(w io.Writer, g *graph.Graph, records []engine.RoundRecord, label Labeler) error {
 	if label == nil {
 		label = Numbers
 	}
-	rounds := rep.Rounds()
+	rounds := len(records)
 	sendAt := make([]map[int]bool, g.N())
 	recvAt := make([]map[int]bool, g.N())
 	for v := 0; v < g.N(); v++ {
 		sendAt[v] = map[int]bool{}
 		recvAt[v] = map[int]bool{}
 	}
-	for _, rec := range rep.Result.Trace {
+	for _, rec := range records {
 		for _, s := range rec.Sends {
 			sendAt[s.From][rec.Round] = true
 			recvAt[s.To][rec.Round] = true

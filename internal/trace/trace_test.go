@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"strings"
@@ -34,19 +35,24 @@ func TestNumbers(t *testing.T) {
 	}
 }
 
-func fig1Report(t *testing.T) *core.Report {
+// floodTrace runs amnesiac flooding on g from src and returns its trace.
+func floodTrace(t *testing.T, g *graph.Graph, src graph.NodeID) []engine.RoundRecord {
 	t.Helper()
-	rep, err := core.Run(gen.Path(4), 1)
+	res, err := engine.Run(context.Background(), g, core.MustNewFlood(g, src), engine.Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	return res.Trace
+}
+
+func fig1Trace(t *testing.T) []engine.RoundRecord {
+	return floodTrace(t, gen.Path(4), 1)
 }
 
 func TestRenderRoundsFig1(t *testing.T) {
-	rep := fig1Report(t)
+	records := fig1Trace(t)
 	var buf bytes.Buffer
-	if err := trace.RenderRounds(&buf, rep.Result.Trace, trace.Letters); err != nil {
+	if err := trace.RenderRounds(&buf, records, trace.Letters); err != nil {
 		t.Fatal(err)
 	}
 	want := "round 1: sending {b}  edges b->a b->c\n" +
@@ -57,9 +63,9 @@ func TestRenderRoundsFig1(t *testing.T) {
 }
 
 func TestRenderRoundsDefaultsToNumbers(t *testing.T) {
-	rep := fig1Report(t)
+	records := fig1Trace(t)
 	var buf bytes.Buffer
-	if err := trace.RenderRounds(&buf, rep.Result.Trace, nil); err != nil {
+	if err := trace.RenderRounds(&buf, records, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "1->0") {
@@ -68,12 +74,9 @@ func TestRenderRoundsDefaultsToNumbers(t *testing.T) {
 }
 
 func TestTimelineFig2(t *testing.T) {
-	rep, err := core.Run(gen.Cycle(3), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := floodTrace(t, gen.Cycle(3), 1)
 	var buf bytes.Buffer
-	if err := trace.Timeline(&buf, gen.Cycle(3), rep, trace.Letters); err != nil {
+	if err := trace.Timeline(&buf, gen.Cycle(3), records, trace.Letters); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -95,9 +98,8 @@ func TestTimelineFig2(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	rep := fig1Report(t)
 	var buf bytes.Buffer
-	if err := trace.WriteCSV(&buf, rep.Result.Trace); err != nil {
+	if err := trace.WriteCSV(&buf, fig1Trace(t)); err != nil {
 		t.Fatal(err)
 	}
 	records, err := csv.NewReader(&buf).ReadAll()
@@ -114,17 +116,17 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestWriteJSONRoundTrips(t *testing.T) {
-	rep := fig1Report(t)
+	records := fig1Trace(t)
 	var buf bytes.Buffer
-	if err := trace.WriteJSON(&buf, rep.Result.Trace); err != nil {
+	if err := trace.WriteJSON(&buf, records); err != nil {
 		t.Fatal(err)
 	}
 	var back []engine.RoundRecord
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if !engine.EqualTraces(rep.Result.Trace, back) {
-		t.Fatalf("JSON round trip changed trace: %v vs %v", rep.Result.Trace, back)
+	if !engine.EqualTraces(records, back) {
+		t.Fatalf("JSON round trip changed trace: %v vs %v", records, back)
 	}
 }
 
@@ -133,12 +135,8 @@ func TestTimelineEmptyRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.Run(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := trace.Timeline(&buf, g, rep, nil); err != nil {
+	if err := trace.Timeline(&buf, g, floodTrace(t, g, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "node") {
