@@ -43,8 +43,11 @@ race:
 	  ./internal/scenario ./internal/model ./internal/obs ./internal/service ./internal/specgrammar \
 	  ./internal/shard ./internal/experiments ./internal/chaos ./cmd/afbench
 
+# fuzz runs the engine-equivalence fuzzer, then the run-request normaliser
+# the service applies to remote bodies.
 fuzz:
 	go test -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine/fastengine
+	go test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/service
 
 # examples runs every program under examples/ and fails on the first
 # non-zero exit. Building them is not enough: a program that looks a
@@ -97,7 +100,7 @@ smoke-service:
 # that metric columns are identical under parallel and sequential execution.
 SUITE_MATRIX := -graphs "grid:rows=4,cols=5;cycle:n=9;prefattach:n=24,m=2" \
 	  -protocols amnesiac,classic \
-	  -engines sequential,parallel,bitset \
+	  -engines sequential,fast,bitset \
 	  -seeds 1,2 -workers 8 -format jsonl
 
 # suite-shard is the distributed face of the same gate: a coordinator

@@ -36,10 +36,10 @@ import (
 )
 
 // benchEngines is the engine dimension of the substrate benchmarks: the
-// sequential reference, the zero-allocation CSR engine, and its sharded
-// parallel mode. The channel engine is benchmarked separately (E10 only);
-// it exists to demonstrate concurrency, not to be fast.
-var benchEngines = []sim.EngineKind{sim.Sequential, sim.Fast, sim.Parallel}
+// sequential reference and the zero-allocation CSR engine. The channel
+// engine is benchmarked separately (E10 only); it exists to demonstrate
+// concurrency, not to be fast.
+var benchEngines = []sim.EngineKind{sim.Sequential, sim.Fast}
 
 // benchRun runs the session once, the per-iteration body of the
 // engine-parameterised benchmarks. A session is built once per benchmark,
@@ -506,16 +506,6 @@ func BenchmarkEngines(b *testing.B) {
 			}
 		}
 	})
-	b.Run("fastParallel", func(b *testing.B) {
-		e := fastengine.New(g).Parallel(0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Run(context.Background(), flood, engine.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // E11: double-cover prediction vs simulation — the analytical shortcut
@@ -737,16 +727,16 @@ func scaleSpecs(n int) []string {
 	}
 }
 
-// Engine scaling sweep: the arena-reusing engines (CSR fast, its sharded
-// mode, and the bitset frontier engine) across three shapes and three sizes
-// up to a million nodes. The shapes stress different regimes: the path is
-// pure per-round overhead (a two-node frontier for n-1 rounds), the grid a
-// steadily growing wavefront, and the sparse gnp instance a few rounds of
-// near-total frontier — the regime where the bitset engine's word-parallel
-// OR/AND-NOT sweep replaces per-message work with per-64-edge work.
-// Sessions are untraced, so ns/op is the round-kernel cost alone.
+// Engine scaling sweep: the arena-reusing engines (CSR fast and the bitset
+// frontier engine) across three shapes and three sizes up to a million nodes.
+// The shapes stress different regimes: the path is pure per-round overhead (a
+// two-node frontier for n-1 rounds), the grid a steadily growing wavefront,
+// and the sparse gnp instance a few rounds of near-total frontier — the
+// regime where the bitset engine's word-parallel OR/AND-NOT sweep replaces
+// per-message work with per-64-edge work. Sessions are untraced, so ns/op is
+// the round-kernel cost alone.
 func BenchmarkEngineScale(b *testing.B) {
-	scaleEngines := []sim.EngineKind{sim.Fast, sim.Parallel, sim.Bitset}
+	scaleEngines := []sim.EngineKind{sim.Fast, sim.Bitset}
 	for _, n := range []int{1 << 12, 1 << 16, 1 << 20} {
 		for _, spec := range scaleSpecs(n) {
 			for _, kind := range scaleEngines {
@@ -763,10 +753,16 @@ func BenchmarkEngineScale(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					// One untimed run amortises engine setup (mirror
-					// permutation, arena growth), so ns/op is the
-					// steady-state round kernel every engine settles into
-					// under session reuse.
+					// One untimed run amortises engine setup (mirror,
+					// arena growth), so ns/op is the steady-state round
+					// kernel. It does not settle fast's allocations on a
+					// flood with an odd number of rounds: fast's two send
+					// buffers swap once per round, so the second run puts
+					// each round in the buffer that held the other
+					// parity's rounds and grows it once more (about
+					// 300 MiB on the 5-round gnp:n=65536 flood). From the
+					// third run on nothing is allocated, so a fast row's
+					// B/op is that second run's growth spread over b.N.
 					if _, err := sess.Run(context.Background()); err != nil {
 						b.Fatal(err)
 					}

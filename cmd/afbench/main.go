@@ -9,7 +9,7 @@
 //
 //	afbench [-seed N] [-scale N] [-only E4,E7] [-engine fast]
 //	afbench -suite -graphs "grid:rows=8,cols=8;cycle:n=65" \
-//	        -protocols amnesiac,classic -engines sequential,parallel \
+//	        -protocols amnesiac,classic -engines sequential,fast \
 //	        -seeds 1,2 -reps 3 -workers 8 -format jsonl
 //	afbench -suite -graphs "cycle:n=9;grid:rows=4,cols=5" \
 //	        -models "sync;adversary:collision;schedule:alternating" \

@@ -44,7 +44,7 @@ func TestRunSuiteJSONL(t *testing.T) {
 	args := []string{"-suite",
 		"-graphs", "grid:rows=3,cols=4;cycle:n=9;prefattach:n=16,m=2",
 		"-protocols", "amnesiac,classic",
-		"-engines", "sequential,parallel",
+		"-engines", "sequential,fast",
 		"-seeds", "1,2",
 		"-workers", "8",
 		"-format", "jsonl",
@@ -184,7 +184,8 @@ func TestRunSuiteErrors(t *testing.T) {
 		{"-suite", "-graphs", "path:n=6", "-schedules", "zzz"},   // unknown schedule family
 		// classic × adversary cells fail at run time (model needs amnesiac).
 		{"-suite", "-graphs", "path:n=6", "-protocols", "classic", "-adversaries", "sync"},
-		{"-suite", "-graphs", "path:n=6", "-engine", "parallel"},    // experiment-mode flag in suite mode
+		{"-suite", "-graphs", "path:n=6", "-engines", "parallel"},   // retired engine
+		{"-suite", "-graphs", "path:n=6", "-engine", "fast"},        // experiment-mode flag in suite mode
 		{"-suite", "-graphs", "path:n=6", "-seed", "3"},             // -seed typo for -seeds
 		{"-suite", "-graphs", "path:n=6", "-json"},                  // -json typo for -format
 		{"-suite", "-graphs", "path:n=6", "-chaos", "chaos:rate=2"}, // rate outside [0,1]
@@ -208,7 +209,7 @@ func TestRunSuiteChaosRetries(t *testing.T) {
 	matrix := []string{"-suite",
 		"-graphs", "grid:rows=3,cols=4;cycle:n=9",
 		"-protocols", "amnesiac,classic",
-		"-engines", "sequential,parallel",
+		"-engines", "sequential,fast",
 		"-seeds", "1,2",
 		"-format", "jsonl",
 	}

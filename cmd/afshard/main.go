@@ -9,7 +9,7 @@
 //
 //	afshard -mode coordinator -addr :9090 \
 //	        -graphs "grid:rows=8,cols=8;cycle:n=65" -protocols amnesiac,classic \
-//	        -engines sequential,parallel -seeds 1,2 \
+//	        -engines sequential,fast -seeds 1,2 \
 //	        -format jsonl -out suite.jsonl.gz \
 //	        -retries 6 -timeout 60s -chaos "chaos:rate=0.15,kinds=err|panic|stall,seed=7,stall=100ms" \
 //	        -checkpoint sweep.jsonl [-resume] [-local-workers 2]

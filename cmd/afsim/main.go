@@ -12,7 +12,7 @@
 // Examples:
 //
 //	afsim -list
-//	afsim -graph grid:rows=4,cols=5 -analyze bipartite -engine parallel
+//	afsim -graph grid:rows=4,cols=5 -analyze bipartite -engine fast
 //	afsim -graph gnp:n=200,p=0.05,connect=true -seed 7 -source 0
 //	afsim -graph cycle:n=65 -analyze coverage,termination,bipartite
 //	afsim -topo cycle -n 6 -source 0 -render

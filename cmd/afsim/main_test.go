@@ -22,7 +22,7 @@ func TestListOutput(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"graph families", "grid", "rows int (default 8)", "petersen",
-		"protocols", "amnesiac", "engines", "parallel",
+		"protocols", "amnesiac", "engines (-engine): sequential, channels, fast, bitset",
 		"execution models", "adversary:collision", "adversary:hold: node int (default 0)",
 		"schedule:blink", "period int (default 2)", "schedule:alternating",
 		"analyses", "coverage", "termination", "bipartite", "spantree", "echo",
@@ -57,7 +57,7 @@ func TestRunHappyPaths(t *testing.T) {
 		{"-topo", "cycle", "-n", "9", "-source", "2", "-predict", "-model", "sync"}, // explicit sync ok
 		{"-topo", "path", "-n", "4", "-source", "1", "-timeline", "-model", "sync"},
 		{"-topo", "grid", "-n", "4", "-source", "5", "-predict"},
-		{"-graph", "grid:rows=4,cols=5", "-protocol", "amnesiac", "-analyze", "bipartite", "-engine", "parallel"},
+		{"-graph", "grid:rows=4,cols=5", "-protocol", "amnesiac", "-analyze", "bipartite", "-engine", "fast"},
 		{"-graph", "petersen", "-source", "3", "-render"},
 		{"-graph", "gnp:n=30,p=0.2,connect=true", "-seed", "7"},
 		{"-graph", "prefattach:n=40,m=2", "-protocol", "amnesiac", "-analyze", "spantree", "-engine", "fast"},

@@ -13,14 +13,13 @@
 // alive forever by a scheduling adversary.
 //
 // The repository reproduces every evaluation artifact of the paper (Figures
-// 1-5 and Theorems 3.1/3.3, see DESIGN.md and EXPERIMENTS.md) on five
+// 1-5 and Theorems 3.1/3.3, see DESIGN.md and EXPERIMENTS.md) on four
 // interchangeable synchronous substrates — a deterministic sequential
 // reference engine, a goroutine-per-node channel engine, a zero-allocation
-// compressed-sparse-row engine with an optional parallel sharded-delivery
-// mode, and a word-parallel bitset frontier engine that executes set-rule
-// protocols (amnesiac, classic) as OR/AND-NOT sweeps over packed directed
-// edge slots, with push/pull kernels chosen per round by frontier density —
-// plus asynchronous and dynamic-network model engines with pluggable
+// compressed-sparse-row engine, and a word-parallel bitset frontier engine
+// that executes set-rule protocols (amnesiac, classic) as OR/AND-NOT sweeps
+// over packed directed edge slots, with push/pull kernels chosen per round
+// by frontier density — plus asynchronous and dynamic-network model engines with pluggable
 // adversaries/schedules and configuration-cycle non-termination
 // certificates. The engines are trace-equivalent:
 // byte-identical traces on every protocol (and, for the model engines,
@@ -35,7 +34,7 @@
 // functional options runs any protocol × engine pair under a cancellable
 // context.Context with stop-capable streaming RoundObservers:
 //
-//	sess, _ := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithEngine(sim.Parallel))
+//	sess, _ := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithEngine(sim.Fast))
 //	res, err := sess.Run(ctx)
 //
 // The execution model is a fourth registry-driven axis (internal/model):
@@ -65,7 +64,7 @@
 //
 //	specs, _ := scenario.Matrix{Graphs: []string{"grid:rows=8,cols=8", "cycle:n=65"},
 //	        Protocols: []string{"amnesiac", "classic"},
-//	        Engines:   []string{"sequential", "parallel"}}.Expand()
+//	        Engines:   []string{"sequential", "fast"}}.Expand()
 //	results, _ := (&scenario.Runner{Workers: 8}).Run(ctx, specs)
 //
 // Measurement is the fifth registry-driven axis (internal/analysis): every
@@ -150,7 +149,7 @@
 //	internal/graph/algo       BFS, diameter and its two-sweep lower bound, bipartiteness ground truth
 //	internal/engine           synchronous round engine + Protocol/RoundObserver
 //	internal/engine/chanengine concurrent channel-based engine
-//	internal/engine/fastengine zero-allocation CSR engine, parallel mode
+//	internal/engine/fastengine zero-allocation CSR engine
 //	internal/engine/bitengine  word-parallel bitset frontier engine, push/pull kernels
 //	internal/core             the Amnesiac Flooding protocol
 //	internal/classic          flag-based flooding baseline

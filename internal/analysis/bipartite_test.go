@@ -122,7 +122,7 @@ func TestBipartiteEarlyStopMatchesTwoColoring(t *testing.T) {
 	}
 	for _, g := range graphs {
 		truth := algo.IsBipartite(g)
-		for _, kind := range []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Parallel, sim.Bitset} {
+		for _, kind := range []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Bitset} {
 			src := graph.NodeID(rng.Intn(g.N()))
 			if verdict, _, _ := bipartiteRun(t, g, src, kind, true); verdict != truth {
 				t.Errorf("%s from %d on %s: verdict %t, two-colouring %t", g, src, kind, verdict, truth)

@@ -68,7 +68,7 @@ func randomGraphs(t *testing.T) []*graph.Graph {
 }
 
 // allEngines is every synchronous engine the façade runs.
-var allEngines = []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Parallel, sim.Bitset}
+var allEngines = []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Bitset}
 
 // runTraced executes one traced single-source amnesiac flood on the
 // sequential engine with the given analyses attached. Tracing disables

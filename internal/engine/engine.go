@@ -401,13 +401,6 @@ type Options struct {
 	// see RoundObserver. A frontier-only FrontierObserver may be given the
 	// round's Frontier instead.
 	Observer RoundObserver
-	// ParallelThreshold tunes when fastengine's parallel mode splits a
-	// round's delivery across goroutines: rounds with fewer receivers than
-	// the threshold run sequentially so small-graph suites don't pay
-	// goroutine overhead. 0 means the engine's default; 1 forces sharding on
-	// every round (used by the differential tests); the other engines never
-	// split a round and ignore it.
-	ParallelThreshold int
 }
 
 // Observe runs the round hook shared by every engine: a no-op without an

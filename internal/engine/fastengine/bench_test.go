@@ -39,14 +39,4 @@ func BenchmarkEngineComparison(b *testing.B) {
 			}
 		}
 	})
-	b.Run("fastParallel", func(b *testing.B) {
-		e := fastengine.New(g).Parallel(0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Run(context.Background(), flood, engine.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -31,100 +31,60 @@
 //     slice). Other protocols fall back to engine.Protocol.NewNode
 //     transparently.
 //
-// An optional parallel mode shards each round's receivers into contiguous
-// ranges handled by worker goroutines with per-worker output arenas; the
-// arenas are concatenated in shard order, which preserves the sequential
-// activation order exactly, so parallel traces remain byte-identical too.
+// Every round runs on the calling goroutine; callers get parallelism by
+// running one Engine per goroutine.
 package fastengine
 
 import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
 
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 )
 
-// DefaultParallelThreshold is the receiver count below which the parallel
-// mode runs a round sequentially when engine.Options.ParallelThreshold is 0:
-// sharding a near-empty round costs more in goroutine wakeups than the
-// delivery work itself. Callers (tests, the fuzzer, small-graph suites) set
-// Options.ParallelThreshold to move the cutover — 1 forces sharding on every
-// round.
-const DefaultParallelThreshold = 128
-
 // Engine executes protocols on one graph. It owns reusable round state, so a
 // single Engine amortises its setup across many runs; it is not safe for
 // concurrent use (run several Engines for that).
 type Engine struct {
-	g       *graph.Graph
-	workers int
+	g *graph.Graph
 
-	cur, nxt    []engine.Send   // double-buffered round send arenas
-	senderArena []graph.NodeID  // round senders grouped by receiver (CSR-style)
-	receivers   []graph.NodeID  // sorted distinct receivers of the round
-	receiverSet []uint64        // node bitmap that orders dense rounds' receivers; all zero between rounds
-	count       []int32         // per-receiver sender count; sparsely reset
-	cursor      []int32         // scatter cursor; ends at the receiver's arena end
-	shardOut    [][]engine.Send // per-worker output arenas (parallel mode)
-	seen        []bool          // per-node seen bit of engine.RuleComplementOnce runs
+	cur, nxt    []engine.Send  // double-buffered round send arenas
+	senderArena []graph.NodeID // round senders grouped by receiver (CSR-style)
+	receivers   []graph.NodeID // sorted distinct receivers of the round
+	receiverSet []uint64       // node bitmap that orders dense rounds' receivers; all zero between rounds
+	count       []int32        // per-receiver sender count; sparsely reset
+	cursor      []int32        // scatter cursor; ends at the receiver's arena end
+	seen        []bool         // per-node seen bit of engine.RuleComplementOnce runs
 }
 
-// New returns an engine for g running the delivery stage sequentially.
+// New returns an engine for g.
 func New(g *graph.Graph) *Engine {
 	n := g.N()
 	return &Engine{
 		g:           g,
-		workers:     1,
 		receiverSet: make([]uint64, (n+63)/64),
 		count:       make([]int32, n),
 		cursor:      make([]int32, n),
 	}
 }
 
-// Parallel sets the number of delivery workers and returns e for chaining.
-// workers <= 0 means GOMAXPROCS. Traces are byte-identical to the sequential
-// mode for every protocol whose per-node state is independently addressable
-// (see appender); all protocols in this repository qualify.
-func (e *Engine) Parallel(workers int) *Engine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e.workers = workers
-	for len(e.shardOut) < workers {
-		e.shardOut = append(e.shardOut, nil)
-	}
-	return e
-}
-
-// Run is the one-shot convenience wrapper: a fresh sequential engine per
-// call. Reuse an Engine for allocation-free repeated runs.
+// Run is the one-shot convenience wrapper: a fresh engine per call. Reuse an
+// Engine for allocation-free repeated runs.
 func Run(ctx context.Context, g *graph.Graph, proto engine.Protocol, opts engine.Options) (engine.Result, error) {
 	return New(g).Run(ctx, proto, opts)
 }
 
-// RunParallel is Run with GOMAXPROCS delivery workers.
-func RunParallel(ctx context.Context, g *graph.Graph, proto engine.Protocol, opts engine.Options) (engine.Result, error) {
-	return New(g).Parallel(0).Run(ctx, proto, opts)
-}
-
 // Run executes proto to termination or the round limit, with the same
 // semantics, results, and traces as engine.Run. Cancellation of ctx is
-// checked once per round, before the round is counted; delivery workers are
-// never interrupted mid-round, so a cancelled run still returns a
-// consistent partial Result alongside the context's error.
+// checked once per round, before the round is counted, so a cancelled run
+// still returns a consistent partial Result alongside the context's error.
 func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Options) (engine.Result, error) {
 	maxRounds := opts.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = engine.DefaultMaxRounds
-	}
-	minReceivers := opts.ParallelThreshold
-	if minReceivers == 0 {
-		minReceivers = DefaultParallelThreshold
 	}
 	res := engine.Result{Protocol: proto.Name()}
 
@@ -152,13 +112,12 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 			return res, nil
 		}
 
+		// Activate receivers in ascending node order, appending their
+		// responses into the next-round buffer.
 		e.group()
-		if e.workers > 1 && len(e.receivers) >= minReceivers {
-			e.deliverParallel(round, appender)
-		} else {
-			e.deliverSequential(round, appender)
-		}
+		e.nxt = e.nxt[:0]
 		for _, v := range e.receivers {
+			e.nxt = appender.AppendSends(round, v, e.senders(v), e.nxt)
 			e.count[v] = 0
 		}
 		e.cur, e.nxt = e.nxt, e.cur
@@ -226,44 +185,6 @@ func (e *Engine) senders(v graph.NodeID) []graph.NodeID {
 	return e.senderArena[end-e.count[v] : end]
 }
 
-// deliverSequential activates receivers in ascending node order, appending
-// their responses into the next-round buffer.
-func (e *Engine) deliverSequential(round int, appender appender) {
-	e.nxt = e.nxt[:0]
-	for _, v := range e.receivers {
-		e.nxt = appender.AppendSends(round, v, e.senders(v), e.nxt)
-	}
-}
-
-// deliverParallel splits the sorted receivers into contiguous shards, one
-// worker and one output arena per shard, then concatenates the arenas in
-// shard order — reproducing the sequential activation order exactly.
-func (e *Engine) deliverParallel(round int, appender appender) {
-	workers := e.workers
-	if workers > len(e.receivers) {
-		workers = len(e.receivers)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := len(e.receivers) * w / workers
-		hi := len(e.receivers) * (w + 1) / workers
-		wg.Add(1)
-		go func(w int, shard []graph.NodeID) {
-			defer wg.Done()
-			out := e.shardOut[w][:0]
-			for _, v := range shard {
-				out = appender.AppendSends(round, v, e.senders(v), out)
-			}
-			e.shardOut[w] = out
-		}(w, e.receivers[lo:hi])
-	}
-	wg.Wait()
-	e.nxt = e.nxt[:0]
-	for w := 0; w < workers; w++ {
-		e.nxt = append(e.nxt, e.shardOut[w]...)
-	}
-}
-
 // normalize ensures sends are strictly ordered by (From, To). Well-behaved
 // protocols already emit this order, verified with one linear pass; the
 // sort-and-compact fallback runs only on out-of-order or duplicate output.
@@ -295,10 +216,7 @@ func sendLess(a, b engine.Send) bool {
 // appender is one run's per-node delivery step: it appends the sends of
 // receiver v, given v's sorted senders, onto out. AppendSends must emit v's
 // sends in ascending destination order (the engine normalises otherwise, at
-// a cost) and must not retain senders or out. The parallel mode calls it
-// concurrently for distinct v (never twice for the same v in a round), so
-// per-node run state must be independently addressable — a slice indexed by
-// node works, a shared map does not.
+// a cost) and must not retain senders or out.
 type appender interface {
 	AppendSends(round int, v graph.NodeID, senders []graph.NodeID, out []engine.Send) []engine.Send
 }
@@ -331,7 +249,7 @@ func (e *Engine) appenderFor(proto engine.Protocol) appender {
 
 // complementAppender executes engine.RuleComplement: every receiver forwards
 // to the complement of its senders within its neighbourhood. It carries no
-// run state, so concurrent calls are trivially safe.
+// run state.
 type complementAppender struct {
 	csr graph.CSR
 }
@@ -342,8 +260,7 @@ func (a complementAppender) AppendSends(_ int, v graph.NodeID, senders []graph.N
 
 // onceAppender executes engine.RuleComplementOnce: a receiver's first
 // delivery forwards to the complement of its senders, every later one is
-// dropped. seen is the engine-owned per-node bit, indexed by node so the
-// parallel mode's calls for distinct receivers touch distinct elements.
+// dropped. seen is the engine-owned per-node bit.
 type onceAppender struct {
 	csr  graph.CSR
 	seen []bool
@@ -379,8 +296,7 @@ func appendComplement(out []engine.Send, from graph.NodeID, nbrs, senders []grap
 // automataAppender adapts the generic per-node-closure protocol contract to
 // the appender, buying protocols without a bitset rule the map-free grouping
 // and sort-free normalisation (their automata still allocate their result
-// slices). Automata are created lazily, matching engine.Run. In parallel
-// mode distinct nodes touch distinct slots, so lazy creation is race-free.
+// slices). Automata are created lazily, matching engine.Run.
 type automataAppender struct {
 	proto    engine.Protocol
 	automata []engine.NodeAutomaton

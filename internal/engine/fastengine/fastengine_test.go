@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"amnesiacflood/internal/classic"
@@ -72,23 +71,8 @@ func allRunners() []runner {
 	return []runner{
 		{"chan", chanengine.Run},
 		{"fast", fastengine.Run},
-		{"fastParallel", fastengine.RunParallel},
 		{"fastFallback", func(ctx context.Context, g *graph.Graph, p engine.Protocol, o engine.Options) (engine.Result, error) {
 			return fastengine.Run(ctx, g, opaque{p}, o)
-		}},
-		// Sharded delivery on every round (ParallelThreshold 1), both
-		// protocol paths: the test graphs are far smaller than the default
-		// sharding threshold, so without this the parallel code path —
-		// including concurrent lazy automaton creation in the fallback —
-		// would never run under the differential corpus or the race
-		// detector.
-		{"fastSharded", func(ctx context.Context, g *graph.Graph, p engine.Protocol, o engine.Options) (engine.Result, error) {
-			o.ParallelThreshold = 1
-			return fastengine.RunParallel(ctx, g, p, o)
-		}},
-		{"fastShardedFallback", func(ctx context.Context, g *graph.Graph, p engine.Protocol, o engine.Options) (engine.Result, error) {
-			o.ParallelThreshold = 1
-			return fastengine.RunParallel(ctx, g, opaque{p}, o)
 		}},
 	}
 }
@@ -142,28 +126,6 @@ func TestEngineEquivalenceClassic(t *testing.T) {
 	for _, g := range instances(t) {
 		src := graph.NodeID(rng.Intn(g.N()))
 		assertSameRun(t, g, classic.MustNewFlood(g, src))
-	}
-}
-
-// TestParallelCrossesShardingThreshold makes sure the parallel runs above
-// actually exercise the sharded path on at least one instance: a complete
-// graph floods every node in round 2, far beyond the sharding threshold.
-func TestParallelCrossesShardingThreshold(t *testing.T) {
-	g := gen.Complete(400)
-	flood := core.MustNewFlood(g, 0)
-	opts := engine.Options{Trace: true}
-	want, err := engine.Run(context.Background(), g, flood, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, runtime.GOMAXPROCS(0)} {
-		got, err := fastengine.New(g).Parallel(workers).Run(context.Background(), flood, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !engine.EqualTraces(want.Trace, got.Trace) {
-			t.Errorf("workers=%d: trace differs", workers)
-		}
 	}
 }
 

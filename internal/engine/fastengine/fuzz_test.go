@@ -19,15 +19,15 @@ import (
 )
 
 // FuzzEngineEquivalence drives random G(n, p) graphs through the
-// sequential, channel, fast (sequential + parallel), and bitset engines and
-// demands identical traces and Result fields, plus per-round message counts
-// and receiver sets from an untraced, frontier-observed bitset run. The
-// sequential run must also obey the exact law: doublecover.Predict gives
-// its rounds, message total and trace, and theory.PredictTermination's
-// bound holds: the exact round, at least e(src) (exactly e(src) on a
-// bipartite component), and at most the window's upper end where that is
-// certified. Every engine then matches it. Every input triple
-// deterministically derives a graph, so failures reproduce exactly.
+// sequential, channel, fast and bitset engines and demands identical traces
+// and Result fields, plus per-round message counts and receiver sets from
+// an untraced, frontier-observed bitset run. The sequential run must also
+// obey the exact law: doublecover.Predict gives its rounds, message total
+// and trace, and theory.PredictTermination's bound holds: the exact round,
+// at least e(src) (exactly e(src) on a bipartite component), and at most
+// the window's upper end where that is certified. Every engine then matches
+// it. Every input triple deterministically derives a graph, so failures
+// reproduce exactly.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(30))
 	f.Add(int64(2), uint8(3), uint8(100)) // triangle-ish, dense
@@ -67,13 +67,6 @@ func FuzzEngineEquivalence(f *testing.F) {
 		}{
 			{"chan", chanengine.Run},
 			{"fast", fastengine.Run},
-			{"fastParallel", fastengine.RunParallel},
-			// The fuzz graphs are below the default sharding threshold;
-			// ParallelThreshold 1 makes every round take the sharded path.
-			{"fastSharded", func(ctx context.Context, g *graph.Graph, p engine.Protocol, o engine.Options) (engine.Result, error) {
-				o.ParallelThreshold = 1
-				return fastengine.RunParallel(ctx, g, p, o)
-			}},
 			{"bitset", bitengine.Run},
 		}
 		for _, e := range engines {

@@ -13,9 +13,8 @@ import (
 
 // EngineEquivalence is experiment E10: every synchronous engine — the
 // deterministic sequential reference, the goroutine-per-node channel engine,
-// the zero-allocation CSR engine in sequential and parallel mode, and the
-// word-parallel bitset engine — must produce byte-identical traces for
-// amnesiac flooding on every instance.
+// the zero-allocation CSR engine, and the word-parallel bitset engine — must
+// produce byte-identical traces for amnesiac flooding on every instance.
 // This validates that the paper's round semantics survive both a genuinely
 // concurrent substrate and an aggressively optimised one. The runs go
 // through the sim façade, so the dispatch it exercises is exactly the one
@@ -24,7 +23,7 @@ func EngineEquivalence(cfg Config) ([]*Table, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 5))
 	t := &Table{
 		ID:      "E10",
-		Title:   "Engine equivalence: sequential vs channels vs fast vs fast-parallel vs bitset",
+		Title:   "Engine equivalence: sequential vs channels vs fast vs bitset",
 		Columns: []string{"graph", "source", "rounds", "messages", "traces identical"},
 	}
 	instances := []namedGraph{
@@ -42,7 +41,7 @@ func EngineEquivalence(cfg Config) ([]*Table, error) {
 		{"randomConnected", gen.RandomConnected(100, 0.04, rng)},
 	}
 	ctx := context.Background()
-	others := []sim.EngineKind{sim.Channels, sim.Fast, sim.Parallel, sim.Bitset}
+	others := []sim.EngineKind{sim.Channels, sim.Fast, sim.Bitset}
 	for _, inst := range instances {
 		src := graph.NodeID(rng.Intn(inst.g.N()))
 		runOn := func(kind sim.EngineKind) (engine.Result, error) {
@@ -83,7 +82,7 @@ func EngineEquivalence(cfg Config) ([]*Table, error) {
 		}
 		t.AddRow(inst.g.Name(), src, seq.Rounds, seq.TotalMessages, same)
 	}
-	t.AddNote("all five substrates implement the same synchronous round abstraction; every trace compared byte-identical")
+	t.AddNote("all four substrates implement the same synchronous round abstraction; every trace compared byte-identical")
 	t.AddNote("runs dispatched through the sim façade (protocol registry + session API)")
 	return []*Table{t}, nil
 }

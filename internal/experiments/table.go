@@ -162,7 +162,7 @@ func All() []Experiment {
 		{ID: "E7", Name: "Figure 5: asynchronous adversary", Run: AsyncNonTermination},
 		{ID: "E8", Name: "Baseline: amnesiac vs classic flooding", Run: ClassicComparison},
 		{ID: "E9", Name: "Application: bipartiteness detection", Run: BipartitenessDetection},
-		{ID: "E10", Name: "Engine equivalence: sequential vs channels vs fast vs fast-parallel vs bitset", Run: EngineEquivalence},
+		{ID: "E10", Name: "Engine equivalence: sequential vs channels vs fast vs bitset", Run: EngineEquivalence},
 		{ID: "E11", Name: "Full-paper machinery: double-cover exact prediction", Run: DoubleCoverPrediction},
 		{ID: "E12", Name: "Extension: fault injection (loss, crashes)", Run: FaultInjection},
 		{ID: "E13", Name: "Extension: multi-source flooding", Run: MultiSource},

@@ -58,8 +58,8 @@ func TestProtocolReplaysUnionSchedule(t *testing.T) {
 	}
 }
 
-// TestProtocolEngineEquivalence: the replay is deterministic, so all four
-// engines must agree byte for byte.
+// TestProtocolEngineEquivalence: the replay is deterministic, so all three
+// engines that run it must agree byte for byte.
 func TestProtocolEngineEquivalence(t *testing.T) {
 	g := gen.Cycle(17) // odd cycle: overlapping, long-lived wavefronts
 	proto, err := multiflood.NewProtocol(g, 0, 5, 11)
@@ -75,7 +75,6 @@ func TestProtocolEngineEquivalence(t *testing.T) {
 	for name, run := range map[string]func() (engine.Result, error){
 		"channels": func() (engine.Result, error) { return chanengine.Run(ctx, g, proto, opts) },
 		"fast":     func() (engine.Result, error) { return fastengine.Run(ctx, g, proto, opts) },
-		"parallel": func() (engine.Result, error) { return fastengine.RunParallel(ctx, g, proto, opts) },
 	} {
 		got, err := run()
 		if err != nil {

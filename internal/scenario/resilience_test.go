@@ -107,7 +107,7 @@ func TestPanicIsolation(t *testing.T) {
 		{Graph: "path:n=6", Protocol: "panicproto", Engine: "sequential", Seed: 1},
 		{Graph: "path:n=6", Protocol: "amnesiac", Engine: "sequential", Seed: 1},
 		{Graph: "cycle:n=7", Protocol: "panicproto", Engine: "fast", Seed: 1},
-		{Graph: "cycle:n=7", Protocol: "amnesiac", Engine: "parallel", Seed: 1},
+		{Graph: "cycle:n=7", Protocol: "amnesiac", Engine: "fast", Seed: 1},
 	}
 	results, err := (&scenario.Runner{Workers: 4}).Run(context.Background(), specs)
 	if err != nil {
@@ -228,7 +228,7 @@ func TestChaosDifferential(t *testing.T) {
 	matrix := scenario.Matrix{
 		Graphs:    []string{"grid:rows=4,cols=5", "cycle:n=9", "prefattach:n=24,m=2"},
 		Protocols: []string{"amnesiac", "classic"},
-		Engines:   []string{"sequential", "parallel"},
+		Engines:   []string{"sequential", "fast"},
 		Analyses:  []string{"coverage"},
 		Seeds:     []int64{1, 2},
 	}

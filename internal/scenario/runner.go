@@ -109,8 +109,7 @@ type Runner struct {
 }
 
 // DefaultWorkers is the pool bound used when Runner.Workers is zero:
-// GOMAXPROCS capped at 8 (the parallel engine shards each single run
-// further, so wider suite pools mostly fight it for cores).
+// GOMAXPROCS capped at 8.
 func DefaultWorkers() int {
 	w := runtime.GOMAXPROCS(0)
 	if w > 8 {

@@ -15,7 +15,7 @@
 //	specs, _ := scenario.Matrix{
 //	        Graphs:    []string{"grid:rows=8,cols=8", "cycle:n=65", "prefattach:n=64,m=2"},
 //	        Protocols: []string{"amnesiac", "classic"},
-//	        Engines:   []string{"sequential", "parallel"},
+//	        Engines:   []string{"sequential", "fast"},
 //	        Seeds:     []int64{1, 2},
 //	}.Expand()
 //	agg := scenario.NewAggregate()
@@ -28,6 +28,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -169,6 +170,22 @@ type Matrix struct {
 	Params map[string]string
 	// MaxRounds bounds every run; 0 means the engine default.
 	MaxRounds int
+}
+
+// Cells returns len(Expand()) for every matrix Expand accepts, without
+// expanding it: the product of the axis lengths, an empty axis counting as
+// its one default. The product saturates at math.MaxInt, so a caller can
+// bound a matrix's cost before paying for it.
+func (m Matrix) Cells() int {
+	cells := 1
+	for _, axis := range []int{len(m.Graphs), len(m.Protocols), len(m.Engines), len(m.Models), len(m.OriginSets), len(m.Seeds), m.Reps} {
+		axis = max(axis, 1)
+		if cells > math.MaxInt/axis {
+			return math.MaxInt
+		}
+		cells *= axis
+	}
+	return cells
 }
 
 // Expand enumerates the cross-product in deterministic order (graphs ×

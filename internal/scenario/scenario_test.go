@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,7 +23,7 @@ func acceptanceMatrix() scenario.Matrix {
 	return scenario.Matrix{
 		Graphs:     []string{"grid:rows=4,cols=5", "cycle:n=9", "prefattach:n=24,m=2", "petersen"},
 		Protocols:  []string{"amnesiac", "classic"},
-		Engines:    []string{"sequential", "parallel"},
+		Engines:    []string{"sequential", "fast"},
 		OriginSets: [][]graph.NodeID{{0}, {3}},
 		Seeds:      []int64{1, 2},
 	}
@@ -67,6 +68,30 @@ func TestMatrixDefaults(t *testing.T) {
 	s := specs[0]
 	if s.Protocol != "amnesiac" || s.Engine != "sequential" || s.Model != "sync" || s.Seed != 1 || len(s.Origins) != 1 || s.Origins[0] != 0 {
 		t.Fatalf("defaults wrong: %+v", s)
+	}
+}
+
+// TestMatrixCells: Cells counts Expand's specs without expanding, an empty
+// axis counting as its one default, and saturates instead of overflowing.
+func TestMatrixCells(t *testing.T) {
+	for i, m := range []scenario.Matrix{
+		{Graphs: []string{"path:n=4"}},
+		{Graphs: []string{"path:n=4"}, Reps: -2},
+		{Graphs: []string{"path:n=4", "cycle:n=5"}, Seeds: []int64{1, 1, 2}, Reps: 3},
+		{Graphs: []string{"path:n=4"}, Models: []string{"sync", "schedule:static"}, Analyses: []string{"coverage", "termination"}},
+		acceptanceMatrix(),
+	} {
+		specs, err := m.Expand()
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if got := m.Cells(); got != len(specs) {
+			t.Errorf("case %d: Cells() = %d, Expand returned %d specs", i, got, len(specs))
+		}
+	}
+	huge := scenario.Matrix{Graphs: []string{"path:n=4"}, Seeds: []int64{1, 2}, Reps: math.MaxInt}
+	if got := huge.Cells(); got != math.MaxInt {
+		t.Errorf("Cells() = %d on a matrix past math.MaxInt, want math.MaxInt", got)
 	}
 }
 
@@ -149,7 +174,7 @@ func TestMatrixModelAxis(t *testing.T) {
 func TestAnalysisMetricDeterminism(t *testing.T) {
 	matrix := scenario.Matrix{
 		Graphs:   []string{"grid:rows=4,cols=5", "cycle:n=9", "prefattach:n=24,m=2"},
-		Engines:  []string{"sequential", "parallel"},
+		Engines:  []string{"sequential", "fast"},
 		Models:   []string{"sync", "schedule:static"},
 		Analyses: []string{"coverage", "termination", "quantiles:metric=messages"},
 		Seeds:    []int64{1, 2},
@@ -215,6 +240,7 @@ func TestMatrixErrors(t *testing.T) {
 		{Graphs: []string{"nosuch:n=4"}}, // unknown family
 		{Graphs: []string{"path:zz=1"}},  // bad graph parameter
 		{Graphs: []string{"path:n=4"}, Engines: []string{"warp"}},            // unknown engine
+		{Graphs: []string{"path:n=4"}, Engines: []string{"parallel"}},        // retired engine
 		{Graphs: []string{"path:n=4"}, Protocols: []string{"nosuch"}},        // unknown protocol
 		{Graphs: []string{"path:n=4"}, Analyses: []string{"nosuch"}},         // unknown analysis
 		{Graphs: []string{"path:n=4"}, Analyses: []string{"quantiles:zz=1"}}, // bad analysis parameter

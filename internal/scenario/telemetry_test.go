@@ -53,7 +53,7 @@ func TestTelemetryDoesNotPerturbRows(t *testing.T) {
 	matrix := scenario.Matrix{
 		Graphs:    []string{"grid:rows=4,cols=4", "cycle:n=9"},
 		Protocols: []string{"amnesiac", "classic"},
-		Engines:   []string{"sequential", "parallel"},
+		Engines:   []string{"sequential", "fast"},
 		Analyses:  []string{"coverage"},
 		Seeds:     []int64{1, 2},
 	}
@@ -139,7 +139,7 @@ func TestObserverMetricsDoNotPerturbTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Parallel, sim.Bitset} {
+	for _, kind := range []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Bitset} {
 		opts := []sim.Option{
 			sim.WithProtocol("amnesiac"),
 			sim.WithEngine(kind),

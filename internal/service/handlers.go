@@ -204,7 +204,9 @@ type SweepEvent struct {
 // handleSweep is POST /v1/sweep. One sweep holds one dispatcher slot for
 // its whole duration (its internal scenario workers are bounded
 // separately by SweepWorkers), so a tenant cannot multiply its concurrency
-// by sweeping.
+// by sweeping. The matrix's cell count is checked against MaxSweepCells
+// before it is expanded, so rejecting an oversized sweep costs no more than
+// decoding its body.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
@@ -221,6 +223,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Reps:      req.Reps,
 		MaxRounds: req.MaxRounds,
 	}
+	if cells := m.Cells(); cells > s.cfg.MaxSweepCells {
+		writeError(w, http.StatusBadRequest, 0,
+			fmt.Errorf("sweep expands to %d cells, over the %d-cell limit", cells, s.cfg.MaxSweepCells))
+		return
+	}
 	specs, err := m.Expand()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, 0, err)
@@ -236,11 +243,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, 0, err)
 			return
 		}
-	}
-	if len(specs) > s.cfg.MaxSweepCells {
-		writeError(w, http.StatusBadRequest, 0,
-			fmt.Errorf("sweep expands to %d cells, over the %d-cell limit", len(specs), s.cfg.MaxSweepCells))
-		return
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMs > 0 {

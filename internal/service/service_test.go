@@ -15,6 +15,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -748,6 +749,32 @@ func TestSweepRejectsLocalFamily(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsOversizedMatrixBeforeExpanding: the -sweep-cells cap is
+// checked on the matrix's cell count, so a body asking for millions of
+// cells gets its 400 without the server allocating them.
+func TestSweepRejectsOversizedMatrixBeforeExpanding(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := ts.Client().Post(ts.URL+"/v1/sweep", "application/json",
+		strings.NewReader(`{"graphs":["cycle:n=8"],"reps":2000000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "cell limit") {
+		t.Fatalf("status = %d, body %s; want a 400 naming the cell limit", resp.StatusCode, body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting the sweep allocated %d bytes, want under 1 MiB", alloc)
+	}
+}
+
 // TestRegistryEndpoint asserts all five axes are enumerated.
 func TestRegistryEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
@@ -760,10 +787,12 @@ func TestRegistryEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
 		t.Fatal(err)
 	}
-	if len(reg.Protocols) == 0 || len(reg.Engines) != 5 || len(reg.Graphs) == 0 ||
-		len(reg.Models) == 0 || len(reg.Analyses) == 0 {
-		t.Fatalf("registry incomplete: %d protocols, %d engines, %d graphs, %d models, %d analyses",
-			len(reg.Protocols), len(reg.Engines), len(reg.Graphs), len(reg.Models), len(reg.Analyses))
+	if len(reg.Protocols) == 0 || len(reg.Graphs) == 0 || len(reg.Models) == 0 || len(reg.Analyses) == 0 {
+		t.Fatalf("registry incomplete: %d protocols, %d graphs, %d models, %d analyses",
+			len(reg.Protocols), len(reg.Graphs), len(reg.Models), len(reg.Analyses))
+	}
+	if want := []string{"sequential", "channels", "fast", "bitset"}; !slices.Equal(reg.Engines, want) {
+		t.Fatalf("registry engines = %v, want %v", reg.Engines, want)
 	}
 	var hasAmnesiac bool
 	for _, p := range reg.Protocols {
@@ -817,30 +846,13 @@ func TestSessionPoolReuse(t *testing.T) {
 	}
 }
 
-// TestBadRequests covers the 400 family: malformed JSON, unknown specs,
-// invalid fields.
+// TestBadRequests covers the 400 family: every body in BadRunBodies
+// (malformed JSON, unknown specs, invalid fields) gets a structured 400.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"malformed json", `{"graph": `},
-		{"unknown field", `{"graph":"cycle:n=8","nope":1}`},
-		{"missing graph", `{}`},
-		{"unknown family", `{"graph":"doughnut:n=8"}`},
-		{"bad param", `{"graph":"cycle:n=eight"}`},
-		{"unknown protocol", `{"graph":"cycle:n=8","protocol":"gossip"}`},
-		{"unknown engine", `{"graph":"cycle:n=8","engine":"warp"}`},
-		{"bad model", `{"graph":"cycle:n=8","model":"adversary:nope"}`},
-		{"bad analysis", `{"graph":"cycle:n=8","analyses":["vibes"]}`},
-		{"negative origin", `{"graph":"cycle:n=8","origins":[-1]}`},
-		{"model x protocol", `{"graph":"cycle:n=8","protocol":"classic","model":"adversary:collision"}`},
-		{"local family", `{"graph":"edgefile:path=/etc/passwd"}`},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(c.body))
+	for _, c := range service.BadRunBodies {
+		t.Run(c.Name, func(t *testing.T) {
+			resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(c.Body))
 			if err != nil {
 				t.Fatal(err)
 			}

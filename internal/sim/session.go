@@ -289,10 +289,10 @@ func (s *Session) Run(ctx context.Context) (engine.Result, error) {
 
 // runProto executes one protocol instance — the façade's single substrate
 // dispatch. Non-sync models run on session-owned model engines; the sync
-// model runs on the configured synchronous engine, with the Fast and
-// Parallel kinds on a session-owned fastengine.Engine. All session-owned
-// engines are reused across calls, so repeated runs amortise their arenas;
-// New has already validated s.kind, so the default arm is Sequential.
+// model runs on the configured synchronous engine, with the Fast kind on a
+// session-owned fastengine.Engine. All session-owned engines are reused
+// across calls, so repeated runs amortise their arenas; New has already
+// validated s.kind, so the default arm is Sequential.
 // build is the already-spent per-run protocol construction time, stamped
 // into Result.Phases alongside the run and analyze phases measured here —
 // the per-run timing surfaced in service responses and suite telemetry.
@@ -328,12 +328,9 @@ func (s *Session) runProto(ctx context.Context, proto engine.Protocol, origins [
 		res.Engine = "dynamic"
 	default:
 		switch s.kind {
-		case Fast, Parallel:
+		case Fast:
 			if s.fast == nil {
 				s.fast = fastengine.New(s.g)
-				if s.kind == Parallel {
-					s.fast.Parallel(0)
-				}
 			}
 			res, err = s.fast.Run(ctx, proto, opts)
 		case Bitset:
@@ -391,9 +388,9 @@ func (s *Session) RunFrom(ctx context.Context, origins []graph.NodeID) (engine.R
 
 // RunBatch executes one run per source, each a fresh instance of the
 // session's registered protocol flooding from that single origin. On the
-// Fast and Parallel engines all runs share the session's arenas, so
-// sweep-style workloads (one run per source over a big graph) stay
-// allocation-free after the first run. The batch stops at the first error;
+// Fast engine all runs share the session's arenas, so sweep-style
+// workloads (one run per source over a big graph) stop allocating once
+// the arenas fit their largest round. The batch stops at the first error;
 // results for completed runs are returned alongside it.
 func (s *Session) RunBatch(ctx context.Context, sources []graph.NodeID) ([]engine.Result, error) {
 	if s.proto != nil {

@@ -11,7 +11,7 @@
 //
 //	sess, err := sim.New(g,
 //	        sim.WithProtocol("amnesiac"),
-//	        sim.WithEngine(sim.Parallel),
+//	        sim.WithEngine(sim.Fast),
 //	        sim.WithOrigins(0),
 //	        sim.WithMaxRounds(1024),
 //	        sim.WithObserver(obs))
@@ -49,9 +49,9 @@ import (
 // EngineKind selects which synchronous engine executes a run.
 type EngineKind int
 
-// Available engines. All five produce byte-identical traces on every
+// Available engines. All four produce byte-identical traces on every
 // protocol they support (asserted by experiment E10, the fastengine
-// differential tests, and the bitengine differential tests); the first four
+// differential tests, and the bitengine differential tests); the first three
 // run every protocol, Bitset only protocols declaring an
 // engine.BitsetProtocol rule (amnesiac and classic — validated at Session
 // construction).
@@ -62,8 +62,6 @@ const (
 	Channels
 	// Fast is the zero-allocation CSR engine (fastengine package).
 	Fast
-	// Parallel is the fast engine with GOMAXPROCS sharded delivery workers.
-	Parallel
 	// Bitset is the word-parallel frontier engine (bitengine package):
 	// rounds are OR/AND-NOT sweeps over edge-slot bitsets laid over the
 	// graph's own CSR, for million-node graphs.
@@ -83,8 +81,6 @@ func (k EngineKind) String() string {
 		return "channels"
 	case Fast:
 		return "fast"
-	case Parallel:
-		return "parallel"
 	case Bitset:
 		return "bitset"
 	default:
@@ -92,7 +88,7 @@ func (k EngineKind) String() string {
 	}
 }
 
-// valid reports whether k is one of the five defined engines.
+// valid reports whether k is one of the four defined engines.
 func (k EngineKind) valid() bool {
 	return k >= Sequential && k <= Bitset
 }
@@ -100,7 +96,7 @@ func (k EngineKind) valid() bool {
 // EngineNames lists the accepted ParseEngine spellings, for flag usage
 // strings.
 func EngineNames() []string {
-	return []string{"sequential", "channels", "fast", "parallel", "bitset"}
+	return []string{"sequential", "channels", "fast", "bitset"}
 }
 
 // ParseEngine resolves an engine name (as accepted by the -engine CLI
@@ -113,8 +109,6 @@ func ParseEngine(name string) (EngineKind, error) {
 		return Channels, nil
 	case "fast":
 		return Fast, nil
-	case "parallel", "fastparallel":
-		return Parallel, nil
 	case "bitset", "bit":
 		return Bitset, nil
 	default:

@@ -23,7 +23,7 @@ import (
 // allEngines lists every synchronous engine. Bitset runs only bitset-rule
 // protocols, which covers every test below that uses the default amnesiac
 // protocol.
-var allEngines = []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Parallel, sim.Bitset}
+var allEngines = []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Bitset}
 
 func TestProtocolsRegistered(t *testing.T) {
 	want := []string{"amnesiac", "classic", "faulty", "multiflood"}
@@ -36,17 +36,22 @@ func TestParseEngine(t *testing.T) {
 	for name, want := range map[string]sim.EngineKind{
 		"sequential": sim.Sequential, "seq": sim.Sequential,
 		"channels": sim.Channels, "chan": sim.Channels,
-		"fast": sim.Fast, "parallel": sim.Parallel,
+		"fast": sim.Fast, " Fast ": sim.Fast,
 		"bitset": sim.Bitset, "bit": sim.Bitset,
-		" Fast ": sim.Fast,
 	} {
 		got, err := sim.ParseEngine(name)
 		if err != nil || got != want {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := sim.ParseEngine("warp"); !errors.Is(err, sim.ErrUnknownEngine) {
-		t.Errorf("ParseEngine(warp) err = %v, want ErrUnknownEngine", err)
+	if got, want := sim.EngineNames(), []string{"sequential", "channels", "fast", "bitset"}; !slices.Equal(got, want) {
+		t.Errorf("EngineNames() = %v, want %v", got, want)
+	}
+	// The retired sharded fast engine's spellings are unknown names now.
+	for _, name := range []string{"warp", "parallel", "fastparallel"} {
+		if _, err := sim.ParseEngine(name); !errors.Is(err, sim.ErrUnknownEngine) {
+			t.Errorf("ParseEngine(%s) err = %v, want ErrUnknownEngine", name, err)
+		}
 	}
 }
 
@@ -197,7 +202,7 @@ func TestRunBatchMatchesIndividualRuns(t *testing.T) {
 	for i := range sources {
 		sources[i] = graph.NodeID(i)
 	}
-	for _, kind := range []sim.EngineKind{sim.Sequential, sim.Fast, sim.Parallel} {
+	for _, kind := range []sim.EngineKind{sim.Sequential, sim.Fast} {
 		sess, err := sim.New(g, sim.WithEngine(kind), sim.WithTrace(true))
 		if err != nil {
 			t.Fatal(err)
@@ -548,7 +553,7 @@ func TestReflectDeepEqualBatchReuse(t *testing.T) {
 	// not leak state between runs).
 	g := gen.Lollipop(4, 20)
 	sources := []graph.NodeID{0, 5, 10, 15}
-	sess, err := sim.New(g, sim.WithEngine(sim.Parallel), sim.WithTrace(true))
+	sess, err := sim.New(g, sim.WithEngine(sim.Fast), sim.WithTrace(true))
 	if err != nil {
 		t.Fatal(err)
 	}
