@@ -44,10 +44,12 @@ race:
 	  ./internal/shard ./internal/experiments ./internal/chaos ./cmd/afbench
 
 # fuzz runs the engine-equivalence fuzzer, then the run-request normaliser
-# the service applies to remote bodies.
+# the service applies to remote bodies, then the edge-list reader behind
+# -file and the edgefile graph family.
 fuzz:
 	go test -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine/fastengine
 	go test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/service
+	go test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/graph
 
 # examples runs every program under examples/ and fails on the first
 # non-zero exit. Building them is not enough: a program that looks a
@@ -93,9 +95,10 @@ smoke-service:
 # or stall and are retried with backoff — and scripts/suitediff.sh asserts
 # the two outputs are identical after order-normalisation: the differential
 # chaos gate. Two further matrices exercise the execution-model axis (sync,
-# asynchronous adversaries, dynamic schedules; amnesiac only, since
-# non-sync models run only that protocol) and the analyses axis (streaming
-# coverage+termination+bipartite metrics flattened into CSV columns). CI
+# asynchronous adversaries, dynamic schedules including message loss and
+# crashes; amnesiac only, since non-sync models run only that protocol) and
+# the analyses axis (streaming coverage+termination+bipartite metrics
+# flattened into CSV columns). CI
 # runs all of it on every push, and `go test ./internal/scenario` asserts
 # that metric columns are identical under parallel and sequential execution.
 SUITE_MATRIX := -graphs "grid:rows=4,cols=5;cycle:n=9;prefattach:n=24,m=2" \
@@ -122,8 +125,7 @@ suite:
 	@rm -f /tmp/suite_clean.jsonl /tmp/suite_chaos.jsonl
 	go run ./cmd/afbench -suite \
 	  -graphs "cycle:n=9;grid:rows=4,cols=5" \
-	  -models "sync;adversary:collision;adversary:uniform:extra=2;schedule:blink:period=2,phase=1;schedule:alternating" \
-	  -schedules static \
+	  -models "sync;adversary:collision;adversary:uniform:extra=2;schedule:blink:period=2,phase=1;schedule:alternating;schedule:static;schedule:loss:p=0.1;schedule:crash:nodes=1,round=2" \
 	  -seeds 1,2 -workers 8 -maxrounds 4096 -format jsonl
 	go run ./cmd/afbench -suite \
 	  -graphs "grid:rows=4,cols=5;cycle:n=9;prefattach:n=24,m=2" \

@@ -23,7 +23,6 @@ import (
 	"amnesiacflood/internal/engine/chanengine"
 	"amnesiacflood/internal/engine/fastengine"
 	"amnesiacflood/internal/experiments"
-	"amnesiacflood/internal/faults"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
@@ -529,35 +528,29 @@ func BenchmarkDoubleCoverPrediction(b *testing.B) {
 	})
 }
 
-// E12: fault injection — certificate on the minimal loss case and a lossy
-// sweep point.
+// E12: fault injection — a lossy sweep point. The single-loss certificate
+// is BenchmarkDynamicNetworks/outage/C64: a lost copy is a one-round
+// outage.
 func BenchmarkFaultInjection(b *testing.B) {
-	b.Run("dropOnce/C64", func(b *testing.B) {
-		g := gen.Cycle(64)
-		inj := faults.AfterRound{Inner: faults.DropOnce{Round: 1, From: 0, To: 63}, Round: 1}
-		var res faults.Result
-		var err error
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err = faults.Run(g, inj, faults.Options{}, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		if res.Outcome != faults.CycleDetected {
-			b.Fatalf("outcome %v", res.Outcome)
-		}
-	})
 	b.Run("randomLoss/grid16", func(b *testing.B) {
 		g := gen.Grid(16, 16)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := faults.Run(g, faults.RandomLoss{P: 0.05, Seed: int64(i)},
-				faults.Options{MaxRounds: 256}, 0); err != nil {
-				b.Fatal(err)
-			}
+			benchLoss(b, g, "schedule:loss:p=0.05", int64(i))
 		}
 	})
+}
+
+// benchLoss runs one session of amnesiac flooding on g under a loss model
+// seeded with seed, bounded at 256 rounds.
+func benchLoss(b *testing.B, g *graph.Graph, model string, seed int64) {
+	sess, err := sim.New(g, sim.WithModel(model), sim.WithSeed(seed), sim.WithMaxRounds(256))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sess.Run(context.Background()); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // E13: multi-source runs at increasing origin counts.
@@ -625,10 +618,7 @@ func BenchmarkLossCurvePoint(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for run := 0; run < 20; run++ {
-			if _, err := faults.Run(g, faults.RandomLoss{P: 0.1, Seed: int64(run)},
-				faults.Options{MaxRounds: 256}, 0); err != nil {
-				b.Fatal(err)
-			}
+			benchLoss(b, g, "schedule:loss:p=0.1", int64(run))
 		}
 	}
 }

@@ -12,8 +12,8 @@
 //	        -protocols amnesiac,classic -engines sequential,fast \
 //	        -seeds 1,2 -reps 3 -workers 8 -format jsonl
 //	afbench -suite -graphs "cycle:n=9;grid:rows=4,cols=5" \
-//	        -models "sync;adversary:collision;schedule:alternating" \
-//	        -adversaries uniform -schedules static -maxrounds 4096
+//	        -models "sync;adversary:collision;schedule:alternating;schedule:loss:p=0.1" \
+//	        -maxrounds 4096
 //	afbench -suite -graphs "cycle:n=65;grid:rows=8,cols=8" \
 //	        -analyses "coverage;termination;bipartite" -format csv
 //	afbench -suite -graphs "grid:rows=8,cols=8" -retries 6 -timeout 30s \
@@ -81,8 +81,6 @@ func run(args []string) error {
 	protocols := fs.String("protocols", "amnesiac", "comma-separated protocol names (suite mode)")
 	engines := fs.String("engines", sim.Sequential.String(), "comma-separated engine names (suite mode)")
 	models := fs.String("models", "", "semicolon-separated execution-model specs, e.g. \"sync;adversary:collision;schedule:blink:period=2\" (suite mode; default sync)")
-	adversaries := fs.String("adversaries", "", "comma-separated adversary family names, shorthand appended to -models as adversary:<name> (suite mode)")
-	schedules := fs.String("schedules", "", "comma-separated schedule family names, shorthand appended to -models as schedule:<name> (suite mode)")
 	analyses := fs.String("analyses", "", "semicolon-separated streaming-analysis specs attached to every cell, e.g. \"coverage;termination;quantiles:metric=messages\" (suite mode)")
 	origins := fs.String("origins", "0", "semicolon-separated origin sets, nodes comma-separated, e.g. \"0;0,3\" (suite mode)")
 	seeds := fs.String("seeds", "1", "comma-separated seeds (suite mode)")
@@ -123,7 +121,7 @@ func run(args []string) error {
 			graphs:           *graphs,
 			protocols:        *protocols,
 			engines:          *engines,
-			models:           modelAxis(*models, *adversaries, *schedules),
+			models:           *models,
 			analyses:         *analyses,
 			origins:          *origins,
 			seeds:            *seeds,
@@ -185,25 +183,12 @@ func run(args []string) error {
 	return nil
 }
 
-// modelAxis merges the -models specs with the -adversaries/-schedules
-// family-name shorthands into one axis value list.
-func modelAxis(models, adversaries, schedules string) []string {
-	axis := splitList(models, ";")
-	for _, name := range splitList(adversaries, ",") {
-		axis = append(axis, "adversary:"+name)
-	}
-	for _, name := range splitList(schedules, ",") {
-		axis = append(axis, "schedule:"+name)
-	}
-	return axis
-}
-
 // suiteOpts carries the suite-mode flag values into runSuite.
 type suiteOpts struct {
 	graphs     string
 	protocols  string
 	engines    string
-	models     []string
+	models     string
 	analyses   string
 	origins    string
 	seeds      string
@@ -235,7 +220,7 @@ func runSuite(o suiteOpts) error {
 		Graphs:    splitList(o.graphs, ";"),
 		Protocols: splitList(o.protocols, ","),
 		Engines:   splitList(o.engines, ","),
-		Models:    o.models,
+		Models:    splitList(o.models, ";"),
 		Analyses:  splitList(o.analyses, ";"),
 		Reps:      o.reps,
 		MaxRounds: o.maxRounds,

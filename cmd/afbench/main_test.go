@@ -87,16 +87,14 @@ func TestRunSuiteJSONL(t *testing.T) {
 	}
 }
 
-// TestRunSuiteModelAxis drives the execution-model dimension: sync, an
-// adversary, and a schedule over the same graphs, including the
-// -adversaries/-schedules shorthands, and checks the certified rows.
+// TestRunSuiteModelAxis drives the execution-model dimension: sync,
+// adversaries, and schedules (loss and crashes among them) over the same
+// graphs, and checks the certified rows.
 func TestRunSuiteModelAxis(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "models.jsonl")
 	args := []string{"-suite",
 		"-graphs", "cycle:n=9;path:n=6",
-		"-models", "sync;adversary:collision",
-		"-adversaries", "uniform",
-		"-schedules", "alternating",
+		"-models", "sync;adversary:collision;adversary:uniform;schedule:alternating;schedule:loss:p=0.1;schedule:crash:nodes=1,round=2",
 		"-maxrounds", "4096",
 		"-format", "jsonl",
 		"-out", out,
@@ -137,10 +135,11 @@ func TestRunSuiteModelAxis(t *testing.T) {
 			}
 		}
 	}
-	if want := 2 * 4; rows != want {
+	if want := 2 * 6; rows != want {
 		t.Fatalf("suite emitted %d rows, want %d", rows, want)
 	}
-	for _, want := range []string{"sync", "adversary:collision", "adversary:uniform", "schedule:alternating"} {
+	for _, want := range []string{"sync", "adversary:collision", "adversary:uniform", "schedule:alternating",
+		"schedule:loss:p=0.1", "schedule:crash:nodes=1,round=2"} {
 		if !models[want] {
 			t.Errorf("no row ran under model %q (have %v)", want, models)
 		}
@@ -173,17 +172,18 @@ func TestRunSuiteErrors(t *testing.T) {
 	cases := [][]string{
 		{"-suite"},                          // no graphs
 		{"-suite", "-graphs", "nosuch:n=4"}, // unknown family
-		{"-suite", "-graphs", "path:n=6", "-engines", "warp"},    // unknown engine
-		{"-suite", "-graphs", "path:n=6", "-format", "xml"},      // unknown format
-		{"-suite", "-graphs", "path:n=6", "-seeds", "one"},       // bad seed
-		{"-suite", "-graphs", "path:n=6", "-origins", "a"},       // bad origin
-		{"-suite", "-graphs", "path:n=6", "-origins", "99"},      // origin outside graph (run fails)
-		{"-suite", "-graphs", "path:n=6", "-protocols", "zzz"},   // unknown protocol
-		{"-suite", "-graphs", "path:n=6", "-models", "warp"},     // unknown model kind
-		{"-suite", "-graphs", "path:n=6", "-adversaries", "zzz"}, // unknown adversary family
-		{"-suite", "-graphs", "path:n=6", "-schedules", "zzz"},   // unknown schedule family
+		{"-suite", "-graphs", "path:n=6", "-engines", "warp"},         // unknown engine
+		{"-suite", "-graphs", "path:n=6", "-format", "xml"},           // unknown format
+		{"-suite", "-graphs", "path:n=6", "-seeds", "one"},            // bad seed
+		{"-suite", "-graphs", "path:n=6", "-origins", "a"},            // bad origin
+		{"-suite", "-graphs", "path:n=6", "-origins", "99"},           // origin outside graph (run fails)
+		{"-suite", "-graphs", "path:n=6", "-protocols", "zzz"},        // unknown protocol
+		{"-suite", "-graphs", "path:n=6", "-models", "warp"},          // unknown model kind
+		{"-suite", "-graphs", "path:n=6", "-models", "adversary:zzz"}, // unknown adversary family
+		{"-suite", "-graphs", "path:n=6", "-models", "schedule:zzz"},  // unknown schedule family
+		{"-suite", "-graphs", "path:n=6", "-schedules", "static"},     // retired shorthand: use -models
 		// classic × adversary cells fail at run time (model needs amnesiac).
-		{"-suite", "-graphs", "path:n=6", "-protocols", "classic", "-adversaries", "sync"},
+		{"-suite", "-graphs", "path:n=6", "-protocols", "classic", "-models", "adversary:sync"},
 		{"-suite", "-graphs", "path:n=6", "-engines", "parallel"},   // retired engine
 		{"-suite", "-graphs", "path:n=6", "-engine", "fast"},        // experiment-mode flag in suite mode
 		{"-suite", "-graphs", "path:n=6", "-seed", "3"},             // -seed typo for -seeds

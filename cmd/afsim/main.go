@@ -7,7 +7,7 @@
 // registry — every registered protocol runs on every engine — and the
 // execution model is a registry axis of its own (-model: "sync", an
 // "adversary:..." spec for the paper's asynchronous variant, or a
-// "schedule:..." spec for dynamic networks).
+// "schedule:..." spec for dynamic networks, message loss and crashes).
 //
 // Examples:
 //
@@ -18,7 +18,7 @@
 //	afsim -topo cycle -n 6 -source 0 -render
 //	afsim -topo path -n 4 -source 1 -engine channels -render
 //	afsim -topo cycle -n 12 -origins 0,3 -protocol multiflood
-//	afsim -topo cycle -n 6 -source 0 -protocol faulty -param loss=0.05 -maxrounds 512
+//	afsim -topo cycle -n 6 -source 0 -model schedule:loss:p=0.05 -maxrounds 512
 //	afsim -topo cycle -n 3 -source 1 -model adversary:collision
 //	afsim -topo cycle -n 4 -source 0 -model schedule:outage:round=1,u=0,v=3
 //	afsim -file mygraph.txt -source 0 -json
@@ -61,20 +61,6 @@ func main() {
 	}
 }
 
-// paramFlags collects repeatable -param key=value flags.
-type paramFlags map[string]string
-
-func (p paramFlags) String() string { return "" }
-
-func (p paramFlags) Set(kv string) error {
-	key, value, ok := strings.Cut(kv, "=")
-	if !ok || strings.TrimSpace(key) == "" {
-		return fmt.Errorf("want key=value, got %q", kv)
-	}
-	p[strings.TrimSpace(key)] = strings.TrimSpace(value)
-	return nil
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("afsim", flag.ContinueOnError)
 	graphSpec := fs.String("graph", "", "graph spec family:key=value,... (families: "+strings.Join(gen.Families(), ", ")+"; see -list)")
@@ -88,10 +74,8 @@ func run(args []string) error {
 	engineName := fs.String("engine", "sequential", "engine: "+strings.Join(sim.EngineNames(), ", "))
 	modelSpec := fs.String("model", "", "execution model spec: sync (default), adversary:..., or schedule:... (see -list)")
 	analyze := fs.String("analyze", "", "streaming analyses, semicolon- or comma-separated, e.g. \"coverage;termination\" or \"quantiles:metric=messages;coverage\" (see -list)")
-	params := paramFlags{}
-	fs.Var(params, "param", "protocol parameter key=value (repeatable, e.g. -param loss=0.05)")
 	asyncAdv := fs.String("async", "", "legacy alias for -model adversary:...: sync, collision, uniform, random")
-	seed := fs.Int64("seed", 1, "seed for random graphs, models, and randomised protocols")
+	seed := fs.Int64("seed", 1, "seed for random graphs and random models")
 	maxRounds := fs.Int("maxrounds", 0, "round limit (0 = default)")
 	render := fs.Bool("render", false, "print the per-round trace")
 	timeline := fs.Bool("timeline", false, "print the per-node timeline grid")
@@ -169,9 +153,6 @@ func run(args []string) error {
 	}
 	if specs := splitAnalyses(*analyze); len(specs) > 0 {
 		sessOpts = append(sessOpts, sim.WithAnalysis(specs...))
-	}
-	for key, value := range params {
-		sessOpts = append(sessOpts, sim.WithParam(key, value))
 	}
 	sess, err := sim.New(g, sessOpts...)
 	if err != nil {

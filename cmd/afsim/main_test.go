@@ -51,6 +51,8 @@ func TestRunHappyPaths(t *testing.T) {
 		{"-topo", "cycle", "-n", "4", "-source", "0", "-model", "schedule:outage:round=1,u=0,v=3"},
 		{"-topo", "path", "-n", "4", "-model", "schedule:blink:u=1,v=2,period=2,phase=1"},
 		{"-graph", "grid:rows=4,cols=4", "-model", "schedule:alternating", "-maxrounds", "512"},
+		{"-topo", "cycle", "-n", "6", "-source", "0", "-model", "schedule:loss:p=0.05", "-maxrounds", "512"},
+		{"-topo", "path", "-n", "5", "-model", "schedule:crash:nodes=2,round=1", "-json"},
 		{"-topo", "cycle", "-n", "12", "-origins", "0,3,6"},
 		{"-topo", "cycle", "-n", "12", "-origins", "0, 6", "-protocol", "classic"},
 		{"-topo", "cycle", "-n", "9", "-source", "2", "-predict"},
@@ -86,6 +88,9 @@ func TestRunErrors(t *testing.T) {
 		{"-topo", "path", "-n", "4", "-model", "adversary:nosuch"},                       // unknown model family
 		{"-topo", "path", "-n", "4", "-model", "warp"},                                   // unknown model kind
 		{"-topo", "path", "-n", "4", "-model", "adversary:hold:extra=x"},                 // malformed model param
+		{"-topo", "path", "-n", "4", "-model", "schedule:loss:p=1.5"},                    // loss is a probability
+		{"-topo", "path", "-n", "4", "-protocol", "faulty"},                              // loss is a model now
+		{"-topo", "path", "-n", "4", "-param", "loss=0.05"},                              // no protocol parameters
 		{"-topo", "path", "-n", "4", "-model", "adversary:sync", "-async", "sync"},       // both flags
 		{"-topo", "path", "-n", "4", "-model", "adversary:sync", "-protocol", "classic"}, // model needs amnesiac
 		{"-topo", "path", "-n", "4", "-model", "schedule:static", "-timeline"},           // timeline needs sync
@@ -121,8 +126,6 @@ func TestRunErrors(t *testing.T) {
 func TestEveryProtocolOnEveryEngine(t *testing.T) {
 	for _, protocol := range sim.Protocols() {
 		for _, engineName := range sim.EngineNames() {
-			// faulty runs fault-free here (no -param loss): a lossy flood
-			// may legitimately never terminate (the paper's E12 finding).
 			args := []string{"-topo", "petersen", "-source", "0", "-protocol", protocol, "-engine", engineName}
 			err := run(args)
 			if err != nil && engineName == sim.Bitset.String() && errors.Is(err, bitengine.ErrUnsupportedProtocol) {

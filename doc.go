@@ -28,7 +28,7 @@
 // determinism contract and the performance numbers).
 //
 // The public face of the simulator is the internal/sim façade: protocols
-// self-register by name (amnesiac, classic, multiflood, faulty; importing
+// self-register by name (amnesiac, classic, multiflood; importing
 // internal/registry/all links every one of them and the model families),
 // engines are one EngineKind enum, and a Session composed from
 // functional options runs any protocol × engine pair under a cancellable
@@ -43,7 +43,11 @@
 // is the paper's Figure 5 delaying scheduler, "schedule:blink:period=2" a
 // flapping link — and sim.WithModel runs amnesiac flooding under them on
 // dedicated packed-arena engines that certify non-termination by
-// configuration repetition (Result.Outcome, Result.Certificate):
+// configuration repetition (Result.Outcome, Result.Certificate). Faults are
+// schedules too, because a schedule sees each copy directed: a lost copy is
+// an edge down for one round ("schedule:outage:round=1,u=0,v=3"), seeded
+// random loss is "schedule:loss:p=0.05", and
+// "schedule:crash:nodes=2+5,round=2" takes nodes down for good:
 //
 //	sess, _ := sim.New(g, sim.WithModel("adversary:collision"), sim.WithTrace(true))
 //	res, _ := sess.Run(ctx) // res.Outcome == engine.OutcomeCycle on odd cycles
@@ -156,8 +160,7 @@
 //	internal/async            delay adversaries of the asynchronous model
 //	internal/doublecover      exact prediction via the bipartite double cover (one reusable parity BFS)
 //	internal/theory           the paper's lemmas/theorems as executable checks
-//	internal/faults           message-loss and crash injection (+ engine-hosted protocol)
-//	internal/dynamic          edge-churn schedules of the dynamic model
+//	internal/dynamic          schedules of the dynamic model: edge churn, message loss, crashes
 //	internal/multiflood       concurrent broadcasts, union replay protocol
 //	internal/termdetect       Dijkstra-Scholten termination detection baseline
 //	internal/stats            summary statistics for aggregate sweeps
@@ -169,7 +172,7 @@
 // on any graph spec under any -model, with -analyze attaching streaming
 // analyses; -list prints every registry), cmd/afbench (paper experiment
 // suite, or a scenario matrix with -suite and the
-// -models/-adversaries/-schedules/-analyses axes, sharded across workers
+// -graphs/-protocols/-engines/-models/-analyses axes, sharded across workers
 // with -shard-workers/-shard-coordinator), cmd/afviz (trace rendering;
 // -graph/-list mirror afsim), cmd/afsimd (the simulation daemon; see
 // internal/service/README.md), cmd/afshard (distributed suite coordinator

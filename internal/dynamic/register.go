@@ -2,6 +2,8 @@ package dynamic
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/model"
@@ -52,5 +54,41 @@ func init() {
 	model.RegisterSchedule("alternating", model.ScheduleFamily{
 		Doc: "parity halves of the edge set alive in alternating rounds",
 		New: func(model.Values, int64) (model.Schedule, error) { return Alternating{}, nil },
+	})
+	model.RegisterSchedule("loss", model.ScheduleFamily{
+		Params: []model.Param{
+			{Name: "p", Kind: model.FloatParam, Default: "0.1", Doc: "probability in [0,1] that a copy is lost"},
+		},
+		Random: true,
+		Doc:    "each copy lost independently with probability p, seeded; aperiodic, so no certificates",
+		New: func(v model.Values, seed int64) (model.Schedule, error) {
+			// The negated range test also rejects NaN.
+			p := v.Float("p")
+			if !(p >= 0 && p <= 1) {
+				return nil, fmt.Errorf("p must be a probability in [0,1], got %g", p)
+			}
+			return Loss{P: p, Seed: seed}, nil
+		},
+	})
+	model.RegisterSchedule("crash", model.ScheduleFamily{
+		Params: []model.Param{
+			{Name: "nodes", Kind: model.StringParam, Default: "1", Doc: "the crashed nodes, joined by '+'"},
+			{Name: "round", Kind: model.IntParam, Default: "1", Doc: "the first round the nodes are down"},
+		},
+		Doc: "nodes down for good from a round on: they neither receive nor send",
+		New: func(v model.Values, _ int64) (model.Schedule, error) {
+			if v.Int("round") < 1 {
+				return nil, fmt.Errorf("round must be >= 1, got %d", v.Int("round"))
+			}
+			var nodes []graph.NodeID
+			for _, field := range strings.Split(v.String("nodes"), "+") {
+				node, err := strconv.Atoi(field)
+				if err != nil || node < 0 {
+					return nil, fmt.Errorf("nodes must be node IDs joined by '+', got %q", v.String("nodes"))
+				}
+				nodes = append(nodes, graph.NodeID(node))
+			}
+			return Crash{Nodes: nodes, Round: v.Int("round")}, nil
+		},
 	})
 }

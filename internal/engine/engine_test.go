@@ -235,6 +235,26 @@ func TestSendString(t *testing.T) {
 	}
 }
 
+// TestOutcomeString pins the outcome spellings that tables, JSON rows and
+// the CLIs print.
+func TestOutcomeString(t *testing.T) {
+	if OutcomeTerminated.String() != "terminated" ||
+		OutcomeCycle.String() != "non-termination-certified" ||
+		OutcomeRoundLimit.String() != "round-limit" {
+		t.Fatal("outcome strings wrong")
+	}
+	for _, o := range []Outcome{OutcomeNone, OutcomeTerminated, OutcomeCycle, OutcomeRoundLimit} {
+		data, err := o.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Outcome
+		if err := back.UnmarshalJSON(data); err != nil || back != o {
+			t.Errorf("outcome %v round-trips to %v (%v)", o, back, err)
+		}
+	}
+}
+
 func TestRunDeterminism(t *testing.T) {
 	g := star(t, 5)
 	first, err := Run(context.Background(), g, &echoOnce{g: g, origin: 0}, Options{Trace: true})

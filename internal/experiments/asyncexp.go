@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"amnesiacflood/internal/engine"
-	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
-	"amnesiacflood/internal/sim"
 	"amnesiacflood/internal/trace"
 
 	// The model specs below address the adversary and schedule registries,
@@ -27,7 +24,7 @@ import (
 // the exact round-trippable model spec.
 func AsyncNonTermination(cfg Config) ([]*Table, error) {
 	// Part 1: the triangle schedule of Figure 5, round by round.
-	res, err := runModel(cfg, "cycle:n=3", "adversary:collision", 0, true, 1)
+	res, _, err := runModel(gen.Cycle(3), "adversary:collision", cfg.Seed, 0, true, 1)
 	if err != nil {
 		return nil, fmt.Errorf("E7: triangle: %w", err)
 	}
@@ -77,7 +74,11 @@ func AsyncNonTermination(cfg Config) ([]*Table, error) {
 		{"cycle:n=9", "adversary:edge:u=0,v=8,extra=1"},
 	}
 	for _, tc := range cases {
-		r, err := runModel(cfg, tc.graph, tc.model, 4096, false, 0)
+		g, err := gen.Build(tc.graph, cfg.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("E7: %s: %w", tc.graph, err)
+		}
+		r, _, err := runModel(g, tc.model, cfg.Seed, 4096, false, 0)
 		if err != nil {
 			return nil, fmt.Errorf("E7: %s under %s: %w", tc.graph, tc.model, err)
 		}
@@ -90,24 +91,4 @@ func AsyncNonTermination(cfg Config) ([]*Table, error) {
 	sweep.AddNote("paper claims an adversary can force non-termination; the delaying adversary certifies it on every cycle, while trees/paths terminate under all adversaries tried (messages only die at leaves)")
 	sweep.AddNote("controls: uniform delay only stretches the synchronous run (termination preserved); one slow edge can even accelerate termination by merging wavefronts — asymmetric collision-splitting is the specific mechanism that breaks it")
 	return []*Table{fig, sweep}, nil
-}
-
-// runModel executes one model-axis run through the sim façade.
-func runModel(cfg Config, graphSpec, modelSpec string, maxRounds int, traced bool, origin int) (engine.Result, error) {
-	g, err := gen.Build(graphSpec, cfg.Seed)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	sess, err := sim.New(g,
-		sim.WithProtocol("amnesiac"),
-		sim.WithModel(modelSpec),
-		sim.WithOrigins(graph.NodeID(origin)),
-		sim.WithSeed(cfg.Seed),
-		sim.WithMaxRounds(maxRounds),
-		sim.WithTrace(traced),
-	)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	return sess.Run(context.Background())
 }

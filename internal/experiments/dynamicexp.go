@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"amnesiacflood/internal/engine"
-	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
-	"amnesiacflood/internal/sim"
 )
 
 // DynamicNetworks is experiment E14, executing the paper's open question
@@ -49,7 +46,11 @@ func DynamicNetworks(cfg Config) ([]*Table, error) {
 		{"petersen", "schedule:alternating"},
 	}
 	for _, tc := range cases {
-		res, n, err := runSchedule(cfg, tc.graph, tc.model, 4096)
+		g, err := gen.Build(tc.graph, cfg.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("E14: %s: %w", tc.graph, err)
+		}
+		res, cov, err := runModel(g, tc.model, cfg.Seed, 4096, false, 0)
 		if err != nil {
 			return nil, fmt.Errorf("E14: %s under %s: %w", tc.graph, tc.model, err)
 		}
@@ -59,17 +60,17 @@ func DynamicNetworks(cfg Config) ([]*Table, error) {
 		}
 		t.AddRow(tc.graph, tc.model, res.Outcome, res.Rounds,
 			res.TotalMessages, res.Lost,
-			fmt.Sprintf("%d/%d", n-int(res.Metrics["coverage.uncovered"]), n), period)
+			fmt.Sprintf("%d/%d", g.N()-cov.Uncovered(), g.N()), period)
 	}
 	// Hard assertions for the headline rows.
-	check, _, err := runSchedule(cfg, "cycle:n=4", "schedule:outage:round=1,u=0,v=3", 0)
+	check, _, err := runModel(gen.Cycle(4), "schedule:outage:round=1,u=0,v=3", cfg.Seed, 0, false, 0)
 	if err != nil {
 		return nil, err
 	}
 	if check.Outcome != engine.OutcomeCycle {
 		return nil, fmt.Errorf("E14: C4 single outage outcome %v, want certified non-termination", check.Outcome)
 	}
-	static, _, err := runSchedule(cfg, "cycle:n=4", "schedule:static", 0)
+	static, _, err := runModel(gen.Cycle(4), "schedule:static", cfg.Seed, 0, false, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -79,26 +80,4 @@ func DynamicNetworks(cfg Config) ([]*Table, error) {
 	t.AddNote("a one-round outage of a single cycle edge leaves a wavefront circulating forever — the dynamic counterpart of E12's lost message")
 	t.AddNote("periodic churn outcomes are certified (configuration x schedule-phase repetition), never timed out")
 	return []*Table{t}, nil
-}
-
-// runSchedule executes one dynamic-model run through the sim façade with the
-// coverage analysis attached, returning the built graph's size alongside.
-func runSchedule(cfg Config, graphSpec, modelSpec string, maxRounds int) (engine.Result, int, error) {
-	g, err := gen.Build(graphSpec, cfg.Seed)
-	if err != nil {
-		return engine.Result{}, 0, err
-	}
-	sess, err := sim.New(g,
-		sim.WithProtocol("amnesiac"),
-		sim.WithModel(modelSpec),
-		sim.WithOrigins(graph.NodeID(0)),
-		sim.WithSeed(cfg.Seed),
-		sim.WithMaxRounds(maxRounds),
-		sim.WithAnalysis("coverage"),
-	)
-	if err != nil {
-		return engine.Result{}, 0, err
-	}
-	res, err := sess.Run(context.Background())
-	return res, g.N(), err
 }

@@ -3,17 +3,19 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
-	"amnesiacflood/internal/faults"
+	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
 	"amnesiacflood/internal/stats"
 )
 
 // LossCurve is experiment E15: the quantitative version of E12's findings.
-// For each loss probability p, many independent seeded runs measure how
-// often the flood dies on its own within the round budget, how long the
-// surviving runs live, and how much of the graph gets covered.
+// For each loss probability p, many independent seeded runs under
+// schedule:loss:p=P measure how often the flood dies on its own within the
+// round budget, how long the surviving runs live, and how much of the
+// graph gets covered.
 //
 // The curve's shape is the result: on trees, termination probability stays
 // at 1 for every p while coverage decays with p; on dense cyclic graphs
@@ -53,19 +55,20 @@ func LossCurve(cfg Config) ([]*Table, error) {
 			var terminated []bool
 			var rounds []float64
 			var coverage []float64
+			spec := "schedule:loss:p=" + strconv.FormatFloat(p, 'g', -1, 64)
 			for i := 0; i < runsPer; i++ {
-				inj := faults.RandomLoss{P: p, Seed: cfg.Seed + int64(i)*7919}
 				src := graph.NodeID((i * 13) % fam.g.N())
-				res, err := faults.Run(fam.g, inj, faults.Options{MaxRounds: budget}, src)
+				res, cov, err := runModel(fam.g, spec, cfg.Seed+int64(i)*7919, budget, false, src)
 				if err != nil {
 					return nil, fmt.Errorf("E15: %s p=%.2f: %w", fam.label, p, err)
 				}
-				done := res.Outcome == faults.Terminated
+				done := res.Outcome == engine.OutcomeTerminated
 				terminated = append(terminated, done)
 				if done {
 					rounds = append(rounds, float64(res.Rounds))
 				}
-				coverage = append(coverage, float64(res.CoverageCount())/float64(fam.g.N()))
+				n := fam.g.N()
+				coverage = append(coverage, float64(n-cov.Uncovered())/float64(n))
 			}
 			if isTree && stats.Fraction(terminated) != 1 {
 				return nil, fmt.Errorf("E15: tree %s failed to terminate under loss p=%.2f", fam.label, p)

@@ -33,3 +33,30 @@ func flood(cfg Config, g *graph.Graph, traced bool, origins ...graph.NodeID) (en
 	cov, _ := sess.Coverage()
 	return res, cov, nil
 }
+
+// runModel is flood's counterpart on the model axis, the one run path of
+// E7, E12, E14 and E15: amnesiac flooding on g from one origin under an
+// execution-model spec ("adversary:...", or "schedule:..." for dynamic
+// networks, message loss and crashes), with the coverage analysis
+// attached. Random models draw from seed; maxRounds 0 means the model
+// engines' default.
+func runModel(g *graph.Graph, modelSpec string, seed int64, maxRounds int, traced bool, origin graph.NodeID) (engine.Result, *analysis.Coverage, error) {
+	sess, err := sim.New(g,
+		sim.WithProtocol("amnesiac"),
+		sim.WithModel(modelSpec),
+		sim.WithOrigins(origin),
+		sim.WithSeed(seed),
+		sim.WithMaxRounds(maxRounds),
+		sim.WithTrace(traced),
+		sim.WithAnalysis("coverage"),
+	)
+	if err != nil {
+		return engine.Result{}, nil, err
+	}
+	res, err := sess.Run(context.Background())
+	if err != nil {
+		return engine.Result{}, nil, err
+	}
+	cov, _ := sess.Coverage()
+	return res, cov, nil
+}

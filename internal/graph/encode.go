@@ -3,6 +3,7 @@ package graph
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -39,79 +40,29 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the text edge-list format produced by WriteEdgeList.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var (
-		b      *Builder
-		name   string
-		lineNo int
-	)
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "":
-			continue
-		case strings.HasPrefix(line, "#"):
-			if name == "" {
-				name = strings.TrimSpace(strings.TrimPrefix(line, "#"))
-			}
-			continue
-		case strings.HasPrefix(line, "n "):
-			if b != nil {
-				return nil, fmt.Errorf("edge list line %d: duplicate node-count line", lineNo)
-			}
-			n, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, "n ")))
-			if err != nil {
-				return nil, fmt.Errorf("edge list line %d: parse node count: %w", lineNo, err)
-			}
-			b = NewBuilder(n).Name(name)
-		default:
-			if b == nil {
-				return nil, fmt.Errorf("edge list line %d: edge before node-count line", lineNo)
-			}
-			fields := strings.Fields(line)
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("edge list line %d: want %q, got %q", lineNo, "u v", line)
-			}
-			u, err := strconv.Atoi(fields[0])
-			if err != nil {
-				return nil, fmt.Errorf("edge list line %d: parse endpoint: %w", lineNo, err)
-			}
-			v, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("edge list line %d: parse endpoint: %w", lineNo, err)
-			}
-			b.AddEdge(NodeID(u), NodeID(v))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("edge list: scan: %w", err)
-	}
-	if b == nil {
-		return nil, fmt.Errorf("edge list: missing node-count line")
-	}
-	return b.Build()
-}
-
-// maxEdgeListEdges caps how many edge lines ReadEdgeListStream accepts
-// before failing with ErrTooManyEdges. The pair array costs 16 bytes per
-// edge, so without a scan-time cap a hostile or runaway file would allocate
-// without bound before FromStream's 2^31 directed-edge check ever ran. The
-// value matches the streamed generators' cap (gen's maxStreamEdges). A var,
+// The edge-list reader's caps bound what a hostile or runaway file can make
+// it allocate. maxEdgeListNodes matches the sparse generators' node cap
+// (gen's maxSparseNodes) and is checked on the node-count line, before the
+// per-node arrays exist; maxEdgeListEdges matches the streamed generators'
+// edge cap (gen's maxStreamEdges) and is checked per edge line, before the
+// 16-byte-per-edge pair array grows past it. maxEdgeListEdges is a var,
 // not a const, so tests can lower it without 2^26-line fixtures.
+const maxEdgeListNodes = 1 << 24
+
 var maxEdgeListEdges = 1 << 26
 
-// ReadEdgeListStream parses the same text edge-list format as ReadEdgeList
-// but builds the graph through FromStream: endpoints are collected into one
+// ErrTooManyNodes is returned by ReadEdgeList when the node-count line
+// exceeds the reader's 2^24-node cap.
+var ErrTooManyNodes = errors.New("edge list declares more than 2^24 nodes")
+
+// ReadEdgeList parses the text edge-list format produced by WriteEdgeList
+// and builds the graph through FromStream: endpoints are collected into one
 // packed pair array (16 bytes per edge) and replayed into the CSR arena, so
-// peak memory is pairs + CSR rather than the Builder's edge list plus
-// per-node append slices. Use it for million-edge files; the two readers
-// accept the identical format and produce identical graphs. Files with more
-// than maxEdgeListEdges edge lines fail fast with ErrTooManyEdges.
-func ReadEdgeListStream(r io.Reader) (*Graph, error) {
+// peak memory is pairs + CSR. It is the one reader behind afsim/afviz
+// -file and the edgefile graph family. A node count above 2^24 fails with
+// ErrTooManyNodes before anything is allocated for the nodes, and more
+// than 2^26 edge lines fail fast with ErrTooManyEdges.
+func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var (
@@ -139,6 +90,9 @@ func ReadEdgeListStream(r io.Reader) (*Graph, error) {
 			count, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, "n ")))
 			if err != nil {
 				return nil, fmt.Errorf("edge list line %d: parse node count: %w", lineNo, err)
+			}
+			if count > maxEdgeListNodes {
+				return nil, fmt.Errorf("edge list line %d: %d nodes: %w", lineNo, count, ErrTooManyNodes)
 			}
 			n, haveN = count, true
 		default:

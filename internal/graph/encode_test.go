@@ -60,6 +60,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"badEndpoint":    "n 3\na 1\n",
 		"selfLoop":       "n 3\n1 1\n",
 		"outOfRange":     "n 3\n0 5\n",
+		"negativeCount":  "n -3\n",
 	}
 	for name, input := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzReadEdgeList feeds arbitrary text to the edge-list parser: it must
-// never panic, and everything it accepts must round-trip through
-// WriteEdgeList into an equivalent graph.
+// FuzzReadEdgeList feeds arbitrary text to the edge-list reader behind
+// afsim/afviz -file and the edgefile graph family: it must never panic,
+// and everything it accepts must round-trip through WriteEdgeList into an
+// equivalent graph.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("n 3\n0 1\n1 2\n")
 	f.Add("# name\nn 1\n")

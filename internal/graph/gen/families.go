@@ -374,7 +374,7 @@ func init() {
 				return nil, err
 			}
 			defer f.Close()
-			return graph.ReadEdgeListStream(f)
+			return graph.ReadEdgeList(f)
 		},
 	})
 }

@@ -3,8 +3,10 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -160,9 +162,8 @@ func TestFromStreamEmpty(t *testing.T) {
 	}
 }
 
-// TestReadEdgeListStream: both readers accept the WriteEdgeList format and
-// agree with each other, and the streamed reader rejects the same malformed
-// inputs the Builder-backed one does.
+// TestReadEdgeListStream: the reader streams the WriteEdgeList format
+// into exactly the CSR the Builder produces for the same edges.
 func TestReadEdgeListStream(t *testing.T) {
 	b := NewBuilder(7).Name("roundtrip")
 	for _, e := range [][2]NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}, {5, 6}, {0, 6}} {
@@ -173,38 +174,16 @@ func TestReadEdgeListStream(t *testing.T) {
 	if err := WriteEdgeList(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	text := buf.String()
-	got, err := ReadEdgeListStream(strings.NewReader(text))
+	got, err := ReadEdgeList(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := ReadEdgeList(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.CSR(), legacy.CSR()) || got.Name() != legacy.Name() || got.N() != legacy.N() {
-		t.Fatal("streamed and Builder-backed readers disagree")
-	}
-	if !reflect.DeepEqual(got.Edges(), want.Edges()) {
-		t.Fatal("round trip changed the edge set")
-	}
-	for _, bad := range []string{
-		"",             // no node-count line
-		"0 1\nn 4\n",   // edge before node count
-		"n 4\nn 4\n",   // duplicate node count
-		"n x\n",        // unparseable count
-		"n 4\n0\n",     // malformed edge line
-		"n 4\n0 one\n", // unparseable endpoint
-		"n 4\n0 0\n",   // self-loop
-		"n 2\n0 5\n",   // endpoint out of range
-	} {
-		if _, err := ReadEdgeListStream(strings.NewReader(bad)); err == nil {
-			t.Errorf("ReadEdgeListStream(%q) succeeded, want error", bad)
-		}
+	if !reflect.DeepEqual(got.CSR(), want.CSR()) || got.Name() != want.Name() || got.N() != want.N() {
+		t.Fatal("streamed reader and Builder disagree")
 	}
 }
 
-// TestReadEdgeListStreamEdgeCap: the streamed reader fails fast with
+// TestReadEdgeListStreamEdgeCap: the reader fails fast with
 // ErrTooManyEdges once the file exceeds the edge cap, instead of buffering
 // an unbounded pair array first. The cap is lowered for the test; exercising
 // the real 2^26 value would need a multi-GB fixture.
@@ -212,14 +191,33 @@ func TestReadEdgeListStreamEdgeCap(t *testing.T) {
 	old := maxEdgeListEdges
 	maxEdgeListEdges = 2
 	defer func() { maxEdgeListEdges = old }()
-	if _, err := ReadEdgeListStream(strings.NewReader("n 5\n0 1\n1 2\n2 3\n")); !errors.Is(err, ErrTooManyEdges) {
+	if _, err := ReadEdgeList(strings.NewReader("n 5\n0 1\n1 2\n2 3\n")); !errors.Is(err, ErrTooManyEdges) {
 		t.Errorf("over cap: %v, want ErrTooManyEdges", err)
 	}
-	g, err := ReadEdgeListStream(strings.NewReader("n 5\n0 1\n1 2\n"))
+	g, err := ReadEdgeList(strings.NewReader("n 5\n0 1\n1 2\n"))
 	if err != nil {
 		t.Fatalf("at cap: %v", err)
 	}
 	if g.M() != 2 {
 		t.Fatalf("m=%d, want 2", g.M())
+	}
+}
+
+// TestReadEdgeListNodeCap: a file declaring more than 2^24 nodes is
+// rejected with ErrTooManyNodes on its node-count line, before the
+// per-node arrays (32 bytes a node: 3.2 GB for the file below) exist.
+func TestReadEdgeListNodeCap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadEdgeList(strings.NewReader("n 100000000\n"))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTooManyNodes) {
+		t.Fatalf("err = %v, want ErrTooManyNodes", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting the file allocated %d bytes, want under 1 MiB", alloc)
+	}
+	if _, err := ReadEdgeList(strings.NewReader(fmt.Sprintf("n %d\n", maxEdgeListNodes+1))); !errors.Is(err, ErrTooManyNodes) {
+		t.Errorf("one over the cap: err = %v, want ErrTooManyNodes", err)
 	}
 }

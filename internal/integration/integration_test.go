@@ -11,7 +11,6 @@ import (
 	"amnesiacflood/internal/core"
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/engine/chanengine"
-	"amnesiacflood/internal/faults"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
@@ -196,9 +195,9 @@ func TestInvariantMatrix(t *testing.T) {
 					t.Errorf("spanning tree: %v", err)
 				}
 
-				// The zero-delay adversary, the static schedule, and the
-				// zero-fault injector all reproduce the synchronous run.
-				for _, mdl := range []string{"adversary:sync", "schedule:static"} {
+				// The zero-delay adversary, the static schedule, and loss
+				// with probability 0 all reproduce the synchronous run.
+				for _, mdl := range []string{"adversary:sync", "schedule:static", "schedule:loss:p=0"} {
 					sess, err := sim.New(g, sim.WithModel(mdl), sim.WithOrigins(src))
 					if err != nil {
 						t.Fatalf("model control %s: %v", mdl, err)
@@ -210,13 +209,6 @@ func TestInvariantMatrix(t *testing.T) {
 					if mres.Outcome != engine.OutcomeTerminated || mres.Rounds != res.Rounds {
 						t.Errorf("%s control diverged: %v after %d rounds", mdl, mres.Outcome, mres.Rounds)
 					}
-				}
-				fres, err := faults.Run(g, faults.NoFaults{}, faults.Options{}, src)
-				if err != nil {
-					t.Fatalf("faults control: %v", err)
-				}
-				if fres.Outcome != faults.Terminated || fres.Rounds != res.Rounds {
-					t.Errorf("faults control diverged: %v after %d rounds", fres.Outcome, fres.Rounds)
 				}
 			}
 		})

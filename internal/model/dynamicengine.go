@@ -21,10 +21,13 @@ import (
 // Messages sent in round r cross only edges alive in round r; a message
 // whose edge is down is lost and counted in Result.Lost (the natural
 // reading of "the link is gone" — lossless buffering would be the
-// asynchronous model instead). Nodes apply the usual amnesiac rule over
-// their *base* neighbourhood: forward to every base neighbour not among
-// this round's senders. Under the static schedule the engine reproduces the
-// synchronous engines' traces byte for byte (asserted by fuzz tests).
+// asynchronous model instead). The schedule sees each copy directed, so
+// message loss and crashed nodes run here too, as schedules whose dead
+// edges are single copies or every edge at a node. Nodes apply the usual
+// amnesiac rule over their *base* neighbourhood: forward to every base
+// neighbour not among this round's senders. Under the static schedule the
+// engine reproduces the synchronous engines' traces byte for byte
+// (asserted by fuzz tests).
 //
 // For periodic schedules the per-round configuration handed to the shared
 // Detector is the schedule phase followed by the pending edge indices, so a
@@ -111,7 +114,7 @@ func (e *DynamicEngine) Run(ctx context.Context, origins []graph.NodeID, opts en
 		e.sends = e.sends[:0]
 		for _, idx := range e.cur {
 			from, to := e.idx.decode(idx)
-			if e.sched.Alive(round, graph.Edge{U: from, V: to}.Normalize()) {
+			if e.sched.Alive(round, graph.Edge{U: from, V: to}) {
 				e.alive = append(e.alive, idx)
 				e.sends = append(e.sends, engine.Send{From: from, To: to})
 			} else {

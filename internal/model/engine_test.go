@@ -180,6 +180,14 @@ var dynamicCorpus = []dynamicCase{
 	{"randconn-outage", "randconnected:n=20,p=0.15", 5, "schedule:outage:round=2,u=0,v=1", origins(0)},
 	{"randtree-blink", "tree:n=20", 7, "schedule:blink:u=0,v=1,period=2,phase=1", origins(0)},
 	{"hypercube-alternating", "hypercube:d=4", 1, "schedule:alternating", origins(0)},
+	// Faults as schedules: loss and crashes see each copy directed.
+	{"grid-loss", "grid:rows=5,cols=5", 3, "schedule:loss:p=0.2", origins(0)},
+	{"c12-loss-multi", "cycle:n=12", 5, "schedule:loss:p=0.1", origins(0, 6)},
+	{"tree-loss", "tree:n=30", 2, "schedule:loss:p=0.3", origins(0)},
+	{"path5-crash", "path:n=5", 1, "schedule:crash:nodes=2,round=1", origins(0)},
+	{"k8-crash", "complete:n=8", 1, "schedule:crash:nodes=2+5,round=2", origins(0)},
+	{"petersen-crash", "petersen", 1, "schedule:crash:nodes=3,round=2", origins(0)},
+	{"grid-crash", "grid:rows=4,cols=4", 1, "schedule:crash:nodes=5+10,round=3", origins(0)},
 }
 
 // TestDynamicEngineMatchesLegacyRunner mirrors the async differential gate

@@ -14,12 +14,15 @@
 //	schedule:<family>[:key=value[,key=value]...]
 //
 // (examples: "adversary:collision", "adversary:hold:node=3,extra=2",
-// "schedule:blink:period=2,phase=1"), and two dedicated engines — AsyncEngine
-// and DynamicEngine — run amnesiac flooding under them over the graph's CSR
-// view with context cancellation, stop-capable engine.RoundObservers, and
-// reused double-buffered in-flight arenas. Messages are packed as
-// edge-index+delay integers, never structs, so the per-round certificate
-// path allocates nothing beyond amortised arena growth.
+// "schedule:blink:period=2,phase=1", "schedule:loss:p=0.05"), and two
+// dedicated engines — AsyncEngine and DynamicEngine — run amnesiac flooding
+// under them over the graph's CSR view with context cancellation,
+// stop-capable engine.RoundObservers, and reused double-buffered in-flight
+// arenas. The dynamic model is also the fault model: a Schedule decides the
+// fate of each directed copy of M, so a lost message, random loss, and a
+// crashed node are schedules, and DynamicEngine runs every fault. Messages
+// are packed as edge-index+delay integers, never structs, so the per-round
+// certificate path allocates nothing beyond amortised arena growth.
 //
 // # Non-termination certificates
 //
@@ -85,14 +88,20 @@ type ViewIgnorer interface {
 	IgnoresView() bool
 }
 
-// Schedule decides edge liveness per round — the dynamic-network model in
-// which the edge set may change between rounds. Messages sent in round r
-// cross only edges alive in round r; a message whose edge is down is lost.
+// Schedule decides, per round, which copies of M survive — the
+// dynamic-network model in which the edge set may change between rounds.
+// Messages sent in round r cross only edges alive in round r; a message
+// whose edge is down is lost. Faults are schedules too: a lost copy is a
+// directed edge that is down for one round, and a crashed node is one whose
+// every edge is down.
 type Schedule interface {
 	// Name identifies the schedule in reports.
 	Name() string
-	// Alive reports whether the undirected edge {u, v} carries messages
-	// in the given round. The engine passes e normalised (U <= V).
+	// Alive reports whether the copy of M that e.U sends to e.V is
+	// delivered in the given round. The engine passes the directed copy,
+	// not a normalised edge: a schedule of undirected links compares
+	// e.Normalize() itself, while a loss or crash schedule may treat the
+	// two directions of one link differently.
 	Alive(round int, e graph.Edge) bool
 	// Period returns p > 0 when Alive depends on the round only through
 	// round mod p (a static schedule has period 1). It returns 0 when the

@@ -289,7 +289,7 @@ func DynamicRun(g *graph.Graph, sched model.Schedule, maxRounds int, trace bool,
 
 		var delivered []engine.Send
 		for _, s := range pending {
-			if sched.Alive(round, graph.Edge{U: s.From, V: s.To}.Normalize()) {
+			if sched.Alive(round, graph.Edge{U: s.From, V: s.To}) {
 				delivered = append(delivered, s)
 			} else {
 				res.Lost++

@@ -131,7 +131,7 @@ type runConfig struct {
 }
 
 // group is the unit of work handed to a pool worker: all specs sharing a
-// graph, protocol, engine, seed, params, and round limit. One group = one
+// graph, protocol, engine, model, analyses, seed, and round limit. One group = one
 // built graph and one sim.Session, so the fast engines amortise their
 // arenas across the group's runs via sim.RunBatch.
 type group struct {
@@ -144,8 +144,7 @@ type group struct {
 // do not split sessions).
 func groupKey(s Spec) string {
 	return Spec{Graph: s.Graph, Protocol: s.Protocol, Engine: s.Engine,
-		Model: s.Model, Analyses: s.Analyses, Seed: s.Seed, Params: s.Params,
-		MaxRounds: s.MaxRounds}.ID()
+		Model: s.Model, Analyses: s.Analyses, Seed: s.Seed, MaxRounds: s.MaxRounds}.ID()
 }
 
 // GroupKey exposes the runner's session-sharing partition: specs with equal
@@ -682,9 +681,6 @@ func sessionOptions(s Spec, kind sim.EngineKind) []sim.Option {
 	}
 	if len(s.Analyses) > 0 {
 		opts = append(opts, sim.WithAnalysis(s.Analyses...))
-	}
-	for k, v := range s.Params {
-		opts = append(opts, sim.WithParam(k, v))
 	}
 	return opts
 }

@@ -65,12 +65,10 @@ type Spec struct {
 	// "coverage", "quantiles:metric=messages", ...) attached to the run;
 	// their merged metrics land in Result.Metrics.
 	Analyses []string `json:"analyses,omitempty"`
-	// Seed drives graph construction and protocol randomness.
+	// Seed drives graph construction and model randomness.
 	Seed int64 `json:"seed"`
 	// Rep distinguishes repetitions of an otherwise identical spec.
 	Rep int `json:"rep,omitempty"`
-	// Params carries protocol parameters (sim.WithParam).
-	Params map[string]string `json:"params,omitempty"`
 	// MaxRounds bounds the run; 0 means the engine default.
 	MaxRounds int `json:"maxRounds,omitempty"`
 	// Timeout, when positive, overrides the Runner's per-run watchdog for
@@ -79,27 +77,21 @@ type Spec struct {
 }
 
 // ID renders a stable, human-readable identity for the spec — the sort key
-// for order-normalised result comparison.
+// for order-normalised result comparison. The empty field between rep and
+// max once held protocol parameters; it stays, so every ID, journal and
+// sort order written before they went still matches.
 func (s Spec) ID() string {
 	origins := make([]string, len(s.Origins))
 	for i, o := range s.Origins {
 		origins[i] = strconv.Itoa(int(o))
 	}
-	var params []string
-	for k, v := range s.Params {
-		// Quote values so free-form strings containing ',' or '=' cannot
-		// make two distinct specs render the same ID.
-		params = append(params, k+"="+strconv.Quote(v))
-	}
-	slices.Sort(params)
 	mdl := s.Model
 	if mdl == "" {
 		mdl = string(model.KindSync)
 	}
-	id := fmt.Sprintf("%s|%s|%s|%s|o=%s|a=%s|seed=%d|rep=%d|%s|max=%d",
+	id := fmt.Sprintf("%s|%s|%s|%s|o=%s|a=%s|seed=%d|rep=%d||max=%d",
 		s.Graph, s.Protocol, s.Engine, mdl, strings.Join(origins, ","),
-		strings.Join(s.Analyses, "+"), s.Seed, s.Rep,
-		strings.Join(params, ","), s.MaxRounds)
+		strings.Join(s.Analyses, "+"), s.Seed, s.Rep, s.MaxRounds)
 	// The watchdog override is appended only when set, keeping the common
 	// untimed form (and every pre-existing checkpoint) stable.
 	if s.Timeout > 0 {
@@ -162,12 +154,10 @@ type Matrix struct {
 	// cells that violate them.
 	Analyses []string
 	// Seeds lists seeds; each seed rebuilds random graphs and reseeds
-	// randomised protocols.
+	// random models.
 	Seeds []int64
 	// Reps repeats every cell, for timing stability; min 1.
 	Reps int
-	// Params applies to every run (protocol parameters).
-	Params map[string]string
 	// MaxRounds bounds every run; 0 means the engine default.
 	MaxRounds int
 }
@@ -268,16 +258,6 @@ func (m Matrix) Expand() ([]Spec, error) {
 		reps = 1
 	}
 	specs := make([]Spec, 0, len(graphs)*len(protocols)*len(engines)*len(models)*len(originSets)*len(seeds)*reps)
-	params := func() map[string]string {
-		if len(m.Params) == 0 {
-			return nil
-		}
-		cp := make(map[string]string, len(m.Params))
-		for k, v := range m.Params {
-			cp[k] = v
-		}
-		return cp
-	}
 	for _, g := range graphs {
 		for _, proto := range protocols {
 			for _, eng := range engines {
@@ -297,7 +277,6 @@ func (m Matrix) Expand() ([]Spec, error) {
 									Analyses:  slices.Clone(analyses),
 									Seed:      seed,
 									Rep:       rep,
-									Params:    params(),
 									MaxRounds: m.MaxRounds,
 								})
 							}

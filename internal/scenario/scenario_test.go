@@ -445,17 +445,12 @@ func TestSinks(t *testing.T) {
 func TestSpecIDStable(t *testing.T) {
 	s := scenario.Spec{Graph: "path:n=4", Protocol: "amnesiac", Engine: "fast",
 		Origins: []graph.NodeID{1, 2}, Analyses: []string{"coverage", "termination"},
-		Seed: 3, Rep: 1,
-		Params: map[string]string{"b": "2", "a": "1"}, MaxRounds: 9}
-	want := `path:n=4|amnesiac|fast|sync|o=1,2|a=coverage+termination|seed=3|rep=1|a="1",b="2"|max=9`
+		Seed: 3, Rep: 1, MaxRounds: 9}
+	// The empty field before max= is the retired protocol-parameter slot,
+	// kept so IDs written before it emptied still match.
+	want := `path:n=4|amnesiac|fast|sync|o=1,2|a=coverage+termination|seed=3|rep=1||max=9`
 	if got := s.ID(); got != want {
 		t.Fatalf("ID = %q, want %q", got, want)
-	}
-	// Param values containing the separator cannot collide two specs.
-	a := scenario.Spec{Graph: "path:n=4", Params: map[string]string{"a": "1,b=2"}}
-	b := scenario.Spec{Graph: "path:n=4", Params: map[string]string{"a": "1", "b": "2"}}
-	if a.ID() == b.ID() {
-		t.Fatalf("distinct specs share ID %q", a.ID())
 	}
 }
 

@@ -26,6 +26,7 @@ var BadRunBodies = []struct{ Name, Body string }{
 	{"negative origin", `{"graph":"cycle:n=8","origins":[-1]}`},
 	{"model x protocol", `{"graph":"cycle:n=8","protocol":"classic","model":"adversary:collision"}`},
 	{"local family", `{"graph":"edgefile:path=/etc/passwd"}`},
+	{"protocol params", `{"graph":"cycle:n=8","params":{"loss":"0.05"}}`},
 }
 
 // FuzzRunRequest decodes arbitrary bytes the way decodeBody does and
@@ -39,7 +40,7 @@ func FuzzRunRequest(f *testing.F) {
 		f.Add([]byte(c.Body))
 	}
 	f.Add([]byte(`{"graph":"GRID:cols=4,rows=3","engine":" Bit ","model":"Schedule:Blink:period=2"}`))
-	f.Add([]byte(`{"graph":"cycle:n=9","protocol":"Classic","origins":[2,4],"analyses":["coverage"],"params":{"k":"v"},"timeoutMs":-5,"roundEvery":-1}`))
+	f.Add([]byte(`{"graph":"cycle:n=9","protocol":"Classic","origins":[2,4],"analyses":["coverage"],"timeoutMs":-5,"roundEvery":-1}`))
 	s := New(Config{})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req RunRequest
@@ -68,7 +69,6 @@ func FuzzRunRequest(f *testing.F) {
 			Model:     nr.model,
 			Analyses:  nr.analyses,
 			Seed:      nr.seed,
-			Params:    nr.params,
 			MaxRounds: nr.maxRounds,
 		}
 		again, err := s.normalizeRun(&canon)

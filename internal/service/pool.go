@@ -12,7 +12,7 @@ import (
 
 // This file is the session pool: pooled sim.Sessions keyed by run
 // configuration, so repeated requests for the same (graph, protocol,
-// engine, model, analyses, seed, params) reuse one long-lived Session — and
+// engine, model, analyses, seed) reuse one long-lived Session — and
 // with it the fast engine's arenas — instead of rebuilding graph and engine
 // per request (the RunBatch amortisation, lifted across HTTP requests).
 // Sessions are not concurrency-safe, so the pool hands out exclusive
@@ -139,9 +139,6 @@ func buildSession(nr *runSpec) (*pooledSession, error) {
 	}
 	if len(nr.analyses) > 0 {
 		opts = append(opts, sim.WithAnalysis(nr.analyses...))
-	}
-	for k, v := range nr.params {
-		opts = append(opts, sim.WithParam(k, v))
 	}
 	sess, err := sim.New(g, opts...)
 	if err != nil {

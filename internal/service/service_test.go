@@ -29,18 +29,14 @@ import (
 	"amnesiacflood/internal/sim"
 )
 
-// The test protocols: slowping never terminates and sleeps per round, so
-// tests can hold a run open for as long (and only as long) as they need;
+// The test protocols: slowping never terminates and sleeps 1 ms per round,
+// so tests can hold a run open for as long (and only as long) as they need;
 // panicboom panics inside round delivery, exercising panic isolation at
 // the exact point protocol code runs. Both are registered once for the
 // whole test binary.
 func init() {
 	sim.Register("slowping", func(spec sim.Spec) (engine.Protocol, error) {
-		delay, err := time.ParseDuration(spec.Param("delay", "2ms"))
-		if err != nil {
-			return nil, err
-		}
-		return &pingProto{g: spec.Graph, delay: delay}, nil
+		return &pingProto{g: spec.Graph}, nil
 	})
 	sim.Register("panicboom", func(spec sim.Spec) (engine.Protocol, error) {
 		return &boomProto{g: spec.Graph}, nil
@@ -51,8 +47,7 @@ func init() {
 // forever: no round is ever empty, so the run ends only by context,
 // timeout, or round limit. The per-round sleep paces the stream.
 type pingProto struct {
-	g     *graph.Graph
-	delay time.Duration
+	g *graph.Graph
 }
 
 func (p *pingProto) Name() string { return "slowping" }
@@ -66,7 +61,7 @@ func (p *pingProto) NewNode(v graph.NodeID) engine.NodeAutomaton {
 		if len(senders) == 0 {
 			return nil
 		}
-		time.Sleep(p.delay)
+		time.Sleep(time.Millisecond)
 		return senders // bounce straight back
 	}
 }
@@ -386,7 +381,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	go func() {
 		resp := postRun(t, ts, "hog", service.RunRequest{
 			Graph: "cycle:n=8", Protocol: "slowping", Engine: "sequential",
-			TimeoutMs: 400, Params: map[string]string{"delay": "1ms"},
+			TimeoutMs: 400,
 		})
 		defer resp.Body.Close()
 		slow <- terminal(t, readEvents(t, resp.Body))
@@ -454,7 +449,7 @@ func TestPerRequestTimeout(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
 	longRun := service.RunRequest{
 		Graph: "cycle:n=8", Protocol: "slowping", Engine: "sequential",
-		TimeoutMs: 150, Params: map[string]string{"delay": "1ms"},
+		TimeoutMs: 150,
 	}
 
 	// Unary: 504 with a structured body.
@@ -536,7 +531,6 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 	srv, ts := newTestServer(t, service.Config{DefaultTimeout: 30 * time.Second})
 	body, _ := json.Marshal(service.RunRequest{
 		Graph: "cycle:n=8", Protocol: "slowping", Engine: "sequential",
-		Params: map[string]string{"delay": "1ms"},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/run", strings.NewReader(string(body)))
@@ -571,7 +565,7 @@ func TestGracefulDrain(t *testing.T) {
 	go func() {
 		resp := postRun(t, ts, "", service.RunRequest{
 			Graph: "cycle:n=8", Protocol: "slowping", Engine: "sequential",
-			TimeoutMs: 400, Params: map[string]string{"delay": "1ms"},
+			TimeoutMs: 400,
 		})
 		defer resp.Body.Close()
 		finished <- terminal(t, readEvents(t, resp.Body))
@@ -661,7 +655,7 @@ func TestTenantInFlightCap(t *testing.T) {
 		defer close(done)
 		resp := postRun(t, ts, "capped", service.RunRequest{
 			Graph: "cycle:n=8", Protocol: "slowping", Engine: "sequential",
-			TimeoutMs: 500, Params: map[string]string{"delay": "1ms"},
+			TimeoutMs: 500,
 		})
 		defer resp.Body.Close()
 		io.Copy(io.Discard, resp.Body)

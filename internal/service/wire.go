@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -35,10 +34,8 @@ type RunRequest struct {
 	Analyses []string `json:"analyses,omitempty"`
 	// Origins is the origin node set; empty means node 0.
 	Origins []int `json:"origins,omitempty"`
-	// Seed drives graph construction and protocol/model randomness.
+	// Seed drives graph construction and model randomness.
 	Seed int64 `json:"seed,omitempty"`
-	// Params carries protocol parameters (sim.WithParam).
-	Params map[string]string `json:"params,omitempty"`
 	// MaxRounds bounds the run; 0 means the engine default.
 	MaxRounds int `json:"maxRounds,omitempty"`
 	// TimeoutMs overrides the server's per-run timeout, capped at the
@@ -133,7 +130,6 @@ type runSpec struct {
 	analyses   []string // canonical analysis specs
 	origins    []graph.NodeID
 	seed       int64
-	params     map[string]string
 	maxRounds  int
 	timeout    time.Duration
 	stream     bool
@@ -159,7 +155,6 @@ func (s *Server) normalizeRun(req *RunRequest) (*runSpec, error) {
 		protocol:   strings.ToLower(strings.TrimSpace(req.Protocol)),
 		seed:       req.Seed,
 		maxRounds:  req.MaxRounds,
-		params:     req.Params,
 		stream:     req.Stream == nil || *req.Stream,
 		roundEvery: req.RoundEvery,
 	}
@@ -253,16 +248,6 @@ func (nr *runSpec) poolKey() string {
 	b.WriteByte('|')
 	b.WriteString(strings.Join(nr.analyses, "+"))
 	fmt.Fprintf(&b, "|seed=%d|max=%d", nr.seed, nr.maxRounds)
-	if len(nr.params) > 0 {
-		keys := make([]string, 0, len(nr.params))
-		for k := range nr.params {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "|p:%s=%s", k, nr.params[k])
-		}
-	}
 	return b.String()
 }
 

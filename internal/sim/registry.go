@@ -11,30 +11,14 @@ import (
 	"amnesiacflood/internal/graph"
 )
 
-// Spec is everything a protocol factory may need to instantiate a protocol
-// for one session: the graph, the origin set, a seed for randomised
-// behaviour (fault injection), and free-form string parameters from the
-// CLI's -param flags.
+// Spec is everything a protocol factory needs to instantiate a protocol
+// for one session: the graph and the origin set.
 type Spec struct {
 	// Graph is the topology the protocol runs on. Never nil.
 	Graph *graph.Graph
 	// Origins is the non-empty origin set, validated against Graph by the
 	// factory.
 	Origins []graph.NodeID
-	// Seed drives any randomised protocol behaviour (e.g. the faulty
-	// protocol's loss injector).
-	Seed int64
-	// Params carries protocol-specific string options; factories must
-	// ignore keys they do not know.
-	Params map[string]string
-}
-
-// Param returns the named parameter, or def when absent.
-func (s Spec) Param(key, def string) string {
-	if v, ok := s.Params[key]; ok {
-		return v
-	}
-	return def
 }
 
 // ProtocolFactory instantiates a protocol for one spec. Factories must be

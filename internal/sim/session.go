@@ -29,7 +29,6 @@ type Session struct {
 	modelSpec     string          // raw WithModel spec; parsed in New
 	origins       []graph.NodeID
 	seed          int64
-	params        map[string]string
 	maxRounds     int
 	trace         bool
 	observer      engine.RoundObserver
@@ -55,9 +54,9 @@ func WithProtocol(name string) Option {
 }
 
 // WithProtocolInstance bypasses the registry with an explicit protocol
-// instance — for callers composing custom protocols. WithOrigins, WithSeed,
-// and WithParam have no effect on an explicit instance, and RunBatch is
-// unavailable (it needs a factory to rebuild per source).
+// instance — for callers composing custom protocols. WithOrigins has no
+// effect on an explicit instance, and RunBatch is unavailable (it needs a
+// factory to rebuild per source).
 func WithProtocolInstance(p engine.Protocol) Option {
 	return func(s *Session) { s.proto = p; s.protoName = "" }
 }
@@ -75,7 +74,7 @@ func WithEngine(kind EngineKind) Option {
 // choice does not apply to them and Result.Engine reports "async" or
 // "dynamic" — and execute amnesiac flooding only, so they compose with
 // every option except a non-amnesiac protocol. Random model families
-// (adversary:random) consume WithSeed.
+// (adversary:random, schedule:loss) consume WithSeed.
 func WithModel(spec string) Option {
 	return func(s *Session) { s.modelSpec = spec }
 }
@@ -86,20 +85,11 @@ func WithOrigins(origins ...graph.NodeID) Option {
 	return func(s *Session) { s.origins = append([]graph.NodeID(nil), origins...) }
 }
 
-// WithSeed sets the seed handed to the protocol factory (randomised
-// protocols such as faulty use it; deterministic ones ignore it).
+// WithSeed sets the seed the execution model is built with: random model
+// families (adversary:random, schedule:loss) draw from it, deterministic
+// ones ignore it.
 func WithSeed(seed int64) Option {
 	return func(s *Session) { s.seed = seed }
-}
-
-// WithParam passes one protocol-specific string parameter to the factory.
-func WithParam(key, value string) Option {
-	return func(s *Session) {
-		if s.params == nil {
-			s.params = map[string]string{}
-		}
-		s.params[key] = value
-	}
 }
 
 // WithMaxRounds bounds each run; 0 means engine.DefaultMaxRounds.
@@ -211,7 +201,7 @@ func New(g *graph.Graph, opts ...Option) (*Session, error) {
 
 // spec assembles the factory spec for an origin set.
 func (s *Session) spec(origins []graph.NodeID) Spec {
-	return Spec{Graph: s.g, Origins: origins, Seed: s.seed, Params: s.params}
+	return Spec{Graph: s.g, Origins: origins}
 }
 
 // options assembles the engine options for one run.

@@ -5,9 +5,9 @@
 // The paper's central claim (Hussak & Trehan, PODC 2019) is that one
 // memoryless protocol runs identically on any synchronous substrate.  This
 // package makes the code match the claim: protocols self-register by name
-// (amnesiac, classic, multiflood, faulty), engines
-// are values of one EngineKind enum, and a Session composed with functional
-// options runs any protocol × engine pair:
+// (amnesiac, classic, multiflood), engines are values of one EngineKind
+// enum, and a Session composed with functional options runs any protocol ×
+// engine pair:
 //
 //	sess, err := sim.New(g,
 //	        sim.WithProtocol("amnesiac"),
@@ -20,8 +20,10 @@
 // The execution model is a fourth registry-driven axis (internal/model):
 // WithModel("adversary:collision") runs the paper's Section 4 asynchronous
 // variant under a delay adversary, WithModel("schedule:blink:period=2")
-// floods a dynamic network under an edge schedule, and the default "sync"
-// is the synchronous model above. Non-sync runs execute on dedicated
+// floods a dynamic network under an edge schedule (message loss and node
+// crashes are schedules too: "schedule:loss:p=0.05",
+// "schedule:crash:nodes=3,round=2"), and the default "sync" is the
+// synchronous model above. Non-sync runs execute on dedicated
 // session-owned model engines and can end in a certified-non-termination
 // verdict (Result.Outcome, Result.Certificate) as well as termination.
 //

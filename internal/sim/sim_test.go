@@ -26,7 +26,7 @@ import (
 var allEngines = []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Bitset}
 
 func TestProtocolsRegistered(t *testing.T) {
-	want := []string{"amnesiac", "classic", "faulty", "multiflood"}
+	want := []string{"amnesiac", "classic", "multiflood"}
 	if got := sim.Protocols(); !slices.Equal(got, want) {
 		t.Errorf("Protocols() = %v, want %v", got, want)
 	}
@@ -70,9 +70,10 @@ func TestUnknownProtocolAndEngineErrors(t *testing.T) {
 	if _, err := sim.New(g, sim.WithProtocol("classic"), sim.WithOrigins(0, 6)); !errors.Is(err, core.ErrBadOrigin) {
 		t.Errorf("out-of-graph origin err = %v, want core.ErrBadOrigin", err)
 	}
-	// Bad protocol parameters propagate.
-	if _, err := sim.New(g, sim.WithProtocol("faulty"), sim.WithParam("loss", "nope")); err == nil {
-		t.Error("unparseable loss parameter accepted")
+	// Message loss is an execution model now (schedule:loss), not a
+	// protocol.
+	if _, err := sim.New(g, sim.WithProtocol("faulty")); !errors.Is(err, sim.ErrUnknownProtocol) {
+		t.Errorf("faulty protocol err = %v, want ErrUnknownProtocol", err)
 	}
 }
 
@@ -145,7 +146,7 @@ func TestBitsetEngineSupport(t *testing.T) {
 				name, got.Rounds, got.TotalMessages, got.Terminated, want.Rounds, want.TotalMessages)
 		}
 	}
-	for _, name := range []string{"faulty", "multiflood"} {
+	for _, name := range []string{"multiflood"} {
 		if _, err := sim.New(g, sim.WithProtocol(name), sim.WithEngine(sim.Bitset), sim.WithSeed(7)); !errors.Is(err, bitengine.ErrUnsupportedProtocol) {
 			t.Errorf("New(%s, bitset) err = %v, want ErrUnsupportedProtocol", name, err)
 		}
