@@ -1,6 +1,8 @@
 package gen_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -178,5 +180,57 @@ func TestEdgeFileFamily(t *testing.T) {
 	}
 	if g.Name() != spec {
 		t.Fatalf("graph named %q, want %q", g.Name(), spec)
+	}
+}
+
+// csrDigest is the FNV-64a digest of a graph's CSR: every offset as 4
+// little-endian bytes, then every target as 8.
+func csrDigest(g *graph.Graph) uint64 {
+	h := fnv.New64a()
+	csr := g.CSR()
+	var buf [8]byte
+	for _, off := range csr.Offsets {
+		binary.LittleEndian.PutUint32(buf[:4], uint32(off))
+		h.Write(buf[:4])
+	}
+	for _, t := range csr.Targets {
+		binary.LittleEndian.PutUint64(buf[:], uint64(t))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestStreamedBuildDigests pins the bytes the streamed generators build at
+// seed 1: the edge count and a digest of the CSR. TestSeedDeterminism only
+// builds each spec twice, which any deterministic sampler passes; this
+// test fails when a change to the samplers or to the CSR constructors
+// behind them moves a single neighbour of a seeded graph.
+func TestStreamedBuildDigests(t *testing.T) {
+	cases := []struct {
+		spec   string
+		m      int
+		digest uint64
+		long   bool
+	}{
+		{"gnp:n=16384,p=0.001", 133993, 0x950b894c656e9194, false},
+		{"gnp:n=65536,p=0.0009765625", 2098698, 0x051036d90087f863, false},
+		{"gnp:n=262144,p=0.000244140625", 8390739, 0x39c0c51782231b8f, true},
+		{"gnp:n=10000,p=0.0002,connect=true", 11589, 0x25a23b3d9af95308, false},
+		{"prefattach:n=9000,m=2", 17997, 0x7ab5ad66d786f693, false},
+		{"rmat:n=256,e=400", 382, 0xcb3b6d8ff756fc48, false},
+	}
+	for _, c := range cases {
+		t.Run(c.spec, func(t *testing.T) {
+			if c.long && testing.Short() {
+				t.Skip("large build skipped under -short")
+			}
+			g, err := gen.Build(c.spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m, d := g.M(), csrDigest(g); m != c.m || d != c.digest {
+				t.Fatalf("m=%d digest=%#016x, want m=%d digest=%#016x", m, d, c.m, c.digest)
+			}
+		})
 	}
 }
