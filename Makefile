@@ -45,11 +45,13 @@ race:
 
 # fuzz runs the engine-equivalence fuzzer, then the run-request normaliser
 # the service applies to remote bodies, then the edge-list reader behind
-# -file and the edgefile graph family.
+# -file and the edgefile graph family, then the one-pass row constructor
+# that streamed gnp builds through.
 fuzz:
 	go test -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine/fastengine
 	go test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/service
 	go test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/graph
+	go test -run '^$$' -fuzz FuzzRowStream -fuzztime 10s ./internal/graph
 
 # examples runs every program under examples/ and fails on the first
 # non-zero exit. Building them is not enough: a program that looks a

@@ -774,6 +774,32 @@ func BenchmarkEngineScale(b *testing.B) {
 	}
 }
 
+// Graph build: spec parse plus streamed construction, the layer a cold
+// flood is mostly made of. The specs are the streamed graphs the benchmark
+// workloads build (bench/): flood-cold's and serve-dense's gnp, and
+// sweep-shard's sparse gnp and preferential-attachment instances. gnp goes
+// through graph.FromRows, prefattach through graph.FromStream.
+func BenchmarkGraphBuild(b *testing.B) {
+	for _, spec := range []string{
+		"gnp:n=262144,p=0.000244140625",
+		"gnp:n=65536,p=0.0009765625",
+		"gnp:n=16384,p=0.001",
+		"prefattach:n=16384,m=4",
+	} {
+		b.Run(spec, func(b *testing.B) {
+			var g *graph.Graph
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if g, err = gen.Build(spec, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(g.M()), "edges")
+		})
+	}
+}
+
 // Session set-up: sim.New plus the first untraced Run on a prebuilt graph,
 // which is what a cold flood pays beyond the graph build. The first Run
 // builds the engine's state (the bitset engine's mirror permutation and

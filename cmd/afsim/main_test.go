@@ -110,6 +110,12 @@ func TestRunErrors(t *testing.T) {
 		{"-graph", "cycle:n=8", "-topo", "cycle"},                               // -graph + -topo conflict
 		{"-graph", "cycle:n=8", "-file", "nosuch.txt"},                          // -graph + -file conflict
 		{"-graph", "petersen", "-source", "10"},                                 // origin outside graph
+
+		// Models naming a node or a link the graph lacks.
+		{"-topo", "cycle", "-n", "4", "-model", "schedule:crash:nodes=7,round=1"},
+		{"-topo", "cycle", "-n", "4", "-model", "adversary:hold:node=9"},
+		{"-topo", "cycle", "-n", "4", "-model", "schedule:outage:round=1,u=4294967296,v=3"},
+		{"-topo", "cycle", "-n", "4", "-model", "schedule:outage:round=1,u=0,v=2"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -56,10 +56,12 @@
 // self-registers under a canonical spec grammar ("grid:rows=64,cols=64",
 // "gnp:n=200,p=0.05,connect=true"; afsim -list enumerates it), with
 // seeded-deterministic random families. Large random instances build
-// streamed (graph.FromStream: two emit passes fill the CSR directly, with
-// geometric skip sampling for gnp), so million-node graphs — including the
-// rmat recursive-matrix family and edgefile:path=... edge-list loading —
-// construct without an O(n²) scan or intermediate adjacency. internal/scenario closes the
+// streamed, straight into the CSR: gnp's geometric skip sampler emits its
+// edges in row order, which graph.FromRows lays out in one pass, and
+// unordered streams (prefattach, the rmat recursive-matrix family,
+// edgefile:path=... edge-list loading) fill it in two passes through
+// graph.FromStream. So million-node graphs construct without an O(n²) scan
+// or intermediate adjacency. internal/scenario closes the
 // protocol × engine × graph cross-product: a Matrix of axis values expands
 // into declarative run Specs, and a bounded-worker Runner executes the
 // suite with per-worker arena reuse, streaming results to JSONL/CSV/

@@ -88,6 +88,7 @@ type HoldNode struct {
 }
 
 var _ model.Adversary = HoldNode{}
+var _ model.Validator = HoldNode{}
 
 // Name implements model.Adversary.
 func (a HoldNode) Name() string { return "hold-node" }
@@ -106,6 +107,9 @@ func (a HoldNode) Deterministic() bool { return true }
 
 // IgnoresView implements model.ViewIgnorer.
 func (a HoldNode) IgnoresView() bool { return true }
+
+// Validate implements model.Validator: the slow sender must be a node of g.
+func (a HoldNode) Validate(g *graph.Graph) error { return model.CheckNode(g, a.Node) }
 
 // UniformDelayer delays every message by the same constant k. The
 // execution is the synchronous one stretched in time (message lifetimes
@@ -146,6 +150,7 @@ type EdgeDelayer struct {
 }
 
 var _ model.Adversary = EdgeDelayer{}
+var _ model.Validator = EdgeDelayer{}
 
 // Name implements model.Adversary.
 func (a EdgeDelayer) Name() string { return "edge-delayer" }
@@ -165,6 +170,9 @@ func (a EdgeDelayer) Deterministic() bool { return true }
 
 // IgnoresView implements model.ViewIgnorer.
 func (a EdgeDelayer) IgnoresView() bool { return true }
+
+// Validate implements model.Validator: the slow link must be an edge of g.
+func (a EdgeDelayer) Validate(g *graph.Graph) error { return model.CheckEdge(g, a.Edge) }
 
 // RandomAdversary delays each message independently and uniformly in
 // {0..MaxExtra}, seeded for reproducibility. It is not deterministic in the

@@ -64,6 +64,7 @@ type OutageOnce struct {
 
 var _ model.Schedule = OutageOnce{}
 var _ model.Settler = OutageOnce{}
+var _ model.Validator = OutageOnce{}
 
 // Name implements model.Schedule.
 func (o OutageOnce) Name() string {
@@ -85,6 +86,9 @@ func (o OutageOnce) Period() int { return 1 }
 // transient round.
 func (o OutageOnce) SettledAfter() int { return o.Round }
 
+// Validate implements model.Validator: the link must be an edge of g.
+func (o OutageOnce) Validate(g *graph.Graph) error { return model.CheckEdge(g, o.Edge) }
+
 // Blinking keeps one edge alive only every k-th round (round % K == Phase),
 // all other edges always alive. With K = 2 this models a link that flaps at
 // half the round rate.
@@ -95,6 +99,7 @@ type Blinking struct {
 }
 
 var _ model.Schedule = Blinking{}
+var _ model.Validator = Blinking{}
 
 // Name implements model.Schedule.
 func (b Blinking) Name() string {
@@ -111,6 +116,9 @@ func (b Blinking) Alive(round int, e graph.Edge) bool {
 
 // Period implements model.Schedule.
 func (b Blinking) Period() int { return b.K }
+
+// Validate implements model.Validator: the link must be an edge of g.
+func (b Blinking) Validate(g *graph.Graph) error { return model.CheckEdge(g, b.Edge) }
 
 // Alternating splits the edge set in two halves that are alive in
 // alternating rounds: even rounds use edges with U+V even, odd rounds the
@@ -181,6 +189,7 @@ type Crash struct {
 
 var _ model.Schedule = Crash{}
 var _ model.Settler = Crash{}
+var _ model.Validator = Crash{}
 
 // Name implements model.Schedule.
 func (c Crash) Name() string {
@@ -203,3 +212,14 @@ func (Crash) Period() int { return 1 }
 // SettledAfter implements model.Settler: configurations are recorded only
 // after the crash round.
 func (c Crash) SettledAfter() int { return c.Round }
+
+// Validate implements model.Validator: every crashed node must be a node
+// of g.
+func (c Crash) Validate(g *graph.Graph) error {
+	for _, v := range c.Nodes {
+		if err := model.CheckNode(g, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -13,9 +13,11 @@
 // 2D+1 rounds.
 //
 // Above the dense-sampler cutoff the registry's random families switch to
-// streamed construction (graph.FromStream): gnp draws edges by geometric
-// skip sampling and prefattach replays its sampler per pass, so million-node
-// instances build without an O(n²) scan or an intermediate adjacency.
+// streamed construction: gnp draws edges by geometric skip sampling in
+// row-major order and builds its CSR in that one pass (graph.FromRows),
+// and prefattach replays its sampler per pass (graph.FromStream), so
+// million-node instances build without an O(n²) scan or an intermediate
+// adjacency.
 // Historical outputs are frozen — at or below the cutoff the legacy
 // builders run, so a (spec, seed) pair keeps producing the same graph it
 // always did. Two families exist only streamed: rmat

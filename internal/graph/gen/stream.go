@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,14 +13,22 @@ import (
 
 // stream.go holds the streamed generators: families whose edge sets are too
 // large for the Builder pipeline (which materialises a 2m-element edge list
-// and per-node append slices before sorting) emit their edges twice through
-// graph.FromStream instead, so peak memory is the final CSR arena.
+// and per-node append slices before sorting) emit their edges straight into
+// a CSR constructor instead, so peak memory is the final CSR arena. There
+// are two constructors, chosen by the order a sampler emits in:
 //
-// Replay determinism is the load-bearing invariant: FromStream calls the
-// emit closure twice and both passes must produce the identical sequence.
-// Every streamed generator therefore draws one sub-seed from the caller's
-// rng up front and opens a fresh rand.Rand from it inside each pass, making
-// the pass a pure function of (parameters, sub-seed).
+//   - gnp (and ConnectifyStream's merge) emits each edge once as (u, v),
+//     u < v, in row-major order: graph.FromRows lays the CSR out in that
+//     single pass, so each geometric skip is drawn once.
+//   - prefattach and rmat emit in no row order: graph.FromStream calls
+//     their emit closure twice, once to size the rows and once to fill
+//     them, and both passes must produce the identical sequence. These
+//     generators draw one sub-seed from the caller's rng up front and open
+//     a fresh rand.Rand from it inside each pass, making the pass a pure
+//     function of (parameters, sub-seed).
+//
+// gnp keeps the same sub-seed draw, so its graphs are the ones the
+// two-pass build made (TestStreamedBuildDigests pins them).
 //
 // The registry keeps the legacy Builder-based generators for sizes up to
 // maxDenseNodes so historical (spec, seed) outputs stay byte-identical, and
@@ -34,19 +43,27 @@ import (
 const maxStreamEdges = 1 << 26
 
 // RandomGNPStream returns an Erdős–Rényi graph G(n, p) built by geometric
-// skip sampling: instead of flipping a coin per candidate pair, each row
-// jumps straight to its next present edge with a geometrically distributed
-// skip, so work is O(n + m) rather than Θ(n²). The edge distribution is
-// exactly G(n, p), but the draw sequence differs from RandomGNP, so the two
-// generators produce different graphs for the same seed.
+// skip sampling (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005):
+// instead of flipping a coin per candidate pair, each row jumps straight to
+// its next present edge with a geometrically distributed skip, so work is
+// O(n + m) rather than Θ(n²). The sampler visits pairs in row-major order,
+// which is graph.FromRows' contract, so each skip is drawn once and the CSR
+// is laid out in that one pass. The edge distribution is exactly G(n, p),
+// but the draw sequence differs from RandomGNP, so the two generators
+// produce different graphs for the same seed.
 func RandomGNPStream(n int, p float64, rng *rand.Rand) (*graph.Graph, error) {
 	name := fmt.Sprintf("gnp(%d,%.3f)", n, p)
 	if p <= 0 {
-		return graph.FromStream(name, n, func(func(u, v graph.NodeID)) error { return nil })
+		return graph.FromRows(name, n, 0, func(func(u, v graph.NodeID)) error { return nil })
 	}
 	subSeed := rng.Int63()
 	logq := math.Log1p(-p) // log(1-p), the geometric tail rate; -Inf for p=1
-	return graph.FromStream(name, n, func(add func(u, v graph.NodeID)) error {
+	// The directed edge count 2m has mean n(n-1)p and standard deviation
+	// sqrt(2n(n-1)p(1-p)); four of them above the mean the arena almost
+	// never has to grow.
+	pairs := float64(n) * float64(n-1)
+	hint := int(pairs*p + 4*math.Sqrt(2*pairs*p*(1-p)))
+	return graph.FromRows(name, n, hint, func(add func(u, v graph.NodeID)) error {
 		r := rand.New(rand.NewSource(subSeed))
 		for u := 0; u < n-1; u++ {
 			for v := u + 1; v < n; v++ {
@@ -64,29 +81,38 @@ func RandomGNPStream(n int, p float64, rng *rand.Rand) (*graph.Graph, error) {
 }
 
 // ConnectifyStream is Connectify for CSR-built graphs: it joins a random
-// node of each later component to a random node of the first, rebuilding
-// through FromStream (replaying g's own adjacency plus the bridge edges)
-// instead of the Builder. Returns g itself when already connected.
+// node of each later component to a random node of the first. The bridges,
+// oriented u < v and sorted, merge into g's forward rows, so the result is
+// one graph.FromRows pass over g's adjacency. Returns g itself when already
+// connected.
 func ConnectifyStream(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error) {
 	comps := algo.Components(g)
 	if len(comps) <= 1 {
 		return g, nil
 	}
-	bridges := make([][2]graph.NodeID, 0, len(comps)-1)
+	bridges := make([]graph.Edge, 0, len(comps)-1)
 	base := comps[0]
 	for _, comp := range comps[1:] {
-		bridges = append(bridges, [2]graph.NodeID{base[rng.Intn(len(base))], comp[rng.Intn(len(comp))]})
+		bridges = append(bridges, graph.Edge{U: base[rng.Intn(len(base))], V: comp[rng.Intn(len(comp))]}.Normalize())
 	}
-	return graph.FromStream(g.Name()+"+connected", g.N(), func(add func(u, v graph.NodeID)) error {
-		for u := 0; u < g.N(); u++ {
-			for _, v := range g.Neighbors(graph.NodeID(u)) {
-				if graph.NodeID(u) < v {
-					add(graph.NodeID(u), v)
+	slices.SortFunc(bridges, func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	// A bridge joins two components, so it is never an edge of g, and no two
+	// bridges reach the same component: the merge never sees a repeat.
+	hint := 2 * (g.M() + len(bridges))
+	return graph.FromRows(g.Name()+"+connected", g.N(), hint, func(add func(u, v graph.NodeID)) error {
+		rest := bridges
+		for u := range graph.NodeID(g.N()) {
+			row := g.Neighbors(u)
+			first, _ := slices.BinarySearch(row, u)
+			for _, v := range row[first:] {
+				for ; len(rest) > 0 && rest[0].U == u && rest[0].V < v; rest = rest[1:] {
+					add(u, rest[0].V)
 				}
+				add(u, v)
 			}
-		}
-		for _, b := range bridges {
-			add(b[0], b[1])
+			for ; len(rest) > 0 && rest[0].U == u; rest = rest[1:] {
+				add(u, rest[0].V)
+			}
 		}
 		return nil
 	})

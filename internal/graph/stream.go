@@ -12,6 +12,11 @@ import (
 // deterministic: both passes have to produce the same sequence.
 var ErrStreamMismatch = errors.New("edge stream emitted a different edge count on replay")
 
+// ErrRowOrder is returned by FromRows when the stream breaks forward-row
+// order: an edge (u, v) with v <= u, a row after a later one, or a v not
+// above the previous v of its row (which includes a repeated edge).
+var ErrRowOrder = errors.New("edge stream is not in forward-row order")
+
 // FromStream builds a named graph over n nodes from a replayable edge
 // stream, without ever materialising an []Edge list. The emit callback is
 // invoked exactly twice with an add(u, v) sink and must produce the same
@@ -127,18 +132,117 @@ func FromStream(name string, n int, emit func(add func(u, v NodeID)) error) (*Gr
 	// offsets[v] now holds the deduped start of row v for every v < n (row 0
 	// starts at 0), so closing the final slot restores canonical CSR form.
 	offsets[n] = write
-	targets = targets[:write:write]
+	return fromCSR(name, offsets, targets[:write:write]), nil
+}
 
-	// Adjacency rows alias the CSR arena — same invariant buildCSR
-	// establishes, just in the opposite direction.
+// FromRows builds a named graph over n nodes from a single pass over a
+// forward-row edge stream: emit calls add(u, v) once per undirected edge,
+// with u < v, rows in ascending u, and the v of one row strictly
+// ascending. Row-major samplers such as gnp's geometric skip produce
+// exactly this order, and for them FromRows replaces FromStream's replay,
+// count pass and per-row sort.
+//
+// The order is what makes one pass enough. When the stream reaches row u,
+// every backward neighbour w < u of u has already been emitted (as the
+// edge (w, u) of row w), so u's row can be laid out at once: a gap for its
+// counted backward neighbours, then its forward neighbours appended in
+// place. One transpose pass over the forward parts then fills the gaps in
+// ascending order, so each row comes out sorted and duplicate-free.
+//
+// hint is the expected directed edge count (2m); the arena is reserved at
+// that size and grows by append when the stream overshoots it. An edge
+// out of row order (a swapped pair, a repeat, a row revisited) is the
+// sticky error ErrRowOrder; self-loops and out-of-range endpoints are
+// ErrSelfLoop and ErrNodeOutOfRange, as with Builder.
+func FromRows(name string, n, hint int, emit func(add func(u, v NodeID)) error) (*Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("rows: %w: %d", ErrNoNodes, n)
+	}
+	offsets := make([]int32, n+1)
+	// back[v] counts v's backward neighbours until row v opens; from then
+	// on it is the fill cursor of v's gap.
+	back := make([]int32, n)
+	targets := make([]NodeID, 0, min(max(hint, 0), math.MaxInt32))
+
+	// open lays out rows up to and including u: each row starts at the
+	// arena's end with a gap for its backward neighbours.
+	cur := NodeID(-1) // the open row
+	open := func(u NodeID) {
+		for r := cur + 1; r <= u; r++ {
+			start := int32(len(targets))
+			offsets[r] = start
+			targets = slices.Grow(targets, int(back[r]))[:int(start)+int(back[r])]
+			back[r] = start
+		}
+		cur = u
+	}
+
+	var sticky error
+	var edges uint64
+	// last is the previous v of the open row. It starts (and, once sticky,
+	// stays) at math.MaxInt, so that every such add takes the checked path.
+	last := NodeID(math.MaxInt)
+	nn := NodeID(n)
+	add := func(u, v NodeID) {
+		if u != cur || v <= last || v >= nn {
+			if sticky != nil {
+				return
+			}
+			switch {
+			case u == v:
+				sticky = fmt.Errorf("rows: edge (%d,%d): %w", u, v, ErrSelfLoop)
+			case u < 0 || u >= nn || v < 0 || v >= nn:
+				sticky = fmt.Errorf("rows: edge (%d,%d) with n=%d: %w", u, v, n, ErrNodeOutOfRange)
+			case u < cur || v < u || (u == cur && v <= last):
+				sticky = fmt.Errorf("rows: edge (%d,%d) after row %d's edge to %d: %w", u, v, cur, last, ErrRowOrder)
+			}
+			if sticky != nil {
+				last = math.MaxInt
+				return
+			}
+			open(u)
+		}
+		if edges++; 2*edges > math.MaxInt32 {
+			sticky = fmt.Errorf("rows: %d edges: %w", edges, ErrTooManyEdges)
+			last = math.MaxInt
+			return
+		}
+		targets = append(targets, v)
+		back[v]++
+		last = v
+	}
+	if err := emit(add); err != nil {
+		return nil, err
+	}
+	if sticky != nil {
+		return nil, sticky
+	}
+	open(nn - 1)
+	offsets[n] = int32(len(targets))
+
+	// Transpose: by the time row u is reached, every row before it has
+	// filled u's gap, so back[u] is where u's forward part starts.
+	for u := range n {
+		for _, v := range targets[back[u]:offsets[u+1]] {
+			targets[back[v]] = NodeID(u)
+			back[v]++
+		}
+	}
+	return fromCSR(name, offsets, targets[:len(targets):len(targets)]), nil
+}
+
+// fromCSR wraps a finished CSR in a Graph. Adjacency rows alias the arena —
+// the same invariant buildCSR establishes, just in the opposite direction.
+func fromCSR(name string, offsets []int32, targets []NodeID) *Graph {
+	n := len(offsets) - 1
 	adj := make([][]NodeID, n)
-	for v := 0; v < n; v++ {
+	for v := range n {
 		adj[v] = targets[offsets[v]:offsets[v+1]:offsets[v+1]]
 	}
 	return &Graph{
 		name: name,
 		adj:  adj,
 		csr:  CSR{Offsets: offsets, Targets: targets},
-		m:    int(write) / 2,
-	}, nil
+		m:    len(targets) / 2,
+	}
 }

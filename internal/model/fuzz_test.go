@@ -2,6 +2,7 @@ package model_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -110,7 +111,9 @@ func FuzzStaticScheduleEquivalence(f *testing.F) {
 
 // FuzzModelParse: for every string the parser accepts, the canonical form
 // must round-trip exactly (Parse(s).String() == s after one
-// canonicalisation) and rebuild an identical spec.
+// canonicalisation) and rebuild an identical spec. The bind half builds
+// every accepted spec and validates it against cycle:n=4: it must never
+// panic, and a model naming what the cycle lacks must get a typed error.
 func FuzzModelParse(f *testing.F) {
 	for _, s := range roundTripSpecs {
 		f.Add(s)
@@ -120,6 +123,11 @@ func FuzzModelParse(f *testing.F) {
 	f.Add("Adversary:EDGE:u=3,v=4")
 	f.Add("garbage")
 	f.Add("sync:::")
+	f.Add("schedule:crash:nodes=7,round=1")
+	f.Add("adversary:hold:node=9")
+	f.Add("schedule:outage:round=1,u=4294967296,v=3")
+	f.Add("schedule:outage:round=1,u=0,v=2")
+	cycle := gen.Cycle(4)
 	f.Fuzz(func(t *testing.T, s string) {
 		spec, err := model.Parse(s)
 		if err != nil {
@@ -143,6 +151,14 @@ func FuzzModelParse(f *testing.F) {
 			if again.Params[k] != v {
 				t.Fatalf("parameter %s diverged: %q vs %q", k, again.Params[k], v)
 			}
+		}
+
+		m, err := model.New(spec, 1)
+		if err != nil {
+			return // parameters out of the family's range
+		}
+		if err := m.Validate(cycle); err != nil && !errors.Is(err, graph.ErrNodeOutOfRange) && !errors.Is(err, model.ErrNotAnEdge) {
+			t.Fatalf("%s on %s: untyped bind error %v", canon, cycle, err)
 		}
 	})
 }

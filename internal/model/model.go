@@ -42,6 +42,9 @@
 package model
 
 import (
+	"errors"
+	"fmt"
+
 	"amnesiacflood/internal/graph"
 )
 
@@ -116,6 +119,45 @@ type Schedule interface {
 // configurations can never alias post-transient ones.
 type Settler interface {
 	SettledAfter() int
+}
+
+// Validator is an optional Adversary or Schedule extension for models that
+// name nodes or edges of the graph they run on (a crashed node, a slow
+// sender, an outage's link). Validate reports a name the graph lacks, with
+// CheckNode's or CheckEdge's typed errors; Model.Validate calls it before
+// the model runs, so a typo in a fault spec fails instead of running the
+// fault-free control.
+type Validator interface {
+	Validate(g *graph.Graph) error
+}
+
+// ErrNotAnEdge is returned when a model names two nodes of the graph that
+// are not joined by an edge.
+var ErrNotAnEdge = errors.New("node pair is not an edge of the graph")
+
+// CheckNode returns an error wrapping graph.ErrNodeOutOfRange unless v is a
+// node of g.
+func CheckNode(g *graph.Graph, v graph.NodeID) error {
+	if !g.HasNode(v) {
+		return fmt.Errorf("node %d with n=%d: %w", v, g.N(), graph.ErrNodeOutOfRange)
+	}
+	return nil
+}
+
+// CheckEdge returns CheckNode's error for an endpoint outside g, and an
+// error wrapping ErrNotAnEdge when both endpoints are nodes but e is not
+// an edge of g.
+func CheckEdge(g *graph.Graph, e graph.Edge) error {
+	if err := CheckNode(g, e.U); err != nil {
+		return err
+	}
+	if err := CheckNode(g, e.V); err != nil {
+		return err
+	}
+	if !g.HasEdge(e.U, e.V) {
+		return fmt.Errorf("pair %s: %w", e, ErrNotAnEdge)
+	}
+	return nil
 }
 
 // settledAfter returns the round after which a schedule's declared period

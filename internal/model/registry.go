@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/specgrammar"
 )
 
@@ -310,6 +311,22 @@ func New(spec Spec, seed int64) (Model, error) {
 		return Model{}, fmt.Errorf("model: %s: %w", spec, err)
 	}
 	return m, nil
+}
+
+// Validate checks the model against the graph it is about to run on: an
+// adversary or schedule implementing Validator must name only nodes and
+// edges of g. The sync model and the models naming nothing always pass.
+func (m Model) Validate(g *graph.Graph) error {
+	var named any = m.Adversary
+	if m.Schedule != nil {
+		named = m.Schedule
+	}
+	if v, ok := named.(Validator); ok {
+		if err := v.Validate(g); err != nil {
+			return fmt.Errorf("model: %s on %s: %w", m.Spec, g, err)
+		}
+	}
+	return nil
 }
 
 // Build parses and builds in one step — the convenience entry point for

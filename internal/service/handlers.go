@@ -10,6 +10,7 @@ import (
 
 	"amnesiacflood/internal/analysis"
 	"amnesiacflood/internal/engine"
+	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
 	"amnesiacflood/internal/model"
 	"amnesiacflood/internal/obs"
@@ -115,17 +116,34 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	if !nr.stream {
-		s.runUnary(w, r, nr)
+	// The session is built (or reused) before any byte of the response, so
+	// a build failure gets a status even on a streamed run.
+	ps, err := s.pool.get(nr)
+	if err != nil {
+		writeError(w, sessionErrorStatus(err), 0, err)
 		return
 	}
-	s.runStreaming(w, r, nr)
+	if !nr.stream {
+		s.runUnary(w, r, nr, ps)
+		return
+	}
+	s.runStreaming(w, r, nr, ps)
+}
+
+// sessionErrorStatus is the status of a run whose session could not be
+// built: 400 when its model names a node or an edge that its graph lacks
+// (model.Model.Validate), 500 otherwise.
+func sessionErrorStatus(err error) int {
+	if errors.Is(err, graph.ErrNodeOutOfRange) || errors.Is(err, model.ErrNotAnEdge) {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 // runUnary executes the run and answers with one JSON document: 200 with
 // the RunResult, 504 on watchdog timeout, 500 on panic or run error.
-func (s *Server) runUnary(w http.ResponseWriter, r *http.Request, nr *runSpec) {
-	res, g, timedOut, err := s.executeRun(r.Context(), nr, nil)
+func (s *Server) runUnary(w http.ResponseWriter, r *http.Request, nr *runSpec, ps *pooledSession) {
+	res, g, timedOut, err := s.executeRun(r.Context(), nr, ps, nil)
 	switch {
 	case timedOut:
 		writeError(w, http.StatusGatewayTimeout, 0, fmt.Errorf("run exceeded its %s timeout", nr.timeout))
@@ -141,7 +159,7 @@ func (s *Server) runUnary(w http.ResponseWriter, r *http.Request, nr *runSpec) {
 // already 200, so failures surface in-band. A client disconnect is
 // observed as a failed event write, which aborts the run via the
 // observer's error return (engines stop the run when an observer errors).
-func (s *Server) runStreaming(w http.ResponseWriter, r *http.Request, nr *runSpec) {
+func (s *Server) runStreaming(w http.ResponseWriter, r *http.Request, nr *runSpec, ps *pooledSession) {
 	ew := newEventWriter(w, streamFormat(r))
 	ew.start()
 	// Round events need only the round's message count, so the observer is
@@ -155,7 +173,7 @@ func (s *Server) runStreaming(w http.ResponseWriter, r *http.Request, nr *runSpe
 		}
 		return false, nil
 	})
-	res, g, timedOut, err := s.executeRun(r.Context(), nr, obs)
+	res, g, timedOut, err := s.executeRun(r.Context(), nr, ps, obs)
 	switch {
 	case timedOut:
 		ew.write(&RunEvent{Event: "error", Error: fmt.Sprintf("run exceeded its %s timeout", nr.timeout), Outcome: "timeout"})

@@ -223,9 +223,9 @@ type errPanic struct {
 
 func (e *errPanic) Error() string { return fmt.Sprintf("run panicked: %v", e.val) }
 
-// executeRun runs one normalised request on a pooled session, streaming
-// rounds to obs (may be nil). It owns the serving discipline around the
-// run:
+// executeRun runs one normalised request on a session taken from the pool
+// (sessionPool.get), streaming rounds to obs (may be nil). It owns the
+// serving discipline around the run:
 //
 //   - per-request timeout: the run context is ctx bounded by nr.timeout;
 //     timedOut reports that the watchdog (not the caller) expired it;
@@ -235,11 +235,7 @@ func (e *errPanic) Error() string { return fmt.Sprintf("run panicked: %v", e.val
 //
 // The returned Result's Metrics map is freshly allocated per run
 // (analysis.Set.Finish), so it stays valid after the session is repooled.
-func (s *Server) executeRun(ctx context.Context, nr *runSpec, obs engine.RoundObserver) (res engine.Result, g graphInfo, timedOut bool, err error) {
-	ps, err := s.pool.get(nr)
-	if err != nil {
-		return engine.Result{}, graphInfo{}, false, err
-	}
+func (s *Server) executeRun(ctx context.Context, nr *runSpec, ps *pooledSession, obs engine.RoundObserver) (res engine.Result, g graphInfo, timedOut bool, err error) {
 	g = graphInfo{name: ps.g.Name(), n: ps.g.N(), m: ps.g.M()}
 	runCtx, cancel := context.WithTimeout(ctx, nr.timeout)
 	defer cancel()

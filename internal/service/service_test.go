@@ -863,6 +863,39 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestModelOutsideGraphIs400: a model naming a node the graph lacks, or a
+// pair that is not one of its edges, is the client's error. It gets a 400
+// with a structured body, streamed or unary, before any event is written;
+// before models were bound to their graph these specs ran fault-free.
+func TestModelOutsideGraphIs400(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{})
+	noStream := false
+	for _, mdl := range []string{
+		"schedule:crash:nodes=7,round=1",
+		"adversary:hold:node=9",
+		"schedule:outage:round=1,u=4294967296,v=3",
+		"schedule:outage:round=1,u=0,v=2",
+		"adversary:edge:u=1,v=3",
+	} {
+		for _, stream := range []*bool{nil, &noStream} {
+			resp := postRun(t, ts, "", service.RunRequest{Graph: "cycle:n=4", Model: mdl, Stream: stream})
+			var eresp service.ErrorResponse
+			err := json.NewDecoder(resp.Body).Decode(&eresp)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(eresp.Error, "cycle:n=4") {
+				t.Errorf("%s (stream %v): status %d, body %+v (decode err %v), want 400 naming the graph",
+					mdl, stream == nil, resp.StatusCode, eresp, err)
+			}
+		}
+	}
+	// The same model on an edge of the graph runs.
+	resp := postRun(t, ts, "", service.RunRequest{Graph: "cycle:n=4", Model: "schedule:outage:round=1,u=0,v=3", Stream: &noStream})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("outage on a real edge: status %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestSSEFormat checks the Accept-negotiated SSE framing.
 func TestSSEFormat(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})

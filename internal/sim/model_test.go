@@ -2,11 +2,13 @@ package sim_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
+	"amnesiacflood/internal/model"
 	"amnesiacflood/internal/sim"
 )
 
@@ -200,5 +202,40 @@ func TestWithModelObserver(t *testing.T) {
 	}
 	if len(covered) != 8 {
 		t.Fatalf("coverage = %d, want 8 (left subtree severed)", len(covered))
+	}
+}
+
+// TestModelBindsToGraph: New checks the nodes and edges a model names
+// against the graph, as it checks origins. Each rejected spec here used
+// to run as the fault-free flood of cycle:n=4 (2 rounds, 4 messages).
+func TestModelBindsToGraph(t *testing.T) {
+	g := gen.MustBuild("cycle:n=4", 1)
+	for _, c := range []struct {
+		spec string
+		want error
+	}{
+		{"schedule:crash:nodes=7,round=1", graph.ErrNodeOutOfRange},
+		{"schedule:crash:nodes=1+4,round=2", graph.ErrNodeOutOfRange},
+		{"adversary:hold:node=9", graph.ErrNodeOutOfRange},
+		{"schedule:outage:round=1,u=4294967296,v=3", graph.ErrNodeOutOfRange},
+		{"schedule:outage:round=1,u=0,v=-1", graph.ErrNodeOutOfRange},
+		{"schedule:blink:u=4,v=0", graph.ErrNodeOutOfRange},
+		{"adversary:edge:u=0,v=5", graph.ErrNodeOutOfRange},
+		{"schedule:outage:round=1,u=0,v=2", model.ErrNotAnEdge},
+		{"schedule:outage:round=1,u=1,v=1", model.ErrNotAnEdge},
+		{"schedule:blink:u=1,v=3", model.ErrNotAnEdge},
+		{"adversary:edge:u=2,v=0", model.ErrNotAnEdge},
+		{"schedule:outage:round=1,u=3,v=0", nil},
+		{"schedule:blink:u=2,v=1", nil},
+		{"schedule:crash:nodes=0+3,round=1", nil},
+		{"adversary:hold:node=3", nil},
+		{"adversary:edge:u=3,v=2", nil},
+		{"schedule:loss:p=0.5", nil},
+		{"adversary:collision", nil},
+	} {
+		_, err := sim.New(g, sim.WithModel(c.spec))
+		if !errors.Is(err, c.want) || (c.want == nil) != (err == nil) {
+			t.Errorf("%s: err = %v, want %v", c.spec, err, c.want)
+		}
 	}
 }

@@ -132,7 +132,10 @@ func WithAnalysisStop(enabled bool) Option {
 }
 
 // New validates the options, instantiates the protocol, and returns a
-// ready-to-run Session.
+// ready-to-run Session. A model naming nodes or edges (a crash set, a slow
+// sender, an outage's link) is checked against g (model.Model.Validate):
+// a node outside g wraps graph.ErrNodeOutOfRange, a pair that is not an
+// edge wraps model.ErrNotAnEdge.
 func New(g *graph.Graph, opts ...Option) (*Session, error) {
 	if g == nil {
 		return nil, errors.New("sim: nil graph")
@@ -152,6 +155,9 @@ func New(g *graph.Graph, opts ...Option) (*Session, error) {
 	} else {
 		mdl, err := model.Build(s.modelSpec, s.seed)
 		if err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+		if err := mdl.Validate(g); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 		s.mdl = mdl

@@ -121,10 +121,12 @@ func CheckGeneralBounds(g *graph.Graph, res engine.Result, cov *analysis.Coverag
 //
 // Reproduction caveat (experiment E5): the remark holds on source-symmetric
 // families (odd cycles, cliques, wheels, Petersen) but is not true for every
-// (graph, source) pair — on irregular non-bipartite graphs the odd-cycle
-// echo can die out before the primary wave reaches the last node, giving
-// rounds == e(source) <= D. Apply this check only where the strict bound is
-// expected; use CheckGeneralBounds otherwise.
+// (graph, source) pair. rounds > e(source) does always hold on a connected
+// non-bipartite graph: a node at distance e(source) also receives M at the
+// length of its shortest walk of the other parity, which is longer. What
+// can fail is rounds > D: on irregular non-bipartite graphs a run can end
+// at e(source) < rounds <= D. Apply this check only where the strict bound
+// is expected; use CheckGeneralBounds otherwise.
 func CheckNonBipartiteStrict(g *graph.Graph, res engine.Result, cov *analysis.Coverage) error {
 	if err := CheckGeneralBounds(g, res, cov); err != nil {
 		return err
