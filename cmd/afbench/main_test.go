@@ -184,6 +184,9 @@ func TestRunSuiteErrors(t *testing.T) {
 		{"-suite", "-graphs", "path:n=6", "-schedules", "static"},     // retired shorthand: use -models
 		// classic × adversary cells fail at run time (model needs amnesiac).
 		{"-suite", "-graphs", "path:n=6", "-protocols", "classic", "-models", "adversary:sync"},
+		// So do cells whose model names a node or a link the graph lacks.
+		{"-suite", "-graphs", "path:n=6", "-models", "schedule:crash:nodes=9,round=1"},
+		{"-suite", "-graphs", "path:n=6", "-models", "schedule:outage:u=0,v=2"},
 		{"-suite", "-graphs", "path:n=6", "-engines", "parallel"},   // retired engine
 		{"-suite", "-graphs", "path:n=6", "-engine", "fast"},        // experiment-mode flag in suite mode
 		{"-suite", "-graphs", "path:n=6", "-seed", "3"},             // -seed typo for -seeds

@@ -59,8 +59,8 @@ func RandomGNPStream(n int, p float64, rng *rand.Rand) (*graph.Graph, error) {
 	subSeed := rng.Int63()
 	logq := math.Log1p(-p) // log(1-p), the geometric tail rate; -Inf for p=1
 	// The directed edge count 2m has mean n(n-1)p and standard deviation
-	// sqrt(2n(n-1)p(1-p)); four of them above the mean the arena almost
-	// never has to grow.
+	// sqrt(2n(n-1)p(1-p)). A hint four deviations above the mean is rarely
+	// overshot, and an overshoot only grows the arena.
 	pairs := float64(n) * float64(n-1)
 	hint := int(pairs*p + 4*math.Sqrt(2*pairs*p*(1-p)))
 	return graph.FromRows(name, n, hint, func(add func(u, v graph.NodeID)) error {

@@ -159,10 +159,12 @@ func FromRows(name string, n, hint int, emit func(add func(u, v NodeID)) error) 
 		return nil, fmt.Errorf("rows: %w: %d", ErrNoNodes, n)
 	}
 	offsets := make([]int32, n+1)
-	// back[v] counts v's backward neighbours until row v opens; from then
-	// on it is the fill cursor of v's gap.
-	back := make([]int32, n)
 	targets := make([]NodeID, 0, min(max(hint, 0), math.MaxInt32))
+	// back[v] counts v's backward neighbours until row v opens; from then
+	// on it is the fill cursor of v's gap. It is allocated after the arena,
+	// so the collection the arena's allocation starts does not find it live
+	// (a peak-heap sample taken there stays the arena plus offsets).
+	back := make([]int32, n)
 
 	// open lays out rows up to and including u: each row starts at the
 	// arena's end with a gap for its backward neighbours.
