@@ -64,14 +64,17 @@ func forwardRows(n int, data []byte) [][2]NodeID {
 
 // FuzzRowStream checks the one-pass row constructor against FromStream.
 // An edge set in forward-row order must build the same CSR through both,
-// whatever the arena hint: 0 (every slot comes from append growth), the
-// exact directed count, and an over-estimate. A stream with one edge
+// whatever the arena hint: none (negative or 0: every slot comes from
+// append growth), half the directed count, the exact count, and an
+// over-estimate. A stream with one edge
 // broken (swapped, repeated, a self-loop, an endpoint out of range) and
 // the raw decoded pairs, in whatever order they come, must get a typed
 // error from FromRows and never a panic.
 func FuzzRowStream(f *testing.F) {
 	f.Add(uint8(4), []byte{0b101101}, uint8(0))
+	f.Add(uint8(0), []byte{}, uint8(0))
 	f.Add(uint8(1), []byte{}, uint8(1))
+	f.Add(uint8(5), []byte{}, uint8(7))
 	f.Add(uint8(2), []byte{1, 0}, uint8(2))
 	f.Add(uint8(64), []byte{0, 63, 5, 9, 63, 62, 9, 5, 7, 7, 200, 13}, uint8(3))
 	f.Add(uint8(9), []byte{3, 1, 3, 2, 0, 8, 8, 4, 4, 0}, uint8(4))
@@ -85,7 +88,7 @@ func FuzzRowStream(f *testing.F) {
 		if err != nil {
 			t.Fatalf("FromStream rejected a simple edge set: %v", err)
 		}
-		for _, hint := range []int{0, 2 * len(edges), 2*len(edges) + int(fault)} {
+		for _, hint := range []int{-1, 0, len(edges), 2 * len(edges), 2*len(edges) + int(fault)} {
 			got, err := FromRows("rows", n, hint, replay(edges))
 			if err != nil {
 				t.Fatalf("hint %d: %v", hint, err)

@@ -162,39 +162,6 @@ func TestFromStreamEmpty(t *testing.T) {
 	}
 }
 
-// TestFromRowsMatchesFromStream: a forward-row stream builds the CSR
-// FromStream builds from the same edges, whether the arena hint is absent,
-// short, exact or generous.
-func TestFromRowsMatchesFromStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const n = 3000
-	var edges [][2]NodeID
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v += 1 + rng.Intn(400) {
-			edges = append(edges, [2]NodeID{NodeID(u), NodeID(v)})
-		}
-	}
-	want, err := FromStream("rows", n, replay(edges))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := 2 * len(edges)
-	for _, hint := range []int{-1, 0, exact / 2, exact, 2 * exact} {
-		got, err := FromRows("rows", n, hint, replay(edges))
-		if err != nil {
-			t.Fatalf("hint %d: %v", hint, err)
-		}
-		if !reflect.DeepEqual(got.CSR(), want.CSR()) || got.M() != len(edges) || got.Name() != "rows" {
-			t.Fatalf("hint %d: CSR differs from FromStream's", hint)
-		}
-		for v := NodeID(0); v < n; v++ {
-			if !reflect.DeepEqual(got.Neighbors(v), want.Neighbors(v)) {
-				t.Fatalf("hint %d: neighbors of %d differ", hint, v)
-			}
-		}
-	}
-}
-
 func TestFromRowsErrors(t *testing.T) {
 	if _, err := FromRows("", -1, 0, replay(nil)); !errors.Is(err, ErrNoNodes) {
 		t.Errorf("negative n: %v, want ErrNoNodes", err)
@@ -226,18 +193,6 @@ func TestFromRowsErrors(t *testing.T) {
 				t.Errorf("err = %v, want %v", err, c.want)
 			}
 		})
-	}
-}
-
-func TestFromRowsEmpty(t *testing.T) {
-	for _, n := range []int{0, 1, 5} {
-		g, err := FromRows("empty", n, 0, replay(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.N() != n || g.M() != 0 || len(g.CSR().Offsets) != n+1 {
-			t.Fatalf("n=%d: got n=%d m=%d offsets %v", n, g.N(), g.M(), g.CSR().Offsets)
-		}
 	}
 }
 
