@@ -13,7 +13,7 @@ import (
 var ErrStreamMismatch = errors.New("edge stream emitted a different edge count on replay")
 
 // ErrRowOrder is returned by FromRows when the stream breaks forward-row
-// order: an edge (u, v) with v <= u, a row after a later one, or a v not
+// order: an edge (u, v) with v < u, a row after a later one, or a v not
 // above the previous v of its row (which includes a repeated edge).
 var ErrRowOrder = errors.New("edge stream is not in forward-row order")
 
