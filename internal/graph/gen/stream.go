@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,9 +16,9 @@ import (
 // a CSR constructor instead, so peak memory is the final CSR arena. There
 // are two constructors, chosen by the order a sampler emits in:
 //
-//   - gnp (and ConnectifyStream's merge) emits each edge once as (u, v),
-//     u < v, in row-major order: graph.FromRows lays the CSR out in that
-//     single pass, so each geometric skip is drawn once.
+//   - gnp emits each edge once as (u, v), u < v, in row-major order:
+//     graph.FromRows lays the CSR out in that single pass, so each
+//     geometric skip is drawn once.
 //   - prefattach and rmat emit in no row order: graph.FromStream calls
 //     their emit closure twice, once to size the rows and once to fill
 //     them, and both passes must produce the identical sequence. These
@@ -27,8 +26,8 @@ import (
 //     a fresh rand.Rand from it inside each pass, making the pass a pure
 //     function of (parameters, sub-seed).
 //
-// gnp keeps the same sub-seed draw, so its graphs are the ones the
-// two-pass build made (TestStreamedBuildDigests pins them).
+// gnp runs one pass but still draws its sub-seed up front, so a (spec,
+// seed) pair keeps its graph (TestStreamedBuildDigests pins them).
 //
 // The registry keeps the legacy Builder-based generators for sizes up to
 // maxDenseNodes so historical (spec, seed) outputs stay byte-identical, and
@@ -81,38 +80,29 @@ func RandomGNPStream(n int, p float64, rng *rand.Rand) (*graph.Graph, error) {
 }
 
 // ConnectifyStream is Connectify for CSR-built graphs: it joins a random
-// node of each later component to a random node of the first. The bridges,
-// oriented u < v and sorted, merge into g's forward rows, so the result is
-// one graph.FromRows pass over g's adjacency. Returns g itself when already
-// connected.
+// node of each later component to a random node of the first, rebuilding
+// through FromStream (replaying g's own adjacency plus the bridge edges)
+// instead of the Builder. Returns g itself when already connected.
 func ConnectifyStream(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error) {
 	comps := algo.Components(g)
 	if len(comps) <= 1 {
 		return g, nil
 	}
-	bridges := make([]graph.Edge, 0, len(comps)-1)
+	bridges := make([][2]graph.NodeID, 0, len(comps)-1)
 	base := comps[0]
 	for _, comp := range comps[1:] {
-		bridges = append(bridges, graph.Edge{U: base[rng.Intn(len(base))], V: comp[rng.Intn(len(comp))]}.Normalize())
+		bridges = append(bridges, [2]graph.NodeID{base[rng.Intn(len(base))], comp[rng.Intn(len(comp))]})
 	}
-	slices.SortFunc(bridges, func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
-	// A bridge joins two components, so it is never an edge of g, and no two
-	// bridges reach the same component: the merge never sees a repeat.
-	hint := 2 * (g.M() + len(bridges))
-	return graph.FromRows(g.Name()+"+connected", g.N(), hint, func(add func(u, v graph.NodeID)) error {
-		rest := bridges
-		for u := range graph.NodeID(g.N()) {
-			row := g.Neighbors(u)
-			first, _ := slices.BinarySearch(row, u)
-			for _, v := range row[first:] {
-				for ; len(rest) > 0 && rest[0].U == u && rest[0].V < v; rest = rest[1:] {
-					add(u, rest[0].V)
+	return graph.FromStream(g.Name()+"+connected", g.N(), func(add func(u, v graph.NodeID)) error {
+		for u := 0; u < g.N(); u++ {
+			for _, v := range g.Neighbors(graph.NodeID(u)) {
+				if graph.NodeID(u) < v {
+					add(graph.NodeID(u), v)
 				}
-				add(u, v)
 			}
-			for ; len(rest) > 0 && rest[0].U == u; rest = rest[1:] {
-				add(u, rest[0].V)
-			}
+		}
+		for _, b := range bridges {
+			add(b[0], b[1])
 		}
 		return nil
 	})
