@@ -37,21 +37,25 @@ vet:
 test:
 	go test ./...
 
-# race covers every package a CI race step runs.
+# race covers every package a CI race step runs, the graph constructors
+# and generators among them (streamed gnp draws its skips and fills its
+# transpose on goroutines of its own).
 race:
 	go test -race ./internal/engine/... ./internal/core ./internal/sim ./internal/analysis \
-	  ./internal/scenario ./internal/model ./internal/obs ./internal/service ./internal/specgrammar \
-	  ./internal/shard ./internal/experiments ./internal/chaos ./cmd/afbench
+	  ./internal/scenario ./internal/model ./internal/graph/... ./internal/obs ./internal/service \
+	  ./internal/specgrammar ./internal/shard ./internal/experiments ./internal/chaos ./cmd/afbench
 
 # fuzz runs the engine-equivalence fuzzer, then the run-request normaliser
 # the service applies to remote bodies, then the edge-list reader behind
 # -file and the edgefile graph family, then the one-pass row constructor
-# that streamed gnp builds through.
+# that streamed gnp builds through, then the model spec parser's
+# canonical round trip.
 fuzz:
 	go test -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine/fastengine
 	go test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/service
 	go test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/graph
 	go test -run '^$$' -fuzz FuzzRowStream -fuzztime 10s ./internal/graph
+	go test -run '^$$' -fuzz FuzzModelParse -fuzztime 10s ./internal/model
 
 # examples runs every program under examples/ and fails on the first
 # non-zero exit. Building them is not enough: a program that looks a

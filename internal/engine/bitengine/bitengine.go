@@ -120,7 +120,8 @@ func Run(ctx context.Context, g *graph.Graph, proto engine.Protocol, opts engine
 	return New(g).Run(ctx, proto, opts)
 }
 
-// init builds the mirror permutation and bitset arenas once per Engine.
+// init builds the mirror permutation, in one pass over the slots with one
+// cursor per node, and the bitset arenas once per Engine.
 func (e *Engine) init() {
 	if e.ready {
 		return
@@ -129,18 +130,17 @@ func (e *Engine) init() {
 	e.csr = e.g.CSR()
 	n, slots := e.csr.N(), len(e.csr.Targets)
 
-	e.mirror = make([]int32, slots)
-	cursor := make([]int32, n)
-	for u := 0; u < n; u++ {
-		lo, hi := e.csr.Offsets[u], e.csr.Offsets[u+1]
-		for s := lo; s < hi; s++ {
-			v := e.csr.Targets[s]
-			// Sweeping u ascending visits row v's back-targets in ascending
-			// order, so a per-node cursor yields u's rank in row v directly.
-			e.mirror[s] = e.csr.Offsets[v] + cursor[v]
-			cursor[v]++
-		}
+	// Slot order sweeps the rows u ascending, so it reaches the entries u
+	// of each sorted row v in ascending order: a cursor that starts at v's
+	// offset and moves one slot per visit is the reverse slot (v→u) itself.
+	mirror := make([]int32, slots)
+	pos := make([]int32, n)
+	copy(pos, e.csr.Offsets[:n])
+	for s, v := range e.csr.Targets {
+		mirror[s] = pos[v]
+		pos[v]++
 	}
+	e.mirror = mirror
 
 	slotWords := (slots + 63) / 64
 	nodeWords := (n + 63) / 64

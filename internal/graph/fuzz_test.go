@@ -79,6 +79,12 @@ func FuzzRowStream(f *testing.F) {
 	f.Add(uint8(64), []byte{0, 63, 5, 9, 63, 62, 9, 5, 7, 7, 200, 13}, uint8(3))
 	f.Add(uint8(9), []byte{3, 1, 3, 2, 0, 8, 8, 4, 4, 0}, uint8(4))
 	f.Add(uint8(40), bytes.Repeat([]byte{0xff}, 100), uint8(9))
+	// The transpose splits by destination row where the backward count
+	// reaches half. A star on the last node has every backward entry in
+	// that node's row, so one half fills every gap and the other none; a
+	// star on node 0 has the split cut row 0's forward part in the middle.
+	f.Add(uint8(12), []byte{0, 4, 16, 32, 32, 16, 132, 72, 3}, uint8(0))
+	f.Add(uint8(12), []byte{0xff, 0x07}, uint8(1))
 	f.Fuzz(func(t *testing.T, nb uint8, data []byte, fault uint8) {
 		// 252 bytes hold the triangle of 64 nodes; the cap also keeps the
 		// fuzzer's minimisation of long inputs short.

@@ -18,7 +18,9 @@ import (
 //
 //   - gnp emits each edge once as (u, v), u < v, in row-major order:
 //     graph.FromRows lays the CSR out in that single pass, so each
-//     geometric skip is drawn once.
+//     geometric skip is drawn once. The draws do not depend on the row
+//     walk, so a second goroutine draws them ahead of it into a small ring
+//     of chunks (skipAhead), in the order one goroutine would.
 //   - prefattach and rmat emit in no row order: graph.FromStream calls
 //     their emit closure twice, once to size the rows and once to fill
 //     them, and both passes must produce the identical sequence. These
@@ -47,9 +49,13 @@ const maxStreamEdges = 1 << 26
 // its next present edge with a geometrically distributed skip, so work is
 // O(n + m) rather than Θ(n²). The sampler visits pairs in row-major order,
 // which is graph.FromRows' contract, so each skip is drawn once and the CSR
-// is laid out in that one pass. The edge distribution is exactly G(n, p),
-// but the draw sequence differs from RandomGNP, so the two generators
-// produce different graphs for the same seed.
+// is laid out in that one pass. The skips are drawn on a second goroutine
+// that runs ahead of the row walk (skipAhead); it consumes the sub-seeded
+// rng in the same order as a single goroutine would, so a seed keeps its
+// graph, and it has exited when RandomGNPStream returns. The edge
+// distribution is exactly G(n, p), but the draw sequence differs from
+// RandomGNP, so the two generators produce different graphs for the same
+// seed.
 func RandomGNPStream(n int, p float64, rng *rand.Rand) (*graph.Graph, error) {
 	name := fmt.Sprintf("gnp(%d,%.3f)", n, p)
 	if p <= 0 {
@@ -63,11 +69,12 @@ func RandomGNPStream(n int, p float64, rng *rand.Rand) (*graph.Graph, error) {
 	pairs := float64(n) * float64(n-1)
 	hint := int(pairs*p + 4*math.Sqrt(2*pairs*p*(1-p)))
 	return graph.FromRows(name, n, hint, func(add func(u, v graph.NodeID)) error {
-		r := rand.New(rand.NewSource(subSeed))
+		skips := newSkipAhead(rand.New(rand.NewSource(subSeed)), logq)
+		defer skips.stop()
 		for u := 0; u < n-1; u++ {
 			for v := u + 1; v < n; v++ {
 				// Skip the geometrically distributed run of absent edges.
-				skip := math.Log1p(-r.Float64()) / logq
+				skip := skips.next()
 				if skip >= float64(n-v) {
 					break
 				}
@@ -77,6 +84,78 @@ func RandomGNPStream(n int, p float64, rng *rand.Rand) (*graph.Graph, error) {
 		}
 		return nil
 	})
+}
+
+// skipChunks and skipChunk size skipAhead's ring: the drawing goroutine
+// runs at most skipChunks×skipChunk skips ahead of the row walk, and
+// draws at most that many that the walk never reads.
+const skipChunks, skipChunk = 4, 4096
+
+// skipAhead draws gnp's geometric skips, log(1-U)/log(1-p) for the rng's
+// successive U, on its own goroutine, so the row walk reads a skip where
+// it would otherwise compute one. Chunks circulate between the two
+// goroutines: the drawer fills a chunk from free and sends it on full, the
+// walk reads it and hands it back on free. full holds every chunk there
+// is, so the drawer never blocks on a send.
+type skipAhead struct {
+	free, full chan []float64
+	buf        []float64 // the chunk being read
+	i          int       // the next unread skip of buf
+}
+
+// newSkipAhead starts the drawer on r, which it alone uses from then on.
+// The caller must call stop.
+func newSkipAhead(r *rand.Rand, logq float64) *skipAhead {
+	s := &skipAhead{free: make(chan []float64, skipChunks), full: make(chan []float64, skipChunks)}
+	for range skipChunks {
+		s.free <- make([]float64, skipChunk)
+	}
+	go func() {
+		defer close(s.full)
+		for buf := range s.free {
+			for i := range buf {
+				buf[i] = math.Log1p(-r.Float64()) / logq
+			}
+			s.full <- buf
+		}
+	}()
+	return s
+}
+
+// next returns the next skip in draw order.
+func (s *skipAhead) next() float64 {
+	if s.i == len(s.buf) {
+		s.refill()
+	}
+	x := s.buf[s.i]
+	s.i++
+	return x
+}
+
+// refill hands the spent chunk back to the drawer and waits for the next
+// full one.
+func (s *skipAhead) refill() {
+	if s.buf != nil {
+		s.free <- s.buf
+	}
+	s.buf, s.i = <-s.full, 0
+}
+
+// stop takes back the chunks the drawer has not claimed, so it draws no
+// more of them, then ends it and returns once it has sent its last chunk:
+// no goroutine outlives the build.
+func (s *skipAhead) stop() {
+reclaim:
+	for {
+		select {
+		case <-s.free:
+		default:
+			break reclaim
+		}
+	}
+	close(s.free)
+	for range s.full {
+	}
 }
 
 // ConnectifyStream is Connectify for CSR-built graphs: it joins a random

@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
@@ -53,6 +55,28 @@ func TestStreamedGNPExtremes(t *testing.T) {
 	}
 	if full.M() != 50*49/2 {
 		t.Fatalf("p=1 built %d edges, want %d", full.M(), 50*49/2)
+	}
+}
+
+// TestStreamedGNPLeavesNoGoroutine: a streamed gnp build draws its skips
+// on a goroutine of its own and fills half its transpose on another; both
+// have exited by the time gen.Build returns. A goroutine that ends as the
+// build returns may still be counted for a moment, so the count is polled;
+// a leaked one blocks for good and never leaves it.
+func TestStreamedGNPLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for seed := range int64(8) {
+		if _, err := gen.Build("gnp:n=16384,p=0.001", seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("goroutines grew from %d to %d over 8 builds:\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
 }
 

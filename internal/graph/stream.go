@@ -146,8 +146,15 @@ func FromStream(name string, n int, emit func(add func(u, v NodeID)) error) (*Gr
 // every backward neighbour w < u of u has already been emitted (as the
 // edge (w, u) of row w), so u's row can be laid out at once: a gap for its
 // counted backward neighbours, then its forward neighbours appended in
-// place. One transpose pass over the forward parts then fills the gaps in
+// place. A transpose over the forward parts then fills the gaps in
 // ascending order, so each row comes out sorted and duplicate-free.
+//
+// The transpose runs in two halves, split by destination row at the row
+// where the running backward count reaches half the edges: the lower half
+// on a goroutine of its own, which has finished when FromRows returns, and
+// the upper half on the calling goroutine. Each half writes only the gaps
+// of its own rows, through its own entries of a fill cursor copied from
+// the offsets, and reads only forward parts, which neither half writes.
 //
 // hint is the expected directed edge count (2m); the arena is reserved at
 // that size and grows by append when the stream overshoots it. An edge
@@ -160,10 +167,12 @@ func FromRows(name string, n, hint int, emit func(add func(u, v NodeID)) error) 
 	}
 	offsets := make([]int32, n+1)
 	targets := make([]NodeID, 0, min(max(hint, 0), math.MaxInt32))
-	// back[v] counts v's backward neighbours until row v opens; from then
-	// on it is the fill cursor of v's gap. It is allocated after the arena,
-	// so the collection the arena's allocation starts does not find it live
-	// (a peak-heap sample taken there stays the arena plus offsets).
+	// back[v] counts v's backward neighbours, so row v's forward part
+	// starts back[v] slots after its offset. It stays a count to the end:
+	// the transpose fills through a cursor array of its own, so either
+	// half can find any row's forward part. back is allocated after the
+	// arena, so the collection the arena's allocation starts does not find
+	// it live (a peak-heap sample taken there stays the arena plus offsets).
 	back := make([]int32, n)
 
 	// open lays out rows up to and including u: each row starts at the
@@ -171,10 +180,9 @@ func FromRows(name string, n, hint int, emit func(add func(u, v NodeID)) error) 
 	cur := NodeID(-1) // the open row
 	open := func(u NodeID) {
 		for r := cur + 1; r <= u; r++ {
-			start := int32(len(targets))
-			offsets[r] = start
-			targets = slices.Grow(targets, int(back[r]))[:int(start)+int(back[r])]
-			back[r] = start
+			start := len(targets)
+			offsets[r] = int32(start)
+			targets = slices.Grow(targets, int(back[r]))[:start+int(back[r])]
 		}
 		cur = u
 	}
@@ -222,15 +230,45 @@ func FromRows(name string, n, hint int, emit func(add func(u, v NodeID)) error) 
 	open(nn - 1)
 	offsets[n] = int32(len(targets))
 
-	// Transpose: by the time row u is reached, every row before it has
-	// filled u's gap, so back[u] is where u's forward part starts.
-	for u := range n {
-		for _, v := range targets[back[u]:offsets[u+1]] {
-			targets[back[v]] = NodeID(u)
-			back[v]++
+	// Every edge is one backward entry, of its larger endpoint; split is
+	// the first row such that the rows below it hold at least half of them.
+	split, below := 0, uint64(0)
+	for ; split < n && 2*below < edges; split++ {
+		below += uint64(back[split])
+	}
+	pos := make([]int32, n)
+	copy(pos, offsets[:n])
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		transposeHalf(offsets, back, pos, targets, 0, NodeID(split))
+	}()
+	transposeHalf(offsets, back, pos, targets, NodeID(split), nn)
+	<-done
+	return fromCSR(name, offsets, targets[:len(targets):len(targets)]), nil
+}
+
+// transposeHalf fills the backward gaps of rows [lo, hi): it walks every
+// row's forward part in ascending row order from the first entry at or
+// above lo, and writes the row into the gap of each neighbour below hi.
+// Ascending rows fill each gap in ascending order. A row u has forward
+// neighbours above u only, so only rows below lo-1 search their sorted
+// forward part for that first entry, and only rows below hi-1 are walked.
+func transposeHalf(offsets, back, pos []int32, targets []NodeID, lo, hi NodeID) {
+	for u := NodeID(0); u < hi-1; u++ {
+		fwd := targets[offsets[u]+back[u] : offsets[u+1]]
+		if u < lo-1 {
+			cut, _ := slices.BinarySearch(fwd, lo)
+			fwd = fwd[cut:]
+		}
+		for _, v := range fwd {
+			if v >= hi {
+				break
+			}
+			targets[pos[v]] = u
+			pos[v]++
 		}
 	}
-	return fromCSR(name, offsets, targets[:len(targets):len(targets)]), nil
 }
 
 // fromCSR wraps a finished CSR in a Graph. Adjacency rows alias the arena —

@@ -127,6 +127,7 @@ func FuzzModelParse(f *testing.F) {
 	f.Add("adversary:hold:node=9")
 	f.Add("schedule:outage:round=1,u=4294967296,v=3")
 	f.Add("schedule:outage:round=1,u=0,v=2")
+	f.Add("sChedule:CrAsh:nodes=0 0")
 	cycle := gen.Cycle(4)
 	f.Fuzz(func(t *testing.T, s string) {
 		spec, err := model.Parse(s)

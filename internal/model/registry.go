@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode"
 
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/specgrammar"
@@ -19,7 +20,8 @@ import (
 //	schedule:<family>[:key=value[,key=value]...]
 //
 // Kind, family, and key names are case-insensitive; values must not contain
-// ',' or '='. Omitted parameters take the family's declared defaults.
+// ',', '=' or whitespace. Omitted parameters take the family's declared
+// defaults.
 // Random families consume the seed passed to New, so equal (spec, seed)
 // pairs build identically-behaving models.
 //
@@ -56,7 +58,8 @@ const (
 	FloatParam = specgrammar.FloatParam
 	// BoolParam values parse with strconv.ParseBool.
 	BoolParam = specgrammar.BoolParam
-	// StringParam values are free-form except for spec metacharacters.
+	// StringParam values are free-form except for spec metacharacters and
+	// whitespace.
 	StringParam = specgrammar.StringParam
 )
 
@@ -260,6 +263,15 @@ func Parse(s string) (Spec, error) {
 	params, err := fam.params.ParseAssignments("model", s, string(kind)+" "+famName, paramStr)
 	if err != nil {
 		return Spec{}, err
+	}
+	// ParseAssignments trims values but keeps inner whitespace, which an
+	// edgefile path needs. A model spec is one token everywhere it is
+	// written (a flag, a suite's model list, a wire field), so its
+	// canonical form holds none.
+	for _, p := range fam.params {
+		if v, set := params[p.Name]; set && strings.ContainsFunc(v, unicode.IsSpace) {
+			return Spec{}, fmt.Errorf("model: spec %q: parameter %s value %q contains whitespace", s, p.Name, v)
+		}
 	}
 	spec.Params = params
 	return spec, nil

@@ -83,6 +83,8 @@ func TestParseErrors(t *testing.T) {
 		"adversary:hold:node=x",
 		"adversary:hold:node=1,node=2", // duplicate key
 		"schedule:blink:period=2.5",    // float for int
+		"schedule:crash:nodes=0 0",     // whitespace inside a value
+		"adversary:hold:node=1\t2",
 	}
 	for _, s := range cases {
 		if _, err := model.Parse(s); err == nil {

@@ -117,11 +117,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	// The session is built (or reused) before any byte of the response, so
-	// a build failure gets a status even on a streamed run.
+	// a build failure gets a status even on a streamed run, and so do
+	// origins outside the graph, which only the built graph can bound.
 	ps, err := s.pool.get(nr)
 	if err != nil {
 		writeError(w, sessionErrorStatus(err), 0, err)
 		return
+	}
+	for _, o := range nr.origins {
+		if int(o) >= ps.g.N() {
+			s.pool.put(nr, ps)
+			writeError(w, http.StatusBadRequest, 0,
+				fmt.Errorf("origin %d on %s with %d nodes: %w", o, ps.g.Name(), ps.g.N(), graph.ErrNodeOutOfRange))
+			return
+		}
 	}
 	if !nr.stream {
 		s.runUnary(w, r, nr, ps)

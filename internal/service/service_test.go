@@ -896,6 +896,37 @@ func TestModelOutsideGraphIs400(t *testing.T) {
 	}
 }
 
+// TestOriginOutsideGraphIs400: an origin the graph lacks is the client's
+// error too. It gets a 400 naming the origin, streamed or unary, before
+// any event is written, and the session it was checked on goes back to
+// the pool. Origins are bound per run, so before this check the run
+// failed after the response had started: a 200 with an in-band error
+// event when streamed, a 500 when unary.
+func TestOriginOutsideGraphIs400(t *testing.T) {
+	srv, ts := newTestServer(t, service.Config{})
+	noStream := false
+	for _, stream := range []*bool{nil, &noStream} {
+		resp := postRun(t, ts, "", service.RunRequest{Graph: "cycle:n=4", Origins: []int{9}, Stream: stream})
+		var eresp service.ErrorResponse
+		err := json.NewDecoder(resp.Body).Decode(&eresp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil ||
+			!strings.Contains(eresp.Error, "origin 9") || !strings.Contains(eresp.Error, graph.ErrNodeOutOfRange.Error()) {
+			t.Errorf("stream %v: status %d, body %+v (decode err %v), want 400 naming origin 9 as out of range",
+				stream == nil, resp.StatusCode, eresp, err)
+		}
+	}
+	if srv.Stats().IdleSessions == 0 {
+		t.Fatal("the session of a rejected origin was not pooled")
+	}
+	// The last node of the graph is a valid origin.
+	resp := postRun(t, ts, "", service.RunRequest{Graph: "cycle:n=4", Origins: []int{3}, Stream: &noStream})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("origin 3 on cycle:n=4: status %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestSSEFormat checks the Accept-negotiated SSE framing.
 func TestSSEFormat(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
