@@ -26,13 +26,14 @@ build:
 # tracked Go file is not gofmt-clean, when the benchmark module (bench/,
 # its own module, so ./... skips it) does not compile against the tree, and
 # when a non-test file on the run path (analyses, the façade, the service,
-# afsim, afsimd) calls the all-pairs algo.Diameter.
+# the theory checks, the double-cover law, afsim, afsimd) calls the
+# all-pairs algo.Diameter.
 vet:
 	go vet ./...
 	go -C bench vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	! go list -f '{{$$p := .ImportPath}}{{range .Imports}}{{$$p}} -> {{.}}{{"\n"}}{{end}}' ./... | grep -E -- '-> .*/(modeltest|analysistest)$$'
-	! grep -rnE --include='*.go' --exclude='*_test.go' 'algo\.Diameter\(' internal/analysis internal/sim internal/service cmd/afsim cmd/afsimd
+	! grep -rnE --include='*.go' --exclude='*_test.go' 'algo\.Diameter\(' internal/analysis internal/sim internal/service internal/theory internal/doublecover cmd/afsim cmd/afsimd
 
 test:
 	go test ./...
@@ -48,14 +49,15 @@ race:
 # fuzz runs the engine-equivalence fuzzer, then the run-request normaliser
 # the service applies to remote bodies, then the edge-list reader behind
 # -file and the edgefile graph family, then the one-pass row constructor
-# that streamed gnp builds through, then the model spec parser's
-# canonical round trip.
+# that streamed gnp builds through, then the model and analysis spec
+# parsers' canonical round trips.
 fuzz:
 	go test -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine/fastengine
 	go test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/service
 	go test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/graph
 	go test -run '^$$' -fuzz FuzzRowStream -fuzztime 10s ./internal/graph
 	go test -run '^$$' -fuzz FuzzModelParse -fuzztime 10s ./internal/model
+	go test -run '^$$' -fuzz FuzzAnalysisParse -fuzztime 10s ./internal/analysis
 
 # examples runs every program under examples/ and fails on the first
 # non-zero exit. Building them is not enough: a program that looks a

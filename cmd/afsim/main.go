@@ -79,7 +79,7 @@ func run(args []string) error {
 	maxRounds := fs.Int("maxrounds", 0, "round limit (0 = default)")
 	render := fs.Bool("render", false, "print the per-round trace")
 	timeline := fs.Bool("timeline", false, "print the per-node timeline grid")
-	predict := fs.Bool("predict", false, "compare the double-cover prediction against the simulation (single source, amnesiac only)")
+	predict := fs.Bool("predict", false, "compare the double-cover prediction against the simulation (amnesiac protocol, sync model)")
 	letters := fs.Bool("letters", true, "label nodes a,b,c,... like the paper")
 	asJSON := fs.Bool("json", false, "print the result as JSON")
 	if err := fs.Parse(args); err != nil {
@@ -119,17 +119,16 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	source := origins[0]
 	label := trace.Numbers
 	if *letters && g.N() <= 26 {
 		label = trace.Letters
 	}
 
 	if *predict {
-		if len(origins) != 1 || *protocol != "amnesiac" || !mdl.IsSync() {
-			return fmt.Errorf("-predict needs a single origin, the amnesiac protocol, and the sync model")
+		if *protocol != "amnesiac" || !mdl.IsSync() {
+			return fmt.Errorf("-predict needs the amnesiac protocol and the sync model")
 		}
-		return runPredict(g, source, label)
+		return runPredict(g, origins, label)
 	}
 	if *timeline && !mdl.IsSync() {
 		return fmt.Errorf("-timeline needs the sync model (the timeline grid assumes synchronous receipt analysis)")
@@ -178,12 +177,17 @@ func run(args []string) error {
 		fmt.Printf("non-termination certificate: configuration at round %d recurs at round %d (period %d)\n",
 			res.Certificate.Start, res.Certificate.Start+res.Certificate.Length, res.Certificate.Length)
 	}
-	// One parity BFS and a two-sweep bound, O(n+m): the exact diameter
-	// would cost a BFS per node.
+	// One parity BFS from all origins and a two-sweep bound, O(n+m): the
+	// exact diameter would cost a BFS per node. For one origin, an exact
+	// window means its component is bipartite.
 	var cover doublecover.Arena
-	cover.Run(g, source)
-	fmt.Printf("graph: eccentricity(source)=%d bipartite=%t amnesiac-rounds(source)=%d diameter>=%d\n",
-		cover.Eccentricity(), cover.Bipartite(), cover.Rounds(), algo.DiameterLowerBound(g))
+	cover.Run(g, origins...)
+	of, exact := "source", "bipartite"
+	if len(origins) > 1 {
+		of, exact = "origins", "same-colour-class"
+	}
+	fmt.Printf("graph: eccentricity(%s)=%d %s=%t amnesiac-rounds(%s)=%d diameter>=%d\n",
+		of, cover.Eccentricity(), exact, cover.Exact(), of, cover.Rounds(), algo.DiameterLowerBound(g))
 	if len(res.Metrics) > 0 {
 		keys := make([]string, 0, len(res.Metrics))
 		for k := range res.Metrics {
@@ -367,21 +371,21 @@ func labelAll(origins []graph.NodeID, label trace.Labeler) string {
 
 // runPredict prints the double-cover forecast next to the measured run and
 // fails loudly if they ever disagree (they cannot, per experiment E11).
-func runPredict(g *graph.Graph, source graph.NodeID, label trace.Labeler) error {
-	pred := doublecover.Predict(g, source)
-	res, err := engine.Run(context.Background(), g, core.MustNewFlood(g, source), engine.Options{Trace: true})
+func runPredict(g *graph.Graph, origins []graph.NodeID, label trace.Labeler) error {
+	pred := doublecover.Predict(g, origins...)
+	res, err := engine.Run(context.Background(), g, core.MustNewFlood(g, origins...), engine.Options{Trace: true})
 	if err != nil {
 		return err
 	}
 	same := pred.Rounds == res.Rounds &&
 		pred.TotalMessages == res.TotalMessages &&
 		engine.EqualTraces(pred.Trace, res.Trace)
-	fmt.Printf("double-cover prediction for %s from %s:\n", g, label(source))
+	fmt.Printf("double-cover prediction for %s from %s:\n", g, labelAll(origins, label))
 	fmt.Printf("  predicted: rounds=%d messages=%d\n", pred.Rounds, pred.TotalMessages)
 	fmt.Printf("  measured:  rounds=%d messages=%d\n", res.Rounds, res.TotalMessages)
 	fmt.Printf("  traces identical: %t\n", same)
 	if second := pred.SecondReceivers(); len(second) > 0 {
-		fmt.Printf("  nodes predicted to receive twice: %d (odd-cycle parity reachable)\n", len(second))
+		fmt.Printf("  nodes predicted to receive twice: %d (both parities reachable)\n", len(second))
 	} else {
 		fmt.Println("  every node predicted to receive exactly once (bipartite behaviour)")
 	}

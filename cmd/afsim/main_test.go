@@ -59,6 +59,7 @@ func TestRunHappyPaths(t *testing.T) {
 		{"-topo", "cycle", "-n", "9", "-source", "2", "-predict", "-model", "sync"}, // explicit sync ok
 		{"-topo", "path", "-n", "4", "-source", "1", "-timeline", "-model", "sync"},
 		{"-topo", "grid", "-n", "4", "-source", "5", "-predict"},
+		{"-topo", "path", "-n", "4", "-origins", "0,1", "-predict"}, // origin sets are predicted too
 		{"-graph", "grid:rows=4,cols=5", "-protocol", "amnesiac", "-analyze", "bipartite", "-engine", "fast"},
 		{"-graph", "petersen", "-source", "3", "-render"},
 		{"-graph", "gnp:n=30,p=0.2,connect=true", "-seed", "7"},
@@ -98,7 +99,6 @@ func TestRunErrors(t *testing.T) {
 		{"-topo", "path", "-n", "4", "-origins", "0,9"},                                  // origin out of range
 		{"-topo", "path", "-n", "4", "-origins", "a"},                                    // unparseable origin
 		{"-topo", "path", "-n", "4", "-origins", ","},                                    // empty origin list
-		{"-topo", "path", "-n", "4", "-origins", "0,1", "-predict"},                      // predict needs one origin
 		{"-topo", "path", "-n", "4", "-protocol", "classic", "-predict"},
 		{"-topo", "path", "-n", "4", "-analyze", "nosuch"},                      // unknown analysis
 		{"-topo", "path", "-n", "4", "-analyze", "quantiles:metric=bogus"},      // bad analysis param
@@ -189,6 +189,27 @@ func TestUntracedAnalysisRunsToTheEnd(t *testing.T) {
 		out := runOutput(t, "-graph", "cycle:n=9", "-analyze", "bipartite", "-engine", engineName)
 		if !strings.Contains(out, " rounds=9 messages=18 ") {
 			t.Errorf("-engine %s: want rounds=9 messages=18, got:\n%s", engineName, out)
+		}
+	}
+}
+
+// TestGraphLineDescribesTheOriginSet: the summary's graph line is the
+// prediction for every origin, not for the first one alone. On path:n=9
+// the set {0, 8} ends in 4 rounds, where origin 0 alone would take 8.
+func TestGraphLineDescribesTheOriginSet(t *testing.T) {
+	for _, tc := range []struct {
+		origins string
+		want    []string
+	}{
+		{"0,8", []string{" rounds=4 ", "graph: eccentricity(origins)=4 same-colour-class=true amnesiac-rounds(origins)=4 "}},
+		{"0,5", []string{" rounds=8 ", "graph: eccentricity(origins)=3 same-colour-class=false amnesiac-rounds(origins)=8 "}},
+		{"0", []string{" rounds=8 ", "graph: eccentricity(source)=8 bipartite=true amnesiac-rounds(source)=8 "}},
+	} {
+		out := runOutput(t, "-graph", "path:n=9", "-origins", tc.origins, "-analyze", "termination")
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("-origins %s: want %q in:\n%s", tc.origins, want, out)
+			}
 		}
 	}
 }

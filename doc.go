@@ -76,9 +76,10 @@
 // Measurement is the fifth registry-driven axis (internal/analysis): every
 // metric the paper reasons about is a self-registered *streaming* analysis
 // under the same spec grammar — "coverage" (per-node receive counts),
-// "termination" (rounds vs. the e(v)/2D+1 window, certified in O(n+m) by a
-// two-sweep diameter bound, the exact double-cover law checked round by
-// round, and per-family closed forms), "bipartite" (odd-cycle witnesses,
+// "termination" (rounds vs. the e(S)..2D+1 window of the origin set S,
+// certified in O(n+m) by a two-sweep diameter bound, the exact double-cover
+// law checked round by round for one origin or several, and per-family
+// closed forms for one origin), "bipartite" (odd-cycle witnesses,
 // early-stopping), "spantree"
 // (BFS tree), "echo" (the Dijkstra–Scholten detection baseline), and
 // "quantiles" (metric promotion for suite-level stats). Analyses observe
@@ -160,8 +161,8 @@
 //	internal/core             the Amnesiac Flooding protocol
 //	internal/classic          flag-based flooding baseline
 //	internal/async            delay adversaries of the asynchronous model
-//	internal/doublecover      exact prediction via the bipartite double cover (one reusable parity BFS)
-//	internal/theory           the paper's lemmas/theorems as executable checks
+//	internal/doublecover      the exact law via the bipartite double cover (one reusable parity BFS per origin set)
+//	internal/theory           the paper's lemmas/theorems as executable checks; CheckLaw reads termination's verdict
 //	internal/dynamic          schedules of the dynamic model: edge churn, message loss, crashes
 //	internal/multiflood       concurrent broadcasts, union replay protocol
 //	internal/termdetect       Dijkstra-Scholten termination detection baseline

@@ -1,7 +1,8 @@
 // Quickstart: run amnesiac flooding on the paper's three figure topologies
 // through the sim façade — protocol selected by name from the registry,
 // engine chosen per run, rounds streamed to an observer as they happen —
-// and print the per-round traces and termination statistics.
+// and print the per-round traces and termination statistics, the paper's
+// window among them from the session's termination analysis.
 //
 //	go run ./examples/quickstart
 package main
@@ -17,7 +18,6 @@ import (
 	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
 	"amnesiacflood/internal/sim"
-	"amnesiacflood/internal/theory"
 	"amnesiacflood/internal/trace"
 
 	// Registers the amnesiac protocol, the one entry of the printed
@@ -53,7 +53,7 @@ func run() error {
 			sim.WithProtocol("amnesiac"),
 			sim.WithEngine(d.kind),
 			sim.WithOrigins(d.source),
-			sim.WithAnalysis("coverage"),
+			sim.WithAnalysis("coverage", "termination"),
 			sim.WithObserver(sim.MultiObserver{
 				recorder,
 				engine.ObserverFunc(func(rec engine.RoundRecord) (bool, error) {
@@ -74,11 +74,13 @@ func run() error {
 			return err
 		}
 
+		// The termination analysis reports the paper's window; its upper
+		// end is absent where a two-sweep bound cannot certify it.
 		cov, _ := sess.Coverage()
-		bound := theory.PredictTermination(d.g, d.source)
-		window := fmt.Sprintf("%d..%d", bound.Lower, bound.Upper)
-		if !bound.Certified {
-			window = fmt.Sprintf("%d.., upper end not certified", bound.Lower)
+		m := res.Metrics
+		window := fmt.Sprintf("%g..%g", m["termination.boundLower"], m["termination.boundUpper"])
+		if _, certified := m["termination.boundUpper"]; !certified {
+			window = fmt.Sprintf("%g.., upper end not certified", m["termination.boundLower"])
 		}
 		fmt.Printf("\nterminated in %d rounds (paper's window: %s), %d messages, max receives per node %d\n",
 			res.Rounds, window, res.TotalMessages, cov.MaxReceives())

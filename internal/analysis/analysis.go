@@ -1,10 +1,11 @@
 // Package analysis makes run measurement a registry-driven axis of the sim
 // façade, exactly like protocols, engines, graphs, and execution models:
-// every metric the paper reasons about — termination round vs. the
-// e(v)/2e(v)+1 closed forms, coverage and receive counts, bipartiteness
-// witnesses, BFS spanning trees, the Dijkstra–Scholten detection baseline —
-// is a self-registered *streaming* analysis selected by a one-line spec
-// string ("coverage", "termination", "quantiles:metric=messages").
+// every metric the paper reasons about — the termination round against the
+// exact double-cover law and the e(S)..2D+1 window of any origin set S,
+// coverage and receive counts, bipartiteness witnesses, BFS spanning
+// trees, the Dijkstra–Scholten detection baseline — is a self-registered
+// *streaming* analysis selected by a one-line spec string ("coverage",
+// "termination", "quantiles:metric=messages").
 //
 // An Analyzer is a stop-capable engine.RoundObserver with a run lifecycle:
 // Start resets its reusable buffers for one run, ObserveRound folds each
@@ -34,9 +35,11 @@
 // baseline), so the sim façade can own it the way it owns internal/model.
 // This registry is the repository's one measurement path: the theory
 // checks and the experiment harness read a session's live coverage
-// analyzer, and the frozen post-hoc bipartiteness, spanning-tree and
-// receipt walks over a retained trace live on only as differential-test
-// oracles in the test-only analysistest subpackage.
+// analyzer, termination is the one place a run is checked against the
+// paper's law (theory.CheckLaw reads its verdict), and the frozen post-hoc
+// bipartiteness, spanning-tree and receipt walks over a retained trace
+// live on only as differential-test oracles in the test-only analysistest
+// subpackage.
 package analysis
 
 import (

@@ -2,16 +2,20 @@ package analysis_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"unicode"
 
 	"amnesiacflood/internal/analysis"
 )
 
-// FuzzAnalysisParse asserts the spec grammar's two safety properties on
-// arbitrary input: Parse never panics, and every accepted spec round-trips
-// through its canonical String form — same string, same parsed Spec. This
-// is the same contract the graph-spec and model-spec fuzzers enforce, so
-// all five façade axes share one grammar discipline.
+// FuzzAnalysisParse asserts the spec grammar's safety properties on
+// arbitrary input: Parse never panics, every accepted spec round-trips
+// through its canonical String form — same string, same parsed Spec — and
+// no canonical form holds whitespace, since an analysis spec is one token
+// wherever it is written. This is the same contract the graph-spec and
+// model-spec fuzzers enforce, so all five façade axes share one grammar
+// discipline.
 func FuzzAnalysisParse(f *testing.F) {
 	for _, name := range analysis.Families() {
 		f.Add(name)
@@ -24,12 +28,16 @@ func FuzzAnalysisParse(f *testing.F) {
 	f.Add("quantiles:metric=a,metric=b")
 	f.Add(":::")
 	f.Add("\x00\xff")
+	f.Add("quantiles:metric=mess ages")
 	f.Fuzz(func(t *testing.T, s string) {
 		spec, err := analysis.Parse(s)
 		if err != nil {
 			return
 		}
 		canonical := spec.String()
+		if strings.ContainsFunc(canonical, unicode.IsSpace) {
+			t.Fatalf("Parse(%q): canonical form %q contains whitespace", s, canonical)
+		}
 		back, err := analysis.Parse(canonical)
 		if err != nil {
 			t.Fatalf("Parse(%q) ok but Parse(String()=%q) failed: %v", s, canonical, err)

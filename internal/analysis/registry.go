@@ -167,7 +167,7 @@ func Parse(s string) (Spec, error) {
 	if !hasParams {
 		return spec, nil
 	}
-	params, err := fam.params().ParseAssignments("analysis", s, "family "+famName, rest)
+	params, err := fam.params().ParseTokenAssignments("analysis", s, "family "+famName, rest)
 	if err != nil {
 		return Spec{}, err
 	}

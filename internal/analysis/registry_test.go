@@ -77,6 +77,7 @@ func TestParseErrors(t *testing.T) {
 		"quantiles:metric=",           // empty value
 		"quantiles:zz=1",              // undeclared key
 		"quantiles:metric=a,metric=b", // duplicate key
+		"quantiles:metric=mess ages",  // whitespace inside a value
 	}
 	for _, s := range cases {
 		if _, err := analysis.Parse(s); err == nil {

@@ -11,22 +11,25 @@ import (
 )
 
 // Termination measures how a run ended against the paper's predictions.
-// It reports the observed round and message totals and the e(source)
-// lower bound. On a bipartite component the window is exactly e(source)
-// (Lemma 2.1); otherwise it is e(source)..2D+1 (Theorem 3.3), certified
-// without computing D (doublecover.Window). For amnesiac floods it adds
-// the exact law: the round and every node's receipt rounds predicted by
-// one parity BFS over the bipartite double cover (internal/doublecover),
-// checked round by round against the observed frontiers. When the graph
-// spec names a family with a known closed form (path, cycle, complete,
-// star, hypercube) it also reports that family's constant. Every metric is
-// a pure function of (graph, origin): the per-run state is one parity BFS
-// from the origin, and the only graph-level quantity, a two-sweep diameter
-// lower bound, is computed once per analyzer from node 0.
+// It reports the observed round and message totals and the lower bound
+// e(S), the eccentricity of the origin set S (e(source) for one origin).
+// Where no node is reached in both parities (one origin on a bipartite
+// component, or a set in one colour class) the window is exactly e(S)
+// (Lemma 2.1); otherwise it is e(S)..2D+1 (Theorem 3.3), certified without
+// computing D (doublecover.Window). For amnesiac floods it adds the exact
+// law: the round and every node's receipt rounds predicted by one parity
+// BFS from all origins over the bipartite double cover
+// (internal/doublecover), checked round by round against the observed
+// frontiers. When a single-origin run's graph spec names a family with a
+// known closed form (path, cycle, complete, star, hypercube) it also
+// reports that family's constant. Every metric is a pure function of
+// (graph, origins): the per-run state is one parity BFS from the origins,
+// and the only graph-level quantity, a two-sweep diameter lower bound, is
+// computed once per analyzer from node 0.
 type Termination struct {
 	g      *graph.Graph
 	origin graph.NodeID
-	single bool
+	single bool // one origin: the closed forms apply
 
 	// lb is the two-sweep lower bound on D, once per analyzer.
 	lb     int
@@ -54,8 +57,8 @@ const amnesiacProtocol = "amnesiac-flooding"
 
 func init() {
 	Register("termination", Family{
-		Doc: "termination round and messages vs. the paper's e(src)..2D+1 window (certified by a two-sweep bound), " +
-			"the exact double-cover law for amnesiac floods, and per-family closed forms",
+		Doc: "termination round and messages vs. the paper's e(S)..2D+1 window for the origin set S (certified by a two-sweep bound), " +
+			"the exact double-cover law for amnesiac floods, and per-family closed forms for one origin",
 		Metrics: []string{"rounds", "messages", "eccentricity", "boundLower",
 			"boundUpper", "boundExact", "withinBounds", "exactRounds", "exactOK", "closedForm", "closedFormOK"},
 		New: func(ctx Context, v Values) (Analyzer, error) {
@@ -152,15 +155,14 @@ func (t *Termination) closedForm(src graph.NodeID) (int, bool) {
 // Family implements Analyzer.
 func (t *Termination) Family() string { return "termination" }
 
-// Start implements Analyzer. A single-origin run gets its prediction here:
-// one parity BFS from the origin into the analyzer's reused arenas.
+// Start implements Analyzer. The run gets its prediction here: one parity
+// BFS from all origins into the analyzer's reused arenas.
 func (t *Termination) Start(origins []graph.NodeID) error {
 	t.single = len(origins) == 1
-	if !t.single {
-		return nil
+	if t.single {
+		t.origin = origins[0]
 	}
-	t.origin = origins[0]
-	t.cover.Run(t.g, t.origin)
+	t.cover.Run(t.g, origins...)
 	if t.heard == nil {
 		t.heard = make([]int32, t.g.N())
 	}
@@ -182,10 +184,8 @@ func (t *Termination) FrontierOnly() bool { return true }
 // It never requests a stop (the termination round is a whole-run
 // property).
 func (t *Termination) ObserveFrontier(f engine.Frontier) (bool, error) {
-	if t.single {
-		for v := range f.Receivers {
-			t.receive(v, f.Round)
-		}
+	for v := range f.Receivers {
+		t.receive(v, f.Round)
 	}
 	return false, nil
 }
@@ -206,27 +206,27 @@ func (t *Termination) receive(v graph.NodeID, round int) {
 }
 
 // Finish implements Analyzer in O(n+m) at most, for the two-sweep bound
-// on the analyzer's first non-bipartite run; otherwise O(1). The bound and
-// closed-form metrics apply only to single-source runs under the
-// synchronous model that ran to their natural end, and the exact law only
-// to amnesiac floods among those; truncated, multi-source, or non-sync runs
-// report the raw rounds/messages alone.
+// on the analyzer's first run whose window is not exact; otherwise O(1).
+// The bound metrics apply to runs under the synchronous model that ran to
+// their natural end, from one origin or from several; the exact law only
+// to amnesiac floods among those, and the closed forms only to one origin.
+// Truncated or non-sync runs report the raw rounds/messages alone.
 func (t *Termination) Finish(res engine.Result) (Metrics, error) {
 	m := Metrics{
 		"rounds":   float64(res.Rounds),
 		"messages": float64(res.TotalMessages),
 	}
-	if !t.single || res.Stopped || !res.Terminated || (res.Model != "" && res.Model != "sync") {
+	if res.Stopped || !res.Terminated || (res.Model != "" && res.Model != "sync") {
 		return m, nil
 	}
-	ecc, bipartite := t.cover.Eccentricity(), t.cover.Bipartite()
+	ecc, exact := t.cover.Eccentricity(), t.cover.Exact()
 	m["eccentricity"] = float64(ecc)
 	m["boundLower"] = float64(ecc)
-	m["boundExact"] = boolMetric(bipartite)
-	if !bipartite && !t.lbOnce {
+	m["boundExact"] = boolMetric(exact)
+	if !exact && !t.lbOnce {
 		t.lb, t.lbOnce = algo.DiameterLowerBound(t.g), true
 	}
-	if upper, ok := doublecover.Window(res.Rounds, ecc, t.lb, bipartite); ok {
+	if upper, ok := doublecover.Window(res.Rounds, ecc, t.lb, exact); ok {
 		m["boundUpper"] = float64(upper)
 		m["withinBounds"] = boolMetric(res.Rounds >= ecc && res.Rounds <= upper)
 	}
@@ -234,7 +234,7 @@ func (t *Termination) Finish(res engine.Result) (Metrics, error) {
 		m["exactRounds"] = float64(t.cover.Rounds())
 		m["exactOK"] = boolMetric(res.Rounds == t.cover.Rounds() && !t.stray && t.received == t.cover.Receipts())
 	}
-	if cf, ok := t.closedForm(t.origin); ok {
+	if cf, ok := t.closedForm(t.origin); t.single && ok {
 		m["closedForm"] = float64(cf)
 		m["closedFormOK"] = boolMetric(res.Rounds == cf)
 	}

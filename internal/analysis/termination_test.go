@@ -16,28 +16,29 @@ import (
 )
 
 // TestTerminationMatchesDoubleCover is the termination analysis's
-// differential gate: on the corpus, from three origins, on every engine,
-// exactRounds is doublecover.Predict's round and exactOK agrees with
+// differential gate: on the corpus, from three single origins and two
+// origin sets, on every engine, exactRounds is doublecover.Predict's round,
+// eccentricity is e(S), the depth of algo.BFSMulti, and exactOK agrees with
 // theory.CheckDoubleCoverExact on a traced run. Wherever withinBounds is
 // emitted it equals the window computed with the exact diameter, exactly
-// e(src) on a bipartite graph and e(src)..2D+1 otherwise, and boundUpper
-// is at most 2D+1.
+// e(S) on a bipartite graph whose origins lie in one colour class and
+// e(S)..2D+1 otherwise, and boundUpper is at most 2D+1.
 func TestTerminationMatchesDoubleCover(t *testing.T) {
 	for _, g := range corpus(t) {
-		diam, bipartite := algo.Diameter(g), algo.IsBipartite(g)
-		for _, src := range []graph.NodeID{0, graph.NodeID(g.N() / 2), graph.NodeID(g.N() - 1)} {
-			pred := doublecover.Predict(g, src)
-			sess, ref := runTraced(t, g, src, "coverage")
-			cov, _ := sess.Coverage()
-			lawOK := theory.CheckDoubleCoverExact(g, ref, cov) == nil
-			ecc := algo.Eccentricity(g, src)
-			upper := ecc
-			if !bipartite {
-				upper = 2*diam + 1
+		diam, col := algo.Diameter(g), algo.TwoColor(g)
+		last := graph.NodeID(g.N() - 1)
+		for _, origins := range [][]graph.NodeID{{0}, {last / 2}, {last}, {0, last}, {0, 1, last / 2}} {
+			pred := doublecover.Predict(g, origins...)
+			ecc := slices.Max(algo.BFSMulti(g, origins))
+			upper := 2*diam + 1
+			if col.Bipartite && !slices.ContainsFunc(origins, func(o graph.NodeID) bool { return col.Sides[o] != col.Sides[origins[0]] }) {
+				upper = ecc
 			}
+			ref, cov := tracedFrom(t, g, origins)
+			lawOK := theory.CheckDoubleCoverExact(g, ref, cov) == nil
 			for _, kind := range allEngines {
 				sess, err := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithEngine(kind),
-					sim.WithOrigins(src), sim.WithAnalysis("termination"))
+					sim.WithOrigins(origins...), sim.WithAnalysis("termination"))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -47,37 +48,59 @@ func TestTerminationMatchesDoubleCover(t *testing.T) {
 				}
 				m := res.Metrics
 				if got := int(m["termination.exactRounds"]); got != pred.Rounds {
-					t.Fatalf("%s from %d on %s: exactRounds %d, doublecover.Predict %d", g, src, kind, got, pred.Rounds)
+					t.Fatalf("%s from %v on %s: exactRounds %d, doublecover.Predict %d", g, origins, kind, got, pred.Rounds)
+				}
+				if got := int(m["termination.eccentricity"]); got != ecc {
+					t.Fatalf("%s from %v on %s: eccentricity %d, algo.BFSMulti depth %d", g, origins, kind, got, ecc)
 				}
 				if got := m["termination.exactOK"] == 1; got != lawOK {
-					t.Fatalf("%s from %d on %s: exactOK %t, CheckDoubleCoverExact %t", g, src, kind, got, lawOK)
+					t.Fatalf("%s from %v on %s: exactOK %t, CheckDoubleCoverExact %t", g, origins, kind, got, lawOK)
 				}
 				within, ok := m["termination.withinBounds"]
 				if _, hasUpper := m["termination.boundUpper"]; hasUpper != ok {
-					t.Fatalf("%s from %d on %s: boundUpper emitted %t, withinBounds %t", g, src, kind, hasUpper, ok)
+					t.Fatalf("%s from %v on %s: boundUpper emitted %t, withinBounds %t", g, origins, kind, hasUpper, ok)
 				}
 				if !ok {
 					continue
 				}
 				if want := res.Rounds >= ecc && res.Rounds <= upper; (within == 1) != want {
-					t.Fatalf("%s from %d on %s: withinBounds %g, exact-diameter window %d..%d holds %t",
-						g, src, kind, within, ecc, upper, want)
+					t.Fatalf("%s from %v on %s: withinBounds %g, exact-diameter window %d..%d holds %t",
+						g, origins, kind, within, ecc, upper, want)
 				}
 				if got := int(m["termination.boundUpper"]); got > upper {
-					t.Fatalf("%s from %d on %s: boundUpper %d exceeds %d", g, src, kind, got, upper)
+					t.Fatalf("%s from %v on %s: boundUpper %d exceeds %d", g, origins, kind, got, upper)
 				}
 			}
 		}
 	}
 }
 
+// tracedFrom is a traced sequential flood from the origins with coverage
+// attached, the run theory.CheckDoubleCoverExact reads.
+func tracedFrom(t *testing.T, g *graph.Graph, origins []graph.NodeID) (engine.Result, *analysis.Coverage) {
+	t.Helper()
+	sess, err := sim.New(g, sim.WithProtocol("amnesiac"), sim.WithOrigins(origins...),
+		sim.WithTrace(true), sim.WithAnalysis("coverage"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov, _ := sess.Coverage()
+	return res, cov
+}
+
 // TestTerminationExactOKMatchesCheckOnTampering: exactOK is not vacuous.
-// Streams doctored like theory's tampering tests (a receipt withheld, a
-// stray receipt added, the run lengthened) get exactOK 0 exactly where
+// Doctored streams (a receipt withheld, the origin hearing its own echo, a
+// receipt moved a round earlier, an extra receipt, a third one for a node
+// that receives twice, the run lengthened or shortened by a round) get
+// exactOK 0 exactly where
 // theory.CheckDoubleCoverExact rejects the doctored run. The window
 // verdict is not vacuous either: always emitted on a bipartite graph, and
 // wherever emitted equal to the window computed with the exact diameter,
-// so a lengthened bipartite run gets withinBounds 0.
+// so a lengthened or shortened bipartite run gets withinBounds 0.
 func TestTerminationExactOKMatchesCheckOnTampering(t *testing.T) {
 	for _, g := range corpus(t) {
 		src := graph.NodeID(0)
@@ -92,8 +115,9 @@ func TestTerminationExactOKMatchesCheckOnTampering(t *testing.T) {
 		}
 		last := len(res.Trace) - 1
 		withheld := res.Trace[last].Sends[0].To
-		lengthened := res
+		lengthened, shortened := res, res
 		lengthened.Rounds++
+		shortened.Rounds--
 		tampered := map[string]engine.Result{
 			"untouched": res,
 			"withheld": withTrace(res, func(trace []engine.RoundRecord) {
@@ -103,6 +127,25 @@ func TestTerminationExactOKMatchesCheckOnTampering(t *testing.T) {
 				trace[0].Sends = append(trace[0].Sends, engine.Send{From: src, To: src})
 			}),
 			"lengthened": lengthened,
+			"shortened":  shortened,
+		}
+		if last > 0 {
+			tampered["earlier"] = withTrace(res, func(trace []engine.RoundRecord) {
+				trace[last].Sends = slices.DeleteFunc(trace[last].Sends, func(s engine.Send) bool { return s.To == withheld })
+				trace[last-1].Sends = append(trace[last-1].Sends, engine.Send{From: src, To: withheld})
+			})
+		}
+		// An extra receipt in a round the law does not give the node: a
+		// third for a node that receives twice, a second on a bipartite
+		// graph.
+		receipts, v := doublecover.Predict(g, src).Receipts, withheld
+		if twice := slices.IndexFunc(receipts, func(r []int) bool { return len(r) == 2 }); twice >= 0 {
+			v = graph.NodeID(twice)
+		}
+		if extra := slices.IndexFunc(res.Trace, func(rec engine.RoundRecord) bool { return !slices.Contains(receipts[v], rec.Round) }); extra >= 0 {
+			tampered["extra"] = withTrace(res, func(trace []engine.RoundRecord) {
+				trace[extra].Sends = append(trace[extra].Sends, engine.Send{From: src, To: v})
+			})
 		}
 		for name, doctored := range tampered {
 			m, err := replay(t, g, "termination", src, doctored.Trace).Finish(doctored)

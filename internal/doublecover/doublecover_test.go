@@ -2,6 +2,7 @@ package doublecover_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -16,33 +17,83 @@ import (
 	"amnesiacflood/internal/graph/gen"
 )
 
+// cover materialises the bipartite double cover as a concrete graph:
+// vertex (v, p) becomes node v + p*n. It is always bipartite; it is
+// connected iff g is connected and non-bipartite (for bipartite g it splits
+// into two copies of g). The tests compare the Arena against BFS on it.
+func cover(g *graph.Graph) *graph.Graph {
+	n := g.N()
+	b := graph.NewBuilder(2 * n).Name(fmt.Sprintf("doubleCover(%s)", g.Name()))
+	for _, e := range g.Edges() {
+		b.AddEdge(e.U, e.V+graph.NodeID(n))
+		b.AddEdge(e.V, e.U+graph.NodeID(n))
+	}
+	return b.MustBuild()
+}
+
+// coverNode maps a (node, parity) pair of g to its node ID in cover(g).
+func coverNode(g *graph.Graph, v graph.NodeID, p doublecover.Parity) graph.NodeID {
+	return v + graph.NodeID(int(p)*g.N())
+}
+
+// coverDist is the oracle for an Arena run: multi-source BFS on the
+// materialised cover from every origin's even state, as [v][parity].
+func coverDist(g *graph.Graph, origins ...graph.NodeID) [][2]int {
+	starts := make([]graph.NodeID, 0, len(origins))
+	for _, o := range origins {
+		if g.HasNode(o) {
+			starts = append(starts, coverNode(g, o, doublecover.Even))
+		}
+	}
+	flat := algo.BFSMulti(cover(g), starts)
+	out := make([][2]int, g.N())
+	for v := range out {
+		for _, p := range []doublecover.Parity{doublecover.Even, doublecover.Odd} {
+			out[v][p] = flat[coverNode(g, graph.NodeID(v), p)]
+		}
+	}
+	return out
+}
+
+// arenaDist copies an Arena run's distances out as [v][parity].
+func arenaDist(a *doublecover.Arena, n int) [][2]int {
+	out := make([][2]int, n)
+	for v := range out {
+		out[v] = [2]int{a.Dist(graph.NodeID(v), doublecover.Even), a.Dist(graph.NodeID(v), doublecover.Odd)}
+	}
+	return out
+}
+
 func TestBFSTriangle(t *testing.T) {
 	g := gen.Cycle(3)
-	d := doublecover.BFS(g, 1) // source b
+	var a doublecover.Arena
+	a.Run(g, 1) // source b
 	want := [][2]int{
-		{2, 1}, // a: even walk b-a-... length 2 (b->c->a? no: b-a-b? even walk b->a->b->a length... shortest even walk to a is 2 via b->c->a), odd walk length 1
+		{2, 1}, // a: odd walk b-a, shortest even walk b-c-a
 		{0, 3}, // b
 		{2, 1}, // c
 	}
-	if !reflect.DeepEqual(d.D, want) {
-		t.Fatalf("D = %v, want %v", d.D, want)
+	if got := arenaDist(&a, g.N()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("D = %v, want %v", got, want)
 	}
-	if d.TerminationRound() != 3 {
-		t.Fatalf("termination = %d, want 3 (Figure 2)", d.TerminationRound())
+	if a.Rounds() != 3 {
+		t.Fatalf("termination = %d, want 3 (Figure 2)", a.Rounds())
 	}
-	if got := d.ReceiptRounds(1); !reflect.DeepEqual(got, []int{3}) {
+	if got := a.ReceiptRounds(1); !reflect.DeepEqual(got, []int{3}) {
 		t.Fatalf("source receipts = %v, want [3]", got)
 	}
-	if got := d.ReceiptRounds(0); !reflect.DeepEqual(got, []int{1, 2}) {
+	if got := a.ReceiptRounds(0); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("a receipts = %v, want [1 2]", got)
 	}
 }
 
 func TestBFSBipartiteSingleParity(t *testing.T) {
 	g := gen.Cycle(6)
-	d := doublecover.BFS(g, 0)
+	var a doublecover.Arena
+	a.Run(g, 0)
+	dist := algo.BFS(g, 0)
 	for v := 0; v < 6; v++ {
-		rounds := d.ReceiptRounds(graph.NodeID(v))
+		rounds := a.ReceiptRounds(graph.NodeID(v))
 		if v == 0 {
 			if len(rounds) != 0 {
 				t.Fatalf("source receipts = %v", rounds)
@@ -52,66 +103,77 @@ func TestBFSBipartiteSingleParity(t *testing.T) {
 		if len(rounds) != 1 {
 			t.Fatalf("node %d receipts = %v, want single receipt", v, rounds)
 		}
-		if dist := algo.BFS(g, 0); rounds[0] != dist[v] {
+		if rounds[0] != dist[v] {
 			t.Fatalf("node %d receipt %d != BFS distance %d", v, rounds[0], dist[v])
 		}
 	}
-	if d.TerminationRound() != 3 {
-		t.Fatalf("termination = %d, want e(source) = 3", d.TerminationRound())
+	if a.Rounds() != 3 || !a.Exact() {
+		t.Fatalf("termination = %d, exact %t, want e(source) = 3 exactly", a.Rounds(), a.Exact())
 	}
 }
 
 func TestBFSInvalidSource(t *testing.T) {
-	d := doublecover.BFS(gen.Path(3), 99)
-	if d.TerminationRound() != 0 {
-		t.Fatal("invalid source produced reachable nodes")
+	var a doublecover.Arena
+	for _, origins := range [][]graph.NodeID{{99}, nil} {
+		a.Run(gen.Path(3), origins...)
+		if a.Rounds() != 0 || a.Receipts() != 0 || a.Eccentricity() != 0 {
+			t.Fatalf("origins %v: rounds %d, receipts %d, e %d, want nothing reachable",
+				origins, a.Rounds(), a.Receipts(), a.Eccentricity())
+		}
 	}
 }
 
 func TestReachedAndSecondReceivers(t *testing.T) {
 	g := gen.Cycle(5)
-	d := doublecover.BFS(g, 0)
-	if !d.Reached(2, doublecover.Even) || !d.Reached(2, doublecover.Odd) {
+	var a doublecover.Arena
+	a.Run(g, 0)
+	if a.Dist(2, doublecover.Even) == doublecover.Infinite || a.Dist(2, doublecover.Odd) == doublecover.Infinite {
 		t.Fatal("odd cycle must reach both parities everywhere")
 	}
 	second := doublecover.Predict(g, 0).SecondReceivers()
-	// On C5 every node including the source? Source receipts: D[0][1] =
-	// shortest odd closed walk = 5, D[0][0] = 0 (excluded) -> one receipt.
+	// On C5 the source's odd distance is the shortest odd closed walk, 5,
+	// and its even distance 0 is no receipt: it receives once, the other
+	// four nodes twice.
 	if len(second) != 4 {
 		t.Fatalf("second receivers = %v, want the 4 non-source nodes", second)
 	}
 	if len(doublecover.Predict(gen.Grid(3, 4), 0).SecondReceivers()) != 0 {
 		t.Fatal("bipartite graph predicted double receipts")
 	}
+	// Origins in both colour classes of a bipartite graph: every node is
+	// reached in both parities, as on an odd cycle, so the two non-origins
+	// receive twice.
+	if got := doublecover.Predict(gen.Path(4), 0, 1).SecondReceivers(); !slices.Equal(got, []graph.NodeID{2, 3}) {
+		t.Fatalf("mixed-class origins on P4: second receivers = %v, want [2 3]", got)
+	}
 }
 
 func TestCoverShape(t *testing.T) {
 	g := gen.Cycle(3)
-	cover := doublecover.Cover(g)
-	if cover.N() != 6 || cover.M() != 6 {
-		t.Fatalf("cover of C3 = %s, want 6 nodes 6 edges", cover)
+	c := cover(g)
+	if c.N() != 6 || c.M() != 6 {
+		t.Fatalf("cover of C3 = %s, want 6 nodes 6 edges", c)
 	}
-	if !algo.IsBipartite(cover) {
+	if !algo.IsBipartite(c) {
 		t.Fatal("double cover is not bipartite")
 	}
 	// The double cover of C3 is C6: connected, 2-regular.
-	if !algo.Connected(cover) {
+	if !algo.Connected(c) {
 		t.Fatal("cover of non-bipartite connected graph must be connected")
 	}
-	for v := 0; v < cover.N(); v++ {
-		if cover.Degree(graph.NodeID(v)) != 2 {
-			t.Fatalf("cover degree(%d) = %d, want 2", v, cover.Degree(graph.NodeID(v)))
+	for v := 0; v < c.N(); v++ {
+		if c.Degree(graph.NodeID(v)) != 2 {
+			t.Fatalf("cover degree(%d) = %d, want 2", v, c.Degree(graph.NodeID(v)))
 		}
 	}
 }
 
 func TestCoverOfBipartiteSplits(t *testing.T) {
-	g := gen.Path(4)
-	cover := doublecover.Cover(g)
-	if algo.Connected(cover) {
+	c := cover(gen.Path(4))
+	if algo.Connected(c) {
 		t.Fatal("cover of a bipartite graph must be disconnected (two copies)")
 	}
-	comps := algo.Components(cover)
+	comps := algo.Components(c)
 	if len(comps) != 2 || len(comps[0]) != 4 || len(comps[1]) != 4 {
 		t.Fatalf("cover components = %v, want two copies of P4", comps)
 	}
@@ -119,43 +181,43 @@ func TestCoverOfBipartiteSplits(t *testing.T) {
 
 func TestCoverNodeMapping(t *testing.T) {
 	g := gen.Path(5)
-	if doublecover.CoverNode(g, 3, doublecover.Even) != 3 {
+	if coverNode(g, 3, doublecover.Even) != 3 {
 		t.Fatal("even sheet mapping wrong")
 	}
-	if doublecover.CoverNode(g, 3, doublecover.Odd) != 8 {
+	if coverNode(g, 3, doublecover.Odd) != 8 {
 		t.Fatal("odd sheet mapping wrong")
 	}
 }
 
+// drawOrigins draws one to three origins of g, repeats allowed.
+func drawOrigins(g *graph.Graph, rng *rand.Rand) []graph.NodeID {
+	origins := make([]graph.NodeID, 1+rng.Intn(3))
+	for i := range origins {
+		origins[i] = graph.NodeID(rng.Intn(g.N()))
+	}
+	return origins
+}
+
 func TestCoverDistancesMatchInlineBFS(t *testing.T) {
-	// Property: BFS on the materialised cover equals the inline parity
-	// BFS.
+	// Property: multi-source BFS on the materialised cover equals the
+	// inline parity BFS, for one origin and for origin sets.
+	var a doublecover.Arena
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomConnected(2+rng.Intn(30), 0.1, rng)
-		src := graph.NodeID(rng.Intn(g.N()))
-		inline := doublecover.BFS(g, src)
-		cover := doublecover.Cover(g)
-		coverDist := algo.BFS(cover, doublecover.CoverNode(g, src, doublecover.Even))
-		for v := 0; v < g.N(); v++ {
-			for _, p := range []doublecover.Parity{doublecover.Even, doublecover.Odd} {
-				want := coverDist[doublecover.CoverNode(g, graph.NodeID(v), p)]
-				if inline.D[v][p] != want {
-					return false
-				}
-			}
-		}
-		return true
+		origins := drawOrigins(g, rng)
+		a.Run(g, origins...)
+		return reflect.DeepEqual(arenaDist(&a, g.N()), coverDist(g, origins...))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// floodTraced runs amnesiac flooding on g from src, traced.
-func floodTraced(t *testing.T, g *graph.Graph, src graph.NodeID) engine.Result {
+// floodTraced runs amnesiac flooding on g from the origins, traced.
+func floodTraced(t *testing.T, g *graph.Graph, origins ...graph.NodeID) engine.Result {
 	t.Helper()
-	res, err := engine.Run(context.Background(), g, core.MustNewFlood(g, src), engine.Options{Trace: true})
+	res, err := engine.Run(context.Background(), g, core.MustNewFlood(g, origins...), engine.Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +238,8 @@ func TestPredictFigure2Exactly(t *testing.T) {
 
 func TestPredictMatchesSimulationEverywhere(t *testing.T) {
 	// The package's headline law: predicted traces are byte-identical to
-	// simulated ones, on bipartite and non-bipartite random graphs alike.
+	// simulated ones, on bipartite and non-bipartite random graphs alike,
+	// from one origin or from several that all send in round 1.
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var g *graph.Graph
@@ -188,9 +251,9 @@ func TestPredictMatchesSimulationEverywhere(t *testing.T) {
 		default:
 			g = gen.Connectify(gen.RandomBipartite(2+rng.Intn(15), 2+rng.Intn(15), 0.2, rng), rng)
 		}
-		src := graph.NodeID(rng.Intn(g.N()))
-		pred := doublecover.Predict(g, src)
-		res := floodTraced(t, g, src)
+		origins := drawOrigins(g, rng)
+		pred := doublecover.Predict(g, origins...)
+		res := floodTraced(t, g, origins...)
 		if pred.Rounds != res.Rounds || pred.TotalMessages != res.TotalMessages {
 			return false
 		}
@@ -207,6 +270,16 @@ func TestPredictMatchesSimulationEverywhere(t *testing.T) {
 			if !reflect.DeepEqual(pred.Receipts[v], got) &&
 				!(len(pred.Receipts[v]) == 0 && len(got) == 0) {
 				return false
+			}
+			// On a connected non-bipartite graph both parities reach every
+			// node: an origin receives once, every other node twice.
+			if want := 2; seed%3 == 1 {
+				if slices.Contains(origins, graph.NodeID(v)) {
+					want = 1
+				}
+				if len(got) != want {
+					return false
+				}
 			}
 		}
 		return true
@@ -241,10 +314,12 @@ func TestPredictIsolatedSource(t *testing.T) {
 	}
 }
 
-// TestArenaReuseMatchesFreshRuns: one Arena serving many sources, on
-// connected and disconnected graphs, reports what a fresh BFS and the
-// reference algorithms report: the distances, e(source), the bipartiteness
-// of the source's component, the receipt count and the termination round.
+// TestArenaReuseMatchesFreshRuns: one Arena serving many origin sets, on
+// connected and disconnected graphs, reports what BFS on the materialised
+// cover and the reference algorithms report: the distances, e(S), whether
+// some node is reached in both parities, the receipt count and the
+// termination round. For one origin, Exact is the bipartiteness of its
+// component.
 func TestArenaReuseMatchesFreshRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	odd, err := graph.FromEdges("", 7, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 3}})
@@ -257,78 +332,96 @@ func TestArenaReuseMatchesFreshRuns(t *testing.T) {
 	}
 	var a doublecover.Arena
 	for _, g := range graphs {
+		var sets [][]graph.NodeID
 		for v := g.N() - 1; v >= 0; v-- {
-			src := graph.NodeID(v)
-			a.Run(g, src)
-			fresh := doublecover.BFS(g, src)
-			// The termination round is the greatest finite cover distance.
-			last := 0
-			for _, d := range fresh.D {
+			sets = append(sets, []graph.NodeID{graph.NodeID(v)})
+		}
+		for i := 0; i < 8; i++ {
+			sets = append(sets, drawOrigins(g, rng))
+		}
+		for _, origins := range sets {
+			a.Run(g, origins...)
+			fresh := coverDist(g, origins...)
+			// The termination round is the greatest finite cover distance,
+			// and the window is exact when no node has two finite ones.
+			last, receipts, exact := 0, 0, true
+			for u, d := range fresh {
 				last = max(last, d[0], d[1])
-			}
-			receipts := 0
-			for u := 0; u < g.N(); u++ {
+				exact = exact && (d[0] == doublecover.Infinite || d[1] == doublecover.Infinite)
+				var rounds []int
 				for _, p := range []doublecover.Parity{doublecover.Even, doublecover.Odd} {
-					if got := a.Dist(graph.NodeID(u), p); got != fresh.D[u][p] {
-						t.Fatalf("%s from %d: Dist(%d, %d) = %d, fresh BFS %d", g, src, u, p, got, fresh.D[u][p])
+					if got := a.Dist(graph.NodeID(u), p); got != d[p] {
+						t.Fatalf("%s from %v: Dist(%d, %d) = %d, cover BFS %d", g, origins, u, p, got, d[p])
+					}
+					if d[p] > 0 {
+						rounds = append(rounds, d[p])
 					}
 				}
-				rounds := fresh.ReceiptRounds(graph.NodeID(u))
 				receipts += len(rounds)
 				for r := 0; r <= last+1; r++ {
 					if got, want := a.Receives(graph.NodeID(u), r), slices.Contains(rounds, r); got != want {
-						t.Fatalf("%s from %d: Receives(%d, %d) = %t, want %t", g, src, u, r, got, want)
+						t.Fatalf("%s from %v: Receives(%d, %d) = %t, want %t", g, origins, u, r, got, want)
 					}
 				}
 			}
-			// The source's component is bipartite iff no edge in it joins
-			// two nodes at the same BFS distance.
-			bfs, bipartite := algo.BFS(g, src), true
-			for _, e := range g.Edges() {
-				bipartite = bipartite && (bfs[e.U] == algo.Unreachable || bfs[e.U] != bfs[e.V])
+			if len(origins) == 1 {
+				// One origin's component is bipartite iff no edge in it
+				// joins two nodes at the same BFS distance.
+				bfs, bipartite := algo.BFS(g, origins[0]), true
+				for _, e := range g.Edges() {
+					bipartite = bipartite && (bfs[e.U] == algo.Unreachable || bfs[e.U] != bfs[e.V])
+				}
+				if bipartite != exact {
+					t.Fatalf("%s from %v: component bipartite %t, cover BFS exact %t", g, origins, bipartite, exact)
+				}
 			}
-			if a.Rounds() != last || a.Eccentricity() != algo.Eccentricity(g, src) ||
-				a.Bipartite() != bipartite || a.Receipts() != receipts {
-				t.Fatalf("%s from %d: rounds=%d ecc=%d bipartite=%t receipts=%d, want %d %d %t %d", g, src,
-					a.Rounds(), a.Eccentricity(), a.Bipartite(), a.Receipts(),
-					last, algo.Eccentricity(g, src), bipartite, receipts)
+			ecc := slices.Max(algo.BFSMulti(g, origins))
+			if a.Rounds() != last || a.Eccentricity() != ecc || a.Exact() != exact || a.Receipts() != receipts {
+				t.Fatalf("%s from %v: rounds=%d ecc=%d exact=%t receipts=%d, want %d %d %t %d", g, origins,
+					a.Rounds(), a.Eccentricity(), a.Exact(), a.Receipts(), last, ecc, exact, receipts)
 			}
 		}
 	}
 }
 
-// TestArenaRunDoesNotAllocate: a warmed Arena reruns without allocating.
+// TestArenaRunDoesNotAllocate: a warmed Arena reruns without allocating,
+// from one origin or from several.
 func TestArenaRunDoesNotAllocate(t *testing.T) {
 	g := gen.MustBuild("gnp:n=512,p=0.02", 1)
 	var a doublecover.Arena
 	a.Run(g, 0)
 	src := graph.NodeID(0)
+	origins := make([]graph.NodeID, 3)
 	if allocs := testing.AllocsPerRun(20, func() {
 		src = (src + 7) % graph.NodeID(g.N())
 		a.Run(g, src)
+		for i := range origins {
+			origins[i] = (src + graph.NodeID(100*i)) % graph.NodeID(g.N())
+		}
+		a.Run(g, origins...)
 	}); allocs != 0 {
 		t.Fatalf("warm Arena.Run allocates %.1f times per run, want 0", allocs)
 	}
 }
 
-// TestWindow pins the window decision: exactly e(source) on a bipartite
-// component, 2*max(lb, e)+1 otherwise, and no upper end for a run past it.
+// TestWindow pins the window decision: exactly e(S) where the Arena finds
+// it exact, 2*max(lb, e)+1 otherwise, and no upper end for a run past it.
 func TestWindow(t *testing.T) {
 	for _, tc := range []struct {
 		rounds, ecc, lb int
-		bipartite       bool
+		exact           bool
 		upper           int
 		certified       bool
 	}{
-		{rounds: 4, ecc: 4, lb: 9, bipartite: true, upper: 4, certified: true},
-		{rounds: 5, ecc: 4, lb: 0, bipartite: true, upper: 4, certified: true},
+		{rounds: 4, ecc: 4, lb: 9, exact: true, upper: 4, certified: true},
+		{rounds: 5, ecc: 4, lb: 0, exact: true, upper: 4, certified: true},
 		{rounds: 9, ecc: 4, lb: 3, upper: 9, certified: true},
 		{rounds: 9, ecc: 2, lb: 4, upper: 9, certified: true},
 		{rounds: 6, ecc: 2, lb: 2},
 	} {
-		upper, certified := doublecover.Window(tc.rounds, tc.ecc, tc.lb, tc.bipartite)
+		upper, certified := doublecover.Window(tc.rounds, tc.ecc, tc.lb, tc.exact)
 		if upper != tc.upper || certified != tc.certified {
-			t.Errorf("Window(%d, %d, %d, %t) = %d, %t, want %d, %t", tc.rounds, tc.ecc, tc.lb, tc.bipartite,
+			t.Errorf("Window(%d, %d, %d, %t) = %d, %t, want %d, %t", tc.rounds, tc.ecc, tc.lb, tc.exact,
 				upper, certified, tc.upper, tc.certified)
 		}
 	}

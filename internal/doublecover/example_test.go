@@ -22,15 +22,15 @@ func ExamplePredict() {
 	// receipts of b: [3]
 }
 
-// ExampleBFS shows the parity distances behind the prediction: on an odd
+// ExampleArena shows the parity distances behind the prediction: on an odd
 // cycle both parities are reachable everywhere, which is why every node
 // hears the message twice.
-func ExampleBFS() {
-	g := gen.Cycle(5)
-	dist := doublecover.BFS(g, 0)
+func ExampleArena() {
+	var a doublecover.Arena
+	a.Run(gen.Cycle(5), 0)
 	fmt.Printf("node 2: even-walk %d, odd-walk %d\n",
-		dist.D[2][doublecover.Even], dist.D[2][doublecover.Odd])
-	fmt.Printf("termination round: %d\n", dist.TerminationRound())
+		a.Dist(2, doublecover.Even), a.Dist(2, doublecover.Odd))
+	fmt.Printf("termination round: %d\n", a.Rounds())
 	// Output:
 	// node 2: even-walk 2, odd-walk 3
 	// termination round: 5

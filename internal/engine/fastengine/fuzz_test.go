@@ -15,19 +15,24 @@ import (
 	"amnesiacflood/internal/engine/fastengine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
+	"amnesiacflood/internal/sim"
 	"amnesiacflood/internal/theory"
 )
 
 // FuzzEngineEquivalence drives random G(n, p) graphs through the
 // sequential, channel, fast and bitset engines and demands identical traces
 // and Result fields, plus per-round message counts and receiver sets from
-// an untraced, frontier-observed bitset run. The sequential run must also
-// obey the exact law: doublecover.Predict gives its rounds, message total
-// and trace, and theory.PredictTermination's bound holds: the exact round,
-// at least e(src) (exactly e(src) on a bipartite component), and at most
-// the window's upper end where that is certified. Every engine then matches
-// it. Every input triple deterministically derives a graph, so failures
-// reproduce exactly.
+// an untraced, frontier-observed bitset run. Each input floods from one
+// origin and zero to two more drawn after it, so every committed corpus
+// entry keeps its graph and first origin. The sequential run, through a
+// sim session with the termination analysis attached, must also obey the
+// exact law for its origin set: doublecover.Predict gives its rounds,
+// message total and trace, and theory.CheckLaw accepts it: the double-cover
+// round and receipts, at least e(S) (exactly e(S) where no node is reached
+// in both parities), and at most the window's upper end where that is
+// certified. Every engine then matches it. Every input triple
+// deterministically derives a graph and origins, so failures reproduce
+// exactly.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(30))
 	f.Add(int64(2), uint8(3), uint8(100)) // triangle-ish, dense
@@ -40,26 +45,33 @@ func FuzzEngineEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomGNP(n, p, rng)
 		src := graph.NodeID(rng.Intn(n))
-		flood := core.MustNewFlood(g, src)
+		origins := []graph.NodeID{src}
+		for extra := rng.Intn(3); extra > 0; extra-- {
+			origins = append(origins, graph.NodeID(rng.Intn(n)))
+		}
+		flood := core.MustNewFlood(g, origins...)
 
 		opts := engine.Options{Trace: true}
-		want, err := engine.Run(context.Background(), g, flood, opts)
+		sess, err := sim.New(g, sim.WithOrigins(origins...), sim.WithTrace(true), sim.WithAnalysis("termination"))
 		if err != nil {
-			t.Fatalf("sequential on %s from %d: %v", g, src, err)
+			t.Fatal(err)
+		}
+		want, err := sess.Run(context.Background())
+		if err != nil {
+			t.Fatalf("sequential on %s from %v: %v", g, origins, err)
 		}
 		// The exact law: amnesiac flooding is classic flooding on the
-		// bipartite double cover, so one parity BFS predicts the whole
-		// run. The paper's theorem follows: the flood terminates, in
-		// exactly e(src) rounds on a bipartite component and within
-		// e(src)..2D+1 otherwise.
-		if pred := doublecover.Predict(g, src); pred.Rounds != want.Rounds || pred.TotalMessages != want.TotalMessages ||
+		// bipartite double cover, so one parity BFS from the origins
+		// predicts the whole run. The paper's theorem follows: the flood
+		// terminates, in exactly e(S) rounds where no node is reached in
+		// both parities and within e(S)..2D+1 otherwise.
+		if pred := doublecover.Predict(g, origins...); pred.Rounds != want.Rounds || pred.TotalMessages != want.TotalMessages ||
 			!engine.EqualTraces(pred.Trace, want.Trace) {
-			t.Fatalf("sequential on %s from %d: %d rounds, %d messages, want the double cover's %d and %d (traces equal: %t)",
-				g, src, want.Rounds, want.TotalMessages, pred.Rounds, pred.TotalMessages, engine.EqualTraces(pred.Trace, want.Trace))
+			t.Fatalf("sequential on %s from %v: %d rounds, %d messages, want the double cover's %d and %d (traces equal: %t)",
+				g, origins, want.Rounds, want.TotalMessages, pred.Rounds, pred.TotalMessages, engine.EqualTraces(pred.Trace, want.Trace))
 		}
-		if bound := theory.PredictTermination(g, src); !want.Terminated || !bound.Holds(want.Rounds) {
-			t.Fatalf("sequential on %s from %d: terminated=%t after %d rounds, want termination as %+v",
-				g, src, want.Terminated, want.Rounds, bound)
+		if err := theory.CheckLaw(want); err != nil {
+			t.Fatalf("sequential on %s from %v: %v (metrics %v)", g, origins, err, want.Metrics)
 		}
 		engines := []struct {
 			name string
@@ -72,14 +84,14 @@ func FuzzEngineEquivalence(f *testing.F) {
 		for _, e := range engines {
 			got, err := e.run(context.Background(), g, flood, opts)
 			if err != nil {
-				t.Fatalf("%s on %s from %d: %v", e.name, g, src, err)
+				t.Fatalf("%s on %s from %v: %v", e.name, g, origins, err)
 			}
 			if !engine.EqualTraces(want.Trace, got.Trace) {
-				t.Errorf("%s on %s from %d: trace differs from sequential", e.name, g, src)
+				t.Errorf("%s on %s from %v: trace differs from sequential", e.name, g, origins)
 			}
 			if got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages ||
 				got.Terminated != want.Terminated || got.Protocol != want.Protocol {
-				t.Errorf("%s on %s from %d: result %+v, want %+v", e.name, g, src, got, want)
+				t.Errorf("%s on %s from %v: result %+v, want %+v", e.name, g, origins, got, want)
 			}
 		}
 
@@ -105,10 +117,10 @@ func FuzzEngineEquivalence(f *testing.F) {
 			return false, nil
 		})})
 		if err != nil {
-			t.Fatalf("bitsetFrontier on %s from %d: %v", g, src, err)
+			t.Fatalf("bitsetFrontier on %s from %v: %v", g, origins, err)
 		}
 		if round != len(want.Trace) || got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages || got.Terminated != want.Terminated {
-			t.Errorf("bitsetFrontier on %s from %d: %d rounds observed, result %+v, want %+v", g, src, round, got, want)
+			t.Errorf("bitsetFrontier on %s from %v: %d rounds observed, result %+v, want %+v", g, origins, round, got, want)
 		}
 	})
 }

@@ -41,16 +41,15 @@ func figureTable(id, title string, records []engine.RoundRecord) *Table {
 func Fig1Line(cfg Config) ([]*Table, error) {
 	g := gen.Path(4) // a=0, b=1, c=2, d=3
 	source := graph.NodeID(1)
-	res, cov, err := flood(cfg, g, true, source)
+	res, _, err := flood(cfg, g, true, source)
 	if err != nil {
 		return nil, err
 	}
 	t := figureTable("E1", "Figure 1: AF on the line a-b-c-d from b", res.Trace)
 	diam := algo.Diameter(g)
-	ecc := algo.Eccentricity(g, source)
 	t.AddNote("paper: terminates in 2 rounds (< diameter %d); measured: %d rounds", diam, res.Rounds)
-	t.AddNote("eccentricity of b is %d; Lemma 2.1 predicts exactly that", ecc)
-	if err := theory.CheckBipartiteExact(g, res, cov); err != nil {
+	t.AddNote("eccentricity of b is %g; Lemma 2.1 predicts exactly that", res.Metrics["termination.eccentricity"])
+	if err := theory.CheckLaw(res); err != nil {
 		return nil, fmt.Errorf("figure 1 violates Lemma 2.1: %w", err)
 	}
 	if res.Rounds != 2 {
@@ -65,14 +64,14 @@ func Fig1Line(cfg Config) ([]*Table, error) {
 func Fig2Triangle(cfg Config) ([]*Table, error) {
 	g := gen.Cycle(3) // a=0, b=1, c=2
 	source := graph.NodeID(1)
-	res, cov, err := flood(cfg, g, true, source)
+	res, _, err := flood(cfg, g, true, source)
 	if err != nil {
 		return nil, err
 	}
 	t := figureTable("E2", "Figure 2: AF on the triangle from b", res.Trace)
 	diam := algo.Diameter(g)
 	t.AddNote("paper: terminates in 3 = 2D+1 rounds (D=%d); measured: %d rounds", diam, res.Rounds)
-	if err := theory.CheckNonBipartiteStrict(g, res, cov); err != nil {
+	if err := theory.CheckLaw(res); err != nil {
 		return nil, fmt.Errorf("figure 2 violates Theorem 3.3: %w", err)
 	}
 	if res.Rounds != 2*diam+1 {
@@ -93,14 +92,14 @@ func Fig2Triangle(cfg Config) ([]*Table, error) {
 // each node exactly once.
 func Fig3EvenCycle(cfg Config) ([]*Table, error) {
 	g := gen.Cycle(6)
-	res, cov, err := flood(cfg, g, true, 0)
+	res, _, err := flood(cfg, g, true, 0)
 	if err != nil {
 		return nil, err
 	}
 	t := figureTable("E3", "Figure 3: AF on the even cycle C6 from a", res.Trace)
 	diam := algo.Diameter(g)
 	t.AddNote("paper: terminates in D = %d rounds; measured: %d rounds", diam, res.Rounds)
-	if err := theory.CheckBipartiteExact(g, res, cov); err != nil {
+	if err := theory.CheckLaw(res); err != nil {
 		return nil, fmt.Errorf("figure 3 violates Lemma 2.1: %w", err)
 	}
 
@@ -116,7 +115,7 @@ func Fig3EvenCycle(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := theory.CheckBipartiteExact(g, resS, covS); err != nil {
+		if err := theory.CheckLaw(resS); err != nil {
 			return nil, fmt.Errorf("figure 3 source %d: %w", s, err)
 		}
 		all.AddRow(trace.Letters(graph.NodeID(s)), resS.Rounds, diam, covS.MaxReceives() == 1)

@@ -10,18 +10,19 @@ import (
 )
 
 // flood executes amnesiac flooding from the origins on the configured engine
-// through the sim façade, with the coverage analysis attached, and returns
-// the result and that run's coverage analyzer. It is the single amnesiac run
-// path of the whole experiment suite, so every table's numbers are
-// attributable to cfg.Engine. Only the tables that print or compare edges
-// (E1–E3, E11, E18) ask for a trace.
+// through the sim façade, with the coverage and termination analyses
+// attached, and returns the result (termination's verdict on the paper's
+// law among its metrics, for theory.CheckLaw) and that run's coverage
+// analyzer. It is the single amnesiac run path of the whole experiment
+// suite, so every table's numbers are attributable to cfg.Engine. Only the
+// tables that print or compare edges (E1–E3, E11, E18) ask for a trace.
 func flood(cfg Config, g *graph.Graph, traced bool, origins ...graph.NodeID) (engine.Result, *analysis.Coverage, error) {
 	sess, err := sim.New(g,
 		sim.WithProtocol("amnesiac"),
 		sim.WithEngine(cfg.EngineKind()),
 		sim.WithOrigins(origins...),
 		sim.WithTrace(traced),
-		sim.WithAnalysis("coverage"),
+		sim.WithAnalysis("coverage", "termination"),
 	)
 	if err != nil {
 		return engine.Result{}, nil, err

@@ -84,11 +84,11 @@ func WavefrontProfile(cfg Config) ([]*Table, error) {
 	}
 	// Bipartite: the profile equals the BFS layer cuts.
 	bip := gen.Grid(4, 5)
-	bipRes, bipCov, err := flood(cfg, bip, true, 0)
+	bipRes, _, err := flood(cfg, bip, true, 0)
 	if err != nil {
 		return nil, err
 	}
-	if err := theory.CheckBipartiteExact(bip, bipRes, bipCov); err != nil {
+	if err := theory.CheckLaw(bipRes); err != nil {
 		return nil, fmt.Errorf("E18: %w", err)
 	}
 	dist := algo.BFS(bip, 0)

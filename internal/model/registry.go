@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"unicode"
 
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/specgrammar"
@@ -260,18 +259,9 @@ func Parse(s string) (Spec, error) {
 	if !hasParams {
 		return spec, nil
 	}
-	params, err := fam.params.ParseAssignments("model", s, string(kind)+" "+famName, paramStr)
+	params, err := fam.params.ParseTokenAssignments("model", s, string(kind)+" "+famName, paramStr)
 	if err != nil {
 		return Spec{}, err
-	}
-	// ParseAssignments trims values but keeps inner whitespace, which an
-	// edgefile path needs. A model spec is one token everywhere it is
-	// written (a flag, a suite's model list, a wire field), so its
-	// canonical form holds none.
-	for _, p := range fam.params {
-		if v, set := params[p.Name]; set && strings.ContainsFunc(v, unicode.IsSpace) {
-			return Spec{}, fmt.Errorf("model: spec %q: parameter %s value %q contains whitespace", s, p.Name, v)
-		}
 	}
 	spec.Params = params
 	return spec, nil

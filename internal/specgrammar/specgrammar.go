@@ -32,6 +32,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Kind types a family parameter.
@@ -175,6 +176,24 @@ func (ps Params) ParseAssignments(prefix, spec, owner, raw string) (map[string]s
 			return nil, fmt.Errorf("%s: spec %q assigns parameter %s twice", prefix, spec, key)
 		}
 		out[key] = value
+	}
+	return out, nil
+}
+
+// ParseTokenAssignments is ParseAssignments for specs that are one token
+// wherever they are written (a flag, a suite's list, a wire field), as
+// model and analysis specs are: a value holding whitespace is an error, so
+// no canonical form holds any. ParseAssignments itself trims values but
+// keeps inner whitespace, which a graph's edgefile path needs.
+func (ps Params) ParseTokenAssignments(prefix, spec, owner, raw string) (map[string]string, error) {
+	out, err := ps.ParseAssignments(prefix, spec, owner, raw)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range ps {
+		if v, set := out[p.Name]; set && strings.ContainsFunc(v, unicode.IsSpace) {
+			return nil, fmt.Errorf("%s: spec %q: parameter %s value %q contains whitespace", prefix, spec, p.Name, v)
+		}
 	}
 	return out, nil
 }

@@ -67,6 +67,23 @@ func TestParseAssignmentsErrors(t *testing.T) {
 	}
 }
 
+// TestParseTokenAssignments: one-token specs refuse whitespace inside a
+// value, which plain assignments keep (an edgefile path may hold spaces).
+func TestParseTokenAssignments(t *testing.T) {
+	raw := "metric= mess ages ,n=4"
+	if got, err := decls.ParseAssignments("test", "fam:"+raw, "family fam", raw); err != nil || got["metric"] != "mess ages" {
+		t.Fatalf("ParseAssignments(%q) = %v, %v, want metric %q", raw, got, err, "mess ages")
+	}
+	for _, raw := range []string{raw, "metric=a\tb", "n=4,metric=a\u00a0b"} {
+		if _, err := decls.ParseTokenAssignments("test", "fam:"+raw, "family fam", raw); err == nil || !strings.Contains(err.Error(), "whitespace") {
+			t.Errorf("ParseTokenAssignments(%q) err = %v, want a whitespace error", raw, err)
+		}
+	}
+	if got, err := decls.ParseTokenAssignments("test", "fam: metric = messages ", "family fam", " metric = messages "); err != nil || got["metric"] != "messages" {
+		t.Fatalf("ParseTokenAssignments trims: %v, %v", got, err)
+	}
+}
+
 func TestResolveDefaultsAndOverrides(t *testing.T) {
 	v, err := decls.Resolve("test", "family fam", map[string]string{"n": "16", "metric": "messages"})
 	if err != nil {

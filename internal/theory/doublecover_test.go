@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"amnesiacflood/internal/graph"
-	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
 	"amnesiacflood/internal/theory"
 )
@@ -52,37 +51,55 @@ func TestCheckDoubleCoverExactCatchesTampering(t *testing.T) {
 	}
 }
 
-func TestCheckDoubleCoverExactRejectsMultiSource(t *testing.T) {
-	g := gen.Path(5)
-	res, cov := run(t, g, 0, 4)
-	if err := theory.CheckDoubleCoverExact(g, res, cov); err == nil {
-		t.Fatal("multi-source run accepted")
+// TestCheckDoubleCoverExactAcceptsOriginSets: the law and its check hold
+// for origin sets, in one colour class or in both, and a tampered set run
+// is still rejected.
+func TestCheckDoubleCoverExactAcceptsOriginSets(t *testing.T) {
+	for _, tc := range []struct {
+		g       *graph.Graph
+		origins []graph.NodeID
+	}{
+		{gen.Path(5), []graph.NodeID{0, 4}},
+		{gen.Path(9), []graph.NodeID{0, 5}},
+		{gen.Grid(5, 5), []graph.NodeID{0, 1}},
+		{gen.Cycle(9), []graph.NodeID{0, 3}},
+		{gen.Complete(10), []graph.NodeID{0, 1, 2}},
+		{gen.Petersen(), []graph.NodeID{7, 0, 7}},
+	} {
+		res, cov := run(t, tc.g, tc.origins...)
+		if err := theory.CheckDoubleCoverExact(tc.g, res, cov); err != nil {
+			t.Errorf("%s from %v: %v", tc.g, tc.origins, err)
+		}
+		res.Rounds++
+		if err := theory.CheckDoubleCoverExact(tc.g, res, cov); err == nil {
+			t.Errorf("%s from %v: tampered rounds accepted", tc.g, tc.origins)
+		}
 	}
 }
 
+// TestCheckNonBipartiteExactlyTwice: on a connected non-bipartite graph,
+// from every source, the cover reaches every node in both parities, so the
+// origin receives M once (its even distance is 0) and every other node in
+// exactly two rounds; the run passes the law's check and its reader.
 func TestCheckNonBipartiteExactlyTwice(t *testing.T) {
-	// Holds on every connected non-bipartite instance from every source.
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomNonBipartite(3+rng.Intn(40), 0.08, rng)
 		src := graph.NodeID(rng.Intn(g.N()))
-		_, cov := run(t, g, src)
-		return theory.CheckNonBipartiteExactlyTwice(g, cov) == nil
+		res, cov := run(t, g, src)
+		for v, got := range cov.ReceiveCounts() {
+			want := 2
+			if graph.NodeID(v) == src {
+				want = 1
+			}
+			if got != want {
+				t.Logf("%s from %d: node %d received %d times, want %d", g, src, v, got, want)
+				return false
+			}
+		}
+		return theory.CheckDoubleCoverExact(g, res, cov) == nil && theory.CheckLaw(res) == nil
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCheckNonBipartiteExactlyTwiceRejectsBipartiteRuns(t *testing.T) {
-	// On bipartite graphs everyone receives once, so the check must fail
-	// loudly — guarding against misuse.
-	g := gen.Cycle(8)
-	if !algo.IsBipartite(g) {
-		t.Fatal("C8 should be bipartite")
-	}
-	_, cov := run(t, g, 0)
-	if err := theory.CheckNonBipartiteExactlyTwice(g, cov); err == nil {
-		t.Fatal("bipartite run passed the exactly-twice check")
 	}
 }

@@ -2,6 +2,7 @@ package theory_test
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -19,10 +20,11 @@ import (
 )
 
 // run floods g from the origins on the sequential engine, traced, with the
-// coverage analysis attached, and returns the result and the analyzer.
+// coverage and termination analyses attached, and returns the result and
+// the coverage analyzer.
 func run(t *testing.T, g *graph.Graph, origins ...graph.NodeID) (engine.Result, *analysis.Coverage) {
 	t.Helper()
-	sess, err := sim.New(g, sim.WithOrigins(origins...), sim.WithTrace(true), sim.WithAnalysis("coverage"))
+	sess, err := sim.New(g, sim.WithOrigins(origins...), sim.WithTrace(true), sim.WithAnalysis("coverage", "termination"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,26 +36,48 @@ func run(t *testing.T, g *graph.Graph, origins ...graph.NodeID) (engine.Result, 
 	return res, cov
 }
 
-// doctored returns a coverage analyzer on g fed the origins and, as round
+// fed returns an analyzer of the family on g fed the origins and, as round
 // i+1, the receivers rounds[i]: the bookkeeping of a run no engine
 // produces, for the checks to reject.
-func doctored(t *testing.T, g *graph.Graph, origins []graph.NodeID, rounds ...[]graph.NodeID) *analysis.Coverage {
+func fed(t *testing.T, g *graph.Graph, family string, origins []graph.NodeID, rounds ...[]graph.NodeID) analysis.Analyzer {
 	t.Helper()
-	a, err := analysis.Build("coverage", analysis.Context{Graph: g})
+	a, err := analysis.Build(family, analysis.Context{Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cov := a.(*analysis.Coverage)
-	if err := cov.Start(origins); err != nil {
+	if err := a.Start(origins); err != nil {
 		t.Fatal(err)
 	}
 	for i, receivers := range rounds {
 		f := engine.Frontier{Round: i + 1, Messages: len(receivers), Receivers: slices.Values(receivers)}
-		if _, err := cov.ObserveFrontier(f); err != nil {
+		if _, err := a.(engine.FrontierObserver).ObserveFrontier(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return cov
+	return a
+}
+
+// doctored is fed's coverage analyzer, read by the odd-gap and sequence
+// checks.
+func doctored(t *testing.T, g *graph.Graph, origins []graph.NodeID, rounds ...[]graph.NodeID) *analysis.Coverage {
+	t.Helper()
+	return fed(t, g, "coverage", origins, rounds...).(*analysis.Coverage)
+}
+
+// judged returns res carrying, as its termination metrics, the verdict of
+// a termination analyzer fed the origins and rounds as fed does: a run
+// whose receipts are doctored, for CheckLaw to read.
+func judged(t *testing.T, g *graph.Graph, res engine.Result, origins []graph.NodeID, rounds ...[]graph.NodeID) engine.Result {
+	t.Helper()
+	m, err := fed(t, g, "termination", origins, rounds...).Finish(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Metrics = make(map[string]float64, len(m))
+	for k, v := range m {
+		res.Metrics["termination."+k] = v
+	}
+	return res
 }
 
 func TestCheckTerminated(t *testing.T) {
@@ -63,130 +87,6 @@ func TestCheckTerminated(t *testing.T) {
 	}
 	if err := theory.CheckTerminated(engine.Result{Terminated: false}); err == nil {
 		t.Fatal("non-terminated run accepted")
-	}
-}
-
-func TestCheckBipartiteExactAcceptsFamilies(t *testing.T) {
-	cases := []struct {
-		g   *graph.Graph
-		src graph.NodeID
-	}{
-		{gen.Path(9), 0},
-		{gen.Path(9), 4},
-		{gen.Cycle(12), 3},
-		{gen.Grid(4, 7), 11},
-		{gen.Hypercube(5), 17},
-		{gen.CompleteBinaryTree(5), 0},
-		{gen.CompleteBipartite(4, 6), 2},
-		{gen.Star(15), 0},
-		{gen.Star(15), 3},
-	}
-	for _, tc := range cases {
-		res, cov := run(t, tc.g, tc.src)
-		if err := theory.CheckBipartiteExact(tc.g, res, cov); err != nil {
-			t.Errorf("%s from %d: %v", tc.g, tc.src, err)
-		}
-	}
-}
-
-func TestCheckBipartiteExactRejectsMultiSource(t *testing.T) {
-	g := gen.Path(6)
-	res, cov := run(t, g, 0, 5)
-	if err := theory.CheckBipartiteExact(g, res, cov); err == nil {
-		t.Fatal("multi-source run accepted by bipartite check")
-	}
-}
-
-func TestCheckBipartiteExactCatchesDoctoredReports(t *testing.T) {
-	g := gen.Path(5)
-	res, cov := run(t, g, 0)
-	origin := []graph.NodeID{0}
-	if err := theory.CheckBipartiteExact(g, res, doctored(t, g, origin, []graph.NodeID{1}, []graph.NodeID{2}, []graph.NodeID{3}, []graph.NodeID{4})); err != nil {
-		t.Fatalf("the run's own rounds, replayed: %v", err)
-	}
-
-	tamperRounds := res
-	tamperRounds.Rounds++
-	if err := theory.CheckBipartiteExact(g, tamperRounds, cov); err == nil ||
-		!strings.Contains(err.Error(), "eccentricity") {
-		t.Errorf("wrong-rounds run: err = %v, want eccentricity violation", err)
-	}
-
-	twice := doctored(t, g, origin, []graph.NodeID{1}, []graph.NodeID{2}, []graph.NodeID{3}, []graph.NodeID{4, 2})
-	if err := theory.CheckBipartiteExact(g, res, twice); err == nil ||
-		!strings.Contains(err.Error(), "exactly once") {
-		t.Errorf("double-receipt run: err = %v, want exactly-once violation", err)
-	}
-
-	echo := doctored(t, g, origin, []graph.NodeID{1, 0}, []graph.NodeID{2}, []graph.NodeID{3}, []graph.NodeID{4})
-	if err := theory.CheckBipartiteExact(g, res, echo); err == nil ||
-		!strings.Contains(err.Error(), "origin") {
-		t.Errorf("origin-receipt run: err = %v, want origin violation", err)
-	}
-
-	early := doctored(t, g, origin, []graph.NodeID{1, 3}, []graph.NodeID{2}, nil, []graph.NodeID{4})
-	if err := theory.CheckBipartiteExact(g, res, early); err == nil ||
-		!strings.Contains(err.Error(), "BFS distance") {
-		t.Errorf("wrong-distance run: err = %v, want BFS distance violation", err)
-	}
-}
-
-func TestCheckGeneralBoundsAcceptsNonBipartite(t *testing.T) {
-	for _, tc := range []struct {
-		g   *graph.Graph
-		src graph.NodeID
-	}{
-		{gen.Cycle(3), 0},
-		{gen.Cycle(9), 2},
-		{gen.Complete(7), 1},
-		{gen.Wheel(9), 0},
-		{gen.Petersen(), 5},
-		{gen.Lollipop(4, 5), 8},
-	} {
-		res, cov := run(t, tc.g, tc.src)
-		if err := theory.CheckGeneralBounds(tc.g, res, cov); err != nil {
-			t.Errorf("%s from %d: %v", tc.g, tc.src, err)
-		}
-	}
-}
-
-func TestCheckGeneralBoundsCatchesViolations(t *testing.T) {
-	g := gen.Cycle(3)
-	res, cov := run(t, g, 0)
-	origin := []graph.NodeID{0}
-
-	tooMany := res
-	tooMany.Rounds = 2*algo.Diameter(g) + 2
-	if err := theory.CheckGeneralBounds(g, tooMany, cov); err == nil ||
-		!strings.Contains(err.Error(), "2D+1") {
-		t.Errorf("rounds-beyond-bound run: err = %v", err)
-	}
-
-	tooFew := res
-	tooFew.Rounds = 0
-	if err := theory.CheckGeneralBounds(g, tooFew, cov); err == nil {
-		t.Error("zero-round covered run accepted")
-	}
-
-	triple := doctored(t, g, origin, []graph.NodeID{0, 1, 2}, []graph.NodeID{0}, []graph.NodeID{0})
-	if err := theory.CheckGeneralBounds(g, res, triple); err == nil ||
-		!strings.Contains(err.Error(), "distinct rounds") {
-		t.Errorf("triple-receipt run: err = %v", err)
-	}
-
-	uncovered := doctored(t, g, origin, []graph.NodeID{1}) // node 2 never got M
-	if err := theory.CheckGeneralBounds(g, res, uncovered); err == nil ||
-		!strings.Contains(err.Error(), "never received") {
-		t.Errorf("uncovered run: err = %v", err)
-	}
-}
-
-func TestCheckNonBipartiteStrictOnSymmetricFamilies(t *testing.T) {
-	for _, g := range []*graph.Graph{gen.Cycle(3), gen.Cycle(11), gen.Complete(9), gen.Wheel(8), gen.Petersen()} {
-		res, cov := run(t, g, 0)
-		if err := theory.CheckNonBipartiteStrict(g, res, cov); err != nil {
-			t.Errorf("%s: %v", g, err)
-		}
 	}
 }
 
@@ -242,81 +142,239 @@ func TestOddGapChecksRejectThirdRoundSet(t *testing.T) {
 	}
 }
 
-func TestPredictTermination(t *testing.T) {
-	// Bipartite: exact window at e(source), the double-cover round.
-	g := gen.Grid(3, 5)
-	b := theory.PredictTermination(g, 0)
-	if ecc := algo.Eccentricity(g, 0); !b.Exact || b.Lower != b.Upper || b.Lower != ecc || b.Rounds != ecc || !b.Certified {
-		t.Fatalf("bipartite bound = %+v", b)
-	}
-	// Non-bipartite: e(source) .. 2*max(LB, e(source))+1, here 2D+1.
-	tri := gen.Cycle(3)
-	b = theory.PredictTermination(tri, 0)
-	if b.Exact || b.Lower != 1 || b.Upper != 3 || b.Rounds != 3 || !b.Certified {
-		t.Fatalf("triangle bound = %+v", b)
-	}
-	// Two-sweep undershoots D: the upper end is not certified and not
-	// returned.
-	b = theory.PredictTermination(pendantC5(t), 1)
-	if b.Exact || b.Lower != 2 || b.Upper != 0 || b.Rounds != 6 || b.Certified {
-		t.Fatalf("pendant C5 bound = %+v", b)
+// TestCheckBipartiteExactAcceptsFamilies: on bipartite families from one
+// origin, real runs pass the reader, and Lemma 2.1 holds exactly: the run
+// ends at e(source), the window is exact, the origin never hears M back,
+// and every other node receives it once, at its BFS distance.
+func TestCheckBipartiteExactAcceptsFamilies(t *testing.T) {
+	for _, tc := range []struct {
+		g   *graph.Graph
+		src graph.NodeID
+	}{
+		{gen.Path(9), 0},
+		{gen.Path(9), 4},
+		{gen.Cycle(12), 3},
+		{gen.Grid(4, 7), 11},
+		{gen.Hypercube(5), 17},
+		{gen.CompleteBinaryTree(5), 0},
+		{gen.CompleteBipartite(4, 6), 2},
+		{gen.Star(15), 0},
+		{gen.Star(15), 3},
+	} {
+		res, cov := run(t, tc.g, tc.src)
+		if err := theory.CheckLaw(res); err != nil {
+			t.Errorf("%s from %d: %v", tc.g, tc.src, err)
+		}
+		if ecc := algo.Eccentricity(tc.g, tc.src); res.Rounds != ecc || res.Metrics["termination.boundExact"] != 1 {
+			t.Errorf("%s from %d: %d rounds, boundExact %g, want exactly e(source) = %d",
+				tc.g, tc.src, res.Rounds, res.Metrics["termination.boundExact"], ecc)
+		}
+		dist, counts, first := algo.BFS(tc.g, tc.src), cov.ReceiveCounts(), cov.FirstReceive()
+		for v := range tc.g.N() {
+			want := 1
+			if graph.NodeID(v) == tc.src {
+				want = 0
+			}
+			if counts[v] != want || (want == 1 && first[v] != dist[v]) {
+				t.Errorf("%s from %d: node %d received %d times, first in round %d; want %d, at distance %d",
+					tc.g, tc.src, v, counts[v], first[v], want, dist[v])
+			}
+		}
 	}
 }
 
-// pendantC5 is the 5-cycle 0-1-2-5-3 with node 4 hung on node 1, where
-// two-sweep from node 0 undershoots the diameter: LB = 2, D = 3. From node
-// 1 (e = 2) the flood takes 6 rounds, within 2D+1 = 7 but past
-// 2*max(LB, e)+1 = 5.
-func pendantC5(t *testing.T) *graph.Graph {
-	t.Helper()
-	g, err := graph.FromEdges("pendant-C5", 6, []graph.Edge{
-		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 5}, {U: 5, V: 3}, {U: 3, V: 0}, {U: 1, V: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestCheckBipartiteExactCatchesDoctoredReports: on a path, a run
+// lengthened by a round, a receipt repeated, the origin hearing its echo,
+// and a receipt moved a round earlier break the double-cover law, and the
+// reader fails each; the run's own rounds, replayed, pass.
+func TestCheckBipartiteExactCatchesDoctoredReports(t *testing.T) {
+	g := gen.Path(5)
+	res, _ := run(t, g, 0)
+	origin := []graph.NodeID{0}
+	if err := theory.CheckLaw(judged(t, g, res, origin, []graph.NodeID{1}, []graph.NodeID{2}, []graph.NodeID{3}, []graph.NodeID{4})); err != nil {
+		t.Fatalf("the run's own rounds, replayed: %v", err)
 	}
-	return g
+	lengthened := res
+	lengthened.Rounds++
+	for name, doctored := range map[string]engine.Result{
+		"lengthened":     judged(t, g, lengthened, origin, []graph.NodeID{1}, []graph.NodeID{2}, []graph.NodeID{3}, []graph.NodeID{4}),
+		"double receipt": judged(t, g, res, origin, []graph.NodeID{1}, []graph.NodeID{2}, []graph.NodeID{3}, []graph.NodeID{4, 2}),
+		"origin echo":    judged(t, g, res, origin, []graph.NodeID{1, 0}, []graph.NodeID{2}, []graph.NodeID{3}, []graph.NodeID{4}),
+		"earlier":        judged(t, g, res, origin, []graph.NodeID{1, 3}, []graph.NodeID{2}, nil, []graph.NodeID{4}),
+	} {
+		if err := theory.CheckLaw(doctored); err == nil || !strings.Contains(err.Error(), "double-cover law") {
+			t.Errorf("%s run: err = %v, want a double-cover law violation", name, err)
+		}
+	}
+	// A bipartite window is exact: the lengthened run also falls outside it.
+	if within := judged(t, g, lengthened, origin).Metrics["termination.withinBounds"]; within != 0 {
+		t.Errorf("lengthened run: withinBounds %g, want 0", within)
+	}
+}
+
+// TestCheckGeneralBoundsAcceptsNonBipartite: on non-bipartite families from
+// one origin, real runs pass the reader, end inside e(source)..2D+1 with
+// the exact D (Theorem 3.3), cover every node, and give no node M in more
+// than two rounds.
+func TestCheckGeneralBoundsAcceptsNonBipartite(t *testing.T) {
+	for _, tc := range []struct {
+		g   *graph.Graph
+		src graph.NodeID
+	}{
+		{gen.Cycle(3), 0},
+		{gen.Cycle(9), 2},
+		{gen.Complete(7), 1},
+		{gen.Wheel(9), 0},
+		{gen.Petersen(), 5},
+		{gen.Lollipop(4, 5), 8},
+	} {
+		res, cov := run(t, tc.g, tc.src)
+		if err := theory.CheckLaw(res); err != nil {
+			t.Errorf("%s from %d: %v", tc.g, tc.src, err)
+		}
+		if ecc, upper := algo.Eccentricity(tc.g, tc.src), 2*algo.Diameter(tc.g)+1; res.Rounds < ecc || res.Rounds > upper {
+			t.Errorf("%s from %d: %d rounds outside %d..%d", tc.g, tc.src, res.Rounds, ecc, upper)
+		}
+		if cov.Uncovered() > 0 || cov.MaxReceives() > 2 {
+			t.Errorf("%s from %d: %d nodes uncovered, a node received in %d rounds; want 0 and at most 2",
+				tc.g, tc.src, cov.Uncovered(), cov.MaxReceives())
+		}
+	}
+}
+
+// TestCheckGeneralBoundsCatchesViolations: on a triangle, a run past 2D+1,
+// a run of no rounds, a node receiving in three rounds, and a node never
+// receiving break the double-cover law, and the reader fails each. The run
+// of no rounds also falls below the window, which starts at e(source); a
+// run past the two-sweep upper end gets no window verdict at all.
+func TestCheckGeneralBoundsCatchesViolations(t *testing.T) {
+	g := gen.Cycle(3)
+	res, _ := run(t, g, 0)
+	origin := []graph.NodeID{0}
+	own := [][]graph.NodeID{{1, 2}, {1, 2}, {0}}
+	if err := theory.CheckLaw(judged(t, g, res, origin, own...)); err != nil {
+		t.Fatalf("the run's own rounds, replayed: %v", err)
+	}
+	tooMany, tooFew := res, res
+	tooMany.Rounds = 2*algo.Diameter(g) + 2
+	tooFew.Rounds = 0
+	for name, doctored := range map[string]engine.Result{
+		"beyond 2D+1":   judged(t, g, tooMany, origin, own...),
+		"zero rounds":   judged(t, g, tooFew, origin, own...),
+		"three rounds":  judged(t, g, res, origin, []graph.NodeID{0, 1, 2}, []graph.NodeID{0}, []graph.NodeID{0}),
+		"never reached": judged(t, g, res, origin, []graph.NodeID{1}),
+	} {
+		if err := theory.CheckLaw(doctored); err == nil || !strings.Contains(err.Error(), "double-cover law") {
+			t.Errorf("%s run: err = %v, want a double-cover law violation", name, err)
+		}
+	}
+	if within, ok := judged(t, g, tooFew, origin, own...).Metrics["termination.withinBounds"]; !ok || within != 0 {
+		t.Errorf("run of no rounds: withinBounds %g (emitted %t), want 0", within, ok)
+	}
+}
+
+// TestCheckNonBipartiteStrictOnSymmetricFamilies: on source-symmetric
+// non-bipartite families, runs pass the reader and end strictly after the
+// diameter, the paper's remark (rounds > D), which irregular graphs can
+// break (experiment E5).
+func TestCheckNonBipartiteStrictOnSymmetricFamilies(t *testing.T) {
+	for _, g := range []*graph.Graph{gen.Cycle(3), gen.Cycle(11), gen.Complete(9), gen.Wheel(8), gen.Petersen()} {
+		res, _ := run(t, g, 0)
+		if err := theory.CheckLaw(res); err != nil {
+			t.Errorf("%s: %v", g, err)
+		}
+		if diam := algo.Diameter(g); res.Rounds <= diam {
+			t.Errorf("%s: %d rounds <= diameter %d, want strictly more", g, res.Rounds, diam)
+		}
+	}
+}
+
+// TestCheckLawAcceptsFamilies: real runs from origin sets pass the reader,
+// on bipartite graphs with the origins in one colour class or in both, and
+// on non-bipartite graphs.
+func TestCheckLawAcceptsFamilies(t *testing.T) {
+	for _, tc := range []struct {
+		g       *graph.Graph
+		origins []graph.NodeID
+	}{
+		{gen.Path(9), []graph.NodeID{0, 8}}, // one colour class
+		{gen.Path(9), []graph.NodeID{0, 5}}, // both classes
+		{gen.Grid(4, 7), []graph.NodeID{0, 2, 27}},
+		{gen.Cycle(9), []graph.NodeID{0, 3}}, // odd cycle
+		{gen.Complete(10), []graph.NodeID{0, 1, 2}},
+		{gen.Petersen(), []graph.NodeID{5, 5, 0}}, // a repeated origin counts once
+	} {
+		res, _ := run(t, tc.g, tc.origins...)
+		if err := theory.CheckLaw(res); err != nil {
+			t.Errorf("%s from %v: %v", tc.g, tc.origins, err)
+		}
+	}
+}
+
+// TestCheckLawRejectsBrokenRuns: the reader fails a run that did not
+// terminate, a run the double-cover law does not predict, a run outside a
+// certified window, and a run without termination metrics. The doctored
+// streams that make termination report exactOK 0 are in
+// internal/analysis (TestTerminationExactOKMatchesCheckOnTampering).
+func TestCheckLawRejectsBrokenRuns(t *testing.T) {
+	g := gen.Path(5)
+	res, _ := run(t, g, 0)
+	if err := theory.CheckLaw(res); err != nil {
+		t.Fatalf("the run itself: %v", err)
+	}
+	with := func(key string, v float64) engine.Result {
+		doctored := res
+		doctored.Metrics = maps.Clone(res.Metrics)
+		doctored.Metrics[key] = v
+		return doctored
+	}
+	unterminated := res
+	unterminated.Terminated = false
+	unmeasured := res
+	unmeasured.Metrics = nil
+	coverageOnly := res
+	coverageOnly.Metrics = maps.Clone(res.Metrics)
+	maps.DeleteFunc(coverageOnly.Metrics, func(k string, _ float64) bool { return strings.HasPrefix(k, "termination.") })
+	for name, tc := range map[string]struct {
+		res  engine.Result
+		want string
+	}{
+		"not terminated":     {unterminated, "did not terminate"},
+		"law broken":         {with("termination.exactOK", 0), "double-cover law"},
+		"outside the window": {with("termination.withinBounds", 0), "window"},
+		"no metrics":         {unmeasured, "no termination.exactOK"},
+		"coverage only":      {coverageOnly, "no termination.exactOK"},
+	} {
+		if err := theory.CheckLaw(tc.res); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
+	}
 }
 
 func TestPredictedWindowAlwaysHolds(t *testing.T) {
-	// Property: every measured run lands inside its predicted window, and
-	// inside the paper's e(source)..2D+1 (exactly e(source) when
-	// bipartite) with the exact D, whether or not two-sweep certified it.
+	// Property: every run from one to three origins on a random connected
+	// graph passes the reader, reports e(S) as the multi-source BFS depth,
+	// and lands inside the paper's window computed with the exact D:
+	// exactly e(S) when the graph is bipartite and the origins lie in one
+	// colour class, e(S)..2D+1 otherwise, whether or not two-sweep
+	// certified it.
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomConnected(2+rng.Intn(40), 0.08, rng)
-		src := graph.NodeID(rng.Intn(g.N()))
-		res, _ := run(t, g, src)
-		ecc, upper := algo.Eccentricity(g, src), 2*algo.Diameter(g)+1
-		if algo.IsBipartite(g) {
+		origins := make([]graph.NodeID, 1+rng.Intn(3))
+		for i := range origins {
+			origins[i] = graph.NodeID(rng.Intn(g.N()))
+		}
+		res, _ := run(t, g, origins...)
+		ecc, upper := slices.Max(algo.BFSMulti(g, origins)), 2*algo.Diameter(g)+1
+		col := algo.TwoColor(g)
+		if col.Bipartite && !slices.ContainsFunc(origins, func(o graph.NodeID) bool { return col.Sides[o] != col.Sides[origins[0]] }) {
 			upper = ecc
 		}
-		return theory.PredictTermination(g, src).Holds(res.Rounds) && res.Rounds >= ecc && res.Rounds <= upper
+		return theory.CheckLaw(res) == nil && res.Metrics["termination.eccentricity"] == float64(ecc) &&
+			res.Rounds >= ecc && res.Rounds <= upper
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestBoundHolds(t *testing.T) {
-	check := func(b theory.Bound, want map[int]bool) {
-		t.Helper()
-		for rounds, ok := range want {
-			if b.Holds(rounds) != ok {
-				t.Errorf("%+v: Holds(%d) = %t, want %t", b, rounds, b.Holds(rounds), ok)
-			}
-		}
-	}
-	// As PredictTermination builds them: only the exact round holds, on a
-	// bipartite component (e = 4), a certified non-bipartite one (the
-	// triangle) and an uncertified one (two-sweep undershot D).
-	check(theory.PredictTermination(gen.Path(5), 0), map[int]bool{3: false, 4: true, 5: false})
-	check(theory.PredictTermination(gen.Cycle(3), 0), map[int]bool{1: false, 2: false, 3: true, 4: false})
-	check(theory.PredictTermination(pendantC5(t), 1), map[int]bool{2: false, 5: false, 6: true, 7: false})
-	// The paper's window is checked as well as the exact round: a round
-	// that is not e(source) on a bipartite component (Lemma 2.1), or below
-	// e(source) in general, fails even where it is the predicted one.
-	check(theory.Bound{Exact: true, Lower: 3, Upper: 3, Rounds: 4, Certified: true}, map[int]bool{3: false, 4: false})
-	check(theory.Bound{Lower: 5, Rounds: 4}, map[int]bool{4: false, 5: false})
-	check(theory.Bound{Lower: 2, Upper: 5, Rounds: 6, Certified: true}, map[int]bool{5: false, 6: false})
 }
