@@ -49,13 +49,17 @@ race:
 # fuzz runs the engine-equivalence fuzzer, then the run-request normaliser
 # the service applies to remote bodies, then the edge-list reader behind
 # -file and the edgefile graph family, then the one-pass row constructor
-# that streamed gnp builds through, then the model and analysis spec
-# parsers' canonical round trips.
+# that streamed gnp builds through, then the model engine against the
+# synchronous engine under the zero-delay adversary and under the static
+# schedule (the identity both fate hooks must keep), then the model and
+# analysis spec parsers' canonical round trips.
 fuzz:
 	go test -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine/fastengine
 	go test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/service
 	go test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 10s ./internal/graph
 	go test -run '^$$' -fuzz FuzzRowStream -fuzztime 10s ./internal/graph
+	go test -run '^$$' -fuzz FuzzZeroDelayAdversaryEquivalence -fuzztime 10s ./internal/model
+	go test -run '^$$' -fuzz FuzzStaticScheduleEquivalence -fuzztime 10s ./internal/model
 	go test -run '^$$' -fuzz FuzzModelParse -fuzztime 10s ./internal/model
 	go test -run '^$$' -fuzz FuzzAnalysisParse -fuzztime 10s ./internal/analysis
 

@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation artifacts, one benchmark
-// per figure/theorem (DESIGN.md §3 maps IDs to experiments), plus substrate
-// scaling benchmarks. Custom metrics report the quantities the paper talks
-// about: rounds to termination and total messages.
+// per figure/theorem (experiments.All() maps IDs to experiments), plus
+// substrate scaling benchmarks. Custom metrics report the quantities the
+// paper talks about: rounds to termination and total messages.
 //
 //	go test -bench=. -benchmem
 package amnesiacflood_test
@@ -235,16 +235,17 @@ func BenchmarkAsyncAdversary(b *testing.B) {
 	}
 }
 
-// BenchmarkModels measures the certificate path of the two model engines
-// against the frozen string-key baseline they replaced: identical runs to
-// the same certified cycle, with the configuration detector as the only
-// difference that matters. allocs/op is the headline number — the packed
-// detector does arithmetic on reused arenas where the baseline serialised
-// every configuration to a sorted, joined string.
+// BenchmarkModels measures the certificate path of the model engine, under
+// an adversary and under a schedule, against the frozen string-key runners
+// it replaced: identical runs to the same certified cycle, with the
+// configuration detector as the only difference that matters. allocs/op is
+// the headline number — the packed detector does arithmetic on reused
+// arenas where the baseline serialised every configuration to a sorted,
+// joined string.
 func BenchmarkModels(b *testing.B) {
 	asyncCycle := gen.Cycle(101)
 	b.Run("async/packed/C101", func(b *testing.B) {
-		eng := model.NewAsync(asyncCycle, async.CollisionDelayer{})
+		eng := model.NewEngine(asyncCycle, model.Model{Adversary: async.CollisionDelayer{}})
 		var res engine.Result
 		var err error
 		b.ReportAllocs()
@@ -281,7 +282,7 @@ func BenchmarkModels(b *testing.B) {
 	dynCycle := gen.Cycle(64)
 	dynSched := dynamic.OutageOnce{Round: 1, Edge: graph.Edge{U: 0, V: 63}}
 	b.Run("dynamic/packed/outageC64", func(b *testing.B) {
-		eng := model.NewDynamic(dynCycle, dynSched)
+		eng := model.NewEngine(dynCycle, model.Model{Schedule: dynSched})
 		var res engine.Result
 		var err error
 		b.ReportAllocs()

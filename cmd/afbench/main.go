@@ -1,7 +1,8 @@
 // Command afbench runs evaluation suites. Its default mode reproduces
 // every figure and theorem of the paper, printing one table per artifact
-// (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md for
-// recorded results). With -suite it instead drives a declarative scenario
+// (experiments.All() is the experiment index, and
+// internal/experiments/testdata/runall.txt pins the default output). With
+// -suite it instead drives a declarative scenario
 // matrix — graph specs × protocols × engines × seeds — over a bounded
 // worker pool, streaming per-run results to a JSONL/CSV/table sink.
 //
@@ -431,11 +432,10 @@ func runShardedSuite(ctx context.Context, o suiteOpts, specs []scenario.Spec, si
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	cfg := shard.CoordinatorConfig{
 		Run: shard.RunConfig{
-			TimeoutMs:     o.timeout.Milliseconds(),
-			Retries:       o.retries,
-			BackoffMs:     o.backoff.Milliseconds(),
-			Chaos:         o.chaos,
-			MaxRoundsHint: o.maxRounds,
+			TimeoutMs: o.timeout.Milliseconds(),
+			Retries:   o.retries,
+			BackoffMs: o.backoff.Milliseconds(),
+			Chaos:     o.chaos,
 		},
 		Sink:    sink,
 		Logger:  logger,

@@ -13,19 +13,20 @@
 // alive forever by a scheduling adversary.
 //
 // The repository reproduces every evaluation artifact of the paper (Figures
-// 1-5 and Theorems 3.1/3.3, see DESIGN.md and EXPERIMENTS.md) on four
+// 1-5 and Theorems 3.1/3.3; experiments.All() indexes them, and
+// internal/experiments/testdata/runall.txt pins their tables) on four
 // interchangeable synchronous substrates — a deterministic sequential
 // reference engine, a goroutine-per-node channel engine, a zero-allocation
 // compressed-sparse-row engine, and a word-parallel bitset frontier engine
 // that executes set-rule protocols (amnesiac, classic) as OR/AND-NOT sweeps
 // over packed directed edge slots, with push/pull kernels chosen per round
-// by frontier density — plus asynchronous and dynamic-network model engines with pluggable
-// adversaries/schedules and configuration-cycle non-termination
-// certificates. The engines are trace-equivalent:
-// byte-identical traces on every protocol (and, for the model engines,
-// under the zero-delay adversary and the static schedule), asserted by
-// differential and fuzz tests (internal/engine/README.md documents the
-// determinism contract and the performance numbers).
+// by frontier density — plus one model engine for the asynchronous and
+// dynamic-network models, with pluggable adversaries/schedules and
+// configuration-cycle non-termination certificates. The engines are
+// trace-equivalent: byte-identical traces on every protocol (and, for the
+// model engine, under the zero-delay adversary and the static schedule),
+// asserted by differential and fuzz tests (internal/engine/README.md
+// documents the determinism contract and the performance numbers).
 //
 // The public face of the simulator is the internal/sim façade: protocols
 // self-register by name (amnesiac, classic, multiflood; importing
@@ -42,7 +43,8 @@
 // self-register under a round-trippable spec grammar — "adversary:collision"
 // is the paper's Figure 5 delaying scheduler, "schedule:blink:period=2" a
 // flapping link — and sim.WithModel runs amnesiac flooding under them on
-// dedicated packed-arena engines that certify non-termination by
+// one packed-arena model engine, where an adversary delays each copy of M
+// and a schedule may lose it, and which certifies non-termination by
 // configuration repetition (Result.Outcome, Result.Certificate). Faults are
 // schedules too, because a schedule sees each copy directed: a lost copy is
 // an edge down for one round ("schedule:outage:round=1,u=0,v=3"), seeded
@@ -145,7 +147,7 @@
 //	internal/sim              façade: protocol registry, session API, observers, model + analysis axes
 //	internal/service          multi-tenant HTTP serving layer: session pool, admission control, streaming
 //	internal/specgrammar      shared typed-parameter spec-grammar kernel of every registry
-//	internal/model            execution-model registry, packed async/dynamic engines, certificates
+//	internal/model            execution-model registry, the packed model engine, certificates
 //	internal/analysis         streaming-analysis registry: coverage, termination, bipartite, spantree, echo, quantiles
 //	internal/analysis/analysistest frozen post-hoc bipartite/spantree walks, test-only differential oracles
 //	internal/scenario         declarative suites: spec matrix, pooled runner, sinks, metric columns

@@ -8,8 +8,11 @@
 // ("adversary:collision", "adversary:hold:node=3,extra=2", ...) through
 // sim.WithModel, scenario matrices, and the CLIs. The model itself — in-
 // flight arenas, delivery semantics, configuration-repeat certificates — is
-// executed by model.AsyncEngine; this package holds only the scheduling
-// policies.
+// executed by model.Engine, which calls an adversary once per round to
+// delay the copies sent (its send-time fate hook, beside the schedules'
+// delivery-time one); this package holds only the scheduling policies.
+// The deterministic ones are pure functions of the batch, which keeps
+// certificates sound.
 package async
 
 import (
@@ -31,14 +34,10 @@ var _ model.Adversary = SyncAdversary{}
 func (SyncAdversary) Name() string { return "sync" }
 
 // Delays implements model.Adversary with all-zero delays.
-func (SyncAdversary) Delays([]graph.Edge, model.ConfigView, []int) {}
+func (SyncAdversary) Delays([]graph.Edge, []int) {}
 
 // Deterministic implements model.Adversary.
 func (SyncAdversary) Deterministic() bool { return true }
-
-// IgnoresView implements model.ViewIgnorer: delays never depend on the
-// in-flight configuration.
-func (SyncAdversary) IgnoresView() bool { return true }
 
 // CollisionDelayer is the paper's Figure 5 adversary, generalised: whenever
 // two or more messages sent in the same round target the same node, the one
@@ -56,7 +55,7 @@ func (CollisionDelayer) Name() string { return "collision-delayer" }
 
 // Delays implements model.Adversary. batch is sorted by (From, To), so
 // within a target the lowest-ID sender appears first.
-func (CollisionDelayer) Delays(batch []graph.Edge, _ model.ConfigView, delays []int) {
+func (CollisionDelayer) Delays(batch []graph.Edge, delays []int) {
 	firstTo := map[graph.NodeID]graph.NodeID{} // target -> lowest sender
 	for _, e := range batch {
 		if cur, ok := firstTo[e.V]; !ok || e.U < cur {
@@ -72,10 +71,6 @@ func (CollisionDelayer) Delays(batch []graph.Edge, _ model.ConfigView, delays []
 
 // Deterministic implements model.Adversary.
 func (CollisionDelayer) Deterministic() bool { return true }
-
-// IgnoresView implements model.ViewIgnorer: delays depend only on the
-// batch's collision structure.
-func (CollisionDelayer) IgnoresView() bool { return true }
 
 // HoldNode delays every message sent *by* one fixed node by a constant
 // amount, modelling a single slow link/node; all other messages are
@@ -94,7 +89,7 @@ var _ model.Validator = HoldNode{}
 func (a HoldNode) Name() string { return "hold-node" }
 
 // Delays implements model.Adversary.
-func (a HoldNode) Delays(batch []graph.Edge, _ model.ConfigView, delays []int) {
+func (a HoldNode) Delays(batch []graph.Edge, delays []int) {
 	for i, e := range batch {
 		if e.U == a.Node {
 			delays[i] = a.Extra
@@ -104,9 +99,6 @@ func (a HoldNode) Delays(batch []graph.Edge, _ model.ConfigView, delays []int) {
 
 // Deterministic implements model.Adversary.
 func (a HoldNode) Deterministic() bool { return true }
-
-// IgnoresView implements model.ViewIgnorer.
-func (a HoldNode) IgnoresView() bool { return true }
 
 // Validate implements model.Validator: the slow sender must be a node of g.
 func (a HoldNode) Validate(g *graph.Graph) error { return model.CheckNode(g, a.Node) }
@@ -127,7 +119,7 @@ var _ model.Adversary = UniformDelayer{}
 func (a UniformDelayer) Name() string { return "uniform-delayer" }
 
 // Delays implements model.Adversary.
-func (a UniformDelayer) Delays(batch []graph.Edge, _ model.ConfigView, delays []int) {
+func (a UniformDelayer) Delays(batch []graph.Edge, delays []int) {
 	for i := range delays {
 		delays[i] = a.Extra
 	}
@@ -135,9 +127,6 @@ func (a UniformDelayer) Delays(batch []graph.Edge, _ model.ConfigView, delays []
 
 // Deterministic implements model.Adversary.
 func (a UniformDelayer) Deterministic() bool { return true }
-
-// IgnoresView implements model.ViewIgnorer.
-func (a UniformDelayer) IgnoresView() bool { return true }
 
 // EdgeDelayer adds a fixed extra delay to every message crossing one
 // specific undirected edge (in either direction), modelling a single slow
@@ -156,7 +145,7 @@ var _ model.Validator = EdgeDelayer{}
 func (a EdgeDelayer) Name() string { return "edge-delayer" }
 
 // Delays implements model.Adversary.
-func (a EdgeDelayer) Delays(batch []graph.Edge, _ model.ConfigView, delays []int) {
+func (a EdgeDelayer) Delays(batch []graph.Edge, delays []int) {
 	slow := a.Edge.Normalize()
 	for i, e := range batch {
 		if e.Normalize() == slow {
@@ -167,9 +156,6 @@ func (a EdgeDelayer) Delays(batch []graph.Edge, _ model.ConfigView, delays []int
 
 // Deterministic implements model.Adversary.
 func (a EdgeDelayer) Deterministic() bool { return true }
-
-// IgnoresView implements model.ViewIgnorer.
-func (a EdgeDelayer) IgnoresView() bool { return true }
 
 // Validate implements model.Validator: the slow link must be an edge of g.
 func (a EdgeDelayer) Validate(g *graph.Graph) error { return model.CheckEdge(g, a.Edge) }
@@ -198,7 +184,7 @@ func NewRandomAdversary(seed int64, maxExtra int) *RandomAdversary {
 func (a *RandomAdversary) Name() string { return "random" }
 
 // Delays implements model.Adversary.
-func (a *RandomAdversary) Delays(batch []graph.Edge, _ model.ConfigView, delays []int) {
+func (a *RandomAdversary) Delays(batch []graph.Edge, delays []int) {
 	for i := range delays {
 		delays[i] = a.rng.Intn(a.maxExtra + 1)
 	}
@@ -206,6 +192,3 @@ func (a *RandomAdversary) Delays(batch []graph.Edge, _ model.ConfigView, delays 
 
 // Deterministic implements model.Adversary.
 func (a *RandomAdversary) Deterministic() bool { return false }
-
-// IgnoresView implements model.ViewIgnorer.
-func (a *RandomAdversary) IgnoresView() bool { return true }

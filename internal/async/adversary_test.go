@@ -15,7 +15,7 @@ import (
 
 func delaysOf(adv model.Adversary, batch []graph.Edge) []int {
 	delays := make([]int, len(batch))
-	adv.Delays(batch, model.ConfigView{}, delays)
+	adv.Delays(batch, delays)
 	return delays
 }
 

@@ -18,8 +18,10 @@
 // ("schedule:static", "schedule:blink:period=2,phase=1",
 // "schedule:loss:p=0.05", ...) through sim.WithModel, scenario matrices,
 // and the CLIs. The model itself — delivery, loss accounting,
-// (configuration, phase) certificates — is executed by
-// model.DynamicEngine; this package holds only the liveness policies.
+// (phase, configuration) certificates — is executed by model.Engine, which
+// asks a schedule whether each copy due arrives (its delivery-time fate
+// hook, beside the adversaries' send-time one); this package holds only
+// the liveness policies.
 //
 // Findings (experiments E12, E14, E15): a static schedule reproduces the
 // synchronous engine exactly; a single edge outage in the right round is a
@@ -39,7 +41,7 @@ import (
 	"amnesiacflood/internal/model"
 )
 
-// Static keeps every edge alive forever: the dynamic engine must match the
+// Static keeps every edge alive forever: the model engine must match the
 // synchronous engines exactly under it (verified by fuzz tests).
 type Static struct{}
 

@@ -101,10 +101,10 @@ type BitsetProtocol interface {
 
 // Outcome classifies how a run ended across every execution model. The
 // synchronous engines prove termination by reaching an empty round; the
-// asynchronous and dynamic model engines (internal/model) can additionally
-// certify *non*-termination by configuration repetition, or give up at a
-// round limit without a verdict (randomised adversaries, aperiodic
-// schedules). The zero value means "no verdict" — the run was stopped or
+// model engine (internal/model), under an adversary or a schedule, can
+// additionally certify *non*-termination by configuration repetition, or
+// give up at a round limit without a verdict (randomised adversaries,
+// aperiodic schedules). The zero value means "no verdict" — the run was stopped or
 // cancelled before one was reached.
 type Outcome int
 
@@ -224,7 +224,7 @@ type Result struct {
 	Model string `json:"model,omitempty"`
 	// Outcome classifies how the run ended. The synchronous engines leave
 	// it unset (the façade derives OutcomeTerminated from Terminated); the
-	// model engines report their verdict directly, including certified
+	// model engine reports its verdict directly, including certified
 	// non-termination, which Terminated alone cannot express.
 	Outcome Outcome `json:"outcome,omitempty"`
 	// Certificate describes the certified non-termination loop when

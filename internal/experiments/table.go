@@ -1,7 +1,7 @@
 // Package experiments regenerates every evaluation artifact of the paper —
 // Figures 1, 2, 3 and 5, the proof machinery of Figure 4, and the three
-// termination theorems — as reproducible tables. DESIGN.md §3 is the
-// authoritative index; EXPERIMENTS.md records paper-vs-measured for each.
+// termination theorems — as reproducible tables. All is the authoritative
+// index; testdata/runall.txt pins every table of the default run.
 //
 // Every experiment is a pure function of its Config (sizes and RNG seed),
 // so reruns are bit-identical.
@@ -123,8 +123,8 @@ func (c Config) EngineKind() sim.EngineKind {
 	return c.Engine
 }
 
-// DefaultConfig is the configuration used by cmd/afbench and the recorded
-// EXPERIMENTS.md numbers.
+// DefaultConfig is the configuration used by cmd/afbench and the pinned
+// testdata/runall.txt tables.
 func DefaultConfig() Config {
 	return Config{Seed: 20190729, Scale: 1} // PODC 2019 started July 29
 }
@@ -150,7 +150,7 @@ type Experiment struct {
 	Run  func(Config) ([]*Table, error)
 }
 
-// All returns the full suite in DESIGN.md order.
+// All returns the full suite in experiment-ID order.
 func All() []Experiment {
 	return []Experiment{
 		{ID: "E1", Name: "Figure 1: line graph", Run: Fig1Line},

@@ -2,10 +2,10 @@ package model
 
 // Detector certifies non-termination by configuration repetition. Callers
 // feed it one packed configuration per round — a canonically ordered
-// []uint64 encoding of the global state (for the asynchronous engine the
-// in-flight multiset as (remaining delay, edge index) words; for the
-// dynamic engine the schedule phase followed by the pending edge indices) —
-// and it reports the first round an equal configuration was seen.
+// []uint64 encoding of the global state; the Engine's is the phase word,
+// round mod period, followed by the in-flight multiset as sorted
+// (remaining delay, edge index) words — and it reports the first round an
+// equal configuration was seen.
 //
 // It replaces the two historical map[string]int detectors that serialised
 // every configuration to a string per round: configurations are now hashed

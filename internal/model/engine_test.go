@@ -2,6 +2,8 @@ package model_test
 
 import (
 	"context"
+	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -69,8 +71,8 @@ type asyncCase struct {
 }
 
 // asyncCorpus crosses the paper's topologies with every adversary family —
-// the seeded corpus the packed engine must reproduce the legacy string-key
-// runner on, outcome for outcome and trace for trace.
+// the seeded corpus the model engine must reproduce the legacy string-key
+// async runner on, outcome for outcome and trace for trace.
 var asyncCorpus = []asyncCase{
 	{"fig5-triangle", "cycle:n=3", 1, "adversary:collision", origins(1)},
 	{"triangle-sync", "cycle:n=3", 1, "adversary:sync", origins(1)},
@@ -99,10 +101,10 @@ var asyncCorpus = []asyncCase{
 	{"c3-multi", "cycle:n=3", 1, "adversary:collision", origins(0, 1)},
 }
 
-// TestAsyncEngineMatchesLegacyRunner is the differential gate: on every
-// corpus instance the packed engine must reproduce the legacy string-key
-// runner's outcome, certificate (cycle start and length), round count,
-// delivery count, and full trace.
+// TestAsyncEngineMatchesLegacyRunner is the differential gate under
+// adversaries: on every corpus instance the model engine must reproduce the
+// legacy string-key runner's outcome, certificate (cycle start and length),
+// round count, delivery count, and full trace.
 func TestAsyncEngineMatchesLegacyRunner(t *testing.T) {
 	if len(asyncCorpus) < 20 {
 		t.Fatalf("corpus has %d instances, want >= 20", len(asyncCorpus))
@@ -112,15 +114,14 @@ func TestAsyncEngineMatchesLegacyRunner(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := gen.MustBuild(tc.graph, tc.seed)
 			// Two independently built adversaries: random adversaries own
-			// rng state, so the engines must not share one.
+			// rng state, so the engine and the runner must not share one.
 			legacyAdv := model.MustBuild(tc.model, tc.seed).Adversary
-			packedAdv := model.MustBuild(tc.model, tc.seed).Adversary
 
 			want, err := modeltest.AsyncRun(g, legacyAdv, maxRounds, true, tc.origins...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := model.NewAsync(g, packedAdv).Run(context.Background(), tc.origins, opts(maxRounds, true))
+			got, err := model.NewEngine(g, model.MustBuild(tc.model, tc.seed)).Run(context.Background(), tc.origins, opts(maxRounds, true))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +192,7 @@ var dynamicCorpus = []dynamicCase{
 }
 
 // TestDynamicEngineMatchesLegacyRunner mirrors the async differential gate
-// for the dynamic model, additionally comparing loss and coverage.
+// under schedules, additionally comparing loss and coverage.
 func TestDynamicEngineMatchesLegacyRunner(t *testing.T) {
 	if len(dynamicCorpus) < 20 {
 		t.Fatalf("corpus has %d instances, want >= 20", len(dynamicCorpus))
@@ -200,13 +201,13 @@ func TestDynamicEngineMatchesLegacyRunner(t *testing.T) {
 	for _, tc := range dynamicCorpus {
 		t.Run(tc.name, func(t *testing.T) {
 			g := gen.MustBuild(tc.graph, tc.seed)
-			sched := model.MustBuild(tc.model, tc.seed).Schedule
+			m := model.MustBuild(tc.model, tc.seed)
 
-			want, err := modeltest.DynamicRun(g, sched, maxRounds, true, tc.origins...)
+			want, err := modeltest.DynamicRun(g, m.Schedule, maxRounds, true, tc.origins...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := model.NewDynamic(g, sched)
+			e := model.NewEngine(g, m)
 			o := opts(maxRounds, true)
 			cov := observeCoverage(t, g, &o, tc.origins...)
 			got, err := e.Run(context.Background(), tc.origins, o)
@@ -245,7 +246,7 @@ func TestDynamicEngineMatchesLegacyRunner(t *testing.T) {
 // collision delayer on the triangle from b loops with the exact published
 // rounds, and the certificate names the exact cycle.
 func TestFigure5TriangleCertificate(t *testing.T) {
-	e := model.NewAsync(gen.Cycle(3), async.CollisionDelayer{})
+	e := model.NewEngine(gen.Cycle(3), model.Model{Adversary: async.CollisionDelayer{}})
 	res, err := e.Run(context.Background(), origins(1), opts(0, true))
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +282,7 @@ func TestFigure5TriangleCertificate(t *testing.T) {
 // adversary tried.
 func TestCollisionDelayerAcrossTopologies(t *testing.T) {
 	for _, n := range []int{3, 5, 7, 9, 11} {
-		res, err := model.NewAsync(gen.Cycle(n), async.CollisionDelayer{}).
+		res, err := model.NewEngine(gen.Cycle(n), model.Model{Adversary: async.CollisionDelayer{}}).
 			Run(context.Background(), origins(0), opts(0, false))
 		if err != nil {
 			t.Fatal(err)
@@ -292,7 +293,7 @@ func TestCollisionDelayerAcrossTopologies(t *testing.T) {
 	}
 	for _, spec := range []string{"path:n=9", "star:n=8", "bintree:levels=4", "tree:n=40"} {
 		g := gen.MustBuild(spec, 2)
-		res, err := model.NewAsync(g, async.CollisionDelayer{}).
+		res, err := model.NewEngine(g, model.Model{Adversary: async.CollisionDelayer{}}).
 			Run(context.Background(), origins(0), opts(0, false))
 		if err != nil {
 			t.Fatal(err)
@@ -310,7 +311,7 @@ func TestUniformDelayerPreservesTermination(t *testing.T) {
 		g := gen.MustBuild("randconnected:n=20,p=0.12", seed)
 		src := graph.NodeID(int(seed) % g.N())
 		extra := int(seed) % 4
-		res, err := model.NewAsync(g, async.UniformDelayer{Extra: extra}).
+		res, err := model.NewEngine(g, model.Model{Adversary: async.UniformDelayer{Extra: extra}}).
 			Run(context.Background(), origins(src), opts(0, false))
 		if err != nil {
 			t.Fatal(err)
@@ -335,7 +336,7 @@ func TestUniformDelayerPreservesTermination(t *testing.T) {
 // one triangle edge merges wavefronts and terminates FASTER than the
 // synchronous 3 rounds.
 func TestEdgeDelayerCanAccelerate(t *testing.T) {
-	res, err := model.NewAsync(gen.Cycle(3), async.EdgeDelayer{Edge: edge(1, 2), Extra: 1}).
+	res, err := model.NewEngine(gen.Cycle(3), model.Model{Adversary: async.EdgeDelayer{Edge: edge(1, 2), Extra: 1}}).
 		Run(context.Background(), origins(1), opts(0, false))
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +349,7 @@ func TestEdgeDelayerCanAccelerate(t *testing.T) {
 // TestRoundLimitOutcome: with certificates out of reach the limit fires as
 // an outcome, not an error.
 func TestRoundLimitOutcome(t *testing.T) {
-	res, err := model.NewAsync(gen.Cycle(3), async.CollisionDelayer{}).
+	res, err := model.NewEngine(gen.Cycle(3), model.Model{Adversary: async.CollisionDelayer{}}).
 		Run(context.Background(), origins(0), opts(3, false))
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +365,7 @@ func TestRoundLimitOutcome(t *testing.T) {
 // TestRandomAdversaryNeverCertifies: non-deterministic adversaries must not
 // claim cycle certificates.
 func TestRandomAdversaryNeverCertifies(t *testing.T) {
-	res, err := model.NewAsync(gen.Cycle(3), async.NewRandomAdversary(7, 3)).
+	res, err := model.NewEngine(gen.Cycle(3), model.Model{Adversary: async.NewRandomAdversary(7, 3)}).
 		Run(context.Background(), origins(0), opts(64, false))
 	if err != nil {
 		t.Fatal(err)
@@ -374,19 +375,19 @@ func TestRandomAdversaryNeverCertifies(t *testing.T) {
 	}
 }
 
-// buggyAdversary writes malformed delays to exercise sanitisation.
-type buggyAdversary struct{}
+// fixedDelay delays every copy by the same, possibly malformed, amount.
+type fixedDelay int
 
-func (buggyAdversary) Name() string { return "buggy" }
-func (buggyAdversary) Delays(batch []graph.Edge, _ model.ConfigView, delays []int) {
+func (fixedDelay) Name() string { return "fixed" }
+func (d fixedDelay) Delays(_ []graph.Edge, delays []int) {
 	for i := range delays {
-		delays[i] = -5
+		delays[i] = int(d)
 	}
 }
-func (buggyAdversary) Deterministic() bool { return true }
+func (fixedDelay) Deterministic() bool { return true }
 
 func TestBuggyAdversarySanitized(t *testing.T) {
-	res, err := model.NewAsync(gen.Path(5), buggyAdversary{}).
+	res, err := model.NewEngine(gen.Path(5), model.Model{Adversary: fixedDelay(-5)}).
 		Run(context.Background(), origins(0), opts(0, false))
 	if err != nil {
 		t.Fatal(err)
@@ -396,51 +397,34 @@ func TestBuggyAdversarySanitized(t *testing.T) {
 	}
 }
 
-// spyAdversary delays the second message of every batch and records views.
-type spyAdversary struct {
-	onView func(model.ConfigView)
-}
-
-func (s *spyAdversary) Name() string { return "spy" }
-func (s *spyAdversary) Delays(batch []graph.Edge, view model.ConfigView, delays []int) {
-	if s.onView != nil {
-		s.onView(view)
+// TestDelayOverflowIsAnError: a delivery round must fit the packed 32-bit
+// field. The last delay that fits runs to the round limit; one more, or an
+// absurd delay near MaxInt, fails the run instead of wrapping.
+func TestDelayOverflowIsAnError(t *testing.T) {
+	res, err := model.NewEngine(gen.Path(3), model.Model{Adversary: fixedDelay(math.MaxInt32 - 1)}).
+		Run(context.Background(), origins(0), opts(8, false))
+	if err != nil || res.Outcome != engine.OutcomeRoundLimit {
+		t.Fatalf("largest packable delay: outcome %v, err %v; want round limit, nil", res.Outcome, err)
 	}
-	if len(delays) > 1 {
-		delays[1] = 1
-	}
-}
-func (s *spyAdversary) Deterministic() bool { return true }
-
-// TestAdversaryViewRelativeDelays: the view must expose in-flight messages
-// with delays relative to the current round, never absolute rounds, and
-// the view length must match.
-func TestAdversaryViewRelativeDelays(t *testing.T) {
-	spy := &spyAdversary{onView: func(view model.ConfigView) {
-		if len(view.InFlight) != len(view.Remaining) {
-			t.Errorf("view lengths diverge: %d edges, %d delays", len(view.InFlight), len(view.Remaining))
+	for _, d := range []fixedDelay{math.MaxInt32, math.MaxInt} {
+		_, err := model.NewEngine(gen.Path(3), model.Model{Adversary: d}).
+			Run(context.Background(), origins(0), opts(8, false))
+		if err == nil || !strings.Contains(err.Error(), "overflows the packed delivery time") {
+			t.Fatalf("delay %d: err = %v, want the overflow error", d, err)
 		}
-		for _, rem := range view.Remaining {
-			if rem < 1 {
-				t.Errorf("non-positive remaining delay %d in view", rem)
-			}
-		}
-	}}
-	if _, err := model.NewAsync(gen.Cycle(5), spy).Run(context.Background(), origins(0), opts(64, false)); err != nil {
-		t.Fatal(err)
 	}
 }
 
 // TestAsyncValidation ports the historical argument checks.
 func TestAsyncValidation(t *testing.T) {
-	e := model.NewAsync(gen.Path(3), async.SyncAdversary{})
+	e := model.NewEngine(gen.Path(3), model.Model{Adversary: async.SyncAdversary{}})
 	if _, err := e.Run(context.Background(), nil, opts(0, false)); err == nil {
 		t.Fatal("run with no origins succeeded")
 	}
 	if _, err := e.Run(context.Background(), origins(99), opts(0, false)); err == nil {
 		t.Fatal("run with invalid origin succeeded")
 	}
-	d := model.NewDynamic(gen.Path(3), dynamic.Static{})
+	d := model.NewEngine(gen.Path(3), model.Model{Schedule: dynamic.Static{}})
 	if _, err := d.Run(context.Background(), nil, opts(0, false)); err == nil {
 		t.Fatal("dynamic run with no origins succeeded")
 	}
@@ -452,7 +436,7 @@ func TestAsyncValidation(t *testing.T) {
 // TestOutageOnEvenCycleBreaksTermination ports the headline dynamic
 // finding: one lost crossing on C4 leaves a circulating wavefront.
 func TestOutageOnEvenCycleBreaksTermination(t *testing.T) {
-	res, err := model.NewDynamic(gen.Cycle(4), dynamic.OutageOnce{Round: 1, Edge: edge(0, 3)}).
+	res, err := model.NewEngine(gen.Cycle(4), model.Model{Schedule: dynamic.OutageOnce{Round: 1, Edge: edge(0, 3)}}).
 		Run(context.Background(), origins(0), opts(0, false))
 	if err != nil {
 		t.Fatal(err)
@@ -474,7 +458,7 @@ func TestOutageOnTreeOnlyShrinks(t *testing.T) {
 	g := gen.CompleteBinaryTree(4)
 	o := opts(0, false)
 	cov := observeCoverage(t, g, &o, 0)
-	res, err := model.NewDynamic(g, dynamic.OutageOnce{Round: 1, Edge: edge(0, 1)}).
+	res, err := model.NewEngine(g, model.Model{Schedule: dynamic.OutageOnce{Round: 1, Edge: edge(0, 1)}}).
 		Run(context.Background(), origins(0), o)
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +477,7 @@ func TestBlinkingEdgePhases(t *testing.T) {
 	run := func(phase int) (engine.Result, int) {
 		o := opts(0, false)
 		cov := observeCoverage(t, g, &o, 0)
-		res, err := model.NewDynamic(g, dynamic.Blinking{Edge: edge(1, 2), K: 2, Phase: phase}).
+		res, err := model.NewEngine(g, model.Model{Schedule: dynamic.Blinking{Edge: edge(1, 2), K: 2, Phase: phase}}).
 			Run(context.Background(), origins(0), o)
 		if err != nil {
 			t.Fatal(err)
@@ -515,7 +499,7 @@ func TestBlinkingEdgePhases(t *testing.T) {
 func TestAlternatingHalvesEndsDeterministically(t *testing.T) {
 	for _, spec := range []string{"cycle:n=6", "cycle:n=7", "grid:rows=4,cols=4", "complete:n=6"} {
 		g := gen.MustBuild(spec, 1)
-		res, err := model.NewDynamic(g, dynamic.Alternating{}).
+		res, err := model.NewEngine(g, model.Model{Schedule: dynamic.Alternating{}}).
 			Run(context.Background(), origins(0), opts(0, false))
 		if err != nil {
 			t.Fatal(err)
@@ -529,7 +513,7 @@ func TestAlternatingHalvesEndsDeterministically(t *testing.T) {
 // TestEnginesReusableAcrossRuns: a session-style reuse of one engine must
 // be deterministic run to run (the arenas and detector reset correctly).
 func TestEnginesReusableAcrossRuns(t *testing.T) {
-	e := model.NewAsync(gen.Cycle(9), async.CollisionDelayer{})
+	e := model.NewEngine(gen.Cycle(9), model.Model{Adversary: async.CollisionDelayer{}})
 	first, err := e.Run(context.Background(), origins(0), opts(0, true))
 	if err != nil {
 		t.Fatal(err)
@@ -544,7 +528,7 @@ func TestEnginesReusableAcrossRuns(t *testing.T) {
 			t.Fatalf("run %d diverged from the first", i+2)
 		}
 	}
-	d := model.NewDynamic(gen.Grid(5, 5), dynamic.Blinking{Edge: edge(0, 1), K: 3})
+	d := model.NewEngine(gen.Grid(5, 5), model.Model{Schedule: dynamic.Blinking{Edge: edge(0, 1), K: 3}})
 	dfirst, err := d.Run(context.Background(), origins(0), opts(0, true))
 	if err != nil {
 		t.Fatal(err)
@@ -554,22 +538,29 @@ func TestEnginesReusableAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dagain.Outcome != dfirst.Outcome || !engine.EqualTraces(dagain.Trace, dfirst.Trace) {
-		t.Fatal("dynamic engine reuse diverged")
+		t.Fatal("engine reuse under a schedule diverged")
 	}
 }
 
-// TestModelEngineCancellation: a cancelled context ends both engines with
-// the context error.
+// stopCases are runs long enough to stop early: an adversary, a settled
+// schedule, and a lossy one.
+var stopCases = []struct{ graph, model string }{
+	{"cycle:n=9", "adversary:collision"},
+	{"cycle:n=4", "schedule:outage:round=1,u=0,v=3"},
+	{"grid:rows=5,cols=5", "schedule:loss:p=0.2"},
+}
+
+// TestModelEngineCancellation: a cancelled context ends every model's run
+// with the context error.
 func TestModelEngineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := model.NewAsync(gen.Cycle(3), async.CollisionDelayer{}).
-		Run(ctx, origins(0), opts(0, false)); err == nil {
-		t.Fatal("cancelled async run returned nil error")
-	}
-	if _, err := model.NewDynamic(gen.Cycle(4), dynamic.OutageOnce{Round: 1, Edge: edge(0, 3)}).
-		Run(ctx, origins(0), opts(0, false)); err == nil {
-		t.Fatal("cancelled dynamic run returned nil error")
+	for _, tc := range stopCases {
+		_, err := model.NewEngine(gen.MustBuild(tc.graph, 1), model.MustBuild(tc.model, 7)).
+			Run(ctx, origins(0), opts(0, false))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled run returned %v", tc.model, err)
+		}
 	}
 }
 
@@ -583,23 +574,26 @@ func (s *stopAfter) ObserveRound(rec engine.RoundRecord) (bool, error) {
 // TestModelEngineObserverStop: observers can end model runs early, and the
 // observed prefix matches the full trace byte for byte.
 func TestModelEngineObserverStop(t *testing.T) {
-	full, err := model.NewAsync(gen.Cycle(9), async.CollisionDelayer{}).
-		Run(context.Background(), origins(0), opts(0, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := opts(0, true)
-	o.Observer = &stopAfter{n: 3}
-	short, err := model.NewAsync(gen.Cycle(9), async.CollisionDelayer{}).
-		Run(context.Background(), origins(0), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !short.Stopped || short.Rounds != 3 {
-		t.Fatalf("stopped run = %+v", short)
-	}
-	if !engine.EqualTraces(short.Trace, full.Trace[:len(short.Trace)]) {
-		t.Fatal("stopped trace is not a prefix of the full trace")
+	for _, tc := range stopCases {
+		g := gen.MustBuild(tc.graph, 1)
+		full, err := model.NewEngine(g, model.MustBuild(tc.model, 7)).
+			Run(context.Background(), origins(0), opts(512, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := opts(512, true)
+		o.Observer = &stopAfter{n: 3}
+		short, err := model.NewEngine(g, model.MustBuild(tc.model, 7)).
+			Run(context.Background(), origins(0), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !short.Stopped || short.Rounds != 3 || len(full.Trace) <= len(short.Trace) {
+			t.Fatalf("%s: stopped run = %+v, full run %d rounds", tc.model, short, full.Rounds)
+		}
+		if !engine.EqualTraces(short.Trace, full.Trace[:len(short.Trace)]) {
+			t.Fatalf("%s: stopped trace is not a prefix of the full trace", tc.model)
+		}
 	}
 }
 

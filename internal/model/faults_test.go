@@ -22,7 +22,7 @@ import (
 // crashed endpoint never sent or received it.
 
 func TestFaultScheduleValidation(t *testing.T) {
-	e := model.NewDynamic(gen.Path(3), dynamic.Loss{P: 0.1})
+	e := model.NewEngine(gen.Path(3), model.Model{Schedule: dynamic.Loss{P: 0.1}})
 	if _, err := e.Run(context.Background(), nil, opts(0, false)); err == nil {
 		t.Fatal("no origins accepted")
 	}
@@ -53,7 +53,7 @@ func TestLossFreeMatchesEngine(t *testing.T) {
 		src := graph.NodeID(rng.Intn(g.N()))
 		o := opts(0, false)
 		cov := observeCoverage(t, g, &o, src)
-		got, err := model.NewDynamic(g, dynamic.Loss{P: 0, Seed: seed}).Run(context.Background(), origins(src), o)
+		got, err := model.NewEngine(g, model.Model{Schedule: dynamic.Loss{P: 0, Seed: seed}}).Run(context.Background(), origins(src), o)
 		if err != nil || got.Outcome != engine.OutcomeTerminated {
 			return false
 		}
@@ -75,7 +75,7 @@ func TestLossFreeMatchesEngine(t *testing.T) {
 func TestSingleLossBreaksTerminationOnEvenCycle(t *testing.T) {
 	for n := 4; n <= 12; n += 2 {
 		spec := fmt.Sprintf("schedule:outage:round=1,u=0,v=%d", n-1)
-		res, err := model.NewDynamic(gen.Cycle(n), model.MustBuild(spec, 1).Schedule).
+		res, err := model.NewEngine(gen.Cycle(n), model.MustBuild(spec, 1)).
 			Run(context.Background(), origins(0), opts(0, false))
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +98,7 @@ func TestOutageOnPathStillTerminates(t *testing.T) {
 	g := gen.Path(8)
 	o := opts(0, false)
 	cov := observeCoverage(t, g, &o, 0)
-	res, err := model.NewDynamic(g, dynamic.OutageOnce{Round: 2, Edge: edge(1, 2)}).Run(context.Background(), origins(0), o)
+	res, err := model.NewEngine(g, model.Model{Schedule: dynamic.OutageOnce{Round: 2, Edge: edge(1, 2)}}).Run(context.Background(), origins(0), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestOutageOnPathStillTerminates(t *testing.T) {
 // TestOutageOnOddCycleEnds: one loss on C5 must end in termination or a
 // certified loop, never a silent round limit (the schedule is settled).
 func TestOutageOnOddCycleEnds(t *testing.T) {
-	res, err := model.NewDynamic(gen.Cycle(5), dynamic.OutageOnce{Round: 1, Edge: edge(0, 4)}).
+	res, err := model.NewEngine(gen.Cycle(5), model.Model{Schedule: dynamic.OutageOnce{Round: 1, Edge: edge(0, 4)}}).
 		Run(context.Background(), origins(0), opts(0, false))
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestLossNeverCertifies(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomConnected(3+rng.Intn(30), 0.1, rng)
 		src := graph.NodeID(rng.Intn(g.N()))
-		res, err := model.NewDynamic(g, dynamic.Loss{P: 0.1, Seed: seed}).Run(context.Background(), origins(src), opts(512, false))
+		res, err := model.NewEngine(g, model.Model{Schedule: dynamic.Loss{P: 0.1, Seed: seed}}).Run(context.Background(), origins(src), opts(512, false))
 		if err != nil {
 			return false
 		}
@@ -147,7 +147,7 @@ func TestLossNeverCertifies(t *testing.T) {
 func TestLossDeterministicPerSeed(t *testing.T) {
 	g := gen.Grid(5, 5)
 	run := func(seed int64) engine.Result {
-		res, err := model.NewDynamic(g, model.MustBuild("schedule:loss:p=0.2", seed).Schedule).
+		res, err := model.NewEngine(g, model.MustBuild("schedule:loss:p=0.2", seed)).
 			Run(context.Background(), origins(0), opts(512, true))
 		if err != nil {
 			t.Fatal(err)
@@ -172,7 +172,7 @@ func TestCrashAbsorbsMessages(t *testing.T) {
 	g := gen.Path(5)
 	o := opts(0, false)
 	cov := observeCoverage(t, g, &o, 0)
-	res, err := model.NewDynamic(g, model.MustBuild("schedule:crash:nodes=2,round=1", 1).Schedule).
+	res, err := model.NewEngine(g, model.MustBuild("schedule:crash:nodes=2,round=1", 1)).
 		Run(context.Background(), origins(0), o)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestCrashAbsorbsMessages(t *testing.T) {
 // TestCrashedSenderDropsOutput: with the origin down from round 1 nothing
 // is ever delivered, and each of its sends is lost.
 func TestCrashedSenderDropsOutput(t *testing.T) {
-	res, err := model.NewDynamic(gen.Star(5), dynamic.Crash{Nodes: []graph.NodeID{0}, Round: 1}).
+	res, err := model.NewEngine(gen.Star(5), model.Model{Schedule: dynamic.Crash{Nodes: []graph.NodeID{0}, Round: 1}}).
 		Run(context.Background(), origins(0), opts(0, false))
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestLateCrashCanEndWithEcho(t *testing.T) {
 	g := gen.Complete(6)
 	o := opts(512, false)
 	cov := observeCoverage(t, g, &o, 0)
-	res, err := model.NewDynamic(g, dynamic.Crash{Nodes: []graph.NodeID{3}, Round: 2}).
+	res, err := model.NewEngine(g, model.Model{Schedule: dynamic.Crash{Nodes: []graph.NodeID{3}, Round: 2}}).
 		Run(context.Background(), origins(0), o)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestMultiOriginUnderLoss(t *testing.T) {
 	g := gen.Cycle(8)
 	o := opts(0, false)
 	cov := observeCoverage(t, g, &o, 0, 4)
-	res, err := model.NewDynamic(g, dynamic.Loss{P: 0}).Run(context.Background(), origins(0, 4), o)
+	res, err := model.NewEngine(g, model.Model{Schedule: dynamic.Loss{P: 0}}).Run(context.Background(), origins(0, 4), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +238,18 @@ func TestMultiOriginUnderLoss(t *testing.T) {
 	}
 }
 
-// TestLossCertainDropsEverything: p=1 loses every copy the origins send.
+// TestLossCertainDropsEverything: p=1 loses every copy the origins send,
+// and the round that lost them is observed, with no sends.
 func TestLossCertainDropsEverything(t *testing.T) {
-	res, err := model.NewDynamic(gen.Cycle(8), dynamic.Loss{P: 1}).Run(context.Background(), origins(0, 4), opts(0, false))
+	res, err := model.NewEngine(gen.Cycle(8), model.Model{Schedule: dynamic.Loss{P: 1}}).Run(context.Background(), origins(0, 4), opts(0, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Outcome != engine.OutcomeTerminated || res.TotalMessages != 0 || res.Lost != 4 || res.Rounds != 1 {
 		t.Fatalf("p=1: outcome %v, rounds %d, delivered %d, lost %d; want terminated, 1, 0, 4",
 			res.Outcome, res.Rounds, res.TotalMessages, res.Lost)
+	}
+	if len(res.Trace) != 1 || res.Trace[0].Round != 1 || len(res.Trace[0].Sends) != 0 {
+		t.Fatalf("p=1: trace = %+v, want one round-1 record with no sends", res.Trace)
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"amnesiacflood/internal/async"
 	"amnesiacflood/internal/core"
-	"amnesiacflood/internal/dynamic"
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/gen"
@@ -56,7 +54,7 @@ func syncTrace(t *testing.T, g *graph.Graph, src graph.NodeID) engine.Result {
 }
 
 // FuzzZeroDelayAdversaryEquivalence: under the zero-delay adversary the
-// asynchronous model engine must reproduce the synchronous engine's run
+// model engine must reproduce the synchronous engine's run
 // byte for byte — rounds, deliveries, and the full trace.
 func FuzzZeroDelayAdversaryEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0))
@@ -65,7 +63,7 @@ func FuzzZeroDelayAdversaryEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, srcPick uint8) {
 		g, src := fuzzGraph(t, seed, srcPick)
 		want := syncTrace(t, g, src)
-		got, err := model.NewAsync(g, async.SyncAdversary{}).
+		got, err := model.NewEngine(g, model.MustBuild("adversary:sync", seed)).
 			Run(context.Background(), []graph.NodeID{src}, engine.Options{Trace: true})
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +90,7 @@ func FuzzStaticScheduleEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, srcPick uint8) {
 		g, src := fuzzGraph(t, seed, srcPick)
 		want := syncTrace(t, g, src)
-		got, err := model.NewDynamic(g, dynamic.Static{}).
+		got, err := model.NewEngine(g, model.MustBuild("schedule:static", seed)).
 			Run(context.Background(), []graph.NodeID{src}, engine.Options{Trace: true})
 		if err != nil {
 			t.Fatal(err)

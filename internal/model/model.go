@@ -14,28 +14,32 @@
 //	schedule:<family>[:key=value[,key=value]...]
 //
 // (examples: "adversary:collision", "adversary:hold:node=3,extra=2",
-// "schedule:blink:period=2,phase=1", "schedule:loss:p=0.05"), and two
-// dedicated engines — AsyncEngine and DynamicEngine — run amnesiac flooding
-// under them over the graph's CSR view with context cancellation,
-// stop-capable engine.RoundObservers, and reused double-buffered in-flight
-// arenas. The dynamic model is also the fault model: a Schedule decides the
-// fate of each directed copy of M, so a lost message, random loss, and a
-// crashed node are schedules, and DynamicEngine runs every fault. Messages
-// are packed as edge-index+delay integers, never structs, so the per-round
-// certificate path allocates nothing beyond amortised arena growth.
+// "schedule:blink:period=2,phase=1", "schedule:loss:p=0.05"), and one
+// Engine runs amnesiac flooding under them over the graph's CSR view with
+// context cancellation, stop-capable engine.RoundObservers, and reused
+// double-buffered in-flight arenas.
+//
+// The two kinds are two fate hooks on each directed copy of M in that one
+// round loop: an Adversary delays the copy when it is sent, and a Schedule
+// decides when it is due whether it arrives. The dynamic model is also the
+// fault model: a lost message, random loss, and a crashed node are
+// schedules. Messages are packed as edge-index+delivery-round integers,
+// never structs, so the per-round certificate path allocates nothing
+// beyond amortised arena growth.
 //
 // # Non-termination certificates
 //
 // Amnesiac nodes carry no state, so the global configuration is fully
-// described by the multiset of in-flight messages (asynchronous model: with
-// their remaining delays; dynamic model: with the schedule phase). Under a
-// deterministic stationary model a repeated configuration proves the
-// execution is periodic and therefore never terminates. Both engines share
-// one Detector keyed on hashed packed configurations with collision
-// verification, replacing the two historical map[string]int implementations
-// and their per-round string serialisation.
+// described by the multiset of in-flight messages with their remaining
+// delays, together with the schedule phase. Under a deterministic
+// stationary model a repeated configuration proves the execution is
+// periodic and therefore never terminates. The Engine encodes each round's
+// configuration one way for both kinds and hands it to a Detector keyed on
+// hashed packed configurations with collision verification, replacing the
+// two historical map[string]int implementations and their per-round string
+// serialisation.
 //
-// The model engines execute amnesiac flooding only — the paper's Section 4
+// The model engine executes amnesiac flooding only — the paper's Section 4
 // model is defined for it, and the "respond to the complement of this
 // round's senders" rule is built into the delivery loop. Every other
 // protocol runs on the synchronous engines ("sync" model).
@@ -48,51 +52,27 @@ import (
 	"amnesiacflood/internal/graph"
 )
 
-// ConfigView exposes the adversary-visible state when a batch is scheduled:
-// the messages already in flight, with delays relative to the current round.
-// Absolute round numbers are deliberately not exposed so that adversaries
-// are stationary (round-invariant), which is what makes configuration-
-// repeat certificates sound.
-//
-// InFlight is sorted by (remaining delay, sender, receiver); both slices
-// alias engine-internal storage and must not be retained past the call.
-type ConfigView struct {
-	// InFlight lists messages already scheduled but not yet delivered;
-	// Remaining[i] rounds remain before InFlight[i] is delivered (always
-	// >= 1: this round's deliveries are in the batch, not the view).
-	InFlight  []graph.Edge
-	Remaining []int
-}
-
 // Adversary assigns delivery delays to outgoing message batches — the
-// asynchronous scheduler of the paper's Section 4.
+// asynchronous scheduler of the paper's Section 4, and the Engine's
+// send-time fate hook.
 type Adversary interface {
 	// Name identifies the adversary in reports.
 	Name() string
 	// Delays fills delays (len(delays) == len(batch), pre-zeroed by the
 	// engine) with one extra delay >= 0 per message in batch. batch holds
-	// the directed edges being sent this round, sorted by (From, To);
-	// view is the rest of the configuration. Negative entries are clamped
-	// to zero by the engine, so a buggy adversary cannot corrupt the run.
-	Delays(batch []graph.Edge, view ConfigView, delays []int)
-	// Deterministic reports whether Delays is a pure function of its
-	// arguments. Only deterministic adversaries support configuration-
-	// repeat certificates.
+	// the directed edges being sent this round, sorted by (From, To).
+	// Negative entries are clamped to zero by the engine, so a buggy
+	// adversary cannot corrupt the run.
+	Delays(batch []graph.Edge, delays []int)
+	// Deterministic reports whether the delays are a pure function of the
+	// batch. Only deterministic adversaries support configuration-repeat
+	// certificates: the configuration then determines the next one.
 	Deterministic() bool
 }
 
-// ViewIgnorer is an optional Adversary extension declaring that Delays
-// never reads its ConfigView argument. The async engine then skips
-// building the per-round in-flight view (an O(in-flight) decode per
-// round) entirely. Every adversary shipped in this repository ignores the
-// view and implements this; adversaries that omit it, or return false,
-// always receive a fully populated view.
-type ViewIgnorer interface {
-	IgnoresView() bool
-}
-
 // Schedule decides, per round, which copies of M survive — the
-// dynamic-network model in which the edge set may change between rounds.
+// dynamic-network model in which the edge set may change between rounds,
+// and the Engine's delivery-time fate hook.
 // Messages sent in round r cross only edges alive in round r; a message
 // whose edge is down is lost. Faults are schedules too: a lost copy is a
 // directed edge that is down for one round, and a crashed node is one whose
@@ -114,7 +94,7 @@ type Schedule interface {
 
 // Settler is an optional Schedule extension for schedules with a transient:
 // SettledAfter returns the last round with transient behaviour, after which
-// the declared Period actually holds. The engines start recording
+// the declared Period actually holds. The Engine starts recording
 // configurations only once the transient has passed, so pre-transient
 // configurations can never alias post-transient ones.
 type Settler interface {
@@ -158,15 +138,6 @@ func CheckEdge(g *graph.Graph, e graph.Edge) error {
 		return fmt.Errorf("pair %s: %w", e, ErrNotAnEdge)
 	}
 	return nil
-}
-
-// settledAfter returns the round after which a schedule's declared period
-// actually holds (0 for always-periodic schedules).
-func settledAfter(sched Schedule) int {
-	if s, ok := sched.(Settler); ok {
-		return s.SettledAfter()
-	}
-	return 0
 }
 
 // DefaultMaxRounds bounds model-engine runs when Options.MaxRounds is 0.

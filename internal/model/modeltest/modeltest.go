@@ -2,11 +2,11 @@
 // frozen reference implementations. internal/async and internal/dynamic
 // used to ship bespoke Run functions that serialised every configuration to
 // a map[string]int key; the production paths were replaced by the packed
-// engines in internal/model, and these ports exist for exactly two
+// model engine in internal/model, and these ports exist for exactly two
 // purposes:
 //
 //   - the differential tests in internal/model, which prove on a seeded
-//     corpus that the packed engines reproduce the legacy runners'
+//     corpus that the packed engine reproduces both legacy runners'
 //     outcomes, certificates, and traces exactly;
 //   - the BenchmarkModels string-key baseline, which quantifies what the
 //     packed certificate path saves.
@@ -14,8 +14,9 @@
 // Nothing else may import this package; it is deliberately allocation-happy
 // and must stay behaviourally frozen. The only deltas from the historical
 // code are the adapted adversary call (model.Adversary fills a delay buffer
-// instead of returning one) and traces emitted as engine.RoundRecords so
-// the tests can compare them with engine.EqualTraces.
+// instead of returning one, and is handed no view of the messages already
+// in flight, which no adversary read) and traces emitted as
+// engine.RoundRecords so the tests can compare them with engine.EqualTraces.
 package modeltest
 
 import (
@@ -71,7 +72,7 @@ func AsyncRun(g *graph.Graph, adv model.Adversary, maxRounds int, trace bool, or
 			bootstrap = append(bootstrap, graph.Edge{U: o, V: nbr})
 		}
 	}
-	delays := scheduleBatch(adv, bootstrap, model.ConfigView{})
+	delays := scheduleBatch(adv, bootstrap)
 	for i, e := range bootstrap {
 		inFlight = append(inFlight, message{from: e.U, to: e.V, deliverAt: 1 + delays[i]})
 	}
@@ -125,8 +126,7 @@ func AsyncRun(g *graph.Graph, adv model.Adversary, maxRounds int, trace bool, or
 		}
 
 		batch := respond(g, due)
-		view := makeView(later, round)
-		delays := scheduleBatch(adv, batch, view)
+		delays := scheduleBatch(adv, batch)
 		for i, e := range batch {
 			later = append(later, message{from: e.U, to: e.V, deliverAt: round + 1 + delays[i]})
 		}
@@ -168,31 +168,18 @@ func respond(g *graph.Graph, due []message) []graph.Edge {
 
 // scheduleBatch invokes the adversary and sanitises its output exactly like
 // the historical runner: negative delays are clamped to zero.
-func scheduleBatch(adv model.Adversary, batch []graph.Edge, view model.ConfigView) []int {
+func scheduleBatch(adv model.Adversary, batch []graph.Edge) []int {
 	out := make([]int, len(batch))
 	if len(batch) == 0 {
 		return out
 	}
-	adv.Delays(batch, view, out)
+	adv.Delays(batch, out)
 	for i := range out {
 		if out[i] < 0 {
 			out[i] = 0
 		}
 	}
 	return out
-}
-
-// makeView builds the adversary's view of messages still in flight.
-func makeView(later []message, round int) model.ConfigView {
-	view := model.ConfigView{
-		InFlight:  make([]graph.Edge, len(later)),
-		Remaining: make([]int, len(later)),
-	}
-	for i, m := range later {
-		view.InFlight[i] = graph.Edge{U: m.from, V: m.to}
-		view.Remaining[i] = m.deliverAt - round
-	}
-	return view
 }
 
 // configKey is the historical string serialisation of the in-flight

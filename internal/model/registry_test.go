@@ -189,18 +189,18 @@ func TestSeedDeterminism(t *testing.T) {
 		}
 		return m
 	}
-	resA, err := model.NewAsync(g, run(99).Adversary).Run(t.Context(), origins(0), opts(512, true))
+	resA, err := model.NewEngine(g, run(99)).Run(t.Context(), origins(0), opts(512, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := model.NewAsync(g, run(99).Adversary).Run(t.Context(), origins(0), opts(512, true))
+	resB, err := model.NewEngine(g, run(99)).Run(t.Context(), origins(0), opts(512, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resA.Rounds != resB.Rounds || resA.TotalMessages != resB.TotalMessages {
 		t.Fatalf("same seed diverged: %+v vs %+v", resA, resB)
 	}
-	resC, err := model.NewAsync(g, run(7).Adversary).Run(t.Context(), origins(0), opts(512, true))
+	resC, err := model.NewEngine(g, run(7)).Run(t.Context(), origins(0), opts(512, true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,8 +51,6 @@ type RunConfig struct {
 	// Chaos is the fault-injection spec every worker arms
 	// (internal/chaos grammar); empty means no injection.
 	Chaos string `json:"chaos,omitempty"`
-	// MaxRoundsHint is informational; specs carry their own MaxRounds.
-	MaxRoundsHint int `json:"maxRoundsHint,omitempty"`
 }
 
 // runTimeout converts the wire policy back to runner fields.

@@ -138,7 +138,7 @@ func TestAnalysisErrors(t *testing.T) {
 	}
 }
 
-// TestAnalysisOnModelEngines: analyses observe the model engines' round
+// TestAnalysisOnModelEngines: analyses observe the model engine's round
 // streams too; the bound metrics stay sync-only but the raw columns are
 // populated.
 func TestAnalysisOnModelEngines(t *testing.T) {

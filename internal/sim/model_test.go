@@ -119,13 +119,6 @@ func TestWithModelErrors(t *testing.T) {
 	if _, err := sim.New(g, sim.WithModel("adversary:sync"), sim.WithProtocol("classic")); err == nil {
 		t.Error("non-amnesiac protocol accepted for a non-sync model")
 	}
-	proto, err := sim.NewProtocol("classic", sim.Spec{Graph: g, Origins: []graph.NodeID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.New(g, sim.WithModel("schedule:static"), sim.WithProtocolInstance(proto)); err == nil {
-		t.Error("explicit protocol instance accepted for a non-sync model")
-	}
 }
 
 // TestWithModelRunBatch: batch runs reuse the session's model engine and

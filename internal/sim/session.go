@@ -25,8 +25,7 @@ type Session struct {
 	g             *graph.Graph
 	kind          EngineKind
 	protoName     string
-	proto         engine.Protocol // explicit instance, overrides protoName
-	modelSpec     string          // raw WithModel spec; parsed in New
+	modelSpec     string // raw WithModel spec; parsed in New
 	origins       []graph.NodeID
 	seed          int64
 	maxRounds     int
@@ -40,8 +39,7 @@ type Session struct {
 	analyses *analysis.Set      // built analysis set (nil without WithAnalysis)
 	fast     *fastengine.Engine // lazily created, reused across runs
 	bit      *bitengine.Engine  // lazily created, reused across runs
-	async    *model.AsyncEngine // lazily created, reused across runs
-	dyn      *model.DynamicEngine
+	mdlEng   *model.Engine      // lazily created for a non-sync model, reused across runs
 }
 
 // Option configures a Session under construction.
@@ -50,15 +48,7 @@ type Option func(*Session)
 // WithProtocol selects a registered protocol by name (see Protocols).
 // Default: "amnesiac".
 func WithProtocol(name string) Option {
-	return func(s *Session) { s.protoName = name; s.proto = nil }
-}
-
-// WithProtocolInstance bypasses the registry with an explicit protocol
-// instance — for callers composing custom protocols. WithOrigins has no
-// effect on an explicit instance, and RunBatch is unavailable (it needs a
-// factory to rebuild per source).
-func WithProtocolInstance(p engine.Protocol) Option {
-	return func(s *Session) { s.proto = p; s.protoName = "" }
+	return func(s *Session) { s.protoName = name }
 }
 
 // WithEngine selects the synchronous substrate. Default: Sequential.
@@ -69,12 +59,13 @@ func WithEngine(kind EngineKind) Option {
 // WithModel selects the execution model by spec (internal/model grammar:
 // "sync", "adversary:collision", "schedule:blink:period=2,phase=1", ...).
 // Default: "sync", the paper's synchronous model, executed by the engine
-// chosen with WithEngine. Non-sync models run on their own dedicated
-// substrate (model.AsyncEngine / model.DynamicEngine) — the WithEngine
-// choice does not apply to them and Result.Engine reports "async" or
-// "dynamic" — and execute amnesiac flooding only, so they compose with
-// every option except a non-amnesiac protocol. Random model families
-// (adversary:random, schedule:loss) consume WithSeed.
+// chosen with WithEngine. Non-sync models run on the one model engine
+// (model.Engine), where an adversary delays each copy of M and a schedule
+// may lose it — the WithEngine choice does not apply to them and
+// Result.Engine reports "async" or "dynamic" after the model kind — and
+// execute amnesiac flooding only, so they compose with every option except
+// a non-amnesiac protocol. Random model families (adversary:random,
+// schedule:loss) consume WithSeed.
 func WithModel(spec string) Option {
 	return func(s *Session) { s.modelSpec = spec }
 }
@@ -162,18 +153,12 @@ func New(g *graph.Graph, opts ...Option) (*Session, error) {
 		}
 		s.mdl = mdl
 	}
-	if !s.mdl.Spec.IsSync() {
-		// The model engines execute amnesiac flooding only (see the
-		// internal/model package comment); reject other protocols rather
-		// than silently running the wrong one. Compare the normalised
-		// name, matching NewProtocol's case/whitespace folding.
-		if s.proto != nil || strings.ToLower(strings.TrimSpace(s.protoName)) != "amnesiac" {
-			name := s.protoName
-			if s.proto != nil {
-				name = s.proto.Name()
-			}
-			return nil, fmt.Errorf("sim: model %s runs only the amnesiac protocol (got %q)", s.mdl.Spec, name)
-		}
+	// The model engine executes amnesiac flooding only (see the
+	// internal/model package comment); reject other protocols rather than
+	// silently running the wrong one. Compare the normalised name, matching
+	// NewProtocol's case/whitespace folding.
+	if !s.mdl.Spec.IsSync() && strings.ToLower(strings.TrimSpace(s.protoName)) != "amnesiac" {
+		return nil, fmt.Errorf("sim: model %s runs only the amnesiac protocol (got %q)", s.mdl.Spec, s.protoName)
 	}
 	if len(s.analysisSpecs) > 0 {
 		set, err := analysis.NewSet(s.analysisSpecs, analysis.Context{Graph: s.g, GraphSpec: s.g.Name()})
@@ -186,15 +171,11 @@ func New(g *graph.Graph, opts ...Option) (*Session, error) {
 		set.AllowStop = s.analysisStop && !s.trace
 		s.analyses = set
 	}
-	if s.proto != nil {
-		s.built = s.proto
-	} else {
-		built, err := NewProtocol(s.protoName, s.spec(s.origins))
-		if err != nil {
-			return nil, err
-		}
-		s.built = built
+	built, err := NewProtocol(s.protoName, s.spec(s.origins))
+	if err != nil {
+		return nil, err
 	}
+	s.built = built
 	// The bitset engine executes declared set-operation rules only; reject
 	// protocols without one here rather than at the first Run, mirroring the
 	// model/protocol compatibility check above.
@@ -284,9 +265,9 @@ func (s *Session) Run(ctx context.Context) (engine.Result, error) {
 }
 
 // runProto executes one protocol instance — the façade's single substrate
-// dispatch. Non-sync models run on session-owned model engines; the sync
-// model runs on the configured synchronous engine, with the Fast kind on a
-// session-owned fastengine.Engine. All session-owned engines are reused
+// dispatch. A non-sync model runs on the session-owned model.Engine; the
+// sync model runs on the configured synchronous engine, with the Fast and
+// Bitset kinds on session-owned engines. All session-owned engines are reused
 // across calls, so repeated runs amortise their arenas; New has already
 // validated s.kind, so the default arm is Sequential.
 // build is the already-spent per-run protocol construction time, stamped
@@ -309,20 +290,13 @@ func (s *Session) runProto(ctx context.Context, proto engine.Protocol, origins [
 		res engine.Result
 		err error
 	)
-	switch s.mdl.Spec.Kind {
-	case model.KindAdversary:
-		if s.async == nil {
-			s.async = model.NewAsync(s.g, s.mdl.Adversary)
+	if !s.mdl.Spec.IsSync() {
+		if s.mdlEng == nil {
+			s.mdlEng = model.NewEngine(s.g, s.mdl)
 		}
-		res, err = s.async.Run(ctx, origins, opts)
-		res.Engine = "async"
-	case model.KindSchedule:
-		if s.dyn == nil {
-			s.dyn = model.NewDynamic(s.g, s.mdl.Schedule)
-		}
-		res, err = s.dyn.Run(ctx, origins, opts)
-		res.Engine = "dynamic"
-	default:
+		res, err = s.mdlEng.Run(ctx, origins, opts)
+		res.Engine = s.mdlEng.Name()
+	} else {
 		switch s.kind {
 		case Fast:
 			if s.fast == nil {
@@ -365,12 +339,9 @@ func (s *Session) runProto(ctx context.Context, proto engine.Protocol, origins [
 // session's engines, arenas, and attached analyses — the hook a serving
 // layer's session pool uses to answer requests with per-request origins
 // from one long-lived pooled Session (see internal/service). An empty
-// origin set means node 0. Like RunBatch it needs a registry protocol; the
-// session's configured origins are untouched, so Run keeps its meaning.
+// origin set means node 0. The session's configured origins are untouched,
+// so Run keeps its meaning.
 func (s *Session) RunFrom(ctx context.Context, origins []graph.NodeID) (engine.Result, error) {
-	if s.proto != nil {
-		return engine.Result{}, errors.New("sim: RunFrom needs a registry protocol (use WithProtocol, not WithProtocolInstance)")
-	}
 	if len(origins) == 0 {
 		origins = []graph.NodeID{0}
 	}
@@ -389,9 +360,6 @@ func (s *Session) RunFrom(ctx context.Context, origins []graph.NodeID) (engine.R
 // the arenas fit their largest round. The batch stops at the first error;
 // results for completed runs are returned alongside it.
 func (s *Session) RunBatch(ctx context.Context, sources []graph.NodeID) ([]engine.Result, error) {
-	if s.proto != nil {
-		return nil, errors.New("sim: RunBatch needs a registry protocol (use WithProtocol, not WithProtocolInstance)")
-	}
 	results := make([]engine.Result, 0, len(sources))
 	for _, src := range sources {
 		buildStart := time.Now()

@@ -23,9 +23,10 @@
 // floods a dynamic network under an edge schedule (message loss and node
 // crashes are schedules too: "schedule:loss:p=0.05",
 // "schedule:crash:nodes=3,round=2"), and the default "sync" is the
-// synchronous model above. Non-sync runs execute on dedicated
-// session-owned model engines and can end in a certified-non-termination
-// verdict (Result.Outcome, Result.Certificate) as well as termination.
+// synchronous model above. Non-sync runs execute on one session-owned
+// model engine, where an adversary delays and a schedule loses copies of
+// M, and can end in a certified-non-termination verdict (Result.Outcome,
+// Result.Certificate) as well as termination.
 //
 // Measurement is a fifth registry-driven axis (internal/analysis):
 // WithAnalysis("coverage", "termination", "bipartite", ...) attaches

@@ -231,25 +231,6 @@ func TestRunBatchMatchesIndividualRuns(t *testing.T) {
 	}
 }
 
-func TestRunBatchRejectsProtocolInstances(t *testing.T) {
-	g := gen.Cycle(4)
-	sess, err := sim.New(g, sim.WithProtocolInstance(silentProto{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.RunBatch(context.Background(), []graph.NodeID{0}); err == nil {
-		t.Fatal("RunBatch accepted a fixed protocol instance")
-	}
-}
-
-type silentProto struct{}
-
-func (silentProto) Name() string             { return "silent" }
-func (silentProto) Bootstrap() []engine.Send { return nil }
-func (silentProto) NewNode(graph.NodeID) engine.NodeAutomaton {
-	return func(int, []graph.NodeID) []graph.NodeID { return nil }
-}
-
 // stopSession runs obs on the given engine over a cycle long enough that
 // every run lasts many rounds. Untraced runs give frontier-only observers
 // the bitset engine's frontier path.
