@@ -46,9 +46,10 @@ race:
 	  ./internal/scenario ./internal/model ./internal/graph/... ./internal/obs ./internal/service \
 	  ./internal/specgrammar ./internal/shard ./internal/experiments ./internal/chaos ./cmd/afbench
 
-# fuzz runs the engine-equivalence fuzzer, then the run-request normaliser
-# the service applies to remote bodies, then the edge-list reader behind
-# -file and the edgefile graph family, then the one-pass row constructor
+# fuzz runs the engine-equivalence fuzzer (amnesiac and classic on every
+# engine), then the run-request normaliser the service applies to remote
+# bodies, then the edge-list reader behind -file and the edgefile graph
+# family, then the one-pass row constructor
 # that streamed gnp builds through, then the model engine against the
 # synchronous engine under the zero-delay adversary and under the static
 # schedule (the identity both fate hooks must keep), then the model and

@@ -19,8 +19,9 @@
 // reference engine, a goroutine-per-node channel engine, a zero-allocation
 // compressed-sparse-row engine, and a word-parallel bitset frontier engine
 // that executes set-rule protocols (amnesiac, classic) as OR/AND-NOT sweeps
-// over packed directed edge slots, with push/pull kernels chosen per round
-// by frontier density — plus one model engine for the asynchronous and
+// over packed directed edge slots, with a push kernel for sparse rounds and
+// a dense kernel that derives saturated rounds from the previous round's
+// messages and responders — plus one model engine for the asynchronous and
 // dynamic-network models, with pluggable adversaries/schedules and
 // configuration-cycle non-termination certificates. The engines are
 // trace-equivalent: byte-identical traces on every protocol (and, for the
@@ -159,7 +160,7 @@
 //	internal/engine           synchronous round engine + Protocol/RoundObserver
 //	internal/engine/chanengine concurrent channel-based engine
 //	internal/engine/fastengine zero-allocation CSR engine
-//	internal/engine/bitengine  word-parallel bitset frontier engine, push/pull kernels
+//	internal/engine/bitengine  word-parallel bitset frontier engine, push and dense kernels
 //	internal/core             the Amnesiac Flooding protocol
 //	internal/classic          flag-based flooding baseline
 //	internal/async            delay adversaries of the asynchronous model

@@ -7,7 +7,7 @@
 // The state of an amnesiac-flooding round is exactly "which directed edges
 // carry the message" — a subset of the 2m CSR edge slots. The engine packs
 // that frontier into []uint64 bitsets and replaces the per-message loops of
-// the other engines with three word-granular passes:
+// the other engines with word-granular passes. The push kernel runs three:
 //
 //   - Scatter: for every set bit e = (u→v) in the current frontier, set the
 //     reciprocal slot mirror[e] in the receive bitset (v's
@@ -17,30 +17,49 @@
 //   - Respond: for every marked node v, OR rowMask(v) AND-NOT receive into
 //     the next frontier, word by word over v's contiguous CSR row span —
 //     the paper's "forward to everyone you did not just hear from" as a
-//     branch-free word sweep. Classic flooding is the same sweep gated by a
-//     per-node seen bit (engine.RuleComplementOnce).
-//   - Clear and swap: per-buffer dirty-word lists record which words went
-//     nonzero, so clearing costs O(frontier words) rather than O(m/64) —
-//     essential on path-like graphs whose floods run Θ(n) rounds with a
-//     constant-size frontier.
+//     branch-free word sweep — and clear v's span of the receive bitset as
+//     it is read. Classic flooding is the same sweep gated by a per-node
+//     seen bit (engine.RuleComplementOnce).
+//   - Clear and swap: dirty-word lists record which words of the frontier
+//     and receiver bitsets went nonzero, so clearing costs O(frontier
+//     words) rather than O(m/64) — essential on path-like graphs whose
+//     floods run Θ(n) rounds with a constant-size frontier.
 //
-// Rounds whose frontier covers at least half of the directed slots flip to a
-// pull kernel instead: every row gathers its received-from bits directly
-// through the mirror permutation (pure loads, no scattered read-modify-write,
-// no dirty-list bookkeeping) and ORs its response row-locally into the next
-// frontier. Push touches O(frontier) state and wins while the flood is
-// ramping up; pull touches O(m) with a smaller constant and wins once the
-// flood saturates — the regime million-node dense instances spend almost all
-// their rounds in. Both kernels compute the identical next-frontier bitset,
-// so the switch is invisible in traces.
+// From round 2 on, a round may run the dense kernel instead. Under the
+// rule, a node forwards M to exactly the neighbours it did not just hear
+// from, so a round's messages follow from the previous round's: with S_r
+// the slots carrying M in round r and F_r the nodes that respond after
+// round r,
+//
+//	S_r[(w→v)] = F_{r−1}(w) ∧ ¬S_{r−1}[(v→w)].
+//
+// Row v therefore receives on slot (v→w) unless w did not respond last
+// round or (v→w) carried M last round. The dense kernel scatters, through
+// mirror, the in-slots of last round's non-responders into one slot bitset
+// Z, then sweeps every row in ascending order: v receives on rowMask(v)
+// AND-NOT (Z OR S_{r−1}) and, if it received at all, responds on rowMask(v)
+// AND (Z OR S_{r−1}), one word at a time. Its cost is the non-responders'
+// degree sum plus one step per row, against push's one scatter per
+// message, and a round runs dense exactly when that is no larger. In a
+// saturated round almost every node responded last round, so Z is small:
+// a flood of gnp:n=65536,p=2^-10 sends 3.86M messages in its round 4, and
+// Z takes the 85.6k in-slots of the nodes that received nothing in round
+// 3. Round 1 is always push: its messages are the protocol's Bootstrap,
+// which need not be whole rows, so no previous round implies them. A
+// round keeps its frontier and responders for the next one only when its
+// responders' degree sum is large enough for that round to run dense;
+// otherwise it clears them as push always has, so sparse floods pay
+// nothing for the dense kernel. Both kernels compute the identical
+// next-frontier bitset, so the switch is invisible in traces.
 //
 // Frontiers are double-buffered and every buffer is reused across rounds
 // and runs, so a warmed-up engine allocates nothing per round. Rounds are
 // materialised into sorted Send records only when Options.Trace is set or
 // the observer is not frontier-only (engine.FrontierOnly); a frontier-only
 // observer is handed an engine.Frontier instead — the popcount the round
-// loop already takes, plus the receivers the push kernel marks anyway (the
-// pull kernel marks them only for such an observer).
+// loop already takes, plus the receivers both kernels mark anyway (under
+// the once rule the dense kernel marks already-seen receivers only for
+// such an observer).
 //
 // Every round runs on the calling goroutine. Callers that want more CPUs run
 // more Engines: a sweep or a server runs one session per worker, and a
@@ -91,20 +110,25 @@ type Engine struct {
 	mirror []int32
 
 	cur, nxt  []uint64 // frontier bitsets over directed slots, double-buffered
-	recv      []uint64 // received-from-direction bits of the round
+	recv      []uint64 // received-from-direction bits of a push round
 	mark      []uint64 // nodes receiving this round (per-node bits)
 	seen      []uint64 // nodes already done (RuleComplementOnce only)
 	dirtyCur  []int32  // nonzero word indices of cur
 	dirtyNxt  []int32  // nonzero word indices of nxt
-	dirtyRecv []int32  // nonzero word indices of recv
 	dirtyMark []int32  // nonzero word indices of mark
 
-	// rowBuf holds one row's gathered receive words during a pull round;
-	// denseScan records that the previous round was a pull, whose row-local
-	// writes skip dirty-list bookkeeping, so the next round must rebuild
-	// dirtyCur with a full sweep.
-	rowBuf    []uint64
-	denseScan bool
+	// The dense kernel's inputs (see package doc). respDeg sums the degrees
+	// of this round's responders as they respond; fresh holds them under
+	// RuleComplementOnce, while under RuleComplement every receiver
+	// responds, so mark serves. When the next round may run dense, the
+	// round hands its frontier to prev and its responders to last instead
+	// of clearing them, and kept records that they hold them.
+	prev    []uint64 // last round's frontier S_{r−1}, when kept
+	last    []uint64 // last round's responders F_{r−1}, when kept
+	fresh   []uint64 // this round's responders (RuleComplementOnce only)
+	respDeg int      // degree sum of this round's responders
+	lastDeg int      // degree sum of last round's responders, when kept
+	kept    bool
 
 	sends []engine.Send // round materialisation buffer (trace/Send-level observer only)
 }
@@ -147,17 +171,11 @@ func (e *Engine) init() {
 	e.cur = make([]uint64, slotWords)
 	e.nxt = make([]uint64, slotWords)
 	e.recv = make([]uint64, slotWords)
+	e.prev = make([]uint64, slotWords)
 	e.mark = make([]uint64, nodeWords)
 	e.seen = make([]uint64, nodeWords)
-
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		if d := int(e.csr.Offsets[v+1] - e.csr.Offsets[v]); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	// A row of degree d spans at most d/64+2 words of the slot bitsets.
-	e.rowBuf = make([]uint64, maxDeg>>6+2)
+	e.last = make([]uint64, nodeWords)
+	e.fresh = make([]uint64, nodeWords)
 }
 
 // reset clears all per-run state. Runs that end early (observer stop,
@@ -168,13 +186,15 @@ func (e *Engine) reset() {
 	clear(e.cur)
 	clear(e.nxt)
 	clear(e.recv)
+	clear(e.prev)
 	clear(e.mark)
 	clear(e.seen)
+	clear(e.last)
+	clear(e.fresh)
 	e.dirtyCur = e.dirtyCur[:0]
 	e.dirtyNxt = e.dirtyNxt[:0]
-	e.dirtyRecv = e.dirtyRecv[:0]
 	e.dirtyMark = e.dirtyMark[:0]
-	e.denseScan = false
+	e.kept = false
 }
 
 // Run executes proto to termination or the round limit, with the same
@@ -203,29 +223,15 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 	}
 	// Send records are built only for a trace or a Send-level observer. A
 	// frontier-only observer gets the round's Frontier instead: the popcount
-	// below plus the receivers in mark, which push rounds fill anyway and
-	// pull rounds fill only when report is set. Without an observer neither
-	// happens.
+	// below plus the receivers in mark, which both kernels fill (the dense
+	// kernel's already-seen receivers under the once rule only when report
+	// is set). Without an observer neither happens.
 	materialise := opts.Trace || !engine.FrontierOnly(opts.Observer)
 	report := opts.Observer != nil && !materialise
 	for round := 1; ; round++ {
 		frontier := 0
-		if e.denseScan {
-			// The previous round ran the pull kernel, whose row-local writes
-			// skip dirty-list bookkeeping; one full sweep rebuilds the
-			// (sorted) list. Pull only fires on saturated frontiers, so the
-			// sweep is proportional to the work just done.
-			e.dirtyCur = e.dirtyCur[:0]
-			for wi, w := range e.cur {
-				if w != 0 {
-					e.dirtyCur = append(e.dirtyCur, int32(wi))
-					frontier += bits.OnesCount64(w)
-				}
-			}
-		} else {
-			for _, wi := range e.dirtyCur {
-				frontier += bits.OnesCount64(e.cur[wi])
-			}
+		for _, wi := range e.dirtyCur {
+			frontier += bits.OnesCount64(e.cur[wi])
 		}
 		if len(e.dirtyCur) == 0 {
 			break
@@ -239,23 +245,12 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 		res.Rounds = round
 		res.TotalMessages += frontier
 
-		// Saturated rounds run the pull kernel, which gathers rows directly
-		// and touches none of the recv/mark state unless it must report
-		// receivers (see package doc).
-		pull := 2*frontier >= len(e.csr.Targets)
-		if pull {
-			e.pull(rule, report)
+		e.respDeg = 0
+		if e.kept && e.denseRound(frontier, e.lastDeg) {
+			e.dense(rule, report)
 		} else {
 			e.scatter()
 			e.respond(rule)
-		}
-		e.denseScan = pull
-		if pull && report {
-			for wi, w := range e.mark {
-				if w != 0 {
-					e.dirtyMark = append(e.dirtyMark, int32(wi))
-				}
-			}
 		}
 
 		// The round is observed after its kernel step, while cur still
@@ -278,25 +273,62 @@ func (e *Engine) Run(ctx context.Context, proto engine.Protocol, opts engine.Opt
 			res.Stopped = true
 			return res, nil
 		}
-
-		// Sparse clears: only words that went nonzero this round (a pull
-		// round leaves recv and nxt's dirty list empty).
-		for _, wi := range e.dirtyRecv {
-			e.recv[wi] = 0
-		}
-		e.dirtyRecv = e.dirtyRecv[:0]
-		for _, wi := range e.dirtyMark {
-			e.mark[wi] = 0
-		}
-		e.dirtyMark = e.dirtyMark[:0]
-		for _, wi := range e.dirtyCur {
-			e.cur[wi] = 0
-		}
-		e.dirtyCur, e.dirtyNxt = e.dirtyNxt, e.dirtyCur[:0]
-		e.cur, e.nxt = e.nxt, e.cur
+		e.advance(rule)
 	}
 	res.Terminated = true
 	return res, nil
+}
+
+// denseRound reports whether a round of frontier messages, after a round
+// whose responders' degrees sum to lastDeg, runs the dense kernel: whether
+// dense's scatter, one store per in-slot of last round's non-responders
+// plus one step per row it sweeps, is no larger than push's, one per
+// message.
+func (e *Engine) denseRound(frontier, lastDeg int) bool {
+	return len(e.csr.Targets)-lastDeg+e.csr.N() <= frontier
+}
+
+// advance ends a round: it clears what the round leaves behind and makes
+// nxt the next round's frontier. The next round's messages are at most
+// respDeg, one per slot of this round's responders, so it can run dense
+// only if a round of respDeg messages would; only then does this round's
+// frontier move to prev and its responders to last. Otherwise both are
+// cleared word by word, as their dirty lists allow.
+func (e *Engine) advance(rule engine.BitsetRule) {
+	if e.kept {
+		// Last round's state is spent (a dense round also left Z in prev).
+		// Only saturated rounds keep it, so a full clear is cheap beside
+		// them.
+		clear(e.prev)
+		clear(e.last)
+	}
+	e.kept = e.denseRound(e.respDeg, e.respDeg)
+	if e.kept {
+		e.lastDeg = e.respDeg
+		e.prev, e.cur, e.nxt = e.cur, e.nxt, e.prev
+		if rule == engine.RuleComplementOnce {
+			e.last, e.fresh = e.fresh, e.last
+		} else {
+			e.last, e.mark = e.mark, e.last
+			e.dirtyMark = e.dirtyMark[:0]
+		}
+	} else {
+		for _, wi := range e.dirtyCur {
+			e.cur[wi] = 0
+		}
+		e.cur, e.nxt = e.nxt, e.cur
+		if rule == engine.RuleComplementOnce {
+			// fresh's bits are a subset of mark's.
+			for _, wi := range e.dirtyMark {
+				e.fresh[wi] = 0
+			}
+		}
+	}
+	for _, wi := range e.dirtyMark {
+		e.mark[wi] = 0
+	}
+	e.dirtyMark = e.dirtyMark[:0]
+	e.dirtyCur, e.dirtyNxt = e.dirtyNxt, e.dirtyCur[:0]
 }
 
 // bootstrap seeds the round-1 frontier from the protocol's spontaneous
@@ -339,11 +371,7 @@ func (e *Engine) scatter() {
 			s := base + int32(bits.TrailingZeros64(w))
 			w &= w - 1
 			me := e.mirror[s]
-			mw := me >> 6
-			if e.recv[mw] == 0 {
-				e.dirtyRecv = append(e.dirtyRecv, mw)
-			}
-			e.recv[mw] |= 1 << (uint(me) & 63)
+			e.recv[me>>6] |= 1 << (uint(me) & 63)
 			v := e.csr.Targets[s]
 			vw := int32(v >> 6)
 			if e.mark[vw] == 0 {
@@ -356,13 +384,18 @@ func (e *Engine) scatter() {
 
 // respond turns the round's receipts into the next frontier: for every
 // marked (and, under the once rule, unseen) node v, OR v's row mask AND-NOT
-// its received directions into nxt, word by word over the row span.
+// its received directions into nxt, word by word over the row span. Every
+// receipt lies in a marked row, and each responding row clears its span of
+// recv as it reads it. Under the once rule an already-seen row keeps its
+// receipts, but nothing reads them: the row never responds again, and the
+// next Run's reset clears them.
 func (e *Engine) respond(rule engine.BitsetRule) {
 	for _, vw := range e.dirtyMark {
 		m := e.mark[vw]
 		if rule == engine.RuleComplementOnce {
 			m &^= e.seen[vw]
 			e.seen[vw] |= m
+			e.fresh[vw] = m
 		}
 		base := graph.NodeID(vw) << 6
 		for m != 0 {
@@ -373,89 +406,100 @@ func (e *Engine) respond(rule engine.BitsetRule) {
 	}
 }
 
-// respondNode sweeps node v's row span: nxt |= rowMask & ^recv.
+// respondNode sweeps node v's row span, nxt |= rowMask & ^recv, and clears
+// the span of recv.
 func (e *Engine) respondNode(v graph.NodeID) {
-	lo, hi := int32(e.csr.Offsets[v]), int32(e.csr.Offsets[v+1])
+	lo, hi := e.csr.Offsets[v], e.csr.Offsets[v+1]
+	e.respDeg += int(hi - lo)
 	for wi := lo >> 6; wi <= (hi-1)>>6 && lo < hi; wi++ {
-		mask := ^uint64(0)
-		if s := wi << 6; s < lo {
-			mask &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if end := (wi + 1) << 6; end > hi {
-			mask &= ^uint64(0) >> (64 - (uint(hi) & 63))
-		}
-		if bitsOut := mask &^ e.recv[wi]; bitsOut != 0 {
-			if e.nxt[wi] == 0 {
-				e.dirtyNxt = append(e.dirtyNxt, wi)
-			}
-			e.nxt[wi] |= bitsOut
+		mask, r := spanMask(wi, lo, hi), e.recv[wi]
+		e.recv[wi] = r &^ mask
+		if out := mask &^ r; out != 0 {
+			e.setNxt(wi, out)
 		}
 	}
 }
 
-// pull runs one saturated round in gather mode: every row reads its
-// received-from bits straight out of the frontier (receipt on slot s is
-// cur[mirror[s]]) and ORs its response row-locally into nxt. Compared to
-// scatter/respond this is pure loads instead of scattered read-modify-writes,
-// no branchy dirty-list maintenance, and sequential stores — a smaller
-// constant over O(m) work, which wins once the frontier covers most slots.
-// recv and all dirty lists stay untouched; the caller sets denseScan so the
-// next round rebuilds dirtyCur with a full sweep. mark stays untouched too
-// unless report is set, in which case every receiving row — under the once
-// rule, already-seen rows included — sets its mark bit for the round's
-// Frontier.
-func (e *Engine) pull(rule engine.BitsetRule, report bool) {
-	cur, mirror, nxt, buf := e.cur, e.mirror, e.nxt, e.rowBuf
-	for v := 0; v < e.csr.N(); v++ {
-		lo, hi := int32(e.csr.Offsets[v]), int32(e.csr.Offsets[v+1])
-		if lo >= hi {
+// setNxt ORs out into nxt's word wi with dirty tracking.
+func (e *Engine) setNxt(wi int32, out uint64) {
+	if e.nxt[wi] == 0 {
+		e.dirtyNxt = append(e.dirtyNxt, wi)
+	}
+	e.nxt[wi] |= out
+}
+
+// spanMask returns the bits of slot word wi that lie in the row span
+// [lo, hi); wi must overlap it.
+func spanMask(wi, lo, hi int32) uint64 {
+	mask := ^uint64(0)
+	if wi<<6 < lo {
+		mask <<= uint(lo) & 63
+	}
+	if (wi+1)<<6 > hi {
+		mask &= ^uint64(0) >> (64 - (uint(hi) & 63))
+	}
+	return mask
+}
+
+// dense runs a round from last round's frontier (prev) and responders
+// (last) instead of this round's messages (see package doc). It scatters
+// Z, the in-slots of last round's non-responders, into prev, which then
+// holds Z OR S_{r−1}: the slots of each row on which it did not receive.
+// It then sweeps every row in ascending order. A row that received on any
+// slot is marked, and responds on prev's bits of its span; under the once
+// rule an already-seen row is skipped, or only marked when report is set.
+// nxt's words go nonzero in ascending order, so dirtyNxt comes out sorted;
+// advance clears prev, Z included.
+func (e *Engine) dense(rule engine.BitsetRule, report bool) {
+	n, offs, mirror, zs := e.csr.N(), e.csr.Offsets, e.mirror, e.prev
+	for ww, f := range e.last {
+		idle := ^f
+		if rest := n - ww<<6; rest < 64 {
+			idle &= uint64(1)<<uint(rest) - 1
+		}
+		base := ww << 6
+		for idle != 0 {
+			w := base + bits.TrailingZeros64(idle)
+			idle &= idle - 1
+			for _, me := range mirror[offs[w]:offs[w+1]] {
+				zs[me>>6] |= 1 << (uint(me) & 63)
+			}
+		}
+	}
+	once := rule == engine.RuleComplementOnce
+	for v := 0; v < n; v++ {
+		lo, hi := offs[v], offs[v+1]
+		if lo == hi {
 			continue
 		}
-		bit := uint64(1) << (uint(v) & 63)
-		done := rule == engine.RuleComplementOnce && e.seen[v>>6]&bit != 0
+		vw, bit := v>>6, uint64(1)<<(uint(v)&63)
+		done := once && e.seen[vw]&bit != 0
 		if done && !report {
 			continue
 		}
-		w0 := lo >> 6
-		words := (hi-1)>>6 - w0 + 1
+		w0, w1 := lo>>6, (hi-1)>>6
 		var received uint64
-		s := lo
-		for k := int32(0); k < words; k++ {
-			end := (w0 + k + 1) << 6
-			if end > hi {
-				end = hi
-			}
-			var rw uint64
-			for ; s < end; s++ {
-				me := mirror[s]
-				rw |= ((cur[me>>6] >> (uint(me) & 63)) & 1) << (uint(s) & 63)
-			}
-			buf[k] = rw
-			received |= rw
+		for wi := w0; wi <= w1; wi++ {
+			received |= spanMask(wi, lo, hi) &^ zs[wi]
 		}
 		if received == 0 {
 			continue
 		}
-		if report {
-			e.mark[v>>6] |= bit
+		if e.mark[vw] == 0 {
+			e.dirtyMark = append(e.dirtyMark, int32(vw))
 		}
+		e.mark[vw] |= bit
 		if done {
 			continue
 		}
-		if rule == engine.RuleComplementOnce {
-			e.seen[v>>6] |= bit
+		if once {
+			e.seen[vw] |= bit
+			e.fresh[vw] |= bit
 		}
-		for k := int32(0); k < words; k++ {
-			wi := w0 + k
-			mask := ^uint64(0)
-			if sBase := wi << 6; sBase < lo {
-				mask &= ^uint64(0) << (uint(lo) & 63)
-			}
-			if end := (wi + 1) << 6; end > hi {
-				mask &= ^uint64(0) >> (64 - (uint(hi) & 63))
-			}
-			if out := mask &^ buf[k]; out != 0 {
-				nxt[wi] |= out
+		e.respDeg += int(hi - lo)
+		for wi := w0; wi <= w1; wi++ {
+			if out := spanMask(wi, lo, hi) & zs[wi]; out != 0 {
+				e.setNxt(wi, out)
 			}
 		}
 	}

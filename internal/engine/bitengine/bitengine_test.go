@@ -113,6 +113,134 @@ func TestEngineEquivalenceClassic(t *testing.T) {
 	}
 }
 
+// kernelsOf replays the engine's kernel choice over a sequential trace of
+// g: round 1 is push, and every later round asks DenseRound with its
+// message count and the degree sum of the previous round's responders,
+// which are its receivers less, under the once rule, the nodes already
+// seen (the bootstrap senders and earlier receivers).
+func kernelsOf(g *graph.Graph, trace []engine.RoundRecord, once bool) (push, dense int) {
+	e := bitengine.New(g)
+	seen := make([]bool, g.N())
+	if once && len(trace) > 0 {
+		for _, s := range trace[0].Sends {
+			seen[s.From] = true
+		}
+	}
+	lastDeg := 0
+	for i, rec := range trace {
+		if i > 0 && bitengine.DenseRound(e, len(rec.Sends), lastDeg) {
+			dense++
+		} else {
+			push++
+		}
+		lastDeg = 0
+		for _, v := range rec.Receivers() {
+			if once && seen[v] {
+				continue
+			}
+			seen[v] = true
+			lastDeg += g.Degree(v)
+		}
+	}
+	return push, dense
+}
+
+// TestCorpusReachesDenseRounds makes sure the differential runs reach both
+// kernels: the amnesiac, multi-source and classic corpus runs of the
+// equivalence tests above (no observer) and of TestFrontierMatchesSends (a
+// frontier observer, whose dense rounds also mark receivers already seen)
+// each run some rounds push and some dense. It replays those tests' origin
+// draws.
+func TestCorpusReachesDenseRounds(t *testing.T) {
+	type tally struct{ push, dense int }
+	counts := map[string]*tally{}
+	count := func(name string, g *graph.Graph, proto engine.Protocol, once bool) {
+		res, err := engine.Run(context.Background(), g, proto, engine.Options{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		push, dense := kernelsOf(g, res.Trace, once)
+		if counts[name] == nil {
+			counts[name] = &tally{}
+		}
+		counts[name].push += push
+		counts[name].dense += dense
+	}
+	amnesiac, multi, cl := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(8)), rand.New(rand.NewSource(9))
+	frontier := rand.New(rand.NewSource(10))
+	for _, g := range instances(t) {
+		pick := func(rng *rand.Rand) graph.NodeID { return graph.NodeID(rng.Intn(g.N())) }
+		count("amnesiac", g, core.MustNewFlood(g, pick(amnesiac)), false)
+		count("multiSource", g, core.MustNewFlood(g, pick(multi), pick(multi), pick(multi)), false)
+		count("classic", g, classic.MustNewFlood(g, pick(cl)), true)
+		src := pick(frontier)
+		origins := []graph.NodeID{pick(frontier), pick(frontier), pick(frontier)}
+		count("frontier/amnesiac", g, core.MustNewFlood(g, src), false)
+		count("frontier/multiSource", g, core.MustNewFlood(g, origins...), false)
+		count("frontier/classic", g, classic.MustNewFlood(g, src), true)
+	}
+	for _, name := range []string{"amnesiac", "multiSource", "classic", "frontier/amnesiac", "frontier/multiSource", "frontier/classic"} {
+		c := counts[name]
+		t.Logf("%s: %d push rounds, %d dense rounds", name, c.push, c.dense)
+		if c.push == 0 || c.dense == 0 {
+			t.Errorf("%s: %d push and %d dense rounds, want both", name, c.push, c.dense)
+		}
+	}
+}
+
+// partialBootstrap is amnesiac flooding whose round 1 leaves out the last
+// bootstrap send, so its first frontier is not whole rows: no previous
+// round implies it.
+type partialBootstrap struct {
+	*core.Flood
+}
+
+func (p partialBootstrap) Bootstrap() []engine.Send {
+	sends := p.Flood.Bootstrap()
+	return sends[:len(sends)-1]
+}
+
+// TestPartialBootstrapRunsPushFirst pins round 1 as push: on K17 from node
+// 0, a bootstrap that skips node 16 is followed by a dense round 2, which
+// must build on the sends round 1 made, traced and frontier-observed alike.
+// The flood does not terminate on K17 (the paper's theorem covers floods
+// whose origins send whole rows), so both sides stop after a fixed number
+// of rounds.
+func TestPartialBootstrapRunsPushFirst(t *testing.T) {
+	const rounds = 8
+	g := gen.Complete(17)
+	proto := partialBootstrap{core.MustNewFlood(g, 0)}
+	stopAt := engine.ObserverFunc(func(r engine.RoundRecord) (bool, error) { return r.Round == rounds, nil })
+	opts := engine.Options{Trace: true, Observer: stopAt}
+	want, err := engine.Run(context.Background(), g, proto, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Trace) != rounds || len(want.Trace[0].Sends) != 15 {
+		t.Fatalf("partial bootstrap trace %v", want.Trace)
+	}
+	if !bitengine.DenseRound(bitengine.New(g), len(want.Trace[1].Sends), 15*g.Degree(1)) {
+		t.Fatal("round 2 of the partial bootstrap flood runs push; pick an instance whose round 2 is dense")
+	}
+	got, err := bitengine.Run(context.Background(), g, proto, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !engine.EqualTraces(want.Trace, got.Trace) {
+		t.Errorf("bitset trace differs from sequential")
+	}
+	if got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages || got.Stopped != want.Stopped {
+		t.Errorf("bitset result %+v, want %+v", got, want)
+	}
+	probe := &frontierProbe{stopAt: rounds}
+	if _, err := bitengine.Run(context.Background(), g, proto, engine.Options{Observer: probe}); err != nil {
+		t.Fatal(err)
+	}
+	if wantViews := viewsOf(want.Trace); !sameViews(probe.rounds, wantViews) {
+		t.Errorf("frontiers %v, want %v", probe.rounds, wantViews)
+	}
+}
+
 // TestEngineReuse runs the same Engine repeatedly, across protocols and
 // rules, and after an early stop: the bitsets must carry no state between
 // runs.

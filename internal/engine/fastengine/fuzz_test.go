@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"amnesiacflood/internal/classic"
 	"amnesiacflood/internal/core"
 	"amnesiacflood/internal/doublecover"
 	"amnesiacflood/internal/engine"
@@ -22,17 +23,18 @@ import (
 // FuzzEngineEquivalence drives random G(n, p) graphs through the
 // sequential, channel, fast and bitset engines and demands identical traces
 // and Result fields, plus per-round message counts and receiver sets from
-// an untraced, frontier-observed bitset run. Each input floods from one
-// origin and zero to two more drawn after it, so every committed corpus
-// entry keeps its graph and first origin. The sequential run, through a
-// sim session with the termination analysis attached, must also obey the
-// exact law for its origin set: doublecover.Predict gives its rounds,
-// message total and trace, and theory.CheckLaw accepts it: the double-cover
-// round and receipts, at least e(S) (exactly e(S) where no node is reached
-// in both parities), and at most the window's upper end where that is
-// certified. Every engine then matches it. Every input triple
-// deterministically derives a graph and origins, so failures reproduce
-// exactly.
+// an untraced, frontier-observed bitset run. Each input floods amnesiac
+// from one origin and zero to two more drawn after it, so every committed
+// corpus entry keeps its graph and first origin, and runs classic flooding
+// from the first origin. The sequential amnesiac run, through a sim
+// session with the termination analysis attached, must also obey the exact
+// law for its origin set: doublecover.Predict gives its rounds, message
+// total and trace, and theory.CheckLaw accepts it: the double-cover round
+// and receipts, at least e(S) (exactly e(S) where no node is reached in
+// both parities), and at most the window's upper end where that is
+// certified. Every engine then matches the sequential run of each
+// protocol. Every input triple deterministically derives a graph and
+// origins, so failures reproduce exactly.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(30))
 	f.Add(int64(2), uint8(3), uint8(100)) // triangle-ish, dense
@@ -73,6 +75,19 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if err := theory.CheckLaw(want); err != nil {
 			t.Fatalf("sequential on %s from %v: %v (metrics %v)", g, origins, err, want.Metrics)
 		}
+		classicFlood := classic.MustNewFlood(g, src)
+		wantClassic, err := engine.Run(context.Background(), g, classicFlood, opts)
+		if err != nil {
+			t.Fatalf("sequential classic on %s from %d: %v", g, src, err)
+		}
+		runs := []struct {
+			name  string
+			proto engine.Protocol
+			want  engine.Result
+		}{
+			{"amnesiac", flood, want},
+			{"classic", classicFlood, wantClassic},
+		}
 		engines := []struct {
 			name string
 			run  func(context.Context, *graph.Graph, engine.Protocol, engine.Options) (engine.Result, error)
@@ -81,46 +96,49 @@ func FuzzEngineEquivalence(f *testing.F) {
 			{"fast", fastengine.Run},
 			{"bitset", bitengine.Run},
 		}
-		for _, e := range engines {
-			got, err := e.run(context.Background(), g, flood, opts)
-			if err != nil {
-				t.Fatalf("%s on %s from %v: %v", e.name, g, origins, err)
+		for _, r := range runs {
+			want := r.want
+			for _, e := range engines {
+				got, err := e.run(context.Background(), g, r.proto, opts)
+				if err != nil {
+					t.Fatalf("%s %s on %s from %v: %v", e.name, r.name, g, origins, err)
+				}
+				if !engine.EqualTraces(want.Trace, got.Trace) {
+					t.Errorf("%s %s on %s from %v: trace differs from sequential", e.name, r.name, g, origins)
+				}
+				if got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages ||
+					got.Terminated != want.Terminated || got.Protocol != want.Protocol {
+					t.Errorf("%s %s on %s from %v: result %+v, want %+v", e.name, r.name, g, origins, got, want)
+				}
 			}
-			if !engine.EqualTraces(want.Trace, got.Trace) {
-				t.Errorf("%s on %s from %v: trace differs from sequential", e.name, g, origins)
-			}
-			if got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages ||
-				got.Terminated != want.Terminated || got.Protocol != want.Protocol {
-				t.Errorf("%s on %s from %v: result %+v, want %+v", e.name, g, origins, got, want)
-			}
-		}
 
-		// Untraced with a frontier-only observer, the bitset engine never
-		// materialises Sends: its per-round message counts and receiver
-		// sets must still be the sequential trace's.
-		round := 0
-		got, err := bitengine.Run(context.Background(), g, flood, engine.Options{Observer: engine.FrontierFunc(func(f engine.Frontier) (bool, error) {
-			if round >= len(want.Trace) {
-				return false, fmt.Errorf("round %d beyond the sequential trace", f.Round)
+			// Untraced with a frontier-only observer, the bitset engine never
+			// materialises Sends: its per-round message counts and receiver
+			// sets must still be the sequential trace's.
+			round := 0
+			got, err := bitengine.Run(context.Background(), g, r.proto, engine.Options{Observer: engine.FrontierFunc(func(f engine.Frontier) (bool, error) {
+				if round >= len(want.Trace) {
+					return false, fmt.Errorf("round %d beyond the sequential trace", f.Round)
+				}
+				rec := want.Trace[round]
+				round++
+				var recv []graph.NodeID
+				for v := range f.Receivers {
+					recv = append(recv, v)
+				}
+				slices.Sort(recv)
+				if f.Round != rec.Round || f.Messages != len(rec.Sends) || !slices.Equal(slices.Compact(recv), rec.Receivers()) {
+					return false, fmt.Errorf("round %d: frontier %d msgs to %v, sequential round %d: %d msgs to %v",
+						f.Round, f.Messages, recv, rec.Round, len(rec.Sends), rec.Receivers())
+				}
+				return false, nil
+			})})
+			if err != nil {
+				t.Fatalf("bitsetFrontier %s on %s from %v: %v", r.name, g, origins, err)
 			}
-			rec := want.Trace[round]
-			round++
-			var recv []graph.NodeID
-			for v := range f.Receivers {
-				recv = append(recv, v)
+			if round != len(want.Trace) || got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages || got.Terminated != want.Terminated {
+				t.Errorf("bitsetFrontier %s on %s from %v: %d rounds observed, result %+v, want %+v", r.name, g, origins, round, got, want)
 			}
-			slices.Sort(recv)
-			if f.Round != rec.Round || f.Messages != len(rec.Sends) || !slices.Equal(slices.Compact(recv), rec.Receivers()) {
-				return false, fmt.Errorf("round %d: frontier %d msgs to %v, sequential round %d: %d msgs to %v",
-					f.Round, f.Messages, recv, rec.Round, len(rec.Sends), rec.Receivers())
-			}
-			return false, nil
-		})})
-		if err != nil {
-			t.Fatalf("bitsetFrontier on %s from %v: %v", g, origins, err)
-		}
-		if round != len(want.Trace) || got.Rounds != want.Rounds || got.TotalMessages != want.TotalMessages || got.Terminated != want.Terminated {
-			t.Errorf("bitsetFrontier on %s from %v: %d rounds observed, result %+v, want %+v", g, origins, round, got, want)
 		}
 	})
 }

@@ -9,34 +9,38 @@ package model
 //
 // It replaces the two historical map[string]int detectors that serialised
 // every configuration to a string per round: configurations are now hashed
-// word-wise (FNV-1a over the packed words) into a map of arena offsets, and
-// a hash hit is verified word-for-word against the stored configuration
-// before a repeat is reported, so hash collisions can never fabricate a
-// certificate. All storage is amortised: recorded configurations append to
-// one growing arena, so the steady-state per-round cost is the hash and the
-// map insert.
+// word-wise (FNV-1a over the packed words) into a map from each hash to
+// the newest entry of its chain, and a hash hit is verified word-for-word
+// against the stored configuration before a repeat is reported, so hash
+// collisions can never fabricate a certificate. All storage is amortised:
+// entries append to one slice, chained by index, and recorded
+// configurations to one arena, so once a Detector has recorded as many
+// rounds as a run needs, Check allocates nothing and costs the hash and
+// the map insert.
 //
 // A Detector is not safe for concurrent use; Reset recycles it (and its
-// arena capacity) across runs.
+// capacity) across runs.
 type Detector struct {
-	seen  map[uint64][]detEntry
-	arena []uint64
+	head    map[uint64]int // hash → index of its chain's newest entry
+	entries []detEntry
+	arena   []uint64
 }
 
-// detEntry locates one recorded configuration: the round it was seen and
-// its window in the arena.
+// detEntry locates one recorded configuration: the round it was seen, its
+// window in the arena, and the next older entry with the same hash (-1
+// ends the chain).
 type detEntry struct {
-	round  int
-	off, n int
+	round, off, n, next int
 }
 
 // Reset clears the detector for a new run, keeping allocated capacity.
 func (d *Detector) Reset() {
-	if d.seen == nil {
-		d.seen = map[uint64][]detEntry{}
+	if d.head == nil {
+		d.head = map[uint64]int{}
 	} else {
-		clear(d.seen)
+		clear(d.head)
 	}
+	d.entries = d.entries[:0]
 	d.arena = d.arena[:0]
 }
 
@@ -46,12 +50,17 @@ func (d *Detector) Reset() {
 // copies it, so callers may reuse the slice.
 func (d *Detector) Check(round int, cfg []uint64) (first int, repeated bool) {
 	h := hashWords(cfg)
-	for _, e := range d.seen[h] {
-		if wordsEqual(d.arena[e.off:e.off+e.n], cfg) {
+	next, ok := d.head[h]
+	if !ok {
+		next = -1
+	}
+	for i := next; i >= 0; i = d.entries[i].next {
+		if e := d.entries[i]; wordsEqual(d.arena[e.off:e.off+e.n], cfg) {
 			return e.round, true
 		}
 	}
-	d.seen[h] = append(d.seen[h], detEntry{round: round, off: len(d.arena), n: len(cfg)})
+	d.head[h] = len(d.entries)
+	d.entries = append(d.entries, detEntry{round: round, off: len(d.arena), n: len(cfg), next: next})
 	d.arena = append(d.arena, cfg...)
 	return 0, false
 }

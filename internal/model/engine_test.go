@@ -617,9 +617,53 @@ func TestDetectorCollisionSafety(t *testing.T) {
 	if first, ok := d.Check(10002, fresh); !ok || first != 10001 {
 		t.Fatalf("repeat not found: first=%d ok=%t", first, ok)
 	}
+	// Two-word configurations collide by construction: word-wise FNV-1a
+	// hashes [a, b] to ((offset^a)·prime ^ b)·prime, so [a', b'] with
+	// b' = (offset^a)·prime ^ b ^ (offset^a')·prime hashes the same. Each
+	// is recorded, and a repeat of the older one is found down the chain.
+	const offset, prime = 14695981039346656037, 1099511628211
+	a, b := uint64(3), uint64(5)
+	collide := func(a2 uint64) []uint64 {
+		return []uint64{a2, (offset^a)*prime ^ b ^ (offset^a2)*prime}
+	}
+	d.Reset()
+	if _, ok := d.Check(1, []uint64{a, b}); ok {
+		t.Fatal("first configuration falsely matched")
+	}
+	for r := 2; r <= 4; r++ {
+		if first, ok := d.Check(r, collide(uint64(100+r))); ok {
+			t.Fatalf("colliding configuration at round %d falsely matched round %d", r, first)
+		}
+	}
+	if first, ok := d.Check(5, []uint64{a, b}); !ok || first != 1 {
+		t.Fatalf("repeat behind colliding entries: first=%d ok=%t, want 1 true", first, ok)
+	}
 	// Reset clears history.
 	d.Reset()
 	if _, ok := d.Check(1, fresh); ok {
 		t.Fatal("Reset did not clear the detector")
+	}
+}
+
+// TestDetectorWarmCheckAllocatesNothing pins the package doc's claim: Reset
+// keeps a Detector's capacity, so recording a run's configurations again
+// allocates nothing, however many rounds the run has.
+func TestDetectorWarmCheckAllocatesNothing(t *testing.T) {
+	cfgs := make([][]uint64, 300)
+	for r := range cfgs {
+		cfgs[r] = []uint64{uint64(r % 7), uint64(r), uint64(r * r)}
+	}
+	var d model.Detector
+	record := func() {
+		d.Reset()
+		for r, cfg := range cfgs {
+			if first, ok := d.Check(r, cfg); ok {
+				t.Fatalf("round %d falsely matched round %d", r, first)
+			}
+		}
+	}
+	record()
+	if allocs := testing.AllocsPerRun(20, record); allocs != 0 {
+		t.Fatalf("a warm Detector allocated %v times recording %d configurations, want 0", allocs, len(cfgs))
 	}
 }

@@ -196,10 +196,10 @@ func directRun(t *testing.T, graphSpec string, seed int64, analyses []string) en
 	return res
 }
 
-// pullGraph is the parity tests' instance: a dense, non-bipartite gnp whose
-// flood reaches a saturated round (at least half of the directed edges
-// carry M), so the bitset engine runs its pull kernel as well as push.
-const pullGraph = "gnp:n=256,p=0.1"
+// denseGraph is the parity tests' instance: a dense, non-bipartite gnp whose
+// flood reaches a saturated round, so the bitset engine runs its dense
+// kernel as well as push.
+const denseGraph = "gnp:n=256,p=0.1"
 
 // TestStreamedRunMatchesDirectRun is the service's core contract: the
 // final metric values of a streamed run are byte-equal (as canonical JSON)
@@ -210,22 +210,33 @@ const pullGraph = "gnp:n=256,p=0.1"
 func TestStreamedRunMatchesDirectRun(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
 	analyses := []string{"coverage", "termination"}
-	want := directRun(t, pullGraph, 7, analyses)
-	m := gen.MustBuild(pullGraph, 7).M()
+	want := directRun(t, denseGraph, 7, analyses)
+	g := gen.MustBuild(denseGraph, 7)
 	var wantMessages []int
-	pulled := false
-	for _, rec := range want.Trace {
+	dense := false
+	for r, rec := range want.Trace {
 		wantMessages = append(wantMessages, len(rec.Sends))
-		pulled = pulled || len(rec.Sends) >= m // half of the 2m directed edges
+		if r == 0 {
+			continue
+		}
+		// A later round runs dense when its messages are at least the
+		// dense kernel's work: one store per in-slot of the nodes that did
+		// not receive last round (2m less the receivers' degree sum), plus
+		// one step per node.
+		deg := 0
+		for _, v := range want.Trace[r-1].Receivers() {
+			deg += g.Degree(v)
+		}
+		dense = dense || 2*g.M()-deg+g.N() <= len(rec.Sends)
 	}
-	if !pulled {
-		t.Fatalf("%s never reaches a pull round", pullGraph)
+	if !dense {
+		t.Fatalf("%s never reaches a dense round", denseGraph)
 	}
 
 	for _, eng := range []string{"fast", "bitset"} {
 		t.Run(eng, func(t *testing.T) {
 			resp := postRun(t, ts, "", service.RunRequest{
-				Graph: pullGraph, Engine: eng, Seed: 7, Analyses: analyses,
+				Graph: denseGraph, Engine: eng, Seed: 7, Analyses: analyses,
 			})
 			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
@@ -274,11 +285,11 @@ func TestStreamedRunMatchesDirectRun(t *testing.T) {
 func TestUnaryRunMatchesDirectRun(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
 	analyses := []string{"coverage", "termination"}
-	want := directRun(t, pullGraph, 3, analyses)
+	want := directRun(t, denseGraph, 3, analyses)
 	for _, eng := range []string{"fast", "bitset"} {
 		t.Run(eng, func(t *testing.T) {
 			resp := postRun(t, ts, "", service.RunRequest{
-				Graph: pullGraph, Engine: eng, Seed: 3,
+				Graph: denseGraph, Engine: eng, Seed: 3,
 				Analyses: analyses, Stream: boolp(false),
 			})
 			defer resp.Body.Close()
