@@ -224,25 +224,18 @@ func csrDigest(g *graph.Graph) uint64 {
 	return h.Sum64()
 }
 
-// TestStreamedBuildDigests pins the bytes the streamed generators build at
-// seed 1: the edge count and a digest of the CSR. TestSeedDeterminism only
-// builds each spec twice, which any deterministic sampler passes; this
-// test fails when a change to the samplers or to the CSR constructors
-// behind them moves a single neighbour of a seeded graph.
-func TestStreamedBuildDigests(t *testing.T) {
-	cases := []struct {
-		spec   string
-		m      int
-		digest uint64
-		long   bool
-	}{
-		{"gnp:n=16384,p=0.001", 133993, 0x950b894c656e9194, false},
-		{"gnp:n=65536,p=0.0009765625", 2098698, 0x051036d90087f863, false},
-		{"gnp:n=262144,p=0.000244140625", 8390739, 0x39c0c51782231b8f, true},
-		{"gnp:n=10000,p=0.0002,connect=true", 11589, 0x25a23b3d9af95308, false},
-		{"prefattach:n=9000,m=2", 17997, 0x7ab5ad66d786f693, false},
-		{"rmat:n=256,e=400", 382, 0xcb3b6d8ff756fc48, false},
-	}
+// digestCase is one pinned build: a spec, built at seed 1, and the edge
+// count and csrDigest it must produce.
+type digestCase struct {
+	spec   string
+	m      int
+	digest uint64
+	long   bool // skipped under -short
+}
+
+// checkDigests builds every case at seed 1 and fails on any moved byte.
+func checkDigests(t *testing.T, cases []digestCase) {
+	t.Helper()
 	for _, c := range cases {
 		t.Run(c.spec, func(t *testing.T) {
 			if c.long && testing.Short() {
@@ -256,5 +249,78 @@ func TestStreamedBuildDigests(t *testing.T) {
 				t.Fatalf("m=%d digest=%#016x, want m=%d digest=%#016x", m, d, c.m, c.digest)
 			}
 		})
+	}
+}
+
+// TestStreamedBuildDigests pins the bytes the streamed generators build at
+// seed 1: the edge count and a digest of the CSR. TestSeedDeterminism only
+// builds each spec twice, which any deterministic sampler passes; this
+// test fails when a change to the samplers or to the CSR constructors
+// behind them moves a single neighbour of a seeded graph.
+func TestStreamedBuildDigests(t *testing.T) {
+	checkDigests(t, []digestCase{
+		{"gnp:n=16384,p=0.001", 133993, 0x950b894c656e9194, false},
+		{"gnp:n=65536,p=0.0009765625", 2098698, 0x051036d90087f863, false},
+		{"gnp:n=262144,p=0.000244140625", 8390739, 0x39c0c51782231b8f, true},
+		{"gnp:n=10000,p=0.0002,connect=true", 11589, 0x25a23b3d9af95308, false},
+		{"prefattach:n=9000,m=2", 17997, 0x7ab5ad66d786f693, false},
+		{"rmat:n=256,e=400", 382, 0xcb3b6d8ff756fc48, false},
+	})
+}
+
+// builderDigests pins the graphs built through the Builder: every
+// registered family below the streamed cutoff at a small size, the six
+// graphs the serve-small benchmark floods, and the two families whose
+// connect=true rebuild joins components.
+var builderDigests = []digestCase{
+	{"path:n=9", 8, 0x1c46c25c7dedab7d, false},
+	{"cycle:n=9", 9, 0x3cfac5acf865c3c7, false},
+	{"complete:n=7", 21, 0x6f2f7235fe208bd5, false},
+	{"star:n=9", 8, 0xfcff8adf3908f0bd, false},
+	{"wheel:n=9", 16, 0xf428e1443aa6cb55, false},
+	{"bipartite:a=3,b=5", 15, 0xa51d911a84d33e6f, false},
+	{"grid:rows=4,cols=5", 31, 0x417b10e855aff267, false},
+	{"torus:rows=3,cols=5", 30, 0x50a4936676fe9d25, false},
+	{"hypercube:d=5", 80, 0x1c4016f84d638dd5, false},
+	{"petersen", 15, 0xe01956e607ebdf41, false},
+	{"barbell:k=4,path=3", 16, 0x7f3a54439911fab1, false},
+	{"lollipop:k=5,path=4", 14, 0xb789ac15b02f3145, false},
+	{"bintree:levels=5", 30, 0x9b53a78d1159ef55, false},
+	{"tree:n=40", 39, 0xde2b1cd93ae24e79, false},
+	{"gnp:n=60,p=0.05", 89, 0xeffff5a9cc4b9fb5, false},
+	{"gnp:n=60,p=0.02,connect=true", 60, 0x1165bf053d15804f, false},
+	{"randbipartite:a=10,b=12,p=0.1", 31, 0x0a41fb1d2ac5bf5b, false},
+	{"randconnected:n=40,p=0.05", 80, 0x1ab4bfbb0c50a4b7, false},
+	{"randnonbipartite:n=40,p=0.05", 83, 0xd07e2fb5856eaceb, false},
+	{"prefattach:n=48,m=2", 93, 0x7eb0f47967fe2a6b, false},
+	{"grid:rows=32,cols=32", 1984, 0x1d06b728967484fd, false},
+	{"cycle:n=1025", 1025, 0x55049309e0b23aff, false},
+	{"hypercube:d=10", 5120, 0x3dc75258cf2b5e9d, false},
+	{"gnp:n=2048,p=0.008", 16606, 0x9da97a3f8889d3e2, false},
+	{"prefattach:n=2048,m=3", 6138, 0x543b072ea63bd7d3, false},
+	{"torus:rows=31,cols=33", 2046, 0xd7a306d3ac767375, false},
+	{"gnp:n=2000,p=0.001,connect=true", 2333, 0x9e5a3a072d0b1a8a, false},
+	{"randbipartite:a=40,b=56,p=0.05", 193, 0x9a5400b6189231c9, false},
+}
+
+// TestBuilderBuildDigests is TestStreamedBuildDigests for the Builder
+// path: it fails when a change to a generator, to Builder.Build or to
+// Connectify moves a single neighbour of a seeded graph.
+func TestBuilderBuildDigests(t *testing.T) {
+	checkDigests(t, builderDigests)
+}
+
+// TestBuilderDigestsCoverEveryFamily keeps builderDigests in step with the
+// registry: every family except the two that exist only streamed (rmat,
+// edgefile) has a pinned case.
+func TestBuilderDigestsCoverEveryFamily(t *testing.T) {
+	pinned := map[string]bool{"rmat": true, "edgefile": true}
+	for _, c := range builderDigests {
+		pinned[gen.MustParse(c.spec).Family] = true
+	}
+	for _, name := range gen.Families() {
+		if !pinned[name] {
+			t.Errorf("family %s has no pinned Builder digest", name)
+		}
 	}
 }

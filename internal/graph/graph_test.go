@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -331,6 +332,27 @@ func TestCSREmptyAndZeroValue(t *testing.T) {
 	for v := NodeID(0); v < 3; v++ {
 		if len(csr.Row(v)) != 0 {
 			t.Fatalf("isolated node %d has CSR neighbours", v)
+		}
+	}
+}
+
+// TestAppendToNeighborsCopies: a row handed out by Neighbors is capped at
+// its length, so a caller's append copies it instead of writing over the
+// next row, on a Builder graph and on a streamed one alike.
+func TestAppendToNeighborsCopies(t *testing.T) {
+	b := NewBuilder(6).AddPath(0, 1, 2, 3, 4, 5).AddEdge(0, 5).AddEdge(1, 4)
+	built := mustBuild(t, b)
+	streamed, err := FromStream("", 6, replay([][2]NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {0, 5}, {1, 4}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{built, streamed} {
+		for v := NodeID(0); int(v)+1 < g.N(); v++ {
+			next := slices.Clone(g.Neighbors(v + 1))
+			_ = append(g.Neighbors(v), 99)
+			if got := g.Neighbors(v + 1); !slices.Equal(got, next) {
+				t.Fatalf("appending to Neighbors(%d) changed Neighbors(%d) from %v to %v", v, v+1, next, got)
+			}
 		}
 	}
 }
