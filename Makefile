@@ -53,7 +53,8 @@ race:
 # that streamed gnp builds through, then the model engine against the
 # synchronous engine under the zero-delay adversary and under the static
 # schedule (the identity both fate hooks must keep), then the model and
-# analysis spec parsers' canonical round trips.
+# analysis spec parsers' canonical round trips, then the graph spec
+# parser's, since graph specs are what remote callers send most.
 fuzz:
 	go test -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine/fastengine
 	go test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/service
@@ -63,6 +64,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzStaticScheduleEquivalence -fuzztime 10s ./internal/model
 	go test -run '^$$' -fuzz FuzzModelParse -fuzztime 10s ./internal/model
 	go test -run '^$$' -fuzz FuzzAnalysisParse -fuzztime 10s ./internal/analysis
+	go test -run '^$$' -fuzz FuzzGenParse -fuzztime 10s ./internal/graph/gen
 
 # examples runs every program under examples/ and fails on the first
 # non-zero exit. Building them is not enough: a program that looks a

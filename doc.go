@@ -58,13 +58,16 @@
 // Graphs are equally registry-driven: every family in internal/graph/gen
 // self-registers under a canonical spec grammar ("grid:rows=64,cols=64",
 // "gnp:n=200,p=0.05,connect=true"; afsim -list enumerates it), with
-// seeded-deterministic random families. Large random instances build
-// streamed, straight into the CSR: gnp's geometric skip sampler emits its
-// edges in row order, which graph.FromRows lays out in one pass, and
-// unordered streams (prefattach, the rmat recursive-matrix family,
-// edgefile:path=... edge-list loading) fill it in two passes through
-// graph.FromStream. So million-node graphs construct without an O(n²) scan
-// or intermediate adjacency. internal/scenario closes the
+// seeded-deterministic random families. A graph.Graph is its CSR, one
+// arena of sorted neighbour rows that every accessor and engine reads.
+// Large random instances build streamed, straight into it: gnp's geometric
+// skip sampler emits its edges in row order, which graph.FromRows lays out
+// in one pass, and unordered streams (prefattach, the rmat recursive-matrix
+// family, edgefile:path=... edge-list loading, connect=true's bridges)
+// fill it in two passes through graph.FromStream. So million-node graphs
+// construct without an O(n²) scan or intermediate edge list; the small
+// families' Builder sorts its edges into row order and ends in
+// graph.FromRows too. internal/scenario closes the
 // protocol × engine × graph cross-product: a Matrix of axis values expands
 // into declarative run Specs, and a bounded-worker Runner executes the
 // suite with per-worker arena reuse, streaming results to JSONL/CSV/
@@ -154,7 +157,7 @@
 //	internal/scenario         declarative suites: spec matrix, pooled runner, sinks, metric columns
 //	internal/shard            distributed suite sharding: lease protocol, work stealing, resumable merge
 //	internal/obs              metrics kernel: atomic counters/gauges/histograms, Prometheus text exposition
-//	internal/graph            immutable simple graphs, builder, CSR view, encodings
+//	internal/graph            immutable simple graphs stored as their CSR, builder, encodings
 //	internal/graph/gen        graph families behind a spec-grammar registry
 //	internal/graph/algo       BFS, diameter and its two-sweep lower bound, bipartiteness ground truth
 //	internal/engine           synchronous round engine + Protocol/RoundObserver

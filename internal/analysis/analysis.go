@@ -12,7 +12,7 @@
 // round's sends into the metrics incrementally (no post-hoc trace re-walk,
 // no retained trace), and Finish turns the accumulated state plus the
 // engine result into a flat Metrics map. One analyzer instance serves every
-// run of a reused sim.Session or sim.RunBatch, so sweep-style workloads pay
+// run of a reused sim.Session, so sweep-style workloads pay
 // no per-run analysis allocation — the same amortisation contract the fast
 // engines keep for their arenas.
 //

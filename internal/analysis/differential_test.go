@@ -330,11 +330,11 @@ func TestTerminationClosedForms(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, src := range in.srcs {
-			results, err := sess.RunBatch(context.Background(), []graph.NodeID{src})
+			res, err := sess.RunFrom(context.Background(), []graph.NodeID{src})
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := results[0].Metrics
+			m := res.Metrics
 			cf, ok := m["termination.closedForm"]
 			if !ok {
 				t.Fatalf("%s: no closed form recognised", in.spec)
@@ -350,8 +350,8 @@ func TestTerminationClosedForms(t *testing.T) {
 	}
 }
 
-// TestSessionReuseAcrossBatch: one session's analyzers serve a whole
-// RunBatch sweep — per-source metrics must equal fresh single-run sessions
+// TestSessionReuseAcrossBatch: one session's analyzers serve a whole sweep
+// of RunFrom calls — per-source metrics must equal fresh single-run sessions
 // (buffer reuse cannot leak state between runs). A second session runs the
 // sources in reverse order: no metric may depend on which origin a session
 // ran first (the termination analysis's two-sweep bound is per graph).
@@ -369,13 +369,13 @@ func TestSessionReuseAcrossBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := shared.RunBatch(context.Background(), sources)
-		if err != nil {
-			t.Fatal(err)
-		}
 		out := map[graph.NodeID]analysis.Metrics{}
-		for i, src := range sources {
-			out[src] = results[i].Metrics
+		for _, src := range sources {
+			res, err := shared.RunFrom(context.Background(), []graph.NodeID{src})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[src] = res.Metrics
 		}
 		return out
 	}

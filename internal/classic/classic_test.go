@@ -144,7 +144,10 @@ func TestClassicVsAmnesiacOnBipartite(t *testing.T) {
 	// the amnesia makes no difference.
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := gen.Connectify(gen.RandomBipartite(2+rng.Intn(15), 2+rng.Intn(15), 0.25, rng), rng)
+		g, err := gen.Connectify(gen.RandomBipartite(2+rng.Intn(15), 2+rng.Intn(15), 0.25, rng), rng)
+		if err != nil {
+			return false
+		}
 		src := graph.NodeID(rng.Intn(g.N()))
 		cl, err := classic.NewFlood(g, src)
 		if err != nil {

@@ -138,7 +138,10 @@ func TestBipartiteParallelBFSProperty(t *testing.T) {
 	// round e(source).
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := gen.Connectify(gen.RandomBipartite(2+rng.Intn(20), 2+rng.Intn(20), 0.2, rng), rng)
+		g, err := gen.Connectify(gen.RandomBipartite(2+rng.Intn(20), 2+rng.Intn(20), 0.2, rng), rng)
+		if err != nil {
+			return false
+		}
 		src := graph.NodeID(rng.Intn(g.N()))
 		res, cov := run(t, sim.Sequential, g, src)
 		if res.Rounds != algo.Eccentricity(g, src) {

@@ -243,13 +243,17 @@ func TestPredictMatchesSimulationEverywhere(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var g *graph.Graph
+		var err error
 		switch seed % 3 {
 		case 0:
 			g = gen.RandomConnected(2+rng.Intn(40), 0.08, rng)
 		case 1:
 			g = gen.RandomNonBipartite(3+rng.Intn(40), 0.08, rng)
 		default:
-			g = gen.Connectify(gen.RandomBipartite(2+rng.Intn(15), 2+rng.Intn(15), 0.2, rng), rng)
+			g, err = gen.Connectify(gen.RandomBipartite(2+rng.Intn(15), 2+rng.Intn(15), 0.2, rng), rng)
+		}
+		if err != nil {
+			return false
 		}
 		origins := drawOrigins(g, rng)
 		pred := doublecover.Predict(g, origins...)

@@ -3,7 +3,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -76,6 +75,8 @@ func (b *Builder) AddPath(walk ...NodeID) *Builder {
 }
 
 // Build validates the accumulated edges and returns the immutable graph.
+// Its normalised edges, sorted and with duplicates dropped, are in
+// forward-row order, so FromRows lays them out in one pass.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -86,39 +87,13 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 		return int(a.V) - int(b.V)
 	})
-	adj := make([][]NodeID, b.n)
-	m := 0
-	var prev Edge
-	for i, e := range b.edges {
-		if i > 0 && e == prev {
-			continue // collapse duplicates
+	b.edges = slices.Compact(b.edges)
+	return FromRows(b.name, b.n, 2*len(b.edges), func(add func(u, v NodeID)) error {
+		for _, e := range b.edges {
+			add(e.U, e.V)
 		}
-		prev = e
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-		m++
-	}
-	for _, nbrs := range adj {
-		slices.Sort(nbrs)
-	}
-	if uint64(m) > math.MaxInt32/2 {
-		return nil, fmt.Errorf("builder: %d edges: %w", m, ErrTooManyEdges)
-	}
-	return &Graph{name: b.name, adj: adj, csr: buildCSR(adj, m), m: m}, nil
-}
-
-// buildCSR flattens sorted adjacency lists into the compressed-sparse-row
-// view shared by the graph's accessors.
-func buildCSR(adj [][]NodeID, m int) CSR {
-	csr := CSR{
-		Offsets: make([]int32, len(adj)+1),
-		Targets: make([]NodeID, 0, 2*m),
-	}
-	for v, nbrs := range adj {
-		csr.Targets = append(csr.Targets, nbrs...)
-		csr.Offsets[v+1] = int32(len(csr.Targets))
-	}
-	return csr
+		return nil
+	})
 }
 
 // MustBuild is Build for graphs known to be valid by construction, such as

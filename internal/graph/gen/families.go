@@ -228,27 +228,22 @@ func init() {
 			if err := probability("p", p); err != nil {
 				return nil, err
 			}
-			// The quadratic Builder path is kept for small n so historical
+			// The coin-per-pair sampler is kept for small n so historical
 			// (spec, seed) outputs stay byte-identical; larger instances
-			// stream through geometric skip sampling.
+			// draw geometric skips. Both lay their CSR out through
+			// graph.FromRows (RandomGNP by way of the Builder), and one
+			// Connectify joins components at every size.
+			var g *graph.Graph
+			var err error
 			if n <= maxDenseNodes {
-				g := RandomGNP(n, p, rng)
-				if v.Bool("connect") {
-					g = Connectify(g, rng)
-				}
-				return g, nil
+				g = RandomGNP(n, p, rng)
+			} else if err = expectedEdges("gnp", float64(n)*float64(n-1)/2*p); err == nil {
+				g, err = RandomGNPStream(n, p, rng)
 			}
-			if err := expectedEdges("gnp", float64(n)*float64(n-1)/2*p); err != nil {
-				return nil, err
+			if err != nil || !v.Bool("connect") {
+				return g, err
 			}
-			g, err := RandomGNPStream(n, p, rng)
-			if err != nil {
-				return nil, err
-			}
-			if v.Bool("connect") {
-				return ConnectifyStream(g, rng)
-			}
-			return g, nil
+			return Connectify(g, rng)
 		},
 	})
 	Register("randbipartite", Family{
@@ -272,10 +267,10 @@ func init() {
 				return nil, err
 			}
 			g := RandomBipartite(a, b, p, rng)
-			if v.Bool("connect") {
-				g = Connectify(g, rng)
+			if !v.Bool("connect") {
+				return g, nil
 			}
-			return g, nil
+			return Connectify(g, rng)
 		},
 	})
 	Register("randconnected", Family{

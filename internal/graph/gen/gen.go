@@ -17,10 +17,11 @@
 // row-major order and builds its CSR in that one pass (graph.FromRows),
 // and prefattach replays its sampler per pass (graph.FromStream), so
 // million-node instances build without an O(n²) scan or an intermediate
-// adjacency.
+// edge list.
 // Historical outputs are frozen — at or below the cutoff the legacy
 // builders run, so a (spec, seed) pair keeps producing the same graph it
-// always did. Two families exist only streamed: rmat
+// always did; their Builder lays its sorted edges out through
+// graph.FromRows, so every family ends in the same CSR either way. Two families exist only streamed: rmat
 // ("rmat:n=N,e=E,a=..,b=..,c=..", recursive-matrix quadrant descent over a
 // power-of-two node count) and edgefile ("edgefile:path=FILE", the
 // WriteEdgeList format read back through the two-pass CSR loader). edgefile

@@ -62,23 +62,32 @@ func RandomBipartite(a, b int, p float64, rng *rand.Rand) *graph.Graph {
 // Connectify returns g if it is already connected; otherwise it returns a
 // copy with one extra edge per additional component, joining a random node
 // of each later component to a random node of the first. Added edges join
-// distinct components, so bipartiteness is preserved.
-func Connectify(g *graph.Graph, rng *rand.Rand) *graph.Graph {
+// distinct components, so bipartiteness is preserved. The copy is laid out
+// through graph.FromStream, which replays g's own rows plus the bridges, so
+// no edge list is materialised at any size.
+func Connectify(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error) {
 	comps := algo.Components(g)
 	if len(comps) <= 1 {
-		return g
+		return g, nil
 	}
-	b := graph.NewBuilder(g.N()).Name(g.Name() + "+connected")
-	for _, e := range g.Edges() {
-		b.AddEdge(e.U, e.V)
-	}
+	bridges := make([]graph.Edge, 0, len(comps)-1)
 	base := comps[0]
 	for _, comp := range comps[1:] {
-		u := base[rng.Intn(len(base))]
-		v := comp[rng.Intn(len(comp))]
-		b.AddEdge(u, v)
+		bridges = append(bridges, graph.Edge{U: base[rng.Intn(len(base))], V: comp[rng.Intn(len(comp))]})
 	}
-	return b.MustBuild()
+	return graph.FromStream(g.Name()+"+connected", g.N(), func(add func(u, v graph.NodeID)) error {
+		for u := range graph.NodeID(g.N()) {
+			for _, v := range g.Neighbors(u) {
+				if u < v {
+					add(u, v)
+				}
+			}
+		}
+		for _, b := range bridges {
+			add(b.U, b.V)
+		}
+		return nil
+	})
 }
 
 // RandomConnected returns a connected G(n, p)-style graph: a random tree

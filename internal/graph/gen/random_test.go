@@ -86,7 +86,10 @@ func TestConnectifyJoinsComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// Sparse GNP is almost surely disconnected at this size/density.
 	g := gen.RandomGNP(50, 0.01, rng)
-	joined := gen.Connectify(g, rng)
+	joined, err := gen.Connectify(g, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !algo.Connected(joined) {
 		t.Fatal("Connectify result is disconnected")
 	}
@@ -101,7 +104,7 @@ func TestConnectifyJoinsComponents(t *testing.T) {
 func TestConnectifyNoOpWhenConnected(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := gen.Path(10)
-	if got := gen.Connectify(g, rng); got != g {
+	if got, err := gen.Connectify(g, rng); err != nil || got != g {
 		t.Fatal("Connectify on a connected graph did not return it unchanged")
 	}
 }
@@ -110,8 +113,8 @@ func TestConnectifyPreservesBipartiteness(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomBipartite(2+rng.Intn(20), 2+rng.Intn(20), 0.05, rng)
-		joined := gen.Connectify(g, rng)
-		return algo.Connected(joined) && algo.IsBipartite(joined)
+		joined, err := gen.Connectify(g, rng)
+		return err == nil && algo.Connected(joined) && algo.IsBipartite(joined)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

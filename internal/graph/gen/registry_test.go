@@ -224,7 +224,7 @@ func TestDeclaredStructureHolds(t *testing.T) {
 	}
 	connected := []string{"randconnected:n=40,p=0.02", "gnp:n=40,p=0.02,connect=true",
 		"randbipartite:a=20,b=20,p=0.03", "tree:n=50", "prefattach:n=40,m=1",
-		"gnp:n=10000,p=0.0002,connect=true", // streamed sampler + ConnectifyStream
+		"gnp:n=10000,p=0.0002,connect=true", // streamed sampler + Connectify
 		"prefattach:n=9000,m=1"}             // streamed preferential attachment
 	for _, s := range connected {
 		if g := gen.MustBuild(s, 5); !algo.Connected(g) {

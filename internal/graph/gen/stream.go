@@ -7,14 +7,13 @@ import (
 	"slices"
 
 	"amnesiacflood/internal/graph"
-	"amnesiacflood/internal/graph/algo"
 )
 
 // stream.go holds the streamed generators: families whose edge sets are too
-// large for the Builder pipeline (which materialises a 2m-element edge list
-// and per-node append slices before sorting) emit their edges straight into
-// a CSR constructor instead, so peak memory is the final CSR arena. There
-// are two constructors, chosen by the order a sampler emits in:
+// large for the Builder (which holds a sorted edge list beside the CSR it
+// lays out) emit their edges straight into a CSR constructor instead, so
+// peak memory is the final CSR arena. There are two constructors, chosen by
+// the order a sampler emits in:
 //
 //   - gnp emits each edge once as (u, v), u < v, in row-major order:
 //     graph.FromRows lays the CSR out in that single pass, so each
@@ -35,7 +34,8 @@ import (
 // maxDenseNodes so historical (spec, seed) outputs stay byte-identical, and
 // switches to the streamed variants above it; the two samplers draw the rng
 // differently, so their outputs are deliberately not comparable across the
-// boundary.
+// boundary. connect=true runs the one Connectify on either side: it replays
+// the sampled graph's rows and its bridges through graph.FromStream.
 
 // maxStreamEdges caps the undirected edge count a streamed spec may request
 // (directly for rmat, in expectation for gnp). The CSR hard limit is 2^31-1
@@ -156,35 +156,6 @@ reclaim:
 	close(s.free)
 	for range s.full {
 	}
-}
-
-// ConnectifyStream is Connectify for CSR-built graphs: it joins a random
-// node of each later component to a random node of the first, rebuilding
-// through FromStream (replaying g's own adjacency plus the bridge edges)
-// instead of the Builder. Returns g itself when already connected.
-func ConnectifyStream(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error) {
-	comps := algo.Components(g)
-	if len(comps) <= 1 {
-		return g, nil
-	}
-	bridges := make([][2]graph.NodeID, 0, len(comps)-1)
-	base := comps[0]
-	for _, comp := range comps[1:] {
-		bridges = append(bridges, [2]graph.NodeID{base[rng.Intn(len(base))], comp[rng.Intn(len(comp))]})
-	}
-	return graph.FromStream(g.Name()+"+connected", g.N(), func(add func(u, v graph.NodeID)) error {
-		for u := 0; u < g.N(); u++ {
-			for _, v := range g.Neighbors(graph.NodeID(u)) {
-				if graph.NodeID(u) < v {
-					add(graph.NodeID(u), v)
-				}
-			}
-		}
-		for _, b := range bridges {
-			add(b[0], b[1])
-		}
-		return nil
-	})
 }
 
 // PreferentialAttachmentStream is PreferentialAttachment built through

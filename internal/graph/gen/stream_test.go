@@ -80,9 +80,9 @@ func TestStreamedGNPLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestConnectifyStream joins every component exactly like Connectify: the
-// result is connected, supersets the input's edges, and adds exactly one
-// bridge per extra component.
+// TestConnectifyStream: Connectify joins every component of a streamed gnp
+// graph as it does a Builder one: the result is connected, supersets the
+// input's edges, and adds exactly one bridge per extra component.
 func TestConnectifyStream(t *testing.T) {
 	g, err := gen.RandomGNPStream(300, 0.002, rand.New(rand.NewSource(3)))
 	if err != nil {
@@ -92,12 +92,12 @@ func TestConnectifyStream(t *testing.T) {
 	if comps < 2 {
 		t.Skipf("instance happened to be connected (%d comps); pick a sparser p", comps)
 	}
-	cg, err := gen.ConnectifyStream(g, rand.New(rand.NewSource(4)))
+	cg, err := gen.Connectify(g, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !algo.Connected(cg) {
-		t.Fatal("ConnectifyStream result not connected")
+		t.Fatal("Connectify result not connected")
 	}
 	if cg.M() != g.M()+comps-1 {
 		t.Fatalf("added %d edges for %d components", cg.M()-g.M(), comps)
@@ -108,7 +108,7 @@ func TestConnectifyStream(t *testing.T) {
 		}
 	}
 	connected := gen.Cycle(12)
-	same, err := gen.ConnectifyStream(connected, rand.New(rand.NewSource(5)))
+	same, err := gen.Connectify(connected, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,18 @@
 // identifiers 0..n-1, and adjacency lists that are sorted so every traversal
 // in the repository is deterministic.
 //
-// Graphs are built through a Builder and are immutable afterwards; all
-// accessors are safe for concurrent use.
+// A Graph is its CSR: one arena of sorted neighbour rows, which every
+// accessor reads and the engines index directly. Three constructors lay it
+// out: FromRows in one pass over edges in forward-row order, FromStream in
+// two passes over edges in any order, and the Builder, which collects
+// edges, sorts and deduplicates them into forward-row order and hands them
+// to FromRows. Graphs are immutable once built; all accessors are safe for
+// concurrent use.
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -52,21 +58,22 @@ func (e Edge) String() string {
 	return fmt.Sprintf("(%d,%d)", e.U, e.V)
 }
 
-// Graph is an immutable simple undirected graph. The zero value is the empty
-// graph with no nodes. Construct non-trivial graphs with a Builder.
+// Graph is an immutable simple undirected graph: a name and the CSR that
+// holds its adjacency, once. The zero value is the empty graph with no
+// nodes. Construct non-trivial graphs with a Builder, FromStream or
+// FromRows.
 type Graph struct {
 	name string
-	adj  [][]NodeID // sorted neighbour lists, index = NodeID
-	csr  CSR        // flat adjacency view over the same data
-	m    int        // number of undirected edges
+	csr  CSR
 }
 
-// CSR is a compressed-sparse-row view of a graph's adjacency: one flat arena
+// CSR is a graph's adjacency in compressed-sparse-row form: one flat arena
 // of neighbour identifiers plus per-node offsets into it. Row v occupies
-// Targets[Offsets[v]:Offsets[v+1]] and is sorted ascending, mirroring
-// Neighbors(v) exactly.
+// Targets[Offsets[v]:Offsets[v+1]] and is sorted ascending. It is the
+// graph's only copy of its adjacency: Neighbors, Degree, HasEdge and Edges
+// all read it.
 //
-// The layout exists for the hot simulation loops: a single contiguous arena
+// The layout serves the hot simulation loops: a single contiguous arena
 // keeps neighbour scans cache-friendly and lets engines index adjacency with
 // no per-node slice headers or pointer chasing. Offsets are int32, which caps
 // supported graphs at ~2^31 directed edges — far beyond anything this
@@ -80,10 +87,11 @@ type CSR struct {
 	Targets []NodeID
 }
 
-// Row returns the sorted neighbour list of v as a subslice of the arena. It
-// is the flat-view equivalent of Graph.Neighbors.
+// Row returns the sorted neighbour list of v as a subslice of the arena,
+// capped at its length, so an append to it copies instead of writing over
+// row v+1.
 func (c CSR) Row(v NodeID) []NodeID {
-	return c.Targets[c.Offsets[v]:c.Offsets[v+1]]
+	return c.Targets[c.Offsets[v]:c.Offsets[v+1]:c.Offsets[v+1]]
 }
 
 // Degree returns the number of neighbours of v.
@@ -99,9 +107,9 @@ func (c CSR) N() int {
 	return len(c.Offsets) - 1
 }
 
-// CSR returns the compressed-sparse-row view of the adjacency, built once at
-// construction time. For the zero-value empty graph the view has no rows
-// (Row must not be called). Safe for concurrent use, like all accessors.
+// CSR returns the graph's adjacency. For the zero-value empty graph it has
+// no rows (Row must not be called). Safe for concurrent use, like all
+// accessors.
 func (g *Graph) CSR() CSR {
 	return g.csr
 }
@@ -114,65 +122,52 @@ func (g *Graph) Name() string {
 
 // N returns the number of nodes.
 func (g *Graph) N() int {
-	return len(g.adj)
+	return g.csr.N()
 }
 
 // M returns the number of undirected edges.
 func (g *Graph) M() int {
-	return g.m
+	return len(g.csr.Targets) / 2
 }
 
 // Degree returns the number of neighbours of v.
 func (g *Graph) Degree(v NodeID) int {
-	return len(g.adj[v])
+	return g.csr.Degree(v)
 }
 
-// Neighbors returns the sorted neighbour list of v. The returned slice is
-// shared with the graph and must not be modified; copy it if mutation is
-// needed.
+// Neighbors returns the sorted neighbour list of v: its CSR row, capped at
+// its length. The slice is shared with the graph and must not be modified;
+// an append to it copies.
 func (g *Graph) Neighbors(v NodeID) []NodeID {
-	return g.adj[v]
+	return g.csr.Row(v)
 }
 
 // HasNode reports whether v is a valid node identifier for this graph.
 func (g *Graph) HasNode(v NodeID) bool {
-	return v >= 0 && int(v) < len(g.adj)
+	return v >= 0 && int(v) < g.N()
 }
 
-// HasEdge reports whether {u, v} is an edge. It runs in O(log deg(u)) time.
+// HasEdge reports whether {u, v} is an edge. It runs in O(log min(deg(u),
+// deg(v))) time: a binary search of the shorter row.
 func (g *Graph) HasEdge(u, v NodeID) bool {
 	if !g.HasNode(u) || !g.HasNode(v) || u == v {
 		return false
 	}
-	// Search the smaller adjacency list.
-	list := g.adj[u]
-	target := v
-	if len(g.adj[v]) < len(list) {
-		list, target = g.adj[v], u
+	if g.Degree(v) < g.Degree(u) {
+		u, v = v, u
 	}
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case list[mid] < target:
-			lo = mid + 1
-		case list[mid] > target:
-			hi = mid
-		default:
-			return true
-		}
-	}
-	return false
+	_, found := slices.BinarySearch(g.csr.Row(u), v)
+	return found
 }
 
 // Edges returns all undirected edges, normalised (U < V) and sorted
 // lexicographically. The slice is freshly allocated.
 func (g *Graph) Edges() []Edge {
-	edges := make([]Edge, 0, g.m)
-	for u := range g.adj {
-		for _, v := range g.adj[u] {
-			if NodeID(u) < v {
-				edges = append(edges, Edge{U: NodeID(u), V: v})
+	edges := make([]Edge, 0, g.M())
+	for u := range NodeID(g.N()) {
+		for _, v := range g.csr.Row(u) {
+			if u < v {
+				edges = append(edges, Edge{U: u, V: v})
 			}
 		}
 	}
@@ -191,13 +186,11 @@ func (g *Graph) Nodes() []NodeID {
 // MaxDegree returns the maximum degree over all nodes, or 0 for the empty
 // graph.
 func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, nbrs := range g.adj {
-		if len(nbrs) > max {
-			max = len(nbrs)
-		}
+	deg := 0
+	for v := range NodeID(g.N()) {
+		deg = max(deg, g.Degree(v))
 	}
-	return max
+	return deg
 }
 
 // MinDegree returns the minimum degree over all nodes, or 0 for the empty
@@ -206,13 +199,11 @@ func (g *Graph) MinDegree() int {
 	if g.N() == 0 {
 		return 0
 	}
-	min := len(g.adj[0])
-	for _, nbrs := range g.adj[1:] {
-		if len(nbrs) < min {
-			min = len(nbrs)
-		}
+	deg := g.Degree(0)
+	for v := range NodeID(g.N()) {
+		deg = min(deg, g.Degree(v))
 	}
-	return min
+	return deg
 }
 
 // AvgDegree returns the average degree 2m/n, or 0 for the empty graph.
@@ -220,12 +211,12 @@ func (g *Graph) AvgDegree() float64 {
 	if g.N() == 0 {
 		return 0
 	}
-	return 2 * float64(g.m) / float64(g.N())
+	return 2 * float64(g.M()) / float64(g.N())
 }
 
 // Renamed returns a view of g under a different name. The copy shares g's
-// adjacency storage (graphs are immutable, so sharing is safe); only the
-// reporting name differs. The generator registry uses it to stamp graphs
+// CSR (graphs are immutable, so sharing is safe); only the reporting name
+// differs. The generator registry uses it to stamp graphs
 // with their canonical spec string.
 func Renamed(g *Graph, name string) *Graph {
 	h := *g
@@ -242,6 +233,6 @@ func (g *Graph) String() string {
 	} else {
 		sb.WriteString("graph")
 	}
-	fmt.Fprintf(&sb, "{n=%d m=%d}", g.N(), g.m)
+	fmt.Fprintf(&sb, "{n=%d m=%d}", g.N(), g.M())
 	return sb.String()
 }

@@ -25,9 +25,9 @@ var ErrRowOrder = errors.New("edge stream is not in forward-row order")
 // and out-of-range endpoints are sticky errors, as with Builder.
 //
 // This is the construction path for graph families too large for the
-// quadratic Builder pipeline (sort + per-node append of a 2m-element edge
-// list): peak memory is the final CSR arena plus per-node offsets, so
-// million-node graphs build in a few hundred MB instead of several GB.
+// Builder, which holds a sorted edge list beside the arena it lays out:
+// peak memory here is the final CSR arena plus per-node offsets, so
+// million-node graphs build in a few hundred MB.
 func FromStream(name string, n int, emit func(add func(u, v NodeID)) error) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("stream: %w: %d", ErrNoNodes, n)
@@ -132,7 +132,7 @@ func FromStream(name string, n int, emit func(add func(u, v NodeID)) error) (*Gr
 	// offsets[v] now holds the deduped start of row v for every v < n (row 0
 	// starts at 0), so closing the final slot restores canonical CSR form.
 	offsets[n] = write
-	return fromCSR(name, offsets, targets[:write:write]), nil
+	return &Graph{name: name, csr: CSR{Offsets: offsets, Targets: targets[:write:write]}}, nil
 }
 
 // FromRows builds a named graph over n nodes from a single pass over a
@@ -245,7 +245,7 @@ func FromRows(name string, n, hint int, emit func(add func(u, v NodeID)) error) 
 	}()
 	transposeHalf(offsets, back, pos, targets, NodeID(split), nn)
 	<-done
-	return fromCSR(name, offsets, targets[:len(targets):len(targets)]), nil
+	return &Graph{name: name, csr: CSR{Offsets: offsets, Targets: targets[:len(targets):len(targets)]}}, nil
 }
 
 // transposeHalf fills the backward gaps of rows [lo, hi): it walks every
@@ -268,21 +268,5 @@ func transposeHalf(offsets, back, pos []int32, targets []NodeID, lo, hi NodeID) 
 			targets[pos[v]] = u
 			pos[v]++
 		}
-	}
-}
-
-// fromCSR wraps a finished CSR in a Graph. Adjacency rows alias the arena —
-// the same invariant buildCSR establishes, just in the opposite direction.
-func fromCSR(name string, offsets []int32, targets []NodeID) *Graph {
-	n := len(offsets) - 1
-	adj := make([][]NodeID, n)
-	for v := range n {
-		adj[v] = targets[offsets[v]:offsets[v+1]:offsets[v+1]]
-	}
-	return &Graph{
-		name: name,
-		adj:  adj,
-		csr:  CSR{Offsets: offsets, Targets: targets},
-		m:    len(targets) / 2,
 	}
 }

@@ -202,6 +202,20 @@ func SyncSpec() Spec { return Spec{Kind: KindSync} }
 // IsSync reports whether the spec names the synchronous model.
 func (s Spec) IsSync() bool { return s.Kind == KindSync }
 
+// EngineName returns the name of the engine a non-sync spec runs on, the
+// one NewEngine stamps on its results: "async" under an adversary,
+// "dynamic" under a schedule. The sync model runs on an engine chosen
+// apart from it, so its EngineName is empty.
+func (s Spec) EngineName() string {
+	switch s.Kind {
+	case KindAdversary:
+		return "async"
+	case KindSchedule:
+		return "dynamic"
+	}
+	return ""
+}
+
 // String renders the canonical spec string: "sync", or the kind, family
 // name, and any explicit parameters in the family's declared order. For
 // specs produced by Parse, Parse(spec.String()) reproduces spec exactly.

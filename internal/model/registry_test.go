@@ -166,6 +166,22 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestEngineNameIsWhatRuns: a non-sync spec's EngineName is the name the
+// model engine built from it stamps on its results; the sync spec has none.
+func TestEngineNameIsWhatRuns(t *testing.T) {
+	g := gen.MustBuild("cycle:n=4", 1)
+	for _, s := range roundTripSpecs {
+		m := model.MustBuild(s, 1)
+		want := ""
+		if !m.Spec.IsSync() {
+			want = model.NewEngine(g, m).Name()
+		}
+		if got := m.Spec.EngineName(); got != want {
+			t.Errorf("%s: EngineName() = %q, want %q", s, got, want)
+		}
+	}
+}
+
 func TestBuildDefaultsApplied(t *testing.T) {
 	m := model.MustBuild("schedule:blink", 1)
 	sched := m.Schedule

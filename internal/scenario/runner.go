@@ -131,9 +131,10 @@ type runConfig struct {
 }
 
 // group is the unit of work handed to a pool worker: all specs sharing a
-// graph, protocol, engine, model, analyses, seed, and round limit. One group = one
-// built graph and one sim.Session, so the fast engines amortise their
-// arenas across the group's runs via sim.RunBatch.
+// graph, protocol, engine, model, analyses, seed, and round limit. One
+// group = one built graph and one sim.Session, which runs every spec of the
+// group through Session.RunFrom, so the engines amortise their arenas
+// across the group's runs.
 type group struct {
 	key   string
 	specs []Spec
@@ -563,17 +564,12 @@ func runGroup(ctx context.Context, grp *group, cache *graphCache, cfg runConfig,
 		return
 	}
 	n, m = g.N(), g.M()
-	kind, err := sim.ParseEngine(head.Engine)
+	opts, err := sessionOptions(head)
 	if err != nil {
 		fail(all, err)
 		return
 	}
-
-	// Partition: single-origin specs share one Session through RunBatch
-	// (arena reuse); multi-origin specs each need their own protocol
-	// instance and run individually on the shared graph.
-	var batch []int
-	var solo []int
+	var runnable []int
 	for i, s := range grp.specs {
 		if err := badOrigin(g, s.Origins); err != nil {
 			if !emit(i, Result{Spec: s, N: n, M: m, Err: err.Error()}) {
@@ -581,75 +577,40 @@ func runGroup(ctx context.Context, grp *group, cache *graphCache, cfg runConfig,
 			}
 			continue
 		}
-		if len(s.Origins) <= 1 {
-			batch = append(batch, i)
-		} else {
-			solo = append(solo, i)
-		}
+		runnable = append(runnable, i)
 	}
-
-	// emitRun builds and emits the row for one executed spec, translating
-	// exhausted-timeout errors into Outcome "timeout" rows. A false return
-	// means the suite is cancelled.
-	emitRun := func(i int, res engine.Result, attempts int, runErr error) bool {
+	if len(runnable) == 0 {
+		return
+	}
+	// One Session runs every spec of the group, each from its own origins.
+	sess, err := sim.New(g, opts...)
+	if err != nil {
+		fail(runnable, err)
+		return
+	}
+	for _, i := range runnable {
 		s := grp.specs[i]
-		out1 := Result{Spec: s, N: n, M: m, Attempts: attempts}
+		if ctx.Err() != nil {
+			return
+		}
+		res, attempts, runErr := cfg.execute(ctx, s, func(rc context.Context) (engine.Result, error) {
+			return sess.RunFrom(rc, s.Origins)
+		})
+		if ctx.Err() != nil {
+			return
+		}
+		// An exhausted watchdog makes an Outcome "timeout" row.
+		row := Result{Spec: s, N: n, M: m, Attempts: attempts}
 		if runErr != nil {
-			out1.Err = runErr.Error()
+			row.Err = runErr.Error()
 			if errors.Is(runErr, errRunTimeout) {
-				out1.Outcome = "timeout"
+				row.Outcome = "timeout"
 			}
 		} else {
-			out1.fill(res)
+			row.fill(res)
 			cfg.tel.runPhases(res.Phases)
 		}
-		return emit(i, out1)
-	}
-
-	if len(batch) > 0 {
-		opts := sessionOptions(head, kind)
-		sess, err := sim.New(g, append(opts, sim.WithOrigins(originOf(grp.specs[batch[0]])))...)
-		if err != nil {
-			fail(append(batch, solo...), err)
-			return
-		}
-		for _, i := range batch {
-			s := grp.specs[i]
-			if ctx.Err() != nil {
-				return
-			}
-			res, attempts, runErr := cfg.execute(ctx, s, func(rc context.Context) (engine.Result, error) {
-				rs, err := sess.RunBatch(rc, []graph.NodeID{originOf(s)})
-				if err != nil {
-					return engine.Result{}, err
-				}
-				return rs[0], nil
-			})
-			if ctx.Err() != nil {
-				return
-			}
-			if !emitRun(i, res, attempts, runErr) {
-				return
-			}
-		}
-	}
-	for _, i := range solo {
-		s := grp.specs[i]
-		if ctx.Err() != nil {
-			return
-		}
-		sess, err := sim.New(g, append(sessionOptions(s, kind), sim.WithOrigins(s.Origins...))...)
-		if err != nil {
-			if !emit(i, Result{Spec: s, N: n, M: m, Err: err.Error()}) {
-				return
-			}
-			continue
-		}
-		res, attempts, runErr := cfg.execute(ctx, s, sess.Run)
-		if ctx.Err() != nil {
-			return
-		}
-		if !emitRun(i, res, attempts, runErr) {
+		if !emit(i, row) {
 			return
 		}
 	}
@@ -667,30 +628,18 @@ func (out *Result) fill(r engine.Result) {
 	out.WallMicros = r.WallTime.Microseconds()
 }
 
-// sessionOptions assembles the shared sim options of a spec (origins are
-// appended by the caller).
-func sessionOptions(s Spec, kind sim.EngineKind) []sim.Option {
-	opts := []sim.Option{
-		sim.WithProtocol(s.Protocol),
-		sim.WithEngine(kind),
-		sim.WithSeed(s.Seed),
-		sim.WithMaxRounds(s.MaxRounds),
+// sessionOptions assembles the sim options a group's specs share: all
+// of a spec but its origins, which each run passes to Session.RunFrom.
+func sessionOptions(s Spec) ([]sim.Option, error) {
+	opts, err := s.engineOptions()
+	if err != nil {
+		return nil, err
 	}
-	if s.Model != "" {
-		opts = append(opts, sim.WithModel(s.Model))
-	}
+	opts = append(opts, sim.WithProtocol(s.Protocol), sim.WithSeed(s.Seed), sim.WithMaxRounds(s.MaxRounds))
 	if len(s.Analyses) > 0 {
 		opts = append(opts, sim.WithAnalysis(s.Analyses...))
 	}
-	return opts
-}
-
-// originOf returns a spec's single origin, defaulting to node 0.
-func originOf(s Spec) graph.NodeID {
-	if len(s.Origins) == 0 {
-		return 0
-	}
-	return s.Origins[0]
+	return opts, nil
 }
 
 // badOrigin reports the first origin outside the graph, or nil.

@@ -43,21 +43,23 @@ import (
 
 // Spec fully determines one simulation run: it is pure data, safe to
 // marshal, log, and replay. The graph is a gen spec string, the protocol a
-// sim registry name, the engine a sim.ParseEngine spelling, the model an
-// internal/model spec string.
+// sim registry name, the model an internal/model spec string, and the
+// engine the one that runs it: a sim.ParseEngine spelling under the sync
+// model, the model engine's name ("async", "dynamic") under any other.
 type Spec struct {
 	// Graph is the graph spec, e.g. "grid:rows=64,cols=64" (see
 	// internal/graph/gen). Random families consume Seed.
 	Graph string `json:"graph"`
 	// Protocol is the registered protocol name (see sim.Protocols).
 	Protocol string `json:"protocol"`
-	// Engine is the engine name (see sim.EngineNames).
+	// Engine names the engine that runs the spec: under the sync model
+	// one of sim.EngineNames, under any other the model engine's name,
+	// model.Spec.EngineName ("async" or "dynamic").
 	Engine string `json:"engine"`
 	// Model is the execution-model spec ("sync", "adversary:collision",
 	// "schedule:blink:period=2", ...; see internal/model). Empty means
-	// sync. Non-sync models run amnesiac flooding on their own substrate;
-	// the Engine axis then does not apply (see sim.WithModel). Random
-	// model families consume Seed.
+	// sync. Non-sync models run amnesiac flooding on the one model engine
+	// (see sim.WithModel). Random model families consume Seed.
 	Model string `json:"model,omitempty"`
 	// Origins is the origin node set; empty means node 0.
 	Origins []graph.NodeID `json:"origins,omitempty"`
@@ -106,13 +108,8 @@ func (s Spec) Validate() error {
 	if _, err := gen.Parse(s.Graph); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	if _, err := sim.ParseEngine(s.Engine); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	if s.Model != "" {
-		if _, err := model.Parse(s.Model); err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
+	if _, err := s.engineOptions(); err != nil {
+		return err
 	}
 	for _, a := range s.Analyses {
 		if _, err := analysis.Parse(a); err != nil {
@@ -138,7 +135,9 @@ type Matrix struct {
 	Graphs []string
 	// Protocols lists registered protocol names.
 	Protocols []string
-	// Engines lists engine names.
+	// Engines lists synchronous engine names. They run the sync model;
+	// every other model runs on its own model engine, so it is expanded
+	// once, not once per engine.
 	Engines []string
 	// Models lists execution-model specs (internal/model grammar). Note
 	// that non-sync models run only the amnesiac protocol; cells crossing
@@ -162,13 +161,53 @@ type Matrix struct {
 	MaxRounds int
 }
 
+// engineOptions returns the sim options that pick the spec's model and
+// engine. A sync spec's Engine is parsed as a synchronous engine; a
+// non-sync spec runs on the model engine, so its Engine must be that
+// engine's name and is not parsed.
+func (s Spec) engineOptions() ([]sim.Option, error) {
+	mdl := model.SyncSpec()
+	var opts []sim.Option
+	if s.Model != "" {
+		var err error
+		if mdl, err = model.Parse(s.Model); err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		opts = append(opts, sim.WithModel(s.Model))
+	}
+	if !mdl.IsSync() {
+		if s.Engine != mdl.EngineName() {
+			return nil, fmt.Errorf("scenario: model %s runs on the %s engine, not %q", mdl, mdl.EngineName(), s.Engine)
+		}
+		return opts, nil
+	}
+	kind, err := sim.ParseEngine(s.Engine)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	return append(opts, sim.WithEngine(kind)), nil
+}
+
 // Cells returns len(Expand()) for every matrix Expand accepts, without
 // expanding it: the product of the axis lengths, an empty axis counting as
-// its one default. The product saturates at math.MaxInt, so a caller can
+// its one default, except that a non-sync model counts once rather than
+// once per engine. The product saturates at math.MaxInt, so a caller can
 // bound a matrix's cost before paying for it.
 func (m Matrix) Cells() int {
+	syncModels, otherModels := 0, 0
+	for _, spec := range m.Models {
+		if mdl, err := model.Parse(spec); err == nil && !mdl.IsSync() {
+			otherModels++
+		} else {
+			syncModels++
+		}
+	}
+	if len(m.Models) == 0 {
+		syncModels = 1
+	}
+	runs := max(len(m.Engines), 1)*syncModels + otherModels
 	cells := 1
-	for _, axis := range []int{len(m.Graphs), len(m.Protocols), len(m.Engines), len(m.Models), len(m.OriginSets), len(m.Seeds), m.Reps} {
+	for _, axis := range []int{len(m.Graphs), len(m.Protocols), runs, len(m.OriginSets), len(m.Seeds), m.Reps} {
 		axis = max(axis, 1)
 		if cells > math.MaxInt/axis {
 			return math.MaxInt
@@ -180,11 +219,13 @@ func (m Matrix) Cells() int {
 
 // Expand enumerates the cross-product in deterministic order (graphs ×
 // protocols × engines × models × origin sets × seeds × reps), validating
-// every axis value against its registry up front. Graph and model specs
-// are canonically ordered (lower-cased, parameters in declared order), so
-// two spellings of the same explicit parameter set expand to equal Specs;
-// defaults are not expanded, so "gnp" and its fully explicit form remain
-// distinct cells.
+// every axis value against its registry up front. A non-sync model runs on
+// the model engine whatever the engine axis holds, so it is expanded once,
+// in the first engine's place, and labelled with the model engine's name.
+// Graph and model specs are canonically ordered (lower-cased, parameters
+// in declared order), so two spellings of the same explicit parameter set
+// expand to equal Specs; defaults are not expanded, so "gnp" and its fully
+// explicit form remain distinct cells.
 func (m Matrix) Expand() ([]Spec, error) {
 	if len(m.Graphs) == 0 {
 		return nil, fmt.Errorf("scenario: matrix has no graphs")
@@ -226,16 +267,28 @@ func (m Matrix) Expand() ([]Spec, error) {
 	if len(engines) == 0 {
 		engines = []string{sim.Sequential.String()}
 	}
-	models := make([]string, len(m.Models))
+	models := make([]model.Spec, len(m.Models))
 	for i, spec := range m.Models {
 		parsed, err := model.Parse(spec)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
-		models[i] = parsed.String()
+		models[i] = parsed
 	}
 	if len(models) == 0 {
-		models = []string{string(model.KindSync)}
+		models = []model.Spec{model.SyncSpec()}
+	}
+	// runs pairs each engine label with each model that engine runs.
+	type run struct{ engine, model string }
+	var runs []run
+	for i, eng := range engines {
+		for _, mdl := range models {
+			if mdl.IsSync() {
+				runs = append(runs, run{eng, mdl.String()})
+			} else if i == 0 {
+				runs = append(runs, run{mdl.EngineName(), mdl.String()})
+			}
+		}
 	}
 	analyses := make([]string, len(m.Analyses))
 	for i, spec := range m.Analyses {
@@ -257,29 +310,27 @@ func (m Matrix) Expand() ([]Spec, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	specs := make([]Spec, 0, len(graphs)*len(protocols)*len(engines)*len(models)*len(originSets)*len(seeds)*reps)
+	specs := make([]Spec, 0, len(graphs)*len(protocols)*len(runs)*len(originSets)*len(seeds)*reps)
 	for _, g := range graphs {
 		for _, proto := range protocols {
-			for _, eng := range engines {
-				for _, mdl := range models {
-					for _, origins := range originSets {
-						for _, seed := range seeds {
-							// Every axis value was validated against its
-							// registry above, so the cells need no
-							// per-spec re-validation.
-							for rep := 0; rep < reps; rep++ {
-								specs = append(specs, Spec{
-									Graph:     g,
-									Protocol:  proto,
-									Engine:    eng,
-									Model:     mdl,
-									Origins:   append([]graph.NodeID(nil), origins...),
-									Analyses:  slices.Clone(analyses),
-									Seed:      seed,
-									Rep:       rep,
-									MaxRounds: m.MaxRounds,
-								})
-							}
+			for _, r := range runs {
+				for _, origins := range originSets {
+					for _, seed := range seeds {
+						// Every axis value was validated against its
+						// registry above, so the cells need no per-spec
+						// re-validation.
+						for rep := 0; rep < reps; rep++ {
+							specs = append(specs, Spec{
+								Graph:     g,
+								Protocol:  proto,
+								Engine:    r.engine,
+								Model:     r.model,
+								Origins:   append([]graph.NodeID(nil), origins...),
+								Analyses:  slices.Clone(analyses),
+								Seed:      seed,
+								Rep:       rep,
+								MaxRounds: m.MaxRounds,
+							})
 						}
 					}
 				}

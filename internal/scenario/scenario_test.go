@@ -79,6 +79,8 @@ func TestMatrixCells(t *testing.T) {
 		{Graphs: []string{"path:n=4"}, Reps: -2},
 		{Graphs: []string{"path:n=4", "cycle:n=5"}, Seeds: []int64{1, 1, 2}, Reps: 3},
 		{Graphs: []string{"path:n=4"}, Models: []string{"sync", "schedule:static"}, Analyses: []string{"coverage", "termination"}},
+		{Graphs: []string{"path:n=4", "cycle:n=5"}, Engines: []string{"sequential", "fast", "bitset"},
+			Models: []string{"sync", "adversary:collision", "schedule:static", "SYNC"}, Seeds: []int64{1, 2}},
 		acceptanceMatrix(),
 	} {
 		specs, err := m.Expand()
@@ -92,6 +94,38 @@ func TestMatrixCells(t *testing.T) {
 	huge := scenario.Matrix{Graphs: []string{"path:n=4"}, Seeds: []int64{1, 2}, Reps: math.MaxInt}
 	if got := huge.Cells(); got != math.MaxInt {
 		t.Errorf("Cells() = %d on a matrix past math.MaxInt, want math.MaxInt", got)
+	}
+}
+
+// TestNonSyncModelsExpandOnce: a non-sync model runs on the model engine
+// whatever the engine axis holds, so it makes one cell, labelled with that
+// engine's name, while the sync model makes one cell per engine. Validate
+// accepts those labels and refuses a synchronous engine's name on a
+// non-sync cell.
+func TestNonSyncModelsExpandOnce(t *testing.T) {
+	specs, err := scenario.Matrix{
+		Graphs:  []string{"cycle:n=9"},
+		Engines: []string{"sequential", "fast", "bitset"},
+		Models:  []string{"sync", "adversary:collision", "schedule:alternating"},
+	}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range specs {
+		got = append(got, s.Engine+" "+s.Model)
+		if err := s.Validate(); err != nil {
+			t.Errorf("expanded spec invalid: %v", err)
+		}
+	}
+	want := []string{"sequential sync", "async adversary:collision", "dynamic schedule:alternating", "fast sync", "bitset sync"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("expanded (engine, model) cells %q, want %q", got, want)
+	}
+	mislabelled := specs[1]
+	mislabelled.Engine = "sequential"
+	if err := mislabelled.Validate(); err == nil {
+		t.Fatal("a non-sync spec labelled with a synchronous engine validated")
 	}
 }
 

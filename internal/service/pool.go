@@ -14,7 +14,8 @@ import (
 // configuration, so repeated requests for the same (graph, protocol,
 // engine, model, analyses, seed) reuse one long-lived Session — and
 // with it the fast engine's arenas — instead of rebuilding graph and engine
-// per request (the RunBatch amortisation, lifted across HTTP requests).
+// per request (the reuse a suite group gets from its one Session, lifted
+// across HTTP requests).
 // Sessions are not concurrency-safe, so the pool hands out exclusive
 // ownership: get pops or builds, put returns. A session that saw a panic is
 // never returned (its arenas may be mid-update); it is simply dropped.

@@ -13,8 +13,8 @@
 // one tenant backpressures (429 + Retry-After) without starving anyone
 // else. The same per-round observer seams that make runs cancellable and
 // analysable (engine.RoundObserver, context per round) are what make them
-// streamable here; the pool reuses fastengine arenas across requests the
-// way RunBatch reuses them across sweep cells.
+// streamable here; the pool reuses engine arenas across requests the way
+// one Session reuses them across a sweep group's cells.
 //
 // Endpoints: POST /v1/run (one run, streamed or unary), POST /v1/sweep (a
 // scenario matrix, streamed rows), GET /v1/registry (all five axes),

@@ -121,22 +121,16 @@ func TestWithModelErrors(t *testing.T) {
 	}
 }
 
-// TestWithModelRunBatch: batch runs reuse the session's model engine and
-// flood from each source independently.
-func TestWithModelRunBatch(t *testing.T) {
+// TestWithModelRunFrom: runs from several sources reuse the session's
+// model engine and flood from each source independently.
+func TestWithModelRunFrom(t *testing.T) {
 	g := gen.Cycle(9)
 	sess, err := sim.New(g, sim.WithModel("adversary:collision"), sim.WithMaxRounds(4096))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sources := []graph.NodeID{0, 3, 6}
-	results, err := sess.RunBatch(context.Background(), sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(sources) {
-		t.Fatalf("got %d results", len(results))
-	}
+	results := runEach(t, sess, sources)
 	for i, res := range results {
 		// The collision delayer certifies on the odd cycle from any
 		// source (vertex-transitive), with the same cycle length.

@@ -78,7 +78,7 @@ func (t *TraceRecorder) Reset() { t.Trace = t.Trace[:0] }
 // serving in observer form: the result covers exactly the first Budget
 // rounds (fewer if the run ends first). It is stateless (the decision
 // reads the record's round number), so one RoundBudget serves every run of
-// a reused Session or RunBatch without resetting. It needs only the round
+// a reused Session without resetting. It needs only the round
 // number, so it observes at frontier level.
 type RoundBudget struct {
 	// Budget is how many rounds to allow; <= 0 stops after the first.

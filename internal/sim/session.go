@@ -18,8 +18,8 @@ import (
 
 // Session is a configured simulation: one graph, one protocol, one engine,
 // run options. Build one with New and functional options, then call Run (or
-// RunBatch) as many times as needed — a Session is reusable and, on the
-// fast engines, amortises its arenas across runs. It is not safe for
+// RunFrom, to flood from other origins) as many times as needed — a Session
+// is reusable and, on the fast engines, amortises its arenas across runs. It is not safe for
 // concurrent use; run several Sessions for that.
 type Session struct {
 	g             *graph.Graph
@@ -207,7 +207,7 @@ func (s *Session) Model() model.Spec { return s.mdl.Spec }
 
 // Analysis returns the attached analyzer of the named family, if any —
 // the untyped artifact accessor. After a Run, the analyzer holds that run's
-// streamed state (overwritten by the next Run/RunBatch call).
+// streamed state (overwritten by the next Run/RunFrom call).
 func (s *Session) Analysis(family string) (analysis.Analyzer, bool) {
 	if s.analyses == nil {
 		return nil, false
@@ -351,27 +351,4 @@ func (s *Session) RunFrom(ctx context.Context, origins []graph.NodeID) (engine.R
 		return engine.Result{}, err
 	}
 	return s.runProto(ctx, proto, origins, time.Since(buildStart))
-}
-
-// RunBatch executes one run per source, each a fresh instance of the
-// session's registered protocol flooding from that single origin. On the
-// Fast engine all runs share the session's arenas, so sweep-style
-// workloads (one run per source over a big graph) stop allocating once
-// the arenas fit their largest round. The batch stops at the first error;
-// results for completed runs are returned alongside it.
-func (s *Session) RunBatch(ctx context.Context, sources []graph.NodeID) ([]engine.Result, error) {
-	results := make([]engine.Result, 0, len(sources))
-	for _, src := range sources {
-		buildStart := time.Now()
-		proto, err := NewProtocol(s.protoName, s.spec([]graph.NodeID{src}))
-		if err != nil {
-			return results, err
-		}
-		res, err := s.runProto(ctx, proto, []graph.NodeID{src}, time.Since(buildStart))
-		if err != nil {
-			return results, fmt.Errorf("sim: batch source %d: %w", src, err)
-		}
-		results = append(results, res)
-	}
-	return results, nil
 }

@@ -39,8 +39,9 @@
 // All engines accept a context.Context (cancellation checked per round)
 // and a stop-capable engine.RoundObserver, so runs can be bounded,
 // cancelled, or ended early the moment an observer has seen enough — the
-// building blocks any serving layer needs.  RunBatch amortises engine
-// arenas across sweep-style workloads.
+// building blocks any serving layer needs. Session.RunFrom reruns one
+// session from any origin set, so sweep-style workloads amortise engine
+// arenas across runs.
 package sim
 
 import (

@@ -197,7 +197,23 @@ func TestSessionReuseIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunBatchMatchesIndividualRuns(t *testing.T) {
+// runEach runs sess once from each source, through RunFrom.
+func runEach(t *testing.T, sess *sim.Session, sources []graph.NodeID) []engine.Result {
+	t.Helper()
+	results := make([]engine.Result, len(sources))
+	for i, src := range sources {
+		res, err := sess.RunFrom(context.Background(), []graph.NodeID{src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = res
+	}
+	return results
+}
+
+// TestRunFromMatchesIndividualRuns: one session run from every source in
+// turn gives each source the trace of a fresh session built for it.
+func TestRunFromMatchesIndividualRuns(t *testing.T) {
 	g := gen.Grid(6, 6)
 	sources := make([]graph.NodeID, g.N())
 	for i := range sources {
@@ -208,13 +224,7 @@ func TestRunBatchMatchesIndividualRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := sess.RunBatch(context.Background(), sources)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch) != len(sources) {
-			t.Fatalf("batch returned %d results for %d sources", len(batch), len(sources))
-		}
+		batch := runEach(t, sess, sources)
 		for i, src := range sources {
 			solo, err := sim.New(g, sim.WithEngine(sim.Sequential), sim.WithOrigins(src), sim.WithTrace(true))
 			if err != nil {
@@ -427,13 +437,9 @@ func TestRoundBudgetSurvivesSessionReuse(t *testing.T) {
 			t.Fatalf("run %d: stopped=%t rounds=%d, want true/3", i, res.Stopped, res.Rounds)
 		}
 	}
-	batch, err := sess.RunBatch(context.Background(), []graph.NodeID{0, 7, 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range batch {
+	for i, res := range runEach(t, sess, []graph.NodeID{0, 7, 21}) {
 		if !res.Stopped || res.Rounds != 3 {
-			t.Fatalf("batch run %d: stopped=%t rounds=%d, want true/3", i, res.Stopped, res.Rounds)
+			t.Fatalf("RunFrom run %d: stopped=%t rounds=%d, want true/3", i, res.Stopped, res.Rounds)
 		}
 	}
 }
@@ -531,27 +537,20 @@ func TestObserverRecordsMatchTraceCopies(t *testing.T) {
 }
 
 func TestReflectDeepEqualBatchReuse(t *testing.T) {
-	// Two batches on the same session must agree entirely (arena reuse must
-	// not leak state between runs).
+	// Two sweeps of RunFrom over the same sources on one session must agree
+	// entirely (arena reuse must not leak state between runs).
 	g := gen.Lollipop(4, 20)
 	sources := []graph.NodeID{0, 5, 10, 15}
 	sess, err := sim.New(g, sim.WithEngine(sim.Fast), sim.WithTrace(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := sess.RunBatch(context.Background(), sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := sess.RunBatch(context.Background(), sources)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first, second := runEach(t, sess, sources), runEach(t, sess, sources)
 	for i := range first {
 		first[i].WallTime, second[i].WallTime = 0, 0
 		first[i].Phases, second[i].Phases = engine.PhaseTimings{}, engine.PhaseTimings{}
 		if !reflect.DeepEqual(first[i], second[i]) {
-			t.Fatalf("batch rerun differs at source %d", sources[i])
+			t.Fatalf("second sweep differs at source %d", sources[i])
 		}
 	}
 }
