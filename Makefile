@@ -44,7 +44,8 @@ test:
 race:
 	go test -race ./internal/engine/... ./internal/core ./internal/sim ./internal/analysis \
 	  ./internal/scenario ./internal/model ./internal/graph/... ./internal/obs ./internal/service \
-	  ./internal/specgrammar ./internal/shard ./internal/experiments ./internal/chaos ./cmd/afbench
+	  ./internal/specgrammar ./internal/shard ./internal/experiments ./internal/chaos ./cmd/afbench \
+	  ./cmd/afshard
 
 # fuzz runs the engine-equivalence fuzzer (amnesiac and classic on every
 # engine), then the run-request normaliser the service applies to remote
@@ -122,11 +123,12 @@ SUITE_MATRIX := -graphs "grid:rows=4,cols=5;cycle:n=9;prefattach:n=24,m=2" \
 	  -seeds 1,2 -workers 8 -format jsonl
 
 # suite-shard is the distributed face of the same gate: a coordinator
-# (cmd/afshard) partitions the matrix into lease groups, two external worker
-# processes execute them under chaos injection, one worker is SIGKILLed while
-# holding a lease (its group is stolen after the TTL), and
-# scripts/suitediff.sh asserts the merged gzip output is byte-identical to a
-# single-process afbench run of the same matrix.
+# (afbench -suite -shard-coordinator) partitions the matrix into lease
+# groups, two external worker processes (cmd/afshard) execute them under
+# chaos injection, one worker is SIGKILLed while holding a lease (its group
+# is stolen after the 500ms lease TTL), and scripts/suitediff.sh asserts the
+# merged gzip output is byte-identical to a single-process afbench run of
+# the same matrix.
 suite-shard:
 	./scripts/shardsmoke.sh
 

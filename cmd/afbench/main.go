@@ -20,12 +20,23 @@
 //	afbench -suite -graphs "grid:rows=8,cols=8" -retries 6 -timeout 30s \
 //	        -chaos "chaos:rate=0.15,kinds=err|panic|stall,seed=7,stall=100ms" \
 //	        -checkpoint sweep.jsonl [-resume]
+//	afbench -suite -graphs "grid:rows=8,cols=8;cycle:n=65" -format jsonl \
+//	        -out suite.jsonl.gz -shard-coordinator :9090 [-shard-workers 2] \
+//	        -lease 30s
 //
 // Suite mode is resilient: -timeout arms a per-run watchdog, -retries
 // re-runs transient failures with backoff, panics in protocol or engine
 // code degrade to error rows, -checkpoint journals completed rows so a
 // killed sweep resumes with -resume, and -chaos injects deterministic
 // faults to exercise all of the above (see internal/scenario's README).
+//
+// afbench -suite runs every scenario suite. It runs the matrix on the local
+// runner, or, with -shard-workers or -shard-coordinator, through an
+// internal/shard coordinator that leases spec groups to shard workers and
+// merges their rows into the same sinks: -shard-workers N starts N workers
+// in process, and -shard-coordinator ADDR serves the lease protocol on ADDR
+// so that `afshard -coordinator URL` workers on other machines can join.
+// SIGINT or SIGTERM stops a suite on any path.
 package main
 
 import (
@@ -40,9 +51,11 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"amnesiacflood/internal/analysis"
@@ -97,7 +110,8 @@ func run(args []string) error {
 	checkpoint := fs.String("checkpoint", "", "JSONL checkpoint journaling completed rows for resumption (suite mode)")
 	resume := fs.Bool("resume", false, "resume from -checkpoint, skipping its completed specs (suite mode)")
 	shardWorkers := fs.Int("shard-workers", 0, "execute the suite through an in-process shard coordinator with this many shard workers (suite mode; see internal/shard)")
-	shardCoordinator := fs.String("shard-coordinator", "", "listen address for the shard coordinator, so external `afshard -mode worker` processes can join (suite mode; implies sharded execution)")
+	shardCoordinator := fs.String("shard-coordinator", "", "listen `address` for the shard coordinator, so external workers (afshard -coordinator URL) can join (suite mode; implies sharded execution)")
+	lease := fs.Duration("lease", shard.DefaultLeaseTTL, "lease TTL before a shard worker's unrenewed group is reassigned (sharded suite mode)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -139,6 +153,7 @@ func run(args []string) error {
 			resume:           *resume,
 			shardWorkers:     *shardWorkers,
 			shardCoordinator: *shardCoordinator,
+			lease:            *lease,
 		})
 	}
 
@@ -206,9 +221,10 @@ type suiteOpts struct {
 	resume     bool
 	// shardWorkers > 0 or a non-empty shardCoordinator address routes the
 	// suite through an internal/shard coordinator instead of the local
-	// runner (see runShardedSuite).
+	// runner (see runShardedSuite); lease is that coordinator's lease TTL.
 	shardWorkers     int
 	shardCoordinator string
+	lease            time.Duration
 }
 
 // sharded reports whether the suite should fan out through internal/shard.
@@ -314,6 +330,27 @@ func runSuite(o suiteOpts) error {
 		sink = agg
 	}
 
+	// One journal serves both paths. A fresh (non-resume) run must not
+	// inherit a stale journal: it would silently skip every spec the old
+	// sweep completed. Without -checkpoint the journal is nil, which
+	// Runner.Resume and the coordinator both run without.
+	var manifest *scenario.Manifest
+	if o.checkpoint != "" {
+		if !o.resume {
+			if err := os.Remove(o.checkpoint); err != nil && !os.IsNotExist(err) {
+				return err
+			}
+		}
+		if manifest, err = scenario.OpenManifest(o.checkpoint); err != nil {
+			return err
+		}
+	}
+
+	// SIGINT and SIGTERM stop the suite on either path; the journal is
+	// still closed below, so the stopped sweep resumes with -resume.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+
 	// One registry serves the whole suite: the local runner's telemetry and,
 	// in sharded mode, the coordinator and every in-process shard worker all
 	// record into it, so the end-of-suite stanza aggregates across paths.
@@ -322,37 +359,37 @@ func runSuite(o suiteOpts) error {
 	suiteStart := time.Now()
 
 	var results []scenario.Result
-	switch {
-	case o.sharded():
-		results, err = runShardedSuite(context.Background(), o, specs, sink, reg)
-		if err != nil {
-			return err
+	var detail string
+	if o.sharded() {
+		var st shard.StatusResponse
+		results, st, err = runShardedSuite(ctx, o, specs, sink, manifest, reg)
+		detail = fmt.Sprintf("%d shard workers, %d replayed, %d steals", o.shardWorkers, st.Replayed, st.Steals)
+	} else {
+		runner := &scenario.Runner{
+			Workers:    o.workers,
+			Sink:       sink,
+			RunTimeout: o.timeout,
+			Retries:    o.retries,
+			Backoff:    o.backoff,
+			Chaos:      injector,
+			Metrics:    tel,
 		}
-	case o.checkpoint != "":
-		// A fresh (non-resume) run must not inherit a stale journal: it
-		// would silently skip every spec the old sweep completed.
-		runner := suiteRunner(o, sink, injector, tel)
-		if !o.resume {
-			if err := os.Remove(o.checkpoint); err != nil && !os.IsNotExist(err) {
-				return err
-			}
+		results, err = runner.Resume(ctx, manifest, specs)
+		workers := o.workers
+		if workers <= 0 {
+			workers = scenario.DefaultWorkers()
 		}
-		m, err := scenario.OpenManifest(o.checkpoint)
-		if err != nil {
-			return err
-		}
-		results, err = runner.Resume(context.Background(), m, specs)
-		if cerr := m.Close(); err == nil {
+		detail = fmt.Sprintf("%d workers", workers)
+	}
+	// Close is the journal's only fsync: a checkpoint that did not reach
+	// the disk fails the suite.
+	if manifest != nil {
+		if cerr := manifest.Close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
-			return err
-		}
-	default:
-		results, err = suiteRunner(o, sink, injector, tel).Run(context.Background(), specs)
-		if err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 	if flush != nil {
 		if err := flush(); err != nil {
@@ -375,33 +412,12 @@ func runSuite(o suiteOpts) error {
 			failed++
 		}
 	}
-	if o.sharded() {
-		fmt.Fprintf(os.Stderr, "suite: %d specs, %d failed (%d shard workers)\n", len(results), failed, o.shardWorkers)
-	} else {
-		workers := o.workers
-		if workers <= 0 {
-			workers = scenario.DefaultWorkers()
-		}
-		fmt.Fprintf(os.Stderr, "suite: %d specs, %d failed (%d workers)\n", len(results), failed, workers)
-	}
+	fmt.Fprintf(os.Stderr, "suite: %d specs, %d failed (%s)\n", len(results), failed, detail)
 	printSuiteTelemetry(tel, time.Since(suiteStart))
 	if failed > 0 {
 		return fmt.Errorf("%d of %d suite runs failed", failed, len(results))
 	}
 	return nil
-}
-
-// suiteRunner builds the in-process runner the non-sharded paths share.
-func suiteRunner(o suiteOpts, sink scenario.Sink, injector *chaos.Injector, tel *scenario.Telemetry) *scenario.Runner {
-	return &scenario.Runner{
-		Workers:    o.workers,
-		Sink:       sink,
-		RunTimeout: o.timeout,
-		Retries:    o.retries,
-		Backoff:    o.backoff,
-		Chaos:      injector,
-		Metrics:    tel,
-	}
 }
 
 // printSuiteTelemetry prints the end-of-suite telemetry stanza from the
@@ -424,39 +440,30 @@ func printSuiteTelemetry(tel *scenario.Telemetry, wall time.Duration) {
 
 // runShardedSuite executes the suite through an internal/shard coordinator:
 // the matrix is partitioned into lease groups, in-process shard workers (and,
-// when -shard-coordinator names a reachable address, external `afshard -mode
-// worker` processes) execute them through the ordinary resilient runner, and
-// the coordinator merges the uploads into the ordinary sink stack. The merged
-// output is order-normalised byte-identical to the single-process path.
-func runShardedSuite(ctx context.Context, o suiteOpts, specs []scenario.Spec, sink scenario.Sink, reg *obs.Registry) ([]scenario.Result, error) {
+// when -shard-coordinator names a reachable address, external `afshard
+// -coordinator URL` processes) execute them through the ordinary resilient
+// runner, and the coordinator merges the uploads into the ordinary sink
+// stack, journaling them through manifest when it is non-nil. The merged
+// output is order-normalised byte-identical to the single-process path. It
+// also returns the coordinator's final status, for the replay and steal
+// counts.
+func runShardedSuite(ctx context.Context, o suiteOpts, specs []scenario.Spec, sink scenario.Sink, manifest *scenario.Manifest, reg *obs.Registry) ([]scenario.Result, shard.StatusResponse, error) {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	cfg := shard.CoordinatorConfig{
+	coord, err := shard.NewCoordinator(specs, shard.CoordinatorConfig{
+		LeaseTTL: o.lease,
 		Run: shard.RunConfig{
 			TimeoutMs: o.timeout.Milliseconds(),
 			Retries:   o.retries,
 			BackoffMs: o.backoff.Milliseconds(),
 			Chaos:     o.chaos,
 		},
-		Sink:    sink,
-		Logger:  logger,
-		Metrics: reg,
-	}
-	if o.checkpoint != "" {
-		if !o.resume {
-			if err := os.Remove(o.checkpoint); err != nil && !os.IsNotExist(err) {
-				return nil, err
-			}
-		}
-		m, err := scenario.OpenManifest(o.checkpoint)
-		if err != nil {
-			return nil, err
-		}
-		defer m.Close()
-		cfg.Manifest = m
-	}
-	coord, err := shard.NewCoordinator(specs, cfg)
+		Manifest: manifest,
+		Sink:     sink,
+		Logger:   logger,
+		Metrics:  reg,
+	})
 	if err != nil {
-		return nil, err
+		return nil, shard.StatusResponse{}, err
 	}
 
 	addr := o.shardCoordinator
@@ -465,11 +472,17 @@ func runShardedSuite(ctx context.Context, o suiteOpts, specs []scenario.Spec, si
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, err
+		return nil, shard.StatusResponse{}, err
 	}
-	srv := &http.Server{Handler: coord.Handler()}
+	srv := &http.Server{Handler: coord.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	go srv.Serve(ln)
-	defer srv.Close()
+	// A graceful shutdown lets an upload in flight when the suite ends get
+	// its answer, so its worker exits instead of retrying.
+	defer func() {
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(shutdownCtx)
+	}()
 	if o.shardCoordinator != "" {
 		fmt.Fprintf(os.Stderr, "suite: shard coordinator listening on %s\n", ln.Addr())
 	}
@@ -489,7 +502,7 @@ func runShardedSuite(ctx context.Context, o suiteOpts, specs []scenario.Spec, si
 			Metrics:     reg,
 		})
 		if err != nil {
-			return nil, err
+			return nil, shard.StatusResponse{}, err
 		}
 		wg.Add(1)
 		go func() {
@@ -518,15 +531,11 @@ func runShardedSuite(ctx context.Context, o suiteOpts, specs []scenario.Spec, si
 	results, err := coord.Wait(waitCtx)
 	cancel()
 	wg.Wait()
-	if err != nil {
-		workerMu.Lock()
-		defer workerMu.Unlock()
-		if workerErr != nil {
-			return results, fmt.Errorf("shard worker: %w", workerErr)
-		}
-		return results, err
+	// wg.Wait orders every worker's write of workerErr before this read.
+	if err != nil && workerErr != nil {
+		err = fmt.Errorf("shard worker: %w", workerErr)
 	}
-	return results, nil
+	return results, coord.Status(), err
 }
 
 // coordinatorURL builds the loopback base URL in-process shard workers dial:

@@ -115,11 +115,11 @@
 //
 //	curl -N localhost:8080/v1/run -d '{"graph":"grid:rows=64,cols=64","analyses":["coverage"]}'
 //
-// Suites also distribute across machines: internal/shard (daemonised as
-// cmd/afshard) partitions a scenario matrix into session-sharing spec groups
-// and leases them over HTTP to shard workers, which execute each group
-// through the ordinary resilient scenario runner and upload the rows
-// gzip-compressed. Leases carry TTLs — a worker killed mid-suite silently
+// Suites also distribute across machines: internal/shard (coordinated by
+// `afbench -suite`, with cmd/afshard as the worker) partitions a scenario
+// matrix into session-sharing spec groups and leases them over HTTP to
+// shard workers, which execute each group through the ordinary resilient
+// scenario runner and upload the rows gzip-compressed. Leases carry TTLs — a worker killed mid-suite silently
 // loses its lease and the next idle worker steals the group — completions
 // merge first-write-wins through an optional resumable manifest, and because
 // every row is a deterministic function of its spec, the merged suite is
@@ -128,21 +128,21 @@
 // `afbench -suite -shard-workers 4` runs the same fan-out in-process;
 // `-shard-coordinator :9090` lets external workers join:
 //
-//	afshard -mode coordinator -addr :9090 -graphs "grid:rows=8,cols=8" -out suite.jsonl.gz
-//	afshard -mode worker -coordinator http://host:9090
+//	afbench -suite -shard-coordinator :9090 -graphs "grid:rows=8,cols=8" -format jsonl -out suite.jsonl.gz
+//	afshard -coordinator http://host:9090
 //
-// Both daemons are observable without perturbing what they observe:
+// Both servers are observable without perturbing what they observe:
 // internal/obs is a dependency-free metrics kernel (atomic counters,
 // gauges, and histograms behind labeled families, rendered in the
-// Prometheus text exposition), and afsimd and the afshard coordinator each
+// Prometheus text exposition), and afsimd and the shard coordinator each
 // serve GET /metrics from it — request/admission/queue-wait/run-latency
 // and per-phase (build/run/analyze) timing families on the service,
 // lease/steal/merge/upload families on the coordinator, and scenario_*
 // runner resilience counters (attempts, retries, timeouts, recovered
 // panics, chaos injections) everywhere a resilient runner executes.
 // `afbench -suite` prints the same counters as an end-of-suite telemetry
-// stanza. Both daemons log through structured log/slog (-log-level), and
-// instrumentation sits strictly on the observing side of every decision:
+// stanza. Logs go through structured log/slog (afsimd and afshard take
+// -log-level), and instrumentation sits strictly on the observing side of every decision:
 // differential tests in internal/scenario assert byte-identical traces and
 // suite rows with metrics on and off, under the race detector.
 //
@@ -184,7 +184,7 @@
 // -graphs/-protocols/-engines/-models/-analyses axes, sharded across workers
 // with -shard-workers/-shard-coordinator), cmd/afviz (trace rendering;
 // -graph/-list mirror afsim), cmd/afsimd (the simulation daemon; see
-// internal/service/README.md), cmd/afshard (distributed suite coordinator
-// and workers; see internal/shard/README.md). Runnable examples live under
-// examples/.
+// internal/service/README.md), cmd/afshard (the shard worker that joins an
+// afbench -shard-coordinator; see internal/shard/README.md). Runnable
+// examples live under examples/.
 package amnesiacflood

@@ -163,13 +163,19 @@ func (a EdgeDelayer) Validate(g *graph.Graph) error { return model.CheckEdge(g, 
 // RandomAdversary delays each message independently and uniformly in
 // {0..MaxExtra}, seeded for reproducibility. It is not deterministic in the
 // certificate sense, so runs under it can only end in termination or the
-// round limit.
+// round limit. Its stream restarts from the seed at the start of every
+// model-engine run, so every run draws the delays of a fresh adversary's
+// first run.
 type RandomAdversary struct {
 	rng      *rand.Rand
+	seed     int64
 	maxExtra int
 }
 
-var _ model.Adversary = (*RandomAdversary)(nil)
+var (
+	_ model.Adversary = (*RandomAdversary)(nil)
+	_ model.Restarter = (*RandomAdversary)(nil)
+)
 
 // NewRandomAdversary returns a seeded random adversary with delays in
 // {0..maxExtra}.
@@ -177,8 +183,12 @@ func NewRandomAdversary(seed int64, maxExtra int) *RandomAdversary {
 	if maxExtra < 0 {
 		maxExtra = 0
 	}
-	return &RandomAdversary{rng: rand.New(rand.NewSource(seed)), maxExtra: maxExtra}
+	return &RandomAdversary{rng: rand.New(rand.NewSource(seed)), seed: seed, maxExtra: maxExtra}
 }
+
+// Restart implements model.Restarter: it rewinds the delay stream to the
+// seed.
+func (a *RandomAdversary) Restart() { a.rng.Seed(a.seed) }
 
 // Name implements model.Adversary.
 func (a *RandomAdversary) Name() string { return "random" }

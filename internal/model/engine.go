@@ -144,6 +144,9 @@ func (e *Engine) Run(ctx context.Context, origins []graph.NodeID, opts engine.Op
 		maxRounds = DefaultMaxRounds
 	}
 	res := engine.Result{Protocol: amnesiacName}
+	if r, ok := e.adv.(Restarter); ok {
+		r.Restart()
+	}
 
 	// Bootstrap: the origins send to every neighbour, a batch sent "in
 	// round 0" for delivery in round 1 plus its delay.

@@ -70,6 +70,14 @@ type Adversary interface {
 	Deterministic() bool
 }
 
+// Restarter is an optional Adversary extension for adversaries that draw
+// their delays from a seeded stream: Restart rewinds the stream to its
+// seed. The Engine calls it at the start of every run, so a run never
+// depends on the runs its engine made before it.
+type Restarter interface {
+	Restart()
+}
+
 // Schedule decides, per round, which copies of M survive — the
 // dynamic-network model in which the edge set may change between rounds,
 // and the Engine's delivery-time fate hook.

@@ -1,9 +1,10 @@
 // Package obs is the repository's observability kernel: a stdlib-only
 // metrics registry with atomic counters, gauges, and histograms, a
 // label-family model, a consistent snapshot API, and a Prometheus
-// text-exposition writer (prom.go). Both daemons (cmd/afsimd, cmd/afshard)
-// mount it as GET /metrics; the scenario runner records its resilience
-// bookkeeping through it (scenario.Telemetry).
+// text-exposition writer (prom.go). Both servers, cmd/afsimd and the shard
+// coordinator of `afbench -suite -shard-coordinator`, mount it as GET
+// /metrics; the scenario runner records its resilience bookkeeping through
+// it (scenario.Telemetry).
 //
 // The design contract that matters more than any feature: instrumentation
 // is read-only with respect to simulation state. Metric updates are plain

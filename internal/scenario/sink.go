@@ -1,14 +1,12 @@
 package scenario
 
 import (
-	"compress/gzip"
 	"context"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -82,36 +80,6 @@ func NewJSONLSink(w io.Writer) Sink {
 func (s jsonlSink) Write(res Result) error {
 	return s.enc.Encode(res)
 }
-
-// NewJSONLFileSink creates (truncating) the file at path and returns a JSONL
-// sink over it. A path ending in ".gz" is transparently gzip-compressed
-// (stdlib compress/gzip — rows land as one gzip stream whose decompressed
-// bytes are exactly the plain sink's output). The returned Closer flushes
-// the compressor (when present) and closes the file; callers must Close to
-// get a complete stream.
-func NewJSONLFileSink(path string) (Sink, io.Closer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("scenario: jsonl sink: %w", err)
-	}
-	if !strings.HasSuffix(path, ".gz") {
-		return NewJSONLSink(f), f, nil
-	}
-	zw := gzip.NewWriter(f)
-	return NewJSONLSink(zw), closerFunc(func() error {
-		err := zw.Close()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}), nil
-}
-
-// closerFunc adapts a func to io.Closer.
-type closerFunc func() error
-
-// Close implements io.Closer.
-func (f closerFunc) Close() error { return f() }
 
 // CSVSink streams results as CSV with a fixed header. Call Flush when the
 // suite is done.

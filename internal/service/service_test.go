@@ -823,11 +823,28 @@ func TestRegistryEndpoint(t *testing.T) {
 // TestSessionPoolReuse checks that identical requests share a pooled
 // session and still produce identical results.
 func TestSessionPoolReuse(t *testing.T) {
-	srv, ts := newTestServer(t, service.Config{})
-	req := service.RunRequest{
+	pooledRerun(t, service.RunRequest{
 		Graph: "grid:rows=8,cols=8", Engine: "fast", Seed: 5,
 		Analyses: []string{"coverage"}, Stream: boolp(false),
-	}
+	})
+}
+
+// TestPooledRandomAdversaryRerun: the same random-adversary body posted
+// twice to one server returns equal results, although the second run
+// reuses the first run's pooled session and its model engine.
+func TestPooledRandomAdversaryRerun(t *testing.T) {
+	pooledRerun(t, service.RunRequest{
+		Graph: "cycle:n=9", Model: "adversary:random:max=3", Seed: 1,
+		Stream: boolp(false),
+	})
+}
+
+// pooledRerun posts req twice to one server and fails unless the first run
+// left its session in the pool and both results are equal, wall time and
+// phase timings aside.
+func pooledRerun(t *testing.T, req service.RunRequest) {
+	t.Helper()
+	srv, ts := newTestServer(t, service.Config{})
 	var results [2]service.RunResult
 	for i := range 2 {
 		resp := postRun(t, ts, "", req)
@@ -838,9 +855,9 @@ func TestSessionPoolReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-	}
-	if srv.Stats().IdleSessions == 0 {
-		t.Fatal("no session pooled after a completed run")
+		if i == 0 && srv.Stats().IdleSessions == 0 {
+			t.Fatal("no session pooled after a completed run")
+		}
 	}
 	results[0].WallMicros, results[1].WallMicros = 0, 0
 	results[0].Phases, results[1].Phases = nil, nil

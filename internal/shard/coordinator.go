@@ -16,7 +16,8 @@
 // duplicate rows.
 //
 // See README.md in this directory for the wire protocol and the failure
-// matrix, and cmd/afshard for the daemonised coordinator/worker.
+// matrix, cmd/afbench (-suite -shard-coordinator) for the coordinator's
+// front end, and cmd/afshard for the worker.
 package shard
 
 import (

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"amnesiacflood/internal/engine"
@@ -164,6 +165,40 @@ func TestWithModelSeedThreading(t *testing.T) {
 	a, b := run(99), run(99)
 	if a.Rounds != b.Rounds || a.TotalMessages != b.TotalMessages {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestRandomAdversaryRerunsAreEqual: consecutive runs of one session under
+// a random adversary each equal a fresh session's first run, so a reused
+// session (a suite group, afsimd's session pool) does not depend on the
+// runs it made before.
+func TestRandomAdversaryRerunsAreEqual(t *testing.T) {
+	newSession := func() *sim.Session {
+		sess, err := sim.New(gen.MustBuild("cycle:n=9", 1),
+			sim.WithModel("adversary:random:max=3"),
+			sim.WithSeed(1),
+			sim.WithTrace(true),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	run := func(sess *sim.Session) engine.Result {
+		res, err := sess.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.WallTime, res.Phases = 0, engine.PhaseTimings{}
+		return res
+	}
+	want := run(newSession())
+	sess := newSession()
+	for i := range 4 {
+		if got := run(sess); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d of one session took %d rounds and %d messages; a fresh session's first run took %d and %d",
+				i+1, got.Rounds, got.TotalMessages, want.Rounds, want.TotalMessages)
+		}
 	}
 }
 

@@ -1,11 +1,12 @@
 #!/bin/sh
-# End-to-end smoke test of distributed suite sharding (internal/shard,
-# cmd/afshard): run a matrix single-process as the baseline, then distribute
-# the same matrix — under chaos injection — through an afshard coordinator
-# with two external workers, killing one with SIGKILL while it holds a lease
-# so its group must be stolen, and assert the merged (gzip-compressed) output
-# is byte-identical to the baseline after order-normalisation
-# (scripts/suitediff.sh). Used by `make suite-shard` and the CI shard job.
+# End-to-end smoke test of distributed suite sharding (internal/shard): run
+# a matrix single-process as the baseline, then distribute the same matrix —
+# under chaos injection — through an `afbench -suite -shard-coordinator`
+# coordinator with two external `afshard` workers, killing one with SIGKILL
+# while it holds a lease so its group must be stolen, and assert the merged
+# (gzip-compressed) output is byte-identical to the baseline after
+# order-normalisation (scripts/suitediff.sh). Used by `make suite-shard` and
+# the CI shard job.
 # Requires only a POSIX shell and curl.
 set -eu
 
@@ -17,7 +18,9 @@ DOOMED_PID=""
 SURVIVOR_PID=""
 
 cleanup() {
-    kill "$COORD_PID" "$DOOMED_PID" "$SURVIVOR_PID" 2>/dev/null || true
+    # Unquoted on purpose: a PID already reaped is empty and drops out,
+    # where a quoted "" would make kill stop before the live PIDs.
+    kill $COORD_PID $DOOMED_PID $SURVIVOR_PID 2>/dev/null || true
     rm -rf "$DIR"
 }
 trap cleanup EXIT
@@ -34,7 +37,7 @@ echo "== single-process baseline"
     -seeds 1,2 -format jsonl -out "$DIR/baseline.jsonl" 2>/dev/null
 
 echo "== coordinator with chaos injection and a 500ms lease TTL"
-"$DIR/afshard" -mode coordinator -addr "127.0.0.1:$PORT" \
+"$DIR/afbench" -suite -shard-coordinator "127.0.0.1:$PORT" \
     -graphs "$GRAPHS" -protocols amnesiac,classic -seeds 1,2 \
     -engines "$ENGINES" \
     -chaos "chaos:rate=0.4,kinds=err|panic|stall,seed=7,stall=100ms" \
@@ -55,9 +58,9 @@ until curl -sf "$BASE/healthz" >/dev/null 2>&1; do
 done
 
 echo "== two workers join; one is SIGKILLed holding a lease"
-"$DIR/afshard" -mode worker -coordinator "$BASE" -name doomed 2>/dev/null &
+"$DIR/afshard" -coordinator "$BASE" -name doomed 2>/dev/null &
 DOOMED_PID=$!
-"$DIR/afshard" -mode worker -coordinator "$BASE" -name survivor 2>/dev/null &
+"$DIR/afshard" -coordinator "$BASE" -name survivor 2>/dev/null &
 SURVIVOR_PID=$!
 
 # Kill the doomed worker as soon as the coordinator grants it a lease, so the
