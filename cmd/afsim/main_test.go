@@ -13,24 +13,21 @@ import (
 	"amnesiacflood/internal/sim"
 )
 
-// TestListOutput checks -list renders every registry with parameter docs.
+// TestListOutput pins -list byte for byte: every registry, each family
+// with its typed parameters, defaults and doc. testdata/list.golden is
+// `go run ./cmd/afsim -list`; regenerate it that way when a family, a
+// parameter or a doc line changes on purpose.
 func TestListOutput(t *testing.T) {
 	var buf bytes.Buffer
 	if err := printRegistries(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"graph families", "grid", "rows int (default 8)", "petersen",
-		"protocols", "amnesiac", "engines (-engine): sequential, channels, fast, bitset",
-		"execution models", "adversary:collision", "adversary:hold: node int (default 0)",
-		"schedule:blink", "period int (default 2)", "schedule:alternating",
-		"analyses", "coverage", "termination", "bipartite", "spantree", "echo",
-		"quantiles: metric string (default rounds)",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("-list output missing %q:\n%s", want, out)
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", "list.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("-list output drifted from testdata/list.golden:\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
 	}
 }
 

@@ -8,6 +8,7 @@ package service_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,6 +16,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -788,8 +791,23 @@ func TestRegistryEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The body is pinned byte for byte; testdata/registry.golden.json is
+	// this test binary's body (its protocols include the test-registered
+	// slowping and panicboom). Regenerate it from the "got" below when a
+	// family changes on purpose.
+	want, err := os.ReadFile(filepath.Join("testdata", "registry.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Errorf("GET /v1/registry drifted from testdata/registry.golden.json:\n--- got ---\n%s--- want ---\n%s", body, want)
+	}
 	var reg service.RegistryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
+	if err := json.Unmarshal(body, &reg); err != nil {
 		t.Fatal(err)
 	}
 	if len(reg.Protocols) == 0 || len(reg.Graphs) == 0 || len(reg.Models) == 0 || len(reg.Analyses) == 0 {
