@@ -63,14 +63,14 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("afsim", flag.ContinueOnError)
-	graphSpec := fs.String("graph", "", "graph spec family:key=value,... (families: "+strings.Join(gen.Families(), ", ")+"; see -list)")
+	graphSpec := fs.String("graph", "", "graph spec family:key=value,... (families: "+strings.Join(gen.Families.Names(), ", ")+"; see -list)")
 	topo := fs.String("topo", "", "legacy topology alias sized by -n: "+strings.Join(cli.TopologyNames(), ", "))
 	n := fs.Int("n", 8, "topology size parameter for -topo aliases")
 	file := fs.String("file", "", "edge-list file (alternative to -graph/-topo)")
 	list := fs.Bool("list", false, "list registered graph families, protocols, engines, models, and analyses, then exit")
 	sourceFlag := fs.Int("source", 0, "origin node")
 	originsFlag := fs.String("origins", "", "comma-separated origin nodes (multi-source; overrides -source)")
-	protocol := fs.String("protocol", "amnesiac", "protocol: "+strings.Join(sim.Protocols(), ", "))
+	protocol := fs.String("protocol", "amnesiac", "protocol: "+strings.Join(sim.Protocols.Names(), ", "))
 	engineName := fs.String("engine", "sequential", "engine: "+strings.Join(sim.EngineNames(), ", "))
 	modelSpec := fs.String("model", "", "execution model spec: sync (default), adversary:..., or schedule:... (see -list)")
 	analyze := fs.String("analyze", "", "streaming analyses, semicolon- or comma-separated, e.g. \"coverage;termination\" or \"quantiles:metric=messages;coverage\" (see -list)")
@@ -216,88 +216,18 @@ func run(args []string) error {
 }
 
 // printRegistries renders every registry the CLI can address: graph
-// families with their typed parameters, protocols, engines, and execution
-// models.
+// families with their typed parameters, protocols, engines, analyses, and
+// execution models.
 func printRegistries(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "graph families (-graph family:key=value,...):"); err != nil {
-		return err
-	}
-	for _, name := range gen.Families() {
-		fam, _ := gen.Lookup(name)
-		params := make([]string, len(fam.Params))
-		for i, p := range fam.Params {
-			params[i] = fmt.Sprintf("%s %s (default %s)", p.Name, p.Kind, p.Default)
-		}
-		line := "  " + name
-		if len(params) > 0 {
-			line += ": " + strings.Join(params, ", ")
-		}
-		if fam.Doc != "" {
-			line += " — " + fam.Doc
-		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "protocols (-protocol): %s\nengines (-engine): %s\n",
-		strings.Join(sim.Protocols(), ", "), strings.Join(sim.EngineNames(), ", ")); err != nil {
-		return err
-	}
-	if err := printAnalyses(w); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "execution models (-model kind:family:key=value,...):"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "  sync — the paper's synchronous model (default; runs on every -engine)"); err != nil {
-		return err
-	}
-	for _, kind := range []model.Kind{model.KindAdversary, model.KindSchedule} {
-		for _, name := range model.Families(kind) {
-			info, _ := model.Lookup(kind, name)
-			params := make([]string, len(info.Params))
-			for i, p := range info.Params {
-				params[i] = fmt.Sprintf("%s %s (default %s)", p.Name, p.Kind, p.Default)
-			}
-			line := fmt.Sprintf("  %s:%s", kind, name)
-			if len(params) > 0 {
-				line += ": " + strings.Join(params, ", ")
-			}
-			if info.Doc != "" {
-				line += " — " + info.Doc
-			}
-			if _, err := fmt.Fprintln(w, line); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// printAnalyses renders the analysis registry section of -list: every
-// family with its typed parameters and the metric columns it emits.
-func printAnalyses(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "analyses (-analyze family:key=value,...; metrics keyed family.metric):"); err != nil {
-		return err
-	}
-	for _, name := range analysis.Families() {
-		fam, _ := analysis.Lookup(name)
-		params := make([]string, len(fam.Params))
-		for i, p := range fam.Params {
-			params[i] = fmt.Sprintf("%s %s (default %s)", p.Name, p.Kind, p.Default)
-		}
-		line := "  " + name
-		if len(params) > 0 {
-			line += ": " + strings.Join(params, ", ")
-		}
-		if fam.Doc != "" {
-			line += " — " + fam.Doc
-		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := fmt.Fprint(w,
+		"graph families (-graph family:key=value,...):\n", gen.Families.Listing(),
+		"protocols (-protocol): ", strings.Join(sim.Protocols.Names(), ", "), "\n",
+		"engines (-engine): ", strings.Join(sim.EngineNames(), ", "), "\n",
+		"analyses (-analyze family:key=value,...; metrics keyed family.metric):\n", analysis.Families.Listing(),
+		"execution models (-model kind:family:key=value,...):\n",
+		"  sync — the paper's synchronous model (default; runs on every -engine)\n",
+		model.Adversaries.Listing(), model.Schedules.Listing())
+	return err
 }
 
 // splitAnalyses splits the -analyze flag into analysis specs. Semicolons
@@ -319,7 +249,7 @@ func splitAnalyses(s string) []string {
 			if i := strings.IndexAny(head, ":="); i >= 0 {
 				head = head[:i]
 			}
-			_, isFamily := analysis.Lookup(strings.TrimSpace(head))
+			_, isFamily := analysis.Families.Lookup(strings.TrimSpace(head))
 			if isFamily || len(out) == start {
 				out = append(out, part)
 				continue

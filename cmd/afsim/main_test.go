@@ -127,7 +127,7 @@ func TestRunErrors(t *testing.T) {
 // one documented exception is the bitset engine, which runs only set-rule
 // protocols and must reject the rest up front with its typed error.
 func TestEveryProtocolOnEveryEngine(t *testing.T) {
-	for _, protocol := range sim.Protocols() {
+	for _, protocol := range sim.Protocols.Names() {
 		for _, engineName := range sim.EngineNames() {
 			args := []string{"-topo", "petersen", "-source", "0", "-protocol", protocol, "-engine", engineName}
 			err := run(args)

@@ -46,7 +46,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("afviz", flag.ContinueOnError)
-	graphSpec := fs.String("graph", "", "graph spec family:key=value,... (families: "+strings.Join(gen.Families(), ", ")+"; see -list)")
+	graphSpec := fs.String("graph", "", "graph spec family:key=value,... (families: "+strings.Join(gen.Families.Names(), ", ")+"; see -list)")
 	topo := fs.String("topo", "", "legacy topology alias sized by -n: "+strings.Join(cli.TopologyNames(), ", "))
 	n := fs.Int("n", 8, "topology size parameter for -topo aliases")
 	file := fs.String("file", "", "edge-list file (alternative to -graph/-topo)")
@@ -116,28 +116,10 @@ func run(args []string) error {
 // printRegistries renders the registries afviz can address: graph families
 // with their typed parameters, engines, and output formats.
 func printRegistries(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "graph families (-graph family:key=value,...):"); err != nil {
-		return err
-	}
-	for _, name := range gen.Families() {
-		fam, _ := gen.Lookup(name)
-		params := make([]string, len(fam.Params))
-		for i, p := range fam.Params {
-			params[i] = fmt.Sprintf("%s %s (default %s)", p.Name, p.Kind, p.Default)
-		}
-		line := "  " + name
-		if len(params) > 0 {
-			line += ": " + strings.Join(params, ", ")
-		}
-		if fam.Doc != "" {
-			line += " — " + fam.Doc
-		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "engines (-engine): %s\nformats (-format): rounds, timeline, csv, json, dot, svg\n",
-		strings.Join(sim.EngineNames(), ", "))
+	_, err := fmt.Fprint(w,
+		"graph families (-graph family:key=value,...):\n", gen.Families.Listing(),
+		"engines (-engine): ", strings.Join(sim.EngineNames(), ", "), "\n",
+		"formats (-format): rounds, timeline, csv, json, dot, svg\n")
 	return err
 }
 

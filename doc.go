@@ -97,11 +97,17 @@
 //	sess, _ := sim.New(g, sim.WithAnalysis("coverage", "termination", "bipartite"))
 //	res, _ := sess.Run(ctx) // res.Metrics["termination.closedFormOK"] == 1
 //
-// All five axes share one typed-parameter spec grammar — the
-// internal/specgrammar kernel: declared parameters with kinds and defaults,
-// canonical declared-order rendering, and a Parse/String round-trip
-// guarantee, instantiated identically by the graph, model, and analysis
-// registries.
+// Every registry axis is one internal/specgrammar.Registry: gen.Families,
+// sim.Protocols, model.Adversaries and model.Schedules (behind the model
+// axis's sync/adversary:/schedule: prefix), and analysis.Families. The one
+// registry stores each axis's families under sorted case-insensitive
+// names, checks them at registration, parses family[:key=value,...]
+// against typed parameter declarations with defaults, renders specs
+// canonically in declared order (Parse(s).String() == s for canonically
+// ordered s), resolves them over the defaults, and lists them for
+// afsim -list, afviz -list and GET /v1/registry. An axis keeps only its
+// family type, its error prefix and sentinel, and whether its values may
+// hold whitespace (graph specs may, for edgefile paths).
 //
 // The serving layer closes the loop from library to system: internal/service
 // (daemonised as cmd/afsimd) is a multi-tenant HTTP/JSON façade over the
@@ -150,7 +156,7 @@
 //
 //	internal/sim              façade: protocol registry, session API, observers, model + analysis axes
 //	internal/service          multi-tenant HTTP serving layer: session pool, admission control, streaming
-//	internal/specgrammar      shared typed-parameter spec-grammar kernel of every registry
+//	internal/specgrammar      the one registry behind every spec axis: store, parser, renderer, listing
 //	internal/model            execution-model registry, the packed model engine, certificates
 //	internal/analysis         streaming-analysis registry: coverage, termination, bipartite, spantree, echo, quantiles
 //	internal/analysis/analysistest frozen post-hoc bipartite/spantree walks, test-only differential oracles

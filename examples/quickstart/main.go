@@ -42,7 +42,7 @@ func run() error {
 		{"Figure 2 — triangle from b (non-bipartite)", gen.Cycle(3), 1, sim.Channels},
 		{"Figure 3 — even cycle C6 from a (bipartite)", gen.Cycle(6), 0, sim.Fast},
 	}
-	fmt.Printf("registered protocols: %v\n\n", sim.Protocols())
+	fmt.Printf("registered protocols: %v\n\n", sim.Protocols.Names())
 	for _, d := range demos {
 		fmt.Printf("## %s (engine: %s)\n\n", d.title, d.kind)
 

@@ -33,7 +33,7 @@ var (
 )
 
 func init() {
-	Register("bipartite", Family{
+	Families.Register("bipartite", Family{
 		Doc:     "streaming odd-cycle detection on a single-source flood (early-stops at the first witness)",
 		Metrics: []string{"bipartite", "witnesses", "eccentricity", "lateRounds"},
 		New: func(ctx Context, v Values) (Analyzer, error) {

@@ -29,7 +29,7 @@ var (
 )
 
 func init() {
-	Register("coverage", Family{
+	Families.Register("coverage", Family{
 		Doc:     "per-node receive counts, first/last receive rounds, coverage, and max receives",
 		Metrics: []string{"covered", "uncovered", "maxReceives", "receipts"},
 		New: func(ctx Context, v Values) (Analyzer, error) {

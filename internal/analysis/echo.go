@@ -27,7 +27,7 @@ var (
 )
 
 func init() {
-	Register("echo", Family{
+	Families.Register("echo", Family{
 		Doc:     "Dijkstra–Scholten detection baseline (classic flooding + acks) for the same graph and origin",
 		Metrics: []string{"detectionRound", "floodRounds", "floodMessages", "ackMessages", "totalMessages", "covered", "messageOverhead"},
 		New: func(ctx Context, v Values) (Analyzer, error) {

@@ -17,7 +17,7 @@ import (
 // model-spec fuzzers enforce, so all five façade axes share one grammar
 // discipline.
 func FuzzAnalysisParse(f *testing.F) {
-	for _, name := range analysis.Families() {
+	for _, name := range analysis.Families.Names() {
 		f.Add(name)
 	}
 	f.Add("quantiles:metric=messages")

@@ -36,7 +36,7 @@ func TestParseGolden(t *testing.T) {
 		}
 		inputs = append(inputs, in)
 	}
-	for _, name := range analysis.Families() {
+	for _, name := range analysis.Families.Names() {
 		if !slices.Contains(inputs, name) {
 			t.Errorf("analysis family %q is missing from testdata/parse.golden", name)
 		}

@@ -33,7 +33,7 @@ var quantileMetrics = map[string]func(engine.Result) float64{
 }
 
 func init() {
-	Register("quantiles", Family{
+	Families.Register("quantiles", Family{
 		Params: []Param{
 			{Name: "metric", Kind: StringParam, Default: "rounds",
 				Doc: "base quantity to promote: rounds, messages, or lost"},

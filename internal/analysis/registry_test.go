@@ -12,12 +12,12 @@ import (
 
 func TestFamiliesRegistered(t *testing.T) {
 	want := []string{"bipartite", "coverage", "echo", "quantiles", "spantree", "termination"}
-	got := analysis.Families()
+	got := analysis.Families.Names()
 	if !slices.Equal(got, want) {
 		t.Fatalf("Families() = %v, want %v", got, want)
 	}
 	for _, name := range want {
-		fam, ok := analysis.Lookup(name)
+		fam, ok := analysis.Families.Lookup(name)
 		if !ok {
 			t.Fatalf("Lookup(%q) missing", name)
 		}

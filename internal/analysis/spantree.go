@@ -24,7 +24,7 @@ type SpanTree struct {
 var _ Analyzer = (*SpanTree)(nil)
 
 func init() {
-	Register("spantree", Family{
+	Families.Register("spantree", Family{
 		Doc:     "streaming BFS spanning tree of a single-source flood (early-stops once the tree spans)",
 		Metrics: []string{"depth", "reached", "treeEdges", "complete"},
 		New: func(ctx Context, v Values) (Analyzer, error) {

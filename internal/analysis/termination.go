@@ -1,13 +1,12 @@
 package analysis
 
 import (
-	"strconv"
-
 	"amnesiacflood/internal/doublecover"
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/graph/algo"
 	"amnesiacflood/internal/graph/gen"
+	"amnesiacflood/internal/specgrammar"
 )
 
 // Termination measures how a run ended against the paper's predictions.
@@ -56,7 +55,7 @@ var (
 const amnesiacProtocol = "amnesiac-flooding"
 
 func init() {
-	Register("termination", Family{
+	Families.Register("termination", Family{
 		Doc: "termination round and messages vs. the paper's e(S)..2D+1 window for the origin set S (certified by a two-sweep bound), " +
 			"the exact double-cover law for amnesiac floods, and per-family closed forms for one origin",
 		Metrics: []string{"rounds", "messages", "eccentricity", "boundLower",
@@ -70,44 +69,22 @@ func init() {
 }
 
 // recognise resolves the closed-form family, if any, from the canonical
-// graph spec. Registry-built graphs are named with their fully explicit
-// spec, so the size parameter is always present; hand-named graphs that do
-// not parse simply get no closed-form metrics.
+// graph spec, its size parameter explicit or defaulted. Hand-named graphs
+// that do not parse simply get no closed-form metrics.
 func (t *Termination) recognise(spec string) {
 	parsed, err := gen.Parse(spec)
 	if err != nil {
 		return
 	}
-	param := func(name string) (int, bool) {
-		raw, ok := parsed.Params[name]
-		if !ok {
-			// Fall back to the declared default for hand-written specs.
-			fam, famOK := gen.Lookup(parsed.Family)
-			if !famOK {
-				return 0, false
-			}
-			for _, p := range fam.Params {
-				if p.Name == name {
-					raw = p.Default
-					ok = true
-				}
-			}
-			if !ok {
-				return 0, false
-			}
-		}
-		n, err := strconv.Atoi(raw)
-		return n, err == nil
+	_, v, err := gen.Families.Resolve(specgrammar.Spec(parsed))
+	if err != nil {
+		return
 	}
 	switch parsed.Family {
 	case "path", "cycle", "complete", "star":
-		if n, ok := param("n"); ok {
-			t.family, t.n = parsed.Family, n
-		}
+		t.family, t.n = parsed.Family, v.Int("n")
 	case "hypercube":
-		if d, ok := param("d"); ok {
-			t.family, t.n = parsed.Family, d
-		}
+		t.family, t.n = parsed.Family, v.Int("d")
 	}
 }
 

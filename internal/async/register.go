@@ -11,15 +11,15 @@ import (
 // is the canonical spec order (model.Spec.String emits it), so these
 // declarations are the grammar of "adversary:..." specs.
 func init() {
-	model.RegisterAdversary("sync", model.AdversaryFamily{
+	model.Adversaries.Register("sync", model.AdversaryFamily{
 		Doc: "zero extra delay everywhere; coincides with the synchronous model",
 		New: func(model.Values, int64) (model.Adversary, error) { return SyncAdversary{}, nil },
 	})
-	model.RegisterAdversary("collision", model.AdversaryFamily{
+	model.Adversaries.Register("collision", model.AdversaryFamily{
 		Doc: "the paper's Figure 5 adversary: holds back all but the lowest-sender copy of colliding messages",
 		New: func(model.Values, int64) (model.Adversary, error) { return CollisionDelayer{}, nil },
 	})
-	model.RegisterAdversary("hold", model.AdversaryFamily{
+	model.Adversaries.Register("hold", model.AdversaryFamily{
 		Params: []model.Param{
 			{Name: "node", Kind: model.IntParam, Default: "0", Doc: "the slow sender"},
 			{Name: "extra", Kind: model.IntParam, Default: "1", Doc: "extra delay on its messages"},
@@ -32,7 +32,7 @@ func init() {
 			return HoldNode{Node: graph.NodeID(v.Int("node")), Extra: v.Int("extra")}, nil
 		},
 	})
-	model.RegisterAdversary("uniform", model.AdversaryFamily{
+	model.Adversaries.Register("uniform", model.AdversaryFamily{
 		Params: []model.Param{
 			{Name: "extra", Kind: model.IntParam, Default: "1", Doc: "constant extra delay on every message"},
 		},
@@ -44,7 +44,7 @@ func init() {
 			return UniformDelayer{Extra: v.Int("extra")}, nil
 		},
 	})
-	model.RegisterAdversary("edge", model.AdversaryFamily{
+	model.Adversaries.Register("edge", model.AdversaryFamily{
 		Params: []model.Param{
 			{Name: "u", Kind: model.IntParam, Default: "0", Doc: "one endpoint of the slow link"},
 			{Name: "v", Kind: model.IntParam, Default: "1", Doc: "the other endpoint"},
@@ -58,7 +58,7 @@ func init() {
 			return EdgeDelayer{Edge: graph.Edge{U: graph.NodeID(v.Int("u")), V: graph.NodeID(v.Int("v"))}, Extra: v.Int("extra")}, nil
 		},
 	})
-	model.RegisterAdversary("random", model.AdversaryFamily{
+	model.Adversaries.Register("random", model.AdversaryFamily{
 		Params: []model.Param{
 			{Name: "max", Kind: model.IntParam, Default: "3", Doc: "delays drawn uniformly from {0..max}"},
 		},

@@ -9,7 +9,7 @@ import (
 // protocol registry, making it selectable as -protocol classic on any
 // engine.
 func init() {
-	sim.Register("classic", func(spec sim.Spec) (engine.Protocol, error) {
+	sim.Protocols.Register("classic", func(spec sim.Spec) (engine.Protocol, error) {
 		return NewFlood(spec.Graph, spec.Origins...)
 	})
 }

@@ -96,7 +96,7 @@ func LoadGraphSpec(spec, topo string, n int, file string, seed int64) (*graph.Gr
 		// family name like "tree" would silently discard -n and build
 		// the default size, so it stays an error here.
 		if spec, err := gen.Parse(topo); err == nil {
-			if fam, ok := gen.Lookup(spec.Family); ok && len(fam.Params) > 0 && len(spec.Params) == 0 {
+			if fam, ok := gen.Families.Lookup(spec.Family); ok && len(fam.Params) > 0 && len(spec.Params) == 0 {
 				return nil, fmt.Errorf("topology %q is a graph family; -n does not apply to specs, spell out its parameters (e.g. %q) or use an alias (%s)",
 					topo, spec.Family+":"+fam.Params[0].Name+"=8", strings.Join(TopologyNames(), ", "))
 			}

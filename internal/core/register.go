@@ -8,7 +8,7 @@ import (
 // init self-registers amnesiac flooding with the sim façade's protocol
 // registry, making it selectable as -protocol amnesiac on any engine.
 func init() {
-	sim.Register("amnesiac", func(spec sim.Spec) (engine.Protocol, error) {
+	sim.Protocols.Register("amnesiac", func(spec sim.Spec) (engine.Protocol, error) {
 		return NewFlood(spec.Graph, spec.Origins...)
 	})
 }

@@ -13,11 +13,11 @@ import (
 // the canonical spec order (model.Spec.String emits it), so these
 // declarations are the grammar of "schedule:..." specs.
 func init() {
-	model.RegisterSchedule("static", model.ScheduleFamily{
+	model.Schedules.Register("static", model.ScheduleFamily{
 		Doc: "every edge alive forever; coincides with the synchronous model",
 		New: func(model.Values, int64) (model.Schedule, error) { return Static{}, nil },
 	})
-	model.RegisterSchedule("outage", model.ScheduleFamily{
+	model.Schedules.Register("outage", model.ScheduleFamily{
 		Params: []model.Param{
 			{Name: "round", Kind: model.IntParam, Default: "1", Doc: "the round the edge is down"},
 			{Name: "u", Kind: model.IntParam, Default: "0", Doc: "one endpoint of the edge"},
@@ -31,7 +31,7 @@ func init() {
 			return OutageOnce{Round: v.Int("round"), Edge: graph.Edge{U: graph.NodeID(v.Int("u")), V: graph.NodeID(v.Int("v"))}}, nil
 		},
 	})
-	model.RegisterSchedule("blink", model.ScheduleFamily{
+	model.Schedules.Register("blink", model.ScheduleFamily{
 		Params: []model.Param{
 			{Name: "u", Kind: model.IntParam, Default: "0", Doc: "one endpoint of the blinking edge"},
 			{Name: "v", Kind: model.IntParam, Default: "1", Doc: "the other endpoint"},
@@ -51,11 +51,11 @@ func init() {
 			return Blinking{Edge: graph.Edge{U: graph.NodeID(v.Int("u")), V: graph.NodeID(v.Int("v"))}, K: v.Int("period"), Phase: v.Int("phase")}, nil
 		},
 	})
-	model.RegisterSchedule("alternating", model.ScheduleFamily{
+	model.Schedules.Register("alternating", model.ScheduleFamily{
 		Doc: "parity halves of the edge set alive in alternating rounds",
 		New: func(model.Values, int64) (model.Schedule, error) { return Alternating{}, nil },
 	})
-	model.RegisterSchedule("loss", model.ScheduleFamily{
+	model.Schedules.Register("loss", model.ScheduleFamily{
 		Params: []model.Param{
 			{Name: "p", Kind: model.FloatParam, Default: "0.1", Doc: "probability in [0,1] that a copy is lost"},
 		},
@@ -70,7 +70,7 @@ func init() {
 			return Loss{P: p, Seed: seed}, nil
 		},
 	})
-	model.RegisterSchedule("crash", model.ScheduleFamily{
+	model.Schedules.Register("crash", model.ScheduleFamily{
 		Params: []model.Param{
 			{Name: "nodes", Kind: model.StringParam, Default: "1", Doc: "the crashed nodes, joined by '+'"},
 			{Name: "round", Kind: model.IntParam, Default: "1", Doc: "the first round the nodes are down"},

@@ -38,7 +38,7 @@ func probability(name string, p float64) error {
 }
 
 func init() {
-	Register("path", Family{
+	Families.Register("path", Family{
 		Doc:    "path graph P_n (bipartite, diameter n-1)",
 		Params: []Param{{Name: "n", Kind: IntParam, Default: "8", Doc: "number of nodes"}},
 		Build: func(v Values, _ *rand.Rand) (*graph.Graph, error) {
@@ -49,7 +49,7 @@ func init() {
 			return Path(n), nil
 		},
 	})
-	Register("cycle", Family{
+	Families.Register("cycle", Family{
 		Doc:    "cycle C_n (bipartite iff n even)",
 		Params: []Param{{Name: "n", Kind: IntParam, Default: "8", Doc: "number of nodes (>= 3)"}},
 		Build: func(v Values, _ *rand.Rand) (*graph.Graph, error) {
@@ -60,7 +60,7 @@ func init() {
 			return Cycle(n), nil
 		},
 	})
-	Register("complete", Family{
+	Families.Register("complete", Family{
 		Doc:    "complete graph K_n (non-bipartite for n >= 3)",
 		Params: []Param{{Name: "n", Kind: IntParam, Default: "8", Doc: "number of nodes"}},
 		Build: func(v Values, _ *rand.Rand) (*graph.Graph, error) {
@@ -71,7 +71,7 @@ func init() {
 			return Complete(n), nil
 		},
 	})
-	Register("star", Family{
+	Families.Register("star", Family{
 		Doc:    "star K_{1,n-1}: hub node 0 joined to all others",
 		Params: []Param{{Name: "n", Kind: IntParam, Default: "8", Doc: "number of nodes"}},
 		Build: func(v Values, _ *rand.Rand) (*graph.Graph, error) {
@@ -82,7 +82,7 @@ func init() {
 			return Star(n), nil
 		},
 	})
-	Register("wheel", Family{
+	Families.Register("wheel", Family{
 		Doc:    "wheel W_n: hub plus rim cycle (non-bipartite)",
 		Params: []Param{{Name: "n", Kind: IntParam, Default: "8", Doc: "number of nodes (>= 4)"}},
 		Build: func(v Values, _ *rand.Rand) (*graph.Graph, error) {
@@ -93,7 +93,7 @@ func init() {
 			return Wheel(n), nil
 		},
 	})
-	Register("bipartite", Family{
+	Families.Register("bipartite", Family{
 		Doc: "complete bipartite K_{a,b}",
 		Params: []Param{
 			{Name: "a", Kind: IntParam, Default: "4", Doc: "left part size"},
@@ -110,7 +110,7 @@ func init() {
 			return CompleteBipartite(a, b), nil
 		},
 	})
-	Register("grid", Family{
+	Families.Register("grid", Family{
 		Doc: "rows x cols grid (bipartite, diameter rows+cols-2)",
 		Params: []Param{
 			{Name: "rows", Kind: IntParam, Default: "8", Doc: "grid rows"},
@@ -124,7 +124,7 @@ func init() {
 			return Grid(rows, cols), nil
 		},
 	})
-	Register("torus", Family{
+	Families.Register("torus", Family{
 		Doc: "rows x cols torus (bipartite iff both dimensions even)",
 		Params: []Param{
 			{Name: "rows", Kind: IntParam, Default: "4", Doc: "torus rows (>= 3)"},
@@ -138,7 +138,7 @@ func init() {
 			return Torus(rows, cols), nil
 		},
 	})
-	Register("hypercube", Family{
+	Families.Register("hypercube", Family{
 		Doc:    "d-dimensional hypercube Q_d over 2^d nodes (bipartite)",
 		Params: []Param{{Name: "d", Kind: IntParam, Default: "4", Doc: "dimension (0..20)"}},
 		Build: func(v Values, _ *rand.Rand) (*graph.Graph, error) {
@@ -149,13 +149,13 @@ func init() {
 			return Hypercube(d), nil
 		},
 	})
-	Register("petersen", Family{
+	Families.Register("petersen", Family{
 		Doc: "the Petersen graph (10 nodes, girth 5, non-bipartite)",
 		Build: func(Values, *rand.Rand) (*graph.Graph, error) {
 			return Petersen(), nil
 		},
 	})
-	Register("barbell", Family{
+	Families.Register("barbell", Family{
 		Doc: "two K_k cliques joined by a path of extra nodes",
 		Params: []Param{
 			{Name: "k", Kind: IntParam, Default: "4", Doc: "clique size"},
@@ -172,7 +172,7 @@ func init() {
 			return Barbell(k, pathLen), nil
 		},
 	})
-	Register("lollipop", Family{
+	Families.Register("lollipop", Family{
 		Doc: "clique K_k with a path of extra nodes attached",
 		Params: []Param{
 			{Name: "k", Kind: IntParam, Default: "4", Doc: "clique size"},
@@ -189,7 +189,7 @@ func init() {
 			return Lollipop(k, pathLen), nil
 		},
 	})
-	Register("bintree", Family{
+	Families.Register("bintree", Family{
 		Doc:    "complete binary tree with the given number of levels",
 		Params: []Param{{Name: "levels", Kind: IntParam, Default: "4", Doc: "tree levels (1..22)"}},
 		Build: func(v Values, _ *rand.Rand) (*graph.Graph, error) {
@@ -200,7 +200,7 @@ func init() {
 			return CompleteBinaryTree(levels), nil
 		},
 	})
-	Register("tree", Family{
+	Families.Register("tree", Family{
 		Doc:    "uniform random attachment tree (seeded, bipartite, connected)",
 		Random: true,
 		Params: []Param{{Name: "n", Kind: IntParam, Default: "8", Doc: "number of nodes"}},
@@ -212,7 +212,7 @@ func init() {
 			return RandomTree(n, rng), nil
 		},
 	})
-	Register("gnp", Family{
+	Families.Register("gnp", Family{
 		Doc:    "Erdős–Rényi G(n,p) (seeded; connect=true joins components; streamed above 2^13 nodes)",
 		Random: true,
 		Params: []Param{
@@ -246,7 +246,7 @@ func init() {
 			return Connectify(g, rng)
 		},
 	})
-	Register("randbipartite", Family{
+	Families.Register("randbipartite", Family{
 		Doc:    "random bipartite graph with min degree 1 (seeded)",
 		Random: true,
 		Params: []Param{
@@ -273,7 +273,7 @@ func init() {
 			return Connectify(g, rng)
 		},
 	})
-	Register("randconnected", Family{
+	Families.Register("randconnected", Family{
 		Doc:    "random tree backbone plus G(n,p) edges (seeded, connected)",
 		Random: true,
 		Params: []Param{
@@ -291,7 +291,7 @@ func init() {
 			return RandomConnected(n, p, rng), nil
 		},
 	})
-	Register("randnonbipartite", Family{
+	Families.Register("randnonbipartite", Family{
 		Doc:    "connected random graph with a grafted triangle (seeded, non-bipartite)",
 		Random: true,
 		Params: []Param{
@@ -309,7 +309,7 @@ func init() {
 			return RandomNonBipartite(n, p, rng), nil
 		},
 	})
-	Register("prefattach", Family{
+	Families.Register("prefattach", Family{
 		Doc:    "Barabási–Albert preferential attachment (seeded, connected)",
 		Random: true,
 		Params: []Param{
@@ -335,7 +335,7 @@ func init() {
 			return PreferentialAttachmentStream(n, m, rng)
 		},
 	})
-	Register("rmat", Family{
+	Families.Register("rmat", Family{
 		Doc:    "R-MAT recursive-matrix graph: e skewed edge attempts over a power-of-two node count (seeded, streamed)",
 		Random: true,
 		Params: []Param{
@@ -357,7 +357,7 @@ func init() {
 			return RMAT(n, e, a, b, c, rng)
 		},
 	})
-	Register("edgefile", Family{
+	Families.Register("edgefile", Family{
 		Doc:   "graph loaded from a text edge-list file (WriteEdgeList format), streamed into CSR",
 		Local: true,
 		Params: []Param{

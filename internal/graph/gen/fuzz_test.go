@@ -11,7 +11,7 @@ import (
 // arbitrary input: Parse never panics, and every accepted spec round-trips
 // through its canonical String form — same string, same parsed Spec.
 func FuzzGenParse(f *testing.F) {
-	for _, name := range gen.Families() {
+	for _, name := range gen.Families.Names() {
 		f.Add(name)
 		if canon, err := gen.Canonical(name); err == nil {
 			f.Add(canon.String())

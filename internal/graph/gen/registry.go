@@ -3,34 +3,25 @@ package gen
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
-	"sync"
 
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/specgrammar"
 )
 
-// This file is the family registry and the spec grammar: every graph family
-// in this package self-registers under a name, and a one-line spec string
-// selects a family and binds its parameters:
+// This file is the graph axis of the spec registry (internal/specgrammar):
+// every graph family in this package registers in Families under a name,
+// and a one-line spec string selects a family and binds its parameters:
 //
 //	family[:key=value[,key=value]...]
 //
 // Examples: "petersen", "path:n=64", "grid:rows=64,cols=64",
 // "gnp:n=200,p=0.05,connect=true". Family and key names are
-// case-insensitive; values must not contain ',' or '='. Omitted parameters
-// take the family's declared defaults. Random families consume the seed
-// passed to New, so equal (spec, seed) pairs build byte-identical graphs.
-//
-// A parsed Spec round-trips: String emits the parameters in the family's
-// declared order, so Parse(spec.String()) == spec for every parseable spec,
-// and Parse(s).String() == s for every canonically ordered s.
-//
-// The typed-parameter machinery (kinds, declarations, assignment parsing,
-// canonical rendering, default resolution) is the shared kernel in
-// internal/specgrammar, instantiated identically by the execution-model and
-// analysis registries — one grammar, five axes.
+// case-insensitive; values must not contain ',' or '=', but may hold inner
+// whitespace (an edgefile path may). Omitted parameters take the family's
+// declared defaults. Random families consume the seed passed to New, so
+// equal (spec, seed) pairs build byte-identical graphs. Parse(s).String()
+// == s for every canonically ordered s.
 
 // Kind types a family parameter.
 type Kind = specgrammar.Kind
@@ -62,7 +53,7 @@ type Values = specgrammar.Values
 // and the constructor.
 type Family struct {
 	// Params declares the accepted parameters in canonical order.
-	Params []Param
+	Params specgrammar.Params
 	// Random marks families that consume the seed passed to New;
 	// deterministic families receive a nil rng.
 	Random bool
@@ -80,103 +71,35 @@ type Family struct {
 	Build func(v Values, rng *rand.Rand) (*graph.Graph, error)
 }
 
-// params returns the family's declarations as the kernel's ordered list.
-func (f Family) params() specgrammar.Params { return specgrammar.Params(f.Params) }
-
-var (
-	famMu    sync.RWMutex
-	famReg   = map[string]Family{}
-	famNames []string // sorted cache, rebuilt on Register
-)
-
-// Register adds a family under a name, normally from this package's init so
-// that importing gen is all it takes to make every family spec-addressable.
-// It panics on empty or duplicate names, nil constructors, and malformed
-// parameter declarations — all programmer errors.
-func Register(name string, fam Family) {
-	name = specgrammar.CheckName("gen", name, "")
-	if fam.Build == nil {
-		panic("gen: Register " + name + " with nil Build")
-	}
-	fam.params().Validate("gen", "family "+name)
-	famMu.Lock()
-	defer famMu.Unlock()
-	if _, dup := famReg[name]; dup {
-		panic("gen: Register called twice for family " + name)
-	}
-	famReg[name] = fam
-	famNames = append(famNames, name)
-	sort.Strings(famNames)
-}
-
-// Families enumerates the registered family names, sorted.
-func Families() []string {
-	famMu.RLock()
-	defer famMu.RUnlock()
-	return append([]string(nil), famNames...)
-}
-
-// Lookup returns the named family's declaration.
-func Lookup(name string) (Family, bool) {
-	famMu.RLock()
-	defer famMu.RUnlock()
-	fam, ok := famReg[strings.ToLower(strings.TrimSpace(name))]
-	return fam, ok
-}
-
-// Spec is a parsed graph specification: a family name plus explicit
-// parameter assignments. The zero value is invalid; build Specs with Parse
-// or Canonical.
-type Spec struct {
-	// Family is the lower-case registered family name.
-	Family string
-	// Params maps explicitly assigned parameter names to their raw
-	// values; omitted parameters default at build time.
-	Params map[string]string
-}
-
-// String renders the canonical spec string: the family name, then any
-// explicit parameters in the family's declared order. For specs produced by
-// Parse, Parse(spec.String()) reproduces spec exactly.
-func (s Spec) String() string {
-	if len(s.Params) == 0 {
-		return s.Family
-	}
-	var decls specgrammar.Params
-	if fam, ok := Lookup(s.Family); ok {
-		decls = fam.params()
-	}
-	return s.Family + ":" + decls.Canonical(s.Params)
+// Decl implements specgrammar.Family.
+func (f Family) Decl() specgrammar.Decl {
+	return specgrammar.Decl{Params: f.Params, Doc: f.Doc, Random: f.Random, Ready: f.Build != nil}
 }
 
 // ErrUnknownFamily is wrapped into errors for family names outside the
 // registry, matchable with errors.Is.
 var ErrUnknownFamily = fmt.Errorf("unknown graph family")
 
-// Parse parses a spec string (see the grammar at the top of this file)
-// against the registry: the family must be registered, every key declared,
-// and every value parseable as the declared kind. Parse never panics, and
-// never builds a graph — use New for that.
+// Families is the graph family registry. Register families from an init.
+var Families = specgrammar.NewRegistry[Family](specgrammar.Axis{
+	Prefix: "gen", Noun: "graph", Unknown: ErrUnknownFamily, Spaces: true,
+})
+
+// Spec is a parsed graph specification: a family name plus explicit
+// parameter assignments. The zero value is invalid; build Specs with Parse
+// or Canonical.
+type Spec specgrammar.Spec
+
+// String renders the canonical spec string: the family name, then any
+// explicit parameters in the family's declared order.
+func (s Spec) String() string { return Families.Format(specgrammar.Spec(s)) }
+
+// Parse parses a graph spec string against the registry (see the grammar at
+// the top of this file). It never panics and never builds a graph; use New
+// for that.
 func Parse(s string) (Spec, error) {
-	famName, rest, hasParams := strings.Cut(strings.TrimSpace(s), ":")
-	famName = strings.ToLower(strings.TrimSpace(famName))
-	if famName == "" {
-		return Spec{}, fmt.Errorf("gen: empty graph spec")
-	}
-	fam, ok := Lookup(famName)
-	if !ok {
-		return Spec{}, fmt.Errorf("gen: %w %q (registered: %s)", ErrUnknownFamily, famName, strings.Join(Families(), ", "))
-	}
-	spec := Spec{Family: famName}
-	if !hasParams {
-		return spec, nil
-	}
-	params, err := fam.params().ParseAssignments("gen", s, "family "+famName, rest)
-	if err != nil {
-		return Spec{}, err
-	}
-	spec.Params = params
-	return spec, nil
+	spec, err := Families.Parse(s)
+	return Spec(spec), err
 }
 
 // MustParse is Parse for specs known good at compile time; it panics on
@@ -191,14 +114,14 @@ func MustParse(s string) Spec {
 
 // Canonical returns the named family's fully explicit spec: every declared
 // parameter present at its default value, in declared order. It is the
-// natural enumeration seed for tools sweeping Families().
+// natural enumeration seed for tools sweeping Families.
 func Canonical(name string) (Spec, error) {
 	key := strings.ToLower(strings.TrimSpace(name))
-	fam, ok := Lookup(key)
+	fam, ok := Families.Lookup(key)
 	if !ok {
 		return Spec{}, fmt.Errorf("gen: %w %q", ErrUnknownFamily, name)
 	}
-	return Spec{Family: key, Params: fam.params().Full(nil)}, nil
+	return Spec{Family: key, Params: fam.Params.Full(nil)}, nil
 }
 
 // New builds the graph a spec describes. Omitted parameters take their
@@ -207,15 +130,11 @@ func Canonical(name string) (Spec, error) {
 // (defaults included), so reports and benchmark rows identify the exact
 // instance.
 func New(spec Spec, seed int64) (*graph.Graph, error) {
-	fam, ok := Lookup(spec.Family)
-	if !ok {
-		return nil, fmt.Errorf("gen: %w %q (registered: %s)", ErrUnknownFamily, spec.Family, strings.Join(Families(), ", "))
-	}
-	values, err := fam.params().Resolve("gen", "family "+spec.Family, spec.Params)
+	fam, values, err := Families.Resolve(specgrammar.Spec(spec))
 	if err != nil {
 		return nil, err
 	}
-	full := Spec{Family: spec.Family, Params: fam.params().Full(spec.Params)}
+	full := Spec{Family: spec.Family, Params: fam.Params.Full(spec.Params)}
 	var rng *rand.Rand
 	if fam.Random {
 		rng = rand.New(rand.NewSource(seed))

@@ -10,7 +10,7 @@ import (
 )
 
 func TestFamiliesSortedAndComplete(t *testing.T) {
-	names := gen.Families()
+	names := gen.Families.Names()
 	if len(names) < 16 {
 		t.Fatalf("only %d families registered: %v", len(names), names)
 	}
@@ -26,7 +26,7 @@ func TestFamiliesSortedAndComplete(t *testing.T) {
 		"tree", "gnp", "randbipartite", "randconnected", "randnonbipartite",
 		"prefattach", "rmat", "edgefile",
 	} {
-		if _, ok := gen.Lookup(want); !ok {
+		if _, ok := gen.Families.Lookup(want); !ok {
 			t.Errorf("family %q not registered", want)
 		}
 	}
@@ -37,8 +37,8 @@ func TestFamiliesSortedAndComplete(t *testing.T) {
 // caller-named server paths, so forgetting the flag (or a new
 // filesystem-reading family shipping without it) must fail here.
 func TestLocalFamilies(t *testing.T) {
-	for _, name := range gen.Families() {
-		fam, ok := gen.Lookup(name)
+	for _, name := range gen.Families.Names() {
+		fam, ok := gen.Families.Lookup(name)
 		if !ok {
 			t.Fatalf("Lookup(%q) failed", name)
 		}
@@ -52,7 +52,7 @@ func TestLocalFamilies(t *testing.T) {
 // family, Parse(s).String() == s holds both for the bare family name and
 // for the fully explicit canonical spec.
 func TestCanonicalRoundTrip(t *testing.T) {
-	for _, name := range gen.Families() {
+	for _, name := range gen.Families.Names() {
 		bare, err := gen.Parse(name)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", name, err)
@@ -116,7 +116,7 @@ func TestParseErrors(t *testing.T) {
 // TestEveryFamilyBuilds builds every family at its canonical defaults and
 // checks the graph is non-empty and named by its fully explicit spec.
 func TestEveryFamilyBuilds(t *testing.T) {
-	for _, name := range gen.Families() {
+	for _, name := range gen.Families.Names() {
 		if name == "edgefile" {
 			continue // needs a file on disk; exercised by TestEdgeFileFamily
 		}

@@ -318,7 +318,7 @@ func TestBuilderDigestsCoverEveryFamily(t *testing.T) {
 	for _, c := range builderDigests {
 		pinned[gen.MustParse(c.spec).Family] = true
 	}
-	for _, name := range gen.Families() {
+	for _, name := range gen.Families.Names() {
 		if !pinned[name] {
 			t.Errorf("family %s has no pinned Builder digest", name)
 		}

@@ -6,8 +6,9 @@
 // asynchronous scheduler (Section 4, Figure 5) or a changing edge set can
 // keep the wave alive forever. This package gives those non-synchronous
 // models the same shape the rest of the repository already has: adversaries
-// (internal/async) and schedules (internal/dynamic) self-register under a
-// canonical, round-trippable spec grammar mirroring internal/graph/gen,
+// (internal/async) and schedules (internal/dynamic) register in Adversaries
+// and Schedules, the model axis's two instances of the one spec registry
+// (internal/specgrammar) that every axis shares, under the grammar
 //
 //	sync
 //	adversary:<family>[:key=value[,key=value]...]

@@ -2,17 +2,16 @@ package model
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"amnesiacflood/internal/graph"
 	"amnesiacflood/internal/specgrammar"
 )
 
-// This file is the model registry and the spec grammar: every adversary and
-// schedule family self-registers under a name, and a one-line spec string
-// selects a model and binds its parameters:
+// This file is the model axis of the spec registry (internal/specgrammar):
+// every adversary and schedule family registers in Adversaries or Schedules
+// under a name, and a one-line spec string selects a model and binds its
+// parameters:
 //
 //	sync
 //	adversary:<family>[:key=value[,key=value]...]
@@ -20,17 +19,9 @@ import (
 //
 // Kind, family, and key names are case-insensitive; values must not contain
 // ',', '=' or whitespace. Omitted parameters take the family's declared
-// defaults.
-// Random families consume the seed passed to New, so equal (spec, seed)
-// pairs build identically-behaving models.
-//
-// A parsed Spec round-trips: String emits the parameters in the family's
-// declared order, so Parse(spec.String()) == spec for every parseable spec,
-// and Parse(s).String() == s for every canonically ordered s.
-//
-// The typed-parameter machinery is the shared kernel in
-// internal/specgrammar, instantiated identically by the graph and analysis
-// registries; only the kind:family prefix level is model-specific.
+// defaults. Random families consume the seed passed to New, so equal
+// (spec, seed) pairs build identically-behaving models, and
+// Parse(s).String() == s for every canonically ordered s.
 
 // Kind partitions the model axis.
 type Kind string
@@ -77,7 +68,7 @@ type Values = specgrammar.Values
 // constructor.
 type AdversaryFamily struct {
 	// Params declares the accepted parameters in canonical order.
-	Params []Param
+	Params specgrammar.Params
 	// Random marks families that consume the seed passed to New.
 	Random bool
 	// Doc is a one-line description for listings.
@@ -90,98 +81,37 @@ type AdversaryFamily struct {
 // ScheduleFamily declares one registered schedule, mirroring
 // AdversaryFamily.
 type ScheduleFamily struct {
-	Params []Param
+	Params specgrammar.Params
 	Random bool
 	Doc    string
 	New    func(v Values, seed int64) (Schedule, error)
 }
 
-// family is the kind-agnostic registry entry.
-type family struct {
-	params specgrammar.Params
-	random bool
-	doc    string
-	newAdv func(Values, int64) (Adversary, error)
-	newSch func(Values, int64) (Schedule, error)
+// Decl implements specgrammar.Family.
+func (f AdversaryFamily) Decl() specgrammar.Decl {
+	return specgrammar.Decl{Params: f.Params, Doc: f.Doc, Random: f.Random, Ready: f.New != nil}
 }
 
-// Info describes a registered family for listings (afsim -list).
-type Info struct {
-	Params []Param
-	Random bool
-	Doc    string
+// Decl implements specgrammar.Family.
+func (f ScheduleFamily) Decl() specgrammar.Decl {
+	return specgrammar.Decl{Params: f.Params, Doc: f.Doc, Random: f.Random, Ready: f.New != nil}
 }
 
+// ErrUnknownModel is wrapped into errors for kinds or families outside the
+// registry, matchable with errors.Is.
+var ErrUnknownModel = fmt.Errorf("unknown execution model")
+
+// Adversaries and Schedules are the model axis's registries, one per kind.
+// Register families from the defining package's init, so that importing it
+// is all it takes to make them spec-addressable.
 var (
-	regMu sync.RWMutex
-	reg   = map[Kind]map[string]family{
-		KindAdversary: {},
-		KindSchedule:  {},
-	}
+	Adversaries = specgrammar.NewRegistry[AdversaryFamily](specgrammar.Axis{
+		Prefix: "model", Kind: string(KindAdversary), Unknown: ErrUnknownModel,
+	})
+	Schedules = specgrammar.NewRegistry[ScheduleFamily](specgrammar.Axis{
+		Prefix: "model", Kind: string(KindSchedule), Unknown: ErrUnknownModel,
+	})
 )
-
-// RegisterAdversary adds an adversary family under a name, normally from
-// the defining package's init so importing it is all it takes to make the
-// adversary spec-addressable. It panics on empty or duplicate names, nil
-// constructors, and malformed parameter declarations — programmer errors.
-func RegisterAdversary(name string, fam AdversaryFamily) {
-	if fam.New == nil {
-		panic("model: RegisterAdversary " + name + " with nil New")
-	}
-	register(KindAdversary, name, family{params: fam.Params, random: fam.Random, doc: fam.Doc, newAdv: fam.New})
-}
-
-// RegisterSchedule adds a schedule family under a name; see
-// RegisterAdversary.
-func RegisterSchedule(name string, fam ScheduleFamily) {
-	if fam.New == nil {
-		panic("model: RegisterSchedule " + name + " with nil New")
-	}
-	register(KindSchedule, name, family{params: fam.Params, random: fam.Random, doc: fam.Doc, newSch: fam.New})
-}
-
-func register(kind Kind, name string, fam family) {
-	name = specgrammar.CheckName("model", name, "")
-	fam.params.Validate("model", "family "+name)
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := reg[kind][name]; dup {
-		panic(fmt.Sprintf("model: Register called twice for %s %s", kind, name))
-	}
-	reg[kind][name] = fam
-}
-
-// Families enumerates the registered family names of a kind, sorted.
-// KindSync has none.
-func Families(kind Kind) []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(reg[kind]))
-	for name := range reg[kind] {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Lookup returns the named family's declaration.
-func Lookup(kind Kind, name string) (Info, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	fam, ok := reg[kind][strings.ToLower(strings.TrimSpace(name))]
-	if !ok {
-		return Info{}, false
-	}
-	return Info{Params: fam.params, Random: fam.random, Doc: fam.doc}, true
-}
-
-// lookup is the internal accessor returning the constructor-bearing entry.
-func lookup(kind Kind, name string) (family, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	fam, ok := reg[kind][name]
-	return fam, ok
-}
 
 // Spec is a parsed model specification: a kind, a family name (empty for
 // sync), and explicit parameter assignments. The zero value is invalid;
@@ -217,68 +147,46 @@ func (s Spec) EngineName() string {
 }
 
 // String renders the canonical spec string: "sync", or the kind, family
-// name, and any explicit parameters in the family's declared order. For
-// specs produced by Parse, Parse(spec.String()) reproduces spec exactly.
+// name, and any explicit parameters in the family's declared order.
 func (s Spec) String() string {
-	if s.Kind == KindSync {
-		return string(KindSync)
+	sp := specgrammar.Spec{Family: s.Family, Params: s.Params}
+	switch s.Kind {
+	case KindAdversary:
+		return Adversaries.Format(sp)
+	case KindSchedule:
+		return Schedules.Format(sp)
 	}
-	head := string(s.Kind) + ":" + s.Family
-	if len(s.Params) == 0 {
-		return head
-	}
-	var decls specgrammar.Params
-	if fam, ok := lookup(s.Kind, s.Family); ok {
-		decls = fam.params
-	}
-	return head + ":" + decls.Canonical(s.Params)
+	return string(s.Kind)
 }
 
-// ErrUnknownModel is wrapped into errors for kinds or families outside the
-// registry, matchable with errors.Is.
-var ErrUnknownModel = fmt.Errorf("unknown execution model")
-
 // Parse parses a model spec string (see the grammar at the top of this
-// file) against the registry: the kind must be sync/adversary/schedule, the
-// family registered, every key declared, and every value parseable as the
-// declared kind. Parse never panics and never builds a model — use New for
-// that.
+// file): the kind must be sync, adversary or schedule, and the rest parses
+// against that kind's registry. Parse never panics and never builds a
+// model; use New for that.
 func Parse(s string) (Spec, error) {
 	kindName, rest, hasFamily := strings.Cut(strings.TrimSpace(s), ":")
-	kindName = strings.ToLower(strings.TrimSpace(kindName))
-	switch Kind(kindName) {
+	kind := Kind(strings.ToLower(strings.TrimSpace(kindName)))
+	var sp specgrammar.Spec
+	var err error
+	switch kind {
 	case KindSync:
 		if hasFamily && strings.TrimSpace(rest) != "" {
 			return Spec{}, fmt.Errorf("model: the sync model takes no family or parameters (got %q)", s)
 		}
 		return SyncSpec(), nil
-	case KindAdversary, KindSchedule:
-		// parsed below
+	case KindAdversary:
+		sp, err = Adversaries.Parse(s)
+	case KindSchedule:
+		sp, err = Schedules.Parse(s)
 	case "":
 		return Spec{}, fmt.Errorf("model: empty model spec")
 	default:
-		return Spec{}, fmt.Errorf("model: %w kind %q (want sync, adversary, or schedule)", ErrUnknownModel, kindName)
+		return Spec{}, fmt.Errorf("model: %w kind %q (want sync, adversary, or schedule)", ErrUnknownModel, kind)
 	}
-	kind := Kind(kindName)
-	famName, paramStr, hasParams := strings.Cut(rest, ":")
-	famName = strings.ToLower(strings.TrimSpace(famName))
-	if famName == "" {
-		return Spec{}, fmt.Errorf("model: spec %q names no %s family (registered: %s)", s, kind, strings.Join(Families(kind), ", "))
-	}
-	fam, ok := lookup(kind, famName)
-	if !ok {
-		return Spec{}, fmt.Errorf("model: %w %s:%s (registered: %s)", ErrUnknownModel, kind, famName, strings.Join(Families(kind), ", "))
-	}
-	spec := Spec{Kind: kind, Family: famName}
-	if !hasParams {
-		return spec, nil
-	}
-	params, err := fam.params.ParseTokenAssignments("model", s, string(kind)+" "+famName, paramStr)
 	if err != nil {
 		return Spec{}, err
 	}
-	spec.Params = params
-	return spec, nil
+	return Spec{Kind: kind, Family: sp.Family, Params: sp.Params}, nil
 }
 
 // MustParse is Parse for specs known good at compile time; it panics on
@@ -302,26 +210,29 @@ type Model struct {
 // New builds the model a spec describes. Omitted parameters take their
 // declared defaults; random families derive all randomness from seed.
 func New(spec Spec, seed int64) (Model, error) {
-	if spec.Kind == KindSync {
+	sp := specgrammar.Spec{Family: spec.Family, Params: spec.Params}
+	m := Model{Spec: spec}
+	var err error
+	switch spec.Kind {
+	case KindSync:
 		if spec.Family != "" || len(spec.Params) > 0 {
 			return Model{}, fmt.Errorf("model: the sync model takes no family or parameters")
 		}
 		return Model{Spec: SyncSpec()}, nil
-	}
-	fam, ok := lookup(spec.Kind, spec.Family)
-	if !ok {
-		return Model{}, fmt.Errorf("model: %w %s:%s (registered: %s)", ErrUnknownModel, spec.Kind, spec.Family, strings.Join(Families(spec.Kind), ", "))
-	}
-	values, err := fam.params.Resolve("model", fmt.Sprintf("%s %s", spec.Kind, spec.Family), spec.Params)
-	if err != nil {
-		return Model{}, err
-	}
-	m := Model{Spec: spec}
-	switch spec.Kind {
 	case KindAdversary:
-		m.Adversary, err = fam.newAdv(values, seed)
+		fam, values, rerr := Adversaries.Resolve(sp)
+		if rerr != nil {
+			return Model{}, rerr
+		}
+		m.Adversary, err = fam.New(values, seed)
 	case KindSchedule:
-		m.Schedule, err = fam.newSch(values, seed)
+		fam, values, rerr := Schedules.Resolve(sp)
+		if rerr != nil {
+			return Model{}, rerr
+		}
+		m.Schedule, err = fam.New(values, seed)
+	default:
+		return Model{}, fmt.Errorf("model: %w kind %q (want sync, adversary, or schedule)", ErrUnknownModel, spec.Kind)
 	}
 	if err != nil {
 		return Model{}, fmt.Errorf("model: %s: %w", spec, err)
@@ -369,10 +280,10 @@ func MustBuild(spec string, seed int64) Model {
 // sync first — the natural seed for tools sweeping the model axis.
 func Specs() []string {
 	out := []string{string(KindSync)}
-	for _, name := range Families(KindAdversary) {
+	for _, name := range Adversaries.Names() {
 		out = append(out, string(KindAdversary)+":"+name)
 	}
-	for _, name := range Families(KindSchedule) {
+	for _, name := range Schedules.Names() {
 		out = append(out, string(KindSchedule)+":"+name)
 	}
 	return out

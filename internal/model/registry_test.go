@@ -97,8 +97,8 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestFamiliesEnumeration(t *testing.T) {
-	advs := model.Families(model.KindAdversary)
-	scheds := model.Families(model.KindSchedule)
+	advs := model.Adversaries.Names()
+	scheds := model.Schedules.Names()
 	for _, want := range []string{"sync", "collision", "hold", "uniform", "edge", "random"} {
 		if !contains(advs, want) {
 			t.Errorf("adversary family %q not registered (have %v)", want, advs)
@@ -108,9 +108,6 @@ func TestFamiliesEnumeration(t *testing.T) {
 		if !contains(scheds, want) {
 			t.Errorf("schedule family %q not registered (have %v)", want, scheds)
 		}
-	}
-	if len(model.Families(model.KindSync)) != 0 {
-		t.Error("sync kind must have no families")
 	}
 	for _, s := range model.Specs() {
 		if _, err := model.Parse(s); err != nil {
@@ -123,7 +120,7 @@ func TestFamiliesEnumeration(t *testing.T) {
 }
 
 func TestLookupInfo(t *testing.T) {
-	info, ok := model.Lookup(model.KindAdversary, "hold")
+	info, ok := model.Adversaries.Lookup("hold")
 	if !ok {
 		t.Fatal("hold not registered")
 	}
@@ -133,10 +130,10 @@ func TestLookupInfo(t *testing.T) {
 	if info.Random {
 		t.Error("hold must not be random")
 	}
-	if info, _ := model.Lookup(model.KindAdversary, "random"); !info.Random {
+	if info, _ := model.Adversaries.Lookup("random"); !info.Random {
 		t.Error("random adversary must be marked Random")
 	}
-	if _, ok := model.Lookup(model.KindSchedule, "hold"); ok {
+	if _, ok := model.Schedules.Lookup("hold"); ok {
 		t.Error("adversary family leaked into the schedule kind")
 	}
 }

@@ -119,7 +119,7 @@ func (p *Protocol) NewNode(v graph.NodeID) engine.NodeAutomaton {
 // registry, making simultaneous multi-message broadcast selectable as
 // -protocol multiflood on any engine.
 func init() {
-	sim.Register("multiflood", func(spec sim.Spec) (engine.Protocol, error) {
+	sim.Protocols.Register("multiflood", func(spec sim.Spec) (engine.Protocol, error) {
 		return NewProtocol(spec.Graph, spec.Origins...)
 	})
 }

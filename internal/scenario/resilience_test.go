@@ -30,10 +30,10 @@ import (
 // every message back to its sender forever (the shape of a run that needs
 // the watchdog).
 func init() {
-	sim.Register("panicproto", func(spec sim.Spec) (engine.Protocol, error) {
+	sim.Protocols.Register("panicproto", func(spec sim.Spec) (engine.Protocol, error) {
 		return panicProto{origin: spec.Origins[0], g: spec.Graph}, nil
 	})
-	sim.Register("bounce", func(spec sim.Spec) (engine.Protocol, error) {
+	sim.Protocols.Register("bounce", func(spec sim.Spec) (engine.Protocol, error) {
 		return bounceProto{origin: spec.Origins[0], g: spec.Graph}, nil
 	})
 }

@@ -314,7 +314,7 @@ func newGraphCache() *graphCache {
 func (c *graphCache) build(spec string, seed int64) (*graph.Graph, error) {
 	key := spec
 	if famName, _, _ := strings.Cut(spec, ":"); famName != "" {
-		if fam, ok := gen.Lookup(famName); ok && fam.Random {
+		if fam, ok := gen.Families.Lookup(famName); ok && fam.Random {
 			key = fmt.Sprintf("%s|%d", spec, seed)
 		}
 	}

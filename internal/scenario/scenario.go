@@ -116,14 +116,10 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: %w", err)
 		}
 	}
-	proto := strings.ToLower(strings.TrimSpace(s.Protocol))
-	for _, name := range sim.Protocols() {
-		if name == proto {
-			return nil
-		}
+	if _, ok := sim.Protocols.Lookup(s.Protocol); !ok {
+		return fmt.Errorf("scenario: %w", sim.Protocols.Unknown(s.Protocol))
 	}
-	return fmt.Errorf("scenario: %w %q (registered: %s)",
-		sim.ErrUnknownProtocol, s.Protocol, strings.Join(sim.Protocols(), ", "))
+	return nil
 }
 
 // Matrix declares a suite as the cross-product of its axes. Zero-valued
@@ -239,15 +235,10 @@ func (m Matrix) Expand() ([]Spec, error) {
 		graphs[i] = parsed.String()
 	}
 	protocols := make([]string, 0, len(m.Protocols))
-	registered := map[string]bool{}
-	for _, name := range sim.Protocols() {
-		registered[name] = true
-	}
 	for _, p := range m.Protocols {
 		p = strings.ToLower(strings.TrimSpace(p))
-		if !registered[p] {
-			return nil, fmt.Errorf("scenario: %w %q (registered: %s)",
-				sim.ErrUnknownProtocol, p, strings.Join(sim.Protocols(), ", "))
+		if _, ok := sim.Protocols.Lookup(p); !ok {
+			return nil, fmt.Errorf("scenario: %w", sim.Protocols.Unknown(p))
 		}
 		protocols = append(protocols, p)
 	}

@@ -16,6 +16,7 @@ import (
 	"amnesiacflood/internal/obs"
 	"amnesiacflood/internal/scenario"
 	"amnesiacflood/internal/sim"
+	"amnesiacflood/internal/specgrammar"
 )
 
 // This file is the HTTP surface: request decode, admission, and response
@@ -375,39 +376,40 @@ type RegistryAnalysis struct {
 // handleRegistry is GET /v1/registry.
 func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 	resp := RegistryResponse{
-		Protocols: sim.Protocols(),
+		Protocols: sim.Protocols.Names(),
 		Engines:   sim.EngineNames(),
 	}
-	for _, name := range gen.Families() {
-		fam, _ := gen.Lookup(name)
-		if fam.Local {
+	for _, e := range gen.Families.Entries() {
+		if e.Family.Local {
 			continue // not servable over the wire (see checkServableGraph)
 		}
 		resp.Graphs = append(resp.Graphs, RegistryFamily{
-			Name: name, Doc: fam.Doc, Random: fam.Random, Params: wireParams(fam.Params),
+			Name: e.Name, Doc: e.Doc, Random: e.Random, Params: wireParams(e.Params),
 		})
 	}
 	resp.Models = append(resp.Models, RegistryModel{Kind: string(model.KindSync), Doc: "the paper's synchronous model (identity model, no parameters)"})
-	for _, kind := range []model.Kind{model.KindAdversary, model.KindSchedule} {
-		for _, name := range model.Families(kind) {
-			info, _ := model.Lookup(kind, name)
-			resp.Models = append(resp.Models, RegistryModel{
-				Kind: string(kind), Family: name, Doc: info.Doc, Random: info.Random, Params: wireParams(info.Params),
-			})
-		}
-	}
-	for _, name := range analysis.Families() {
-		fam, _ := analysis.Lookup(name)
+	resp.Models = appendModels(resp.Models, model.Adversaries.Entries())
+	resp.Models = appendModels(resp.Models, model.Schedules.Entries())
+	for _, e := range analysis.Families.Entries() {
 		resp.Analyses = append(resp.Analyses, RegistryAnalysis{
-			Name: name, Doc: fam.Doc, Metrics: fam.Metrics, Params: wireParams(fam.Params),
+			Name: e.Name, Doc: e.Doc, Metrics: e.Family.Metrics, Params: wireParams(e.Params),
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// wireParams converts declared parameters to the wire shape (the Param
-// type is shared by all registries via internal/specgrammar).
-func wireParams(params []gen.Param) []RegistryParam {
+// appendModels appends one model kind's families in their wire shape.
+func appendModels[F specgrammar.Family](out []RegistryModel, entries []specgrammar.Entry[F]) []RegistryModel {
+	for _, e := range entries {
+		out = append(out, RegistryModel{
+			Kind: e.Kind, Family: e.Name, Doc: e.Doc, Random: e.Random, Params: wireParams(e.Params),
+		})
+	}
+	return out
+}
+
+// wireParams converts declared parameters to the wire shape.
+func wireParams(params specgrammar.Params) []RegistryParam {
 	out := make([]RegistryParam, len(params))
 	for i, p := range params {
 		out[i] = RegistryParam{Name: p.Name, Kind: p.Kind.String(), Default: p.Default, Doc: p.Doc}

@@ -38,10 +38,10 @@ import (
 // the exact point protocol code runs. Both are registered once for the
 // whole test binary.
 func init() {
-	sim.Register("slowping", func(spec sim.Spec) (engine.Protocol, error) {
+	sim.Protocols.Register("slowping", func(spec sim.Spec) (engine.Protocol, error) {
 		return &pingProto{g: spec.Graph}, nil
 	})
-	sim.Register("panicboom", func(spec sim.Spec) (engine.Protocol, error) {
+	sim.Protocols.Register("panicboom", func(spec sim.Spec) (engine.Protocol, error) {
 		return &boomProto{g: spec.Graph}, nil
 	})
 }

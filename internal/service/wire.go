@@ -15,7 +15,7 @@ import (
 
 // This file is the service's wire format: spec-addressed requests whose
 // axis fields are exactly the canonical spec strings the five registries
-// round-trip (internal/specgrammar is the shared grammar kernel), and the
+// round-trip (internal/specgrammar is the one registry behind them), and the
 // NDJSON/SSE event stream a run answers with.
 
 // RunRequest is the body of POST /v1/run. Every axis field is a spec string
@@ -161,8 +161,8 @@ func (s *Server) normalizeRun(req *RunRequest) (*runSpec, error) {
 	if nr.protocol == "" {
 		nr.protocol = "amnesiac"
 	}
-	if !registeredProtocol(nr.protocol) {
-		return nil, fmt.Errorf("%w %q (registered: %s)", sim.ErrUnknownProtocol, req.Protocol, strings.Join(sim.Protocols(), ", "))
+	if _, ok := sim.Protocols.Lookup(nr.protocol); !ok {
+		return nil, sim.Protocols.Unknown(req.Protocol)
 	}
 	engName := req.Engine
 	if strings.TrimSpace(engName) == "" {
@@ -223,7 +223,7 @@ func (s *Server) normalizeRun(req *RunRequest) (*runSpec, error) {
 // named by the spec, which would hand every tenant a file-existence oracle
 // and an arbitrary-file ingestion channel.
 func checkServableGraph(gspec gen.Spec) error {
-	if fam, ok := gen.Lookup(gspec.Family); ok && fam.Local {
+	if fam, ok := gen.Families.Lookup(gspec.Family); ok && fam.Local {
 		return fmt.Errorf("graph family %q reads local server files and cannot be requested over the wire", gspec.Family)
 	}
 	return nil
@@ -249,16 +249,6 @@ func (nr *runSpec) poolKey() string {
 	b.WriteString(strings.Join(nr.analyses, "+"))
 	fmt.Fprintf(&b, "|seed=%d|max=%d", nr.seed, nr.maxRounds)
 	return b.String()
-}
-
-// registeredProtocol reports whether name is in the sim protocol registry.
-func registeredProtocol(name string) bool {
-	for _, p := range sim.Protocols() {
-		if p == name {
-			return true
-		}
-	}
-	return false
 }
 
 // wireResult flattens an engine.Result plus the built graph's identity into

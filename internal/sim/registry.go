@@ -3,12 +3,11 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"amnesiacflood/internal/engine"
 	"amnesiacflood/internal/graph"
+	"amnesiacflood/internal/specgrammar"
 )
 
 // Spec is everything a protocol factory needs to instantiate a protocol
@@ -25,59 +24,29 @@ type Spec struct {
 // deterministic functions of the spec so runs remain reproducible.
 type ProtocolFactory func(Spec) (engine.Protocol, error)
 
+// Decl implements specgrammar.Family: a protocol takes no parameters.
+func (f ProtocolFactory) Decl() specgrammar.Decl { return specgrammar.Decl{Ready: f != nil} }
+
 // ErrUnknownProtocol is wrapped into errors for protocol names outside the
 // registry, matchable with errors.Is.
 var ErrUnknownProtocol = errors.New("unknown protocol")
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]ProtocolFactory{}
-)
-
-// Register adds a protocol factory under a name, normally from the
-// protocol package's init so importing the package is all it takes to make
-// the protocol selectable by string. It panics on empty names or duplicate
-// registration — both are programmer errors.
-func Register(name string, factory ProtocolFactory) {
-	name = strings.ToLower(strings.TrimSpace(name))
-	if name == "" {
-		panic("sim: Register with empty protocol name")
-	}
-	if factory == nil {
-		panic("sim: Register " + name + " with nil factory")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("sim: Register called twice for protocol " + name)
-	}
-	registry[name] = factory
-}
-
-// Protocols enumerates the registered protocol names, sorted.
-func Protocols() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// Protocols is the protocol registry. A protocol package registers its
+// factory from its init, so importing the package is all it takes to make
+// the protocol selectable by name.
+var Protocols = specgrammar.NewRegistry[ProtocolFactory](specgrammar.Axis{
+	Prefix: "sim", Unknown: ErrUnknownProtocol,
+})
 
 // NewProtocol instantiates the named protocol for the spec.
 func NewProtocol(name string, spec Spec) (engine.Protocol, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	registryMu.RLock()
-	factory, ok := registry[key]
-	registryMu.RUnlock()
+	factory, ok := Protocols.Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("sim: %w %q (registered: %s)", ErrUnknownProtocol, name, strings.Join(Protocols(), ", "))
+		return nil, fmt.Errorf("sim: %w", Protocols.Unknown(name))
 	}
 	proto, err := factory(spec)
 	if err != nil {
-		return nil, fmt.Errorf("sim: protocol %s: %w", key, err)
+		return nil, fmt.Errorf("sim: protocol %s: %w", strings.ToLower(strings.TrimSpace(name)), err)
 	}
 	return proto, nil
 }

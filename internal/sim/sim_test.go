@@ -27,7 +27,7 @@ var allEngines = []sim.EngineKind{sim.Sequential, sim.Channels, sim.Fast, sim.Bi
 
 func TestProtocolsRegistered(t *testing.T) {
 	want := []string{"amnesiac", "classic", "multiflood"}
-	if got := sim.Protocols(); !slices.Equal(got, want) {
+	if got := sim.Protocols.Names(); !slices.Equal(got, want) {
 		t.Errorf("Protocols() = %v, want %v", got, want)
 	}
 }
@@ -82,7 +82,7 @@ func TestUnknownProtocolAndEngineErrors(t *testing.T) {
 // bitset run everything) and produce byte-identical traces across them.
 func TestEveryProtocolOnEveryEngine(t *testing.T) {
 	g := gen.Petersen()
-	for _, name := range sim.Protocols() {
+	for _, name := range sim.Protocols.Names() {
 		t.Run(name, func(t *testing.T) {
 			var want engine.Result
 			for i, kind := range allEngines {

@@ -1,30 +1,26 @@
-// Package specgrammar is the shared typed-parameter kernel of the spec
-// grammars used across the simulator's registry axes. The graph
-// (internal/graph/gen), execution-model (internal/model), and analysis
-// (internal/analysis) registries all address their families with one-line
-// spec strings of the shape
+// Package specgrammar is the one registry behind every spec axis of the
+// simulator: graph families (internal/graph/gen), execution models
+// (internal/model, one registry per kind), analyses (internal/analysis) and
+// protocols (internal/sim). Families are addressed by one-line spec strings
+// of the shape
 //
 //	family[:key=value[,key=value]...]
 //
-// and all need the same machinery underneath: typed parameter declarations
-// (int, float, bool, string), registration-time validation of those
-// declarations, parsing of key=value assignment lists against them,
-// canonical rendering in declared order (so Parse(s).String() == s for
-// canonically ordered s), and resolution of explicit assignments over
-// declared defaults into type-checked values.
+// and each axis is one Registry: it stores its families under sorted,
+// case-insensitive names, checks them at Register time (name, constructor,
+// parameter declarations, duplicates), parses specs against typed
+// parameter declarations (int, float, bool, string), renders them
+// canonically in declared order (so Parse(s).String() == s for canonically
+// ordered s), resolves explicit assignments over declared defaults into
+// type-checked Values, and lists its entries for afsim -list, afviz -list
+// and afsimd's GET /v1/registry. The canonical strings are also the wire
+// format of the afsimd service and of the shard protocol.
 //
-// Before this package existed each registry carried a near-verbatim copy of
-// that machinery, and the copies had already diverged (the string kind
-// existed only in analysis). This kernel is the single source of truth the
-// three registries instantiate — and, transitively, the wire format of the
-// afsimd service, whose requests are exactly canonical spec strings. The
-// registries keep their own top-level grammar (the model axis has a
-// kind:family prefix, graph and analysis specs are bare families) and their
-// own family storage; only the parameter layer lives here.
-//
-// Error messages are prefixed with the instantiating registry's package
-// name (the prefix argument) so they read identically to the pre-extraction
-// errors callers already match on.
+// An axis keeps only what is its own: its family type and constructor
+// call, its error prefix and errors.Is sentinel (an Axis), the model axis's
+// sync/adversary:/schedule: prefix, and whether its values may hold
+// whitespace (graph specs may, for edgefile paths; model and analysis specs
+// are single tokens).
 package specgrammar
 
 import (
@@ -323,21 +319,4 @@ func (v Values) String(name string) string {
 		panic("specgrammar: constructor read undeclared string parameter " + name)
 	}
 	return s
-}
-
-// CheckName validates a family name at registration time: non-empty after
-// lower-casing and trimming, and free of the grammar's metacharacters plus
-// any registry-specific extras (the analysis registry also bans '.', which
-// separates family and metric in flattened column names). It returns the
-// normalised name and panics on violations — registration happens from
-// package inits, so a bad name is always a programmer error.
-func CheckName(prefix, name, extraBanned string) string {
-	name = strings.ToLower(strings.TrimSpace(name))
-	if name == "" {
-		panic(prefix + ": Register with empty family name")
-	}
-	if strings.ContainsAny(name, ":,= \t"+extraBanned) {
-		panic(prefix + ": family name " + name + " contains spec metacharacters")
-	}
-	return name
 }

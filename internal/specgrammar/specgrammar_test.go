@@ -1,6 +1,8 @@
 package specgrammar_test
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -151,22 +153,109 @@ func TestValidatePanics(t *testing.T) {
 	decls.Validate("test", "family fam")
 }
 
+// testFamily is a registry entry for these tests.
+type testFamily struct {
+	params specgrammar.Params
+	doc    string
+	build  func() int
+}
+
+func (f testFamily) Decl() specgrammar.Decl {
+	return specgrammar.Decl{Params: f.params, Doc: f.doc, Ready: f.build != nil}
+}
+
+var errUnknownTest = errors.New("unknown test family")
+
+func newTestRegistry(axis specgrammar.Axis) *specgrammar.Registry[testFamily] {
+	r := specgrammar.NewRegistry[testFamily](axis)
+	r.Register("  Fam ", testFamily{params: decls, doc: "a family", build: func() int { return 1 }})
+	r.Register("bare", testFamily{build: func() int { return 2 }})
+	return r
+}
+
+// TestCheckName: Register lower-cases and trims names, and panics on empty
+// names, names holding spec metacharacters, whitespace or '.', a missing
+// constructor, malformed declarations, and duplicates.
 func TestCheckName(t *testing.T) {
-	if got := specgrammar.CheckName("test", "  GrId ", ""); got != "grid" {
-		t.Errorf("CheckName normalised to %q, want grid", got)
+	r := newTestRegistry(specgrammar.Axis{Prefix: "test", Noun: "test", Unknown: errUnknownTest})
+	if got := r.Names(); !slices.Equal(got, []string{"bare", "fam"}) {
+		t.Errorf("Names() = %v, want [bare fam]", got)
 	}
-	for name, extra := range map[string]string{"": "", "a:b": "", "a b": "", "a.b": "."} {
+	if _, ok := r.Lookup(" FAM "); !ok {
+		t.Error("Lookup is not case-insensitive")
+	}
+	ok := func() int { return 0 }
+	for name, f := range map[string]testFamily{
+		"":        {build: ok},
+		"a:b":     {build: ok},
+		"a b":     {build: ok},
+		"a.b":     {build: ok},
+		"nilctor": {},
+		"baddecl": {params: specgrammar.Params{{Name: "n", Kind: specgrammar.IntParam, Default: "x"}}, build: ok},
+		"FAM":     {build: ok},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("CheckName(%q) did not panic", name)
+					t.Errorf("Register(%q) did not panic", name)
 				}
 			}()
-			specgrammar.CheckName("test", name, extra)
+			r.Register(name, f)
 		}()
 	}
-	// '.' is allowed without the extra ban.
-	if got := specgrammar.CheckName("test", "a.b", ""); got != "a.b" {
-		t.Errorf("CheckName(a.b) = %q", got)
+}
+
+// TestRegistryGrammar: one registry parses, renders, resolves, lists and
+// names unknown families for every axis shape.
+func TestRegistryGrammar(t *testing.T) {
+	r := newTestRegistry(specgrammar.Axis{Prefix: "test", Noun: "test", Unknown: errUnknownTest})
+	sp, err := r.Parse(" FAM : METRIC=messages , N=4 ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Format(sp); got != "fam:n=4,metric=messages" {
+		t.Errorf("Format(Parse) = %q", got)
+	}
+	_, v, err := r.Resolve(sp)
+	if err != nil || v.Int("n") != 4 || v.Float("p") != 0.5 {
+		t.Errorf("Resolve = %v, %v", v, err)
+	}
+	if _, err := r.Parse("nosuch"); !errors.Is(err, errUnknownTest) || err.Error() != `test: unknown test family "nosuch" (registered: bare, fam)` {
+		t.Errorf("Parse(nosuch) err = %v", err)
+	}
+	if _, _, err := r.Resolve(specgrammar.Spec{Family: "nosuch"}); !errors.Is(err, errUnknownTest) {
+		t.Errorf("Resolve(nosuch) err = %v", err)
+	}
+	if _, err := r.Parse(" "); err == nil || err.Error() != "test: empty test spec" {
+		t.Errorf("Parse(empty) err = %v", err)
+	}
+	if _, err := r.Parse("fam:metric=a b"); err == nil || !strings.Contains(err.Error(), "whitespace") {
+		t.Errorf("a token registry accepted whitespace: %v", err)
+	}
+	spaced := newTestRegistry(specgrammar.Axis{Prefix: "test", Unknown: errUnknownTest, Spaces: true})
+	if sp, err := spaced.Parse("fam:metric=a b"); err != nil || sp.Params["metric"] != "a b" {
+		t.Errorf("a Spaces registry refused inner whitespace: %v, %v", sp, err)
+	}
+	want := "  bare\n  fam: n int (default 8), p float (default 0.5), connect bool (default false), metric string (default rounds) — a family\n"
+	if got := r.Listing(); got != want {
+		t.Errorf("Listing() = %q, want %q", got, want)
+	}
+
+	kinded := newTestRegistry(specgrammar.Axis{Prefix: "test", Kind: "adversary", Unknown: errUnknownTest})
+	sp, err = kinded.Parse("Adversary:FAM:n=3")
+	if err != nil || sp.Family != "fam" || kinded.Format(sp) != "adversary:fam:n=3" {
+		t.Errorf("kinded Parse/Format = %v %q, %v", sp, kinded.Format(sp), err)
+	}
+	if _, err := kinded.Parse("adversary:nosuch"); err == nil || err.Error() != "test: unknown test family adversary:nosuch (registered: bare, fam)" {
+		t.Errorf("kinded unknown err = %v", err)
+	}
+	if _, err := kinded.Parse("adversary"); err == nil || err.Error() != `test: spec "adversary" names no adversary family (registered: bare, fam)` {
+		t.Errorf("kinded empty err = %v", err)
+	}
+	if e := kinded.Entries(); len(e) != 2 || e[1].Kind != "adversary" || e[1].Name != "fam" || e[1].Doc != "a family" {
+		t.Errorf("Entries() = %+v", e)
+	}
+	if got := kinded.Listing(); !strings.HasPrefix(got, "  adversary:bare\n  adversary:fam: n int") {
+		t.Errorf("kinded Listing() = %q", got)
 	}
 }
