@@ -55,7 +55,8 @@ race:
 # synchronous engine under the zero-delay adversary and under the static
 # schedule (the identity both fate hooks must keep), then the model and
 # analysis spec parsers' canonical round trips, then the graph spec
-# parser's, since graph specs are what remote callers send most.
+# parser's, since graph specs are what remote callers send most, then the
+# shard coordinator's lease, complete and renew bodies, plain and gzip.
 fuzz:
 	go test -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine/fastengine
 	go test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/service
@@ -66,6 +67,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzModelParse -fuzztime 10s ./internal/model
 	go test -run '^$$' -fuzz FuzzAnalysisParse -fuzztime 10s ./internal/analysis
 	go test -run '^$$' -fuzz FuzzGenParse -fuzztime 10s ./internal/graph/gen
+	go test -run '^$$' -fuzz FuzzCoordinatorBodies -fuzztime 10s ./internal/shard
 
 # examples runs every program under examples/ and fails on the first
 # non-zero exit. Building them is not enough: a program that looks a

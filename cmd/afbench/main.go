@@ -529,6 +529,12 @@ func runShardedSuite(ctx context.Context, o suiteOpts, specs []scenario.Spec, si
 		}()
 	}
 	results, err := coord.Wait(waitCtx)
+	if o.shardCoordinator != "" {
+		// External workers poll this listener: keep serving until each
+		// has heard the suite is done (local workers hear it the same
+		// way), so the shutdown below strands none of them.
+		coord.Drain(ctx)
+	}
 	cancel()
 	wg.Wait()
 	// wg.Wait orders every worker's write of workerErr before this read.

@@ -22,6 +22,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -106,7 +107,18 @@ type Coordinator struct {
 	sinkErr   error
 	aborted   bool
 	done      chan struct{}
+	// retry is the wait answer's poll interval.
+	retry time.Duration
+	// polling holds the workers answered a lease or a wait that have not
+	// been told the suite is done; drained closes once the suite is over
+	// and it is empty.
+	polling map[string]bool
+	drained chan struct{}
 }
+
+// errUnknownGroup marks an upload naming a group the coordinator never
+// partitioned: the client's error, not the coordinator's.
+var errUnknownGroup = errors.New("unknown group")
 
 // NewCoordinator partitions specs into lease groups and replays the
 // configured manifest (journaled specs are merged immediately and never
@@ -138,6 +150,11 @@ func NewCoordinator(specs []scenario.Spec, cfg CoordinatorConfig) (*Coordinator,
 		byLease: map[string]*shardGroup{},
 		seen:    map[string]bool{},
 		done:    make(chan struct{}),
+		// Poll again well inside the TTL, so an expiring lease is stolen
+		// promptly.
+		retry:   min(max(cfg.LeaseTTL/4, 10*time.Millisecond), time.Second),
+		polling: map[string]bool{},
+		drained: make(chan struct{}),
 	}
 	// Partition the distinct specs in first-seen order (the matrix
 	// expansion order), exactly like the in-process runner, dropping specs
@@ -173,6 +190,7 @@ func NewCoordinator(specs []scenario.Spec, cfg CoordinatorConfig) (*Coordinator,
 	c.metrics.replayed.Add(uint64(c.replayed))
 	if c.remaining == 0 {
 		close(c.done) // fully resumed from the manifest
+		c.settleLocked()
 	}
 	return c, nil
 }
@@ -184,8 +202,11 @@ func (c *Coordinator) lease(worker string) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.suiteOver() {
+		delete(c.polling, worker)
+		c.settleLocked()
 		return LeaseResponse{Status: StatusDone}
 	}
+	c.polling[worker] = true
 	c.reclaimExpired()
 	for _, grp := range c.groups {
 		if grp.state != statePending {
@@ -208,16 +229,8 @@ func (c *Coordinator) lease(worker string) LeaseResponse {
 			Config:  c.cfg.Run,
 		}
 	}
-	// Everything remaining is leased out; poll again well inside the TTL
-	// so an expiring lease is stolen promptly.
-	retry := c.cfg.LeaseTTL / 4
-	if retry > time.Second {
-		retry = time.Second
-	}
-	if retry < 10*time.Millisecond {
-		retry = 10 * time.Millisecond
-	}
-	return LeaseResponse{Status: StatusWait, RetryMs: retry.Milliseconds()}
+	// Everything remaining is leased out.
+	return LeaseResponse{Status: StatusWait, RetryMs: c.retry.Milliseconds()}
 }
 
 // reclaimExpired returns every expired lease to the pending pool. Called
@@ -229,6 +242,7 @@ func (c *Coordinator) reclaimExpired() {
 			c.cfg.Logger.Warn("shard: lease expired; reassigning", "lease", grp.leaseID, "group", grp.id, "worker", grp.worker)
 			c.metrics.expired.Inc()
 			c.steals++
+			delete(c.polling, grp.worker) // presumed gone: Drain waits for it no longer
 			c.unlease(grp)
 		}
 	}
@@ -275,7 +289,7 @@ func (c *Coordinator) complete(req *CompleteRequest) (CompleteResponse, error) {
 		}
 	}
 	if grp == nil {
-		return CompleteResponse{}, fmt.Errorf("unknown group %q", req.GroupID)
+		return CompleteResponse{}, fmt.Errorf("%w %q", errUnknownGroup, req.GroupID)
 	}
 	if grp.state == stateDone || c.aborted {
 		return CompleteResponse{Status: StatusStale}, nil
@@ -315,6 +329,7 @@ func (c *Coordinator) complete(req *CompleteRequest) (CompleteResponse, error) {
 		c.cfg.Logger.Info("shard: group done", "group", grp.id, "merged", merged, "worker", req.Worker, "stale", stale, "remaining", c.remaining)
 		if c.remaining == 0 {
 			close(c.done)
+			c.settleLocked()
 		}
 	} else if grp.state == stateLeased && grp.leaseID == req.LeaseID {
 		// The lease's own upload did not cover the group: requeue the
@@ -358,6 +373,20 @@ func (c *Coordinator) abortLocked(err error) {
 	if c.remaining > 0 {
 		close(c.done)
 	}
+	c.settleLocked()
+}
+
+// settleLocked closes drained once the suite is over and every worker
+// answered a lease or a wait has since been told it is done. Called with
+// c.mu held.
+func (c *Coordinator) settleLocked() {
+	select {
+	case <-c.drained:
+	default:
+		if c.suiteOver() && len(c.polling) == 0 {
+			close(c.drained)
+		}
+	}
 }
 
 // suiteOver reports completion or abort. Called with c.mu held.
@@ -389,6 +418,31 @@ func (c *Coordinator) Wait(ctx context.Context) ([]scenario.Result, error) {
 	out := append([]scenario.Result(nil), c.results...)
 	scenario.SortResults(out)
 	return out, c.sinkErr
+}
+
+// Drain waits, once the suite is over, until every worker the coordinator
+// answered a lease or a wait has polled again and been told the suite is
+// done, so that a caller which then closes the listener strands none of
+// them: without it, a worker sleeping on a wait answer when the last row
+// merged polls a closed port and gives up as if the coordinator had died.
+// A worker whose lease expired is presumed gone and not waited for, and
+// Drain stops waiting after one wait interval plus a second, time enough
+// for any live worker to poll again. It returns at once while the suite
+// is still running, and when ctx ends.
+func (c *Coordinator) Drain(ctx context.Context) {
+	c.mu.Lock()
+	over := c.suiteOver()
+	c.mu.Unlock()
+	if !over {
+		return
+	}
+	timer := time.NewTimer(c.retry + time.Second)
+	defer timer.Stop()
+	select {
+	case <-c.drained:
+	case <-timer.C:
+	case <-ctx.Done():
+	}
 }
 
 // Status snapshots the coordinator's occupancy.

@@ -3,6 +3,7 @@ package shard
 import (
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -96,7 +97,11 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := c.complete(&req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		status := http.StatusInternalServerError // the sink failed
+		if errors.Is(err, errUnknownGroup) {
+			status = http.StatusBadRequest
+		}
+		writeError(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -416,12 +416,50 @@ func TestShardHTTPSurface(t *testing.T) {
 		}
 	}
 
-	var done shard.CompleteResponse
-	if err := postJSONErr(srv.URL+"/v1/complete", shard.CompleteRequest{
+	// An upload naming a group the coordinator never partitioned is the
+	// client's error (400); a sink failure is the coordinator's (500).
+	if code := postStatus(t, srv.URL+"/v1/complete", shard.CompleteRequest{
 		LeaseID: "none", GroupID: "nosuch", Worker: "x",
-	}, &done); err == nil {
-		t.Error("completion for an unknown group succeeded")
+	}); code != http.StatusBadRequest {
+		t.Errorf("completion for an unknown group answered %d, want 400", code)
 	}
+	failing, err := shard.NewCoordinator(specs, shard.CoordinatorConfig{Logger: quiet, Sink: failSink{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsrv := httptest.NewServer(failing.Handler())
+	defer fsrv.Close()
+	var lease shard.LeaseResponse
+	postJSON(t, fsrv.URL+"/v1/lease", shard.LeaseRequest{Worker: "w"}, &lease)
+	rows, err := (&scenario.Runner{}).Run(context.Background(), lease.Specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := postStatus(t, fsrv.URL+"/v1/complete", shard.CompleteRequest{
+		LeaseID: lease.LeaseID, GroupID: lease.GroupID, Worker: "w", Rows: rows,
+	}); code != http.StatusInternalServerError {
+		t.Errorf("completion into a failing sink answered %d, want 500", code)
+	}
+}
+
+// failSink refuses every row.
+type failSink struct{}
+
+func (failSink) Write(scenario.Result) error { return errors.New("disk full") }
+
+// postStatus posts one JSON request and returns the response's status code.
+func postStatus(t *testing.T, url string, body any) int {
+	t.Helper()
+	payload, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", strings.NewReader(string(payload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 // postJSON posts one request and decodes the response, failing the test on

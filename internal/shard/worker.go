@@ -43,8 +43,9 @@ type WorkerConfig struct {
 	Logger *slog.Logger
 	// Metrics, when non-nil, receives the worker's telemetry: the
 	// afshard_worker_* counters and the scenario_* families of every lease
-	// runner (scenario.Telemetry). In-process fleets (afbench -shard-local)
-	// share one registry across workers, so the totals aggregate.
+	// runner (scenario.Telemetry). In-process fleets (afbench
+	// -shard-workers) share one registry across workers, so the totals
+	// aggregate.
 	Metrics *obs.Registry
 }
 

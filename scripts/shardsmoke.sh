@@ -5,8 +5,9 @@
 # coordinator with two external `afshard` workers, killing one with SIGKILL
 # while it holds a lease so its group must be stolen, and assert the merged
 # (gzip-compressed) output is byte-identical to the baseline after
-# order-normalisation (scripts/suitediff.sh). Used by `make suite-shard` and
-# the CI shard job.
+# order-normalisation (scripts/suitediff.sh), and that the surviving worker
+# exits 0 once the suite merges. Used by `make suite-shard` and the CI shard
+# job.
 # Requires only a POSIX shell and curl.
 set -eu
 
@@ -95,6 +96,25 @@ if ! wait "$COORD_PID"; then
     exit 1
 fi
 COORD_PID=""
+
+echo "== the surviving worker hears the suite is done and exits 0"
+# The coordinator keeps serving until every live worker has heard the suite
+# is done, so the survivor exits at once; one still running 5 s later, or
+# one exiting non-zero, is polling a closed port.
+i=0
+while kill -0 "$SURVIVOR_PID" 2>/dev/null; do
+    i=$((i + 1))
+    if [ "$i" -gt 50 ]; then
+        echo "survivor worker still running 5 s after the suite merged" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+if ! wait "$SURVIVOR_PID"; then
+    echo "survivor worker exited non-zero after the suite merged" >&2
+    exit 1
+fi
+SURVIVOR_PID=""
 
 echo "== merged output is gzip and byte-identical to the baseline"
 gunzip -c "$DIR/shard.jsonl.gz" > "$DIR/shard.jsonl"
