@@ -18,21 +18,9 @@ import (
 // whitespace. Omitted parameters take the family's declared defaults, and
 // Parse(s).String() == s for every canonically ordered s.
 
-// ParamKind types a family parameter.
-type ParamKind = specgrammar.Kind
-
-// Parameter kinds.
-const (
-	// IntParam values parse with strconv.Atoi.
-	IntParam = specgrammar.IntParam
-	// FloatParam values parse with strconv.ParseFloat.
-	FloatParam = specgrammar.FloatParam
-	// BoolParam values parse with strconv.ParseBool.
-	BoolParam = specgrammar.BoolParam
-	// StringParam values are free-form except for the spec metacharacters
-	// ':', ',' and '='.
-	StringParam = specgrammar.StringParam
-)
+// StringParam is the parameter kind of free-form values: any token
+// without ':', ',', '=' or whitespace.
+const StringParam = specgrammar.StringParam
 
 // Param declares one parameter of a family: its name, type, default value
 // (a canonical literal of the declared kind), and a one-line doc string for

@@ -23,9 +23,6 @@ import (
 // equal (spec, seed) pairs build byte-identical graphs. Parse(s).String()
 // == s for every canonically ordered s.
 
-// Kind types a family parameter.
-type Kind = specgrammar.Kind
-
 // Parameter kinds.
 const (
 	// IntParam values parse with strconv.Atoi.

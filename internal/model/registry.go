@@ -37,17 +37,12 @@ const (
 	KindSchedule Kind = "schedule"
 )
 
-// ParamKind types a family parameter.
-type ParamKind = specgrammar.Kind
-
 // Parameter kinds.
 const (
 	// IntParam values parse with strconv.Atoi.
 	IntParam = specgrammar.IntParam
 	// FloatParam values parse with strconv.ParseFloat.
 	FloatParam = specgrammar.FloatParam
-	// BoolParam values parse with strconv.ParseBool.
-	BoolParam = specgrammar.BoolParam
 	// StringParam values are free-form except for spec metacharacters and
 	// whitespace.
 	StringParam = specgrammar.StringParam

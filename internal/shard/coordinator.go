@@ -206,8 +206,8 @@ func (c *Coordinator) lease(worker string) LeaseResponse {
 		c.settleLocked()
 		return LeaseResponse{Status: StatusDone}
 	}
-	c.polling[worker] = true
 	c.reclaimExpired()
+	c.polling[worker] = true
 	for _, grp := range c.groups {
 		if grp.state != statePending {
 			continue

@@ -487,3 +487,64 @@ func postJSONErr(url string, body, out any) error {
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
+
+// TestShardDrain: Drain returns at once while the suite runs; once it is
+// over, it waits until every worker answered a lease or a wait has polled
+// again and heard done, and it stops waiting for a silent worker after one
+// wait interval plus a second.
+func TestShardDrain(t *testing.T) {
+	specs, err := scenario.Matrix{Graphs: []string{"cycle:n=5"}}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := baseline(t, specs)
+	for _, silent := range []bool{false, true} {
+		coord, err := shard.NewCoordinator(specs, shard.CoordinatorConfig{LeaseTTL: 40 * time.Millisecond, Logger: quiet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(coord.Handler())
+		start := time.Now()
+		coord.Drain(context.Background())
+		if took := time.Since(start); took > 500*time.Millisecond {
+			t.Errorf("Drain waited %v on a running suite", took)
+		}
+		var lease, wait, done shard.LeaseResponse
+		postJSON(t, srv.URL+"/v1/lease", shard.LeaseRequest{Worker: "a"}, &lease)
+		postJSON(t, srv.URL+"/v1/lease", shard.LeaseRequest{Worker: "b"}, &wait)
+		if lease.Status != shard.StatusLease || wait.Status != shard.StatusWait {
+			t.Fatalf("answers %q and %q, want a lease and a wait", lease.Status, wait.Status)
+		}
+		var merged shard.CompleteResponse
+		postJSON(t, srv.URL+"/v1/complete", shard.CompleteRequest{
+			LeaseID: lease.LeaseID, GroupID: lease.GroupID, Worker: "a", Rows: rows,
+		}, &merged)
+		drained := make(chan time.Duration, 1)
+		start = time.Now()
+		go func() {
+			coord.Drain(context.Background())
+			drained <- time.Since(start)
+		}()
+		postJSON(t, srv.URL+"/v1/lease", shard.LeaseRequest{Worker: "a"}, &done)
+		if done.Status != shard.StatusDone {
+			t.Fatalf("a merged suite answered %q, want %q", done.Status, shard.StatusDone)
+		}
+		if silent {
+			// b never polls again: Drain gives up after 10 ms + 1 s.
+			if took := <-drained; took < time.Second || took > 3*time.Second {
+				t.Errorf("Drain with a silent worker took %v, want about 1 s", took)
+			}
+		} else {
+			select {
+			case took := <-drained:
+				t.Fatalf("Drain returned after %v, before b heard the suite was done", took)
+			case <-time.After(50 * time.Millisecond):
+			}
+			postJSON(t, srv.URL+"/v1/lease", shard.LeaseRequest{Worker: "b"}, &done)
+			if took := <-drained; took > 900*time.Millisecond {
+				t.Errorf("Drain took %v after the last worker heard done", took)
+			}
+		}
+		srv.Close()
+	}
+}

@@ -2,6 +2,7 @@ package specgrammar
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -65,10 +66,9 @@ type Spec struct {
 // them over the declared defaults, and lists them. It is safe for
 // concurrent use.
 type Registry[F Family] struct {
-	axis  Axis
-	mu    sync.RWMutex
-	fams  map[string]F
-	names []string // sorted
+	axis Axis
+	mu   sync.RWMutex
+	fams map[string]F
 }
 
 // NewRegistry returns an empty registry for an axis.
@@ -102,15 +102,13 @@ func (r *Registry[F]) Register(name string, fam F) {
 		panic(r.axis.Prefix + ": Register called twice for " + r.owner(name))
 	}
 	r.fams[name] = fam
-	i, _ := slices.BinarySearch(r.names, name)
-	r.names = slices.Insert(r.names, i, name)
 }
 
 // Names lists the registered family names, sorted.
 func (r *Registry[F]) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return slices.Clone(r.names)
+	return slices.Sorted(maps.Keys(r.fams))
 }
 
 // Lookup returns the named family. Names are case-insensitive and trimmed.
@@ -223,11 +221,10 @@ type Entry[F Family] struct {
 // Entries lists every registered family in name order: the one listing
 // behind afsim -list, afviz -list and afsimd's GET /v1/registry.
 func (r *Registry[F]) Entries() []Entry[F] {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Entry[F], len(r.names))
-	for i, name := range r.names {
-		fam := r.fams[name]
+	names := r.Names()
+	out := make([]Entry[F], len(names))
+	for i, name := range names {
+		fam, _ := r.Lookup(name)
 		out[i] = Entry[F]{Decl: fam.Decl(), Kind: r.axis.Kind, Name: name, Family: fam}
 	}
 	return out
