@@ -2,8 +2,10 @@ package specgrammar_test
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"amnesiacflood/internal/specgrammar"
@@ -257,5 +259,38 @@ func TestRegistryGrammar(t *testing.T) {
 	}
 	if got := kinded.Listing(); !strings.HasPrefix(got, "  adversary:bare\n  adversary:fam: n int") {
 		t.Errorf("kinded Listing() = %q", got)
+	}
+}
+
+// TestRegistryConcurrentUse registers families while other goroutines
+// parse, render, resolve and list; run it under -race.
+func TestRegistryConcurrentUse(t *testing.T) {
+	r := newTestRegistry(specgrammar.Axis{Prefix: "test", Noun: "test", Unknown: errUnknownTest})
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				if g == 0 {
+					r.Register(fmt.Sprintf("extra%d", i), testFamily{build: func() int { return i }})
+					continue
+				}
+				sp, err := r.Parse("fam:n=3")
+				if err != nil || r.Format(sp) != "fam:n=3" {
+					t.Errorf("Parse/Format = %v, %v", sp, err)
+					return
+				}
+				if _, _, err := r.Resolve(sp); err != nil {
+					t.Error(err)
+					return
+				}
+				_ = r.Listing()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(r.Names()); n != 202 {
+		t.Errorf("%d families registered, want 202", n)
 	}
 }
